@@ -45,10 +45,10 @@ class Cache:
         try:
             with open(path) as fh:
                 entry = json.load(fh)
-            if entry.get("key") != key:
+            if not isinstance(entry, dict) or entry.get("key") != key:
                 return None
             return entry["payload"]
-        except (OSError, ValueError, KeyError):
+        except (OSError, ValueError, KeyError, RecursionError):
             return None
 
     def put(self, key: str, payload) -> None:

@@ -19,12 +19,16 @@ from .errors import (
     NonCoprimeError,
     ResourceLimitError,
 )
-from .exactalg import LaurentPoly
+from .exactalg import LaurentPoly, RatFunc
+from .qseries import TruncSeries
 
 EXIT_VERIFY_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_INCONSISTENT = 3
 EXIT_RESOURCE = 4
+
+# the commands whose results have a one-line csv form
+CSV_COMMANDS = ("framed", "moduli", "euler", "tamari")
 
 
 def _coeff_list(p: LaurentPoly) -> list[str]:
@@ -75,15 +79,66 @@ def main(ctx, fmt, cache_dir, no_cache, max_paths):
     ctx.obj["max_paths"] = max_paths
 
 
-def _cached_poly(ctx, command: str, params: dict, compute) -> LaurentPoly:
+def _cached(ctx, command: str, params: dict, compute, canonical):
+    """The JSON payload of a result, from the cache when its entry is valid.
+
+    ``compute()`` returns the payload.  ``canonical(payload)`` rebuilds a
+    payload through the library's decoders and raises on a wrong shape.  A
+    cached payload that does not come back from it unchanged is discarded
+    and recomputed.
+    """
     cache: Cache = ctx.obj["cache"]
     key = Cache.make_key(command, **params)
     payload = cache.get(key)
     if payload is not None:
-        return LaurentPoly.from_json(payload)
-    poly = compute()
-    cache.put(key, poly.to_json())
-    return poly
+        try:
+            if (json.dumps(canonical(payload), sort_keys=True)
+                    == json.dumps(payload, sort_keys=True)):
+                return payload
+        except (LookupError, TypeError, ValueError, ArithmeticError):
+            pass
+    payload = compute()
+    cache.put(key, payload)
+    return payload
+
+
+def _cached_poly(ctx, command: str, params: dict, compute) -> LaurentPoly:
+    payload = _cached(ctx, command, params, lambda: compute().to_json(),
+                      lambda p: LaurentPoly.from_json(p).to_json())
+    return LaurentPoly.from_json(payload)
+
+
+def _canonical_records(records, bound: int) -> list[dict]:
+    """Re-encode the records of ``MotiveTable.export`` for d+e <= bound."""
+    # export lists every (d,e) with d+e <= bound, ordered by (d+e, d)
+    vectors = [(d, s - d) for s in range(bound + 1) for d in range(s + 1)]
+    if len(records) != len(vectors):
+        raise ValueError("wrong number of records")
+    return [
+        {
+            "d": d,
+            "e": e,
+            "a": RatFunc.from_json(rec["a"]).to_json(),
+            "motive": (None if rec["motive"] is None
+                       else LaurentPoly.from_json(rec["motive"]).to_json()),
+        }
+        for (d, e), rec in zip(vectors, records)
+    ]
+
+
+def _canonical_series(payload, order: int) -> dict:
+    """Re-encode a ``TruncSeries.to_json`` payload of the given order."""
+    if payload["order"] != order:  # checked first: from_json pads to order
+        raise ValueError("series of the wrong order")
+    return TruncSeries.from_json(payload).to_json()
+
+
+def _reject_csv(ctx):
+    """Exit 2 when --format csv was asked of a command that has no csv form."""
+    if ctx.obj["fmt"] == "csv":
+        raise click.exceptions.Exit(_bad_input(
+            f"--format csv is not supported by `{ctx.info_name}`; "
+            f"it is supported by: {', '.join(CSV_COMMANDS)}"))
 
 
 @main.command()
@@ -146,14 +201,12 @@ def moduli(ctx, m, d, e):
 @click.pass_context
 def hn(ctx, m, bound):
     """Raw wall-crossing coefficient table a_D for d+e <= bound."""
+    _reject_csv(ctx)
     if m < 1 or bound < 0:
         raise click.exceptions.Exit(_bad_input("invalid parameters"))
-    cache: Cache = ctx.obj["cache"]
-    key = Cache.make_key("hn", m=m, bound=bound)
-    records = cache.get(key)
-    if records is None:
-        records = wallcross.hn_extract(m, bound).export()
-        cache.put(key, records)
+    records = _cached(ctx, "hn", {"m": m, "bound": bound},
+                      lambda: wallcross.hn_extract(m, bound).export(),
+                      lambda p: _canonical_records(p, bound))
     fmt = ctx.obj["fmt"]
     if fmt == "json":
         _print_json_result("hn", records)
@@ -177,12 +230,11 @@ def hn(ctx, m, bound):
 @click.pass_context
 def series(ctx, which, m, k, order):
     """Truncated generating series F, G, or A^(k)."""
+    _reject_csv(ctx)
     if order < 0:
         raise click.exceptions.Exit(_bad_input("order must be >= 0"))
-    cache: Cache = ctx.obj["cache"]
-    key = Cache.make_key("series", which=which, m=m, k=k, order=order)
-    payload = cache.get(key)
-    if payload is None:
+
+    def compute():
         try:
             if which == "F":
                 ts = central.framed_recursion(m, order)
@@ -194,8 +246,10 @@ def series(ctx, which, m, k, order):
                 ts = wallcross.hn_extract(m, order * (k + 1)).ray_series((1, k), order)
         except ValueError as exc:
             raise click.exceptions.Exit(_bad_input(str(exc)))
-        payload = ts.to_json()
-        cache.put(key, payload)
+        return ts.to_json()
+
+    payload = _cached(ctx, "series", {"which": which, "m": m, "k": k, "order": order},
+                      compute, lambda p: _canonical_series(p, order))
     fmt = ctx.obj["fmt"]
     if fmt == "json":
         _print_json_result("series", payload)
@@ -293,6 +347,9 @@ _VERIFIERS = {
 @click.pass_context
 def verify(ctx, identity, m, k, order):
     """Check a series identity exactly; exit 0 iff everything passes."""
+    _reject_csv(ctx)
+    if order < 1:
+        raise click.exceptions.Exit(_bad_input("order must be >= 1"))
     needs_k = identity in ("corident", "newduality")
     try:
         if needs_k and k is None:

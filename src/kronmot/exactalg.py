@@ -4,16 +4,37 @@ Everything here is immutable and exact.  Coefficients are Python ints where
 possible and :class:`fractions.Fraction` otherwise; a Fraction that reduces to
 an integer is stored as an int so the fast integer multiplication path stays
 available.
+
+The integer case is the fast case, because every motive the package computes
+is an integer Laurent polynomial:
+
+- ``LaurentPoly`` checks the coefficient types in one pass and normalises
+  coefficients one by one only when some coefficient is not an ``int``.
+- Products of long integer polynomials go through Kronecker substitution
+  with linear-time packing and unpacking (``_conv_int``).
+- A ``RatFunc`` whose denominator is the constant 1 is already in canonical
+  form when its numerator has integer coefficients, so constructing it skips
+  the gcd and ``Fraction`` work, and ``+``, ``-`` and ``*`` of two such
+  values are plain ``LaurentPoly`` arithmetic on the numerators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
+from operator import add, neg
 
 from .errors import NonPolynomialError
 
 Coeff = int | Fraction
+
+
+_INT = frozenset((int,))
+
+
+def _int_only(coeffs) -> bool:
+    """True iff every coefficient is exactly an ``int`` (no bool, no Fraction)."""
+    return _INT.issuperset(map(type, coeffs))
 
 
 def _norm_coeff(c: Coeff) -> Coeff:
@@ -27,40 +48,39 @@ def _norm_coeff(c: Coeff) -> Coeff:
 def _conv_int(a: list[int], b: list[int]) -> list[int]:
     """Convolution of integer sequences via Kronecker substitution.
 
-    Packs each polynomial into one big integer, multiplies, and unpacks
-    signed digits.  One big-int multiply beats schoolbook convolution by a
-    wide margin for the degree-few-hundred numerators showing up in the
-    wall-crossing sweep.
+    Packs each sequence into one big integer, multiplies once, and splits the
+    product back into signed coefficients.  Every coefficient gets a
+    byte-aligned slot of ``w`` bytes, wide enough that each product
+    coefficient c satisfies -2**(8w-1) <= c < 2**(8w-1).  A slot stores
+    c + 2**(8w-1) (offset binary), so it is never negative and no slot
+    borrows from its neighbour.  Packing is then one ``int.from_bytes`` over
+    the joined slots minus the offsets.  Unpacking adds the offsets back and
+    reads each slot of one ``int.to_bytes``.  Both are linear in the size of
+    the packed integer, so the big-integer multiply dominates.
     """
-    max_a = max(abs(x) for x in a)
-    max_b = max(abs(x) for x in b)
+    n = len(a) + len(b) - 1
+    max_a = max(map(abs, a))
+    max_b = max(map(abs, b))
     bound = min(len(a), len(b)) * max_a * max_b
-    bits = bound.bit_length() + 2
-    base = 1 << bits
-    half = base >> 1
-    mask = base - 1
+    if not bound:
+        return [0] * n
+    w = bound.bit_length() // 8 + 1
+    half = 1 << (8 * w - 1)
+    offset_slot = half.to_bytes(w, "little")
 
-    packed_a = 0
-    for x in reversed(a):
-        packed_a = (packed_a << bits) + x
-    packed_b = 0
-    for x in reversed(b):
-        packed_b = (packed_b << bits) + x
+    def pack(xs):
+        data = b"".join([(x + half).to_bytes(w, "little") for x in xs])
+        return (int.from_bytes(data, "little")
+                - int.from_bytes(offset_slot * len(xs), "little"))
 
-    prod = packed_a * packed_b
-    out = []
-    for _ in range(len(a) + len(b) - 1):
-        digit = prod & mask
-        if digit >= half:
-            digit -= base
-        out.append(digit)
-        prod = (prod - digit) >> bits
-    return out
+    prod = pack(a) * pack(b) + int.from_bytes(offset_slot * n, "little")
+    data = prod.to_bytes(n * w, "little")
+    return [int.from_bytes(data[i:i + w], "little") - half
+            for i in range(0, n * w, w)]
 
 
 def _conv(a, b):
-    if len(a) >= 16 and len(b) >= 16 \
-            and all(type(x) is int for x in a) and all(type(x) is int for x in b):
+    if len(a) >= 16 and len(b) >= 16 and _int_only(a) and _int_only(b):
         return _conv_int(a, b)
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -82,7 +102,10 @@ class LaurentPoly:
     __slots__ = ("min_exp", "coeffs")
 
     def __init__(self, coeffs, min_exp: int = 0):
-        coeffs = [_norm_coeff(c) for c in coeffs]
+        if not isinstance(coeffs, (list, tuple)):
+            coeffs = list(coeffs)
+        if not _int_only(coeffs):
+            coeffs = [_norm_coeff(c) for c in coeffs]
         lo = 0
         hi = len(coeffs)
         while lo < hi and coeffs[lo] == 0:
@@ -128,10 +151,10 @@ class LaurentPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly((other,))
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = LaurentPoly((other,))
         return self.min_exp == other.min_exp and self.coeffs == other.coeffs
 
     def __hash__(self):
@@ -146,10 +169,10 @@ class LaurentPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly((other,))
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = LaurentPoly((other,))
         if not self.coeffs:
             return other
         if not other.coeffs:
@@ -157,22 +180,23 @@ class LaurentPoly:
         lo = min(self.min_exp, other.min_exp)
         hi = max(self.max_exp, other.max_exp)
         out = [0] * (hi - lo + 1)
-        for i, c in enumerate(self.coeffs):
-            out[self.min_exp - lo + i] = c
-        for i, c in enumerate(other.coeffs):
-            out[other.min_exp - lo + i] += c
+        i = self.min_exp - lo
+        out[i:i + len(self.coeffs)] = self.coeffs
+        i = other.min_exp - lo
+        j = i + len(other.coeffs)
+        out[i:j] = map(add, out[i:j], other.coeffs)
         return LaurentPoly(out, lo)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly([-c for c in self.coeffs], self.min_exp)
+        return LaurentPoly(list(map(neg, self.coeffs)), self.min_exp)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly((other,))
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = LaurentPoly((other,))
         return self + (-other)
 
     def __rsub__(self, other):
@@ -230,8 +254,7 @@ class LaurentPoly:
         if qlen <= 0:
             raise NonPolynomialError("degree of divisor exceeds dividend")
         quot = [0] * qlen
-        int_path = d0 in (1, -1) and all(type(c) is int for c in rem) \
-            and all(type(c) is int for c in div)
+        int_path = d0 in (1, -1) and _int_only(rem) and _int_only(div)
         for i in range(qlen):
             c = rem[i]
             if c == 0:
@@ -264,6 +287,8 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LaurentPoly":
+        if type(obj["min_exp"]) is not int:
+            raise TypeError("min_exp must be an int")
         coeffs = [Fraction(s) for s in obj["coeffs"]]
         return cls(coeffs, obj["min_exp"])
 
@@ -389,19 +414,29 @@ def _to_int_list(coeffs) -> tuple[list[int], Fraction]:
     return ints, Fraction(g, denom)
 
 
+_ONE = LaurentPoly((1,))
+
+
 class RatFunc:
     """Normalized quotient of two Laurent polynomials in v.
 
     Canonical form: num and den coprime over the polynomial ring after
     clearing v-powers, den with lowest term 1*v^0.  All v-power content sits
-    in the numerator, so equality is structural.
+    in the numerator, so equality is structural.  A Laurent-valued RatFunc
+    has den == 1; when its numerator has integer coefficients it is built
+    without any gcd or Fraction work.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = LaurentPoly((1,))):
+    def __init__(self, num: LaurentPoly, den: LaurentPoly = _ONE):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
+        if den.coeffs == (1,) and _int_only(num.coeffs):
+            # num / v^k is canonical once the v-power moves into num
+            object.__setattr__(self, "num", num.v_shift(-den.min_exp))
+            object.__setattr__(self, "den", _ONE)
+            return
         if num.is_zero():
             object.__setattr__(self, "num", LaurentPoly.zero())
             object.__setattr__(self, "den", LaurentPoly.one())
@@ -422,6 +457,14 @@ class RatFunc:
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
+
+    @classmethod
+    def _canonical(cls, num: LaurentPoly, den: LaurentPoly) -> "RatFunc":
+        """Wrap a pair that is already in canonical form, unchecked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
 
     @classmethod
     def zero(cls) -> "RatFunc":
@@ -448,52 +491,57 @@ class RatFunc:
         return not self.num.is_zero()
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = RatFunc.of(other)
         if not isinstance(other, RatFunc):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, LaurentPoly)):
+                return NotImplemented
+            other = RatFunc.of(other)
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = RatFunc.of(other)
         if not isinstance(other, RatFunc):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, LaurentPoly)):
+                return NotImplemented
+            other = RatFunc.of(other)
+        if self.is_laurent() and other.is_laurent():
+            return RatFunc._canonical(self.num + other.num, _ONE)
         return RatFunc(self.num * other.den + other.num * self.den,
                        self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        # negating the numerator keeps num and den coprime and den normalized
+        return RatFunc._canonical(-self.num, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = RatFunc.of(other)
         if not isinstance(other, RatFunc):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, LaurentPoly)):
+                return NotImplemented
+            other = RatFunc.of(other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = RatFunc.of(other)
         if not isinstance(other, RatFunc):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, LaurentPoly)):
+                return NotImplemented
+            other = RatFunc.of(other)
+        if self.is_laurent() and other.is_laurent():
+            return RatFunc._canonical(self.num * other.num, _ONE)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = RatFunc.of(other)
         if not isinstance(other, RatFunc):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, LaurentPoly)):
+                return NotImplemented
+            other = RatFunc.of(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero RatFunc")
         return RatFunc(self.num * other.den, self.den * other.num)
@@ -502,19 +550,17 @@ class RatFunc:
         return RatFunc.of(other) / self
 
     def v_shift(self, k: int) -> "RatFunc":
-        out = object.__new__(RatFunc)
-        object.__setattr__(out, "num", self.num.v_shift(k))
-        object.__setattr__(out, "den", self.den)
-        return out
+        return RatFunc._canonical(self.num.v_shift(k), self.den)
 
     def to_laurent(self) -> LaurentPoly:
         """Exact quotient num/den, which must be a Laurent polynomial."""
-        if self.den == LaurentPoly.one():
+        if self.is_laurent():
             return self.num
         return self.num.divexact(self.den)
 
     def is_laurent(self) -> bool:
-        return self.den == LaurentPoly.one()
+        # a canonical den is 1 exactly when its only coefficient is 1
+        return self.den.coeffs == (1,)
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
@@ -525,6 +571,6 @@ class RatFunc:
                    LaurentPoly.from_json(obj["den"]))
 
     def __repr__(self):
-        if self.den == LaurentPoly.one():
+        if self.is_laurent():
             return f"RatFunc({self.num!r})"
         return f"RatFunc({self.num!r} / {self.den!r})"

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from kronmot.cache import Cache
 from kronmot.cli import main
 
 
@@ -149,6 +150,25 @@ class TestVerify:
                   "--m", "3", "--order", "4")
         assert res.exit_code == 0
 
+    def test_order_below_one_rejected(self, runner):
+        res = run(runner, "--no-cache", "verify", "--identity", "dualities",
+                  "--m", "3", "--order", "0")
+        assert res.exit_code == 2
+        assert "order must be >= 1" in res.output
+        assert "max()" not in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ("series", "--which", "F", "--m", "3", "--order", "2"),
+    ("hn", "--m", "3", "--bound", "2"),
+    ("verify", "--identity", "maintheorem", "--m", "3", "--order", "2"),
+])
+def test_csv_rejected_where_unsupported(runner, args):
+    res = run(runner, "--no-cache", "--format", "csv", *args)
+    assert res.exit_code == 2
+    assert f"not supported by `{args[0]}`" in res.output
+    assert "framed, moduli, euler, tamari" in res.output
+
 
 class TestCache:
     def test_cache_transparent(self, runner, tmp_path):
@@ -161,6 +181,63 @@ class TestCache:
         assert cold.exit_code == warm.exit_code == 0
         assert cold.output == warm.output == nocache.output
         assert list(tmp_path.iterdir())  # something was actually stored
+
+    @pytest.mark.parametrize("command,params,args", [
+        ("moduli", {"m": 3, "d": 3, "e": 2},
+         ("moduli", "--m", "3", "--d", "3", "--e", "2")),
+        ("hn", {"m": 3, "bound": 3}, ("hn", "--m", "3", "--bound", "3")),
+        ("series", {"which": "F", "m": 3, "k": 1, "order": 2},
+         ("series", "--which", "F", "--m", "3", "--order", "2")),
+    ])
+    @pytest.mark.parametrize("payload", [
+        {"wrong": 1},
+        [{"wrong": 1}],
+        [],
+        {"min_exp": 0, "coeffs": ["x"]},
+        {"min_exp": 1.0, "coeffs": ["1"]},
+    ])
+    def test_wrong_shape_entry_discarded(self, runner, tmp_path, command,
+                                         params, args, payload):
+        # a valid JSON entry under the right key, with a payload of the wrong shape
+        key = Cache.make_key(command, **params)
+        tmp_path.joinpath(Cache(tmp_path)._path(key).name).write_text(
+            json.dumps({"key": key, "payload": payload}))
+        for fmt in ("plain", "json"):
+            planted = run(runner, "--cache-dir", str(tmp_path), "--format", fmt, *args)
+            fresh = run(runner, "--no-cache", "--format", fmt, *args)
+            assert planted.exit_code == fresh.exit_code == 0
+            assert planted.output == fresh.output
+        # the bad entry was replaced by a good one
+        assert Cache(tmp_path).get(key) != payload
+
+    @pytest.mark.parametrize("command,params,args,other", [
+        ("hn", {"m": 3, "bound": 3}, ("hn", "--m", "3", "--bound", "3"),
+         ("hn", "--m", "3", "--bound", "2")),
+        ("series", {"which": "F", "m": 3, "k": 1, "order": 2},
+         ("series", "--which", "F", "--m", "3", "--order", "2"),
+         ("series", "--which", "F", "--m", "3", "--order", "1")),
+    ])
+    def test_well_formed_payload_of_other_size_discarded(
+            self, runner, tmp_path, command, params, args, other):
+        # a payload that decodes cleanly but belongs to a smaller instance
+        res = run(runner, "--no-cache", "--format", "json", *other)
+        key = Cache.make_key(command, **params)
+        Cache(tmp_path).put(key, json.loads(res.output)["result"])
+        planted = run(runner, "--cache-dir", str(tmp_path), "--format", "json", *args)
+        fresh = run(runner, "--no-cache", "--format", "json", *args)
+        assert planted.exit_code == fresh.exit_code == 0
+        assert planted.output == fresh.output
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "[" * 100000])
+    def test_non_object_entry_ignored(self, runner, tmp_path, text):
+        args = ["--cache-dir", str(tmp_path), "moduli", "--m", "3", "--d", "2",
+                "--e", "1"]
+        first = runner.invoke(main, args)
+        for f in tmp_path.iterdir():
+            f.write_text(text)
+        second = runner.invoke(main, args)
+        assert second.exit_code == 0
+        assert second.output == first.output
 
     def test_corrupt_cache_entry_ignored(self, runner, tmp_path):
         args = ["--cache-dir", str(tmp_path),

@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from kronmot.errors import NonPolynomialError
-from kronmot.exactalg import LaurentPoly, RatFunc, quantum_integer
+from kronmot.exactalg import LaurentPoly, RatFunc, _conv, _conv_int, quantum_integer
 
 V = LaurentPoly.monomial(1)
 VINV = LaurentPoly.monomial(-1)
@@ -61,11 +62,69 @@ class TestLaurentPoly:
         assert not V.is_palindromic()
         assert LaurentPoly.zero().is_palindromic()
 
+    def test_integral_fractions_stored_as_int(self):
+        p = poly([Fraction(4, 2), 3, Fraction(1, 2), Fraction(-6, 3), 0], 1)
+        assert p.coeffs == (2, 3, Fraction(1, 2), -2)
+        assert [type(c) for c in p.coeffs] == [int, int, Fraction, int]
+        q = poly([Fraction(4, 2), 5])
+        assert [type(c) for c in q.coeffs] == [int, int]
+        assert q == poly([2, 5]) and hash(q) == hash(poly([2, 5]))
+
     def test_json_round_trip(self):
         p = poly([Fraction(1, 3), 2, -5], -4)
         assert LaurentPoly.from_json(p.to_json()) == p
         assert p.to_json()["coeffs"] == ["1/3", "2", "-5"]
         assert LaurentPoly.from_json(LaurentPoly.zero().to_json()).is_zero()
+
+
+def schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# coefficients at and around the machine-word and slot-width boundaries
+WIDE = [2**63, 2**64 - 1, 2**64, 2**64 + 1, 2**127 + 5, 2**200 - 1]
+wide_ints = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.sampled_from(WIDE + [-x for x in WIDE]),
+)
+
+
+class TestConvInt:
+    @pytest.mark.parametrize("a,b", [
+        ([5], [7]),
+        ([1], [-1]),
+        ([0, -1, 0], [0, 0, 1]),
+        ([-3], [4, -1, 0, 2]),
+        ([-1] * 20, [-2] * 17),
+        ([-(2**64 + 1)] * 18, [-(2**63)] * 16),
+        ([0, 0, 3, -1, 0, 0], [0, 2, 0]),
+        ([0, 0], [0, 1]),
+        ([2**63, -(2**64 - 1), 2**64, -(2**64 + 1)], [2**200 - 1, 1, -(2**127)]),
+        ([1, -1] * 40, [2**64 - 1] * 33),
+    ])
+    def test_edge_cases(self, a, b):
+        assert _conv_int(a, b) == schoolbook(a, b)
+
+    @given(st.lists(wide_ints, min_size=1, max_size=40),
+           st.lists(wide_ints, min_size=1, max_size=40))
+    def test_matches_schoolbook(self, a, b):
+        assert _conv_int(a, b) == schoolbook(a, b)
+        assert all(type(c) is int for c in _conv_int(a, b))
+
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 40])
+    def test_conv_across_the_threshold(self, n):
+        rng = random.Random(n)
+        a = [rng.choice(WIDE) * rng.choice((-1, 1)) for _ in range(n)]
+        b = [rng.randint(-(2**65), 2**65) for _ in range(16)]
+        assert _conv(a, b) == schoolbook(a, b)
+        assert _conv(b, a) == schoolbook(b, a)
+        p, q = poly(a, -3), poly(b, 5)
+        assert (p * q).coeffs == tuple(schoolbook(a, b))
+        assert (p * q).min_exp == 2
 
 
 class TestQuantumInteger:
@@ -139,6 +198,33 @@ class TestRatFunc:
     @given(ratfuncs())
     def test_json_round_trip(self, x):
         assert RatFunc.from_json(x.to_json()) == x
+
+    @given(st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=20),
+           st.lists(st.integers(-9, 9), min_size=1, max_size=6).filter(any),
+           st.integers(-5, 5), st.integers(-5, 5))
+    def test_laurent_shortcut_matches_full_normalisation(self, pc, qc, e, k):
+        p, q = LaurentPoly(pc, e), LaurentPoly(qc, k)
+        # den == 1 (or v^k) takes the shortcut; den == q takes the gcd path
+        for fast, slow in [
+            (RatFunc(p), RatFunc(p * q, q)),
+            (RatFunc(p, V ** 3), RatFunc(p * q, q * V ** 3)),
+            (RatFunc(p) + RatFunc(q), RatFunc(p * q + q * q, q)),
+            (RatFunc(p) * RatFunc(q), RatFunc(p * q * q, q)),
+            (-RatFunc(p), RatFunc(-p * q, q)),
+        ]:
+            assert fast == slow
+            assert hash(fast) == hash(slow)
+            assert fast.to_json() == slow.to_json()
+            assert fast.is_laurent() and slow.is_laurent()
+            assert [type(c) for c in fast.num.coeffs] == \
+                [type(c) for c in slow.num.coeffs]
+
+    def test_fraction_numerator_over_one(self):
+        p = LaurentPoly([Fraction(1, 3), 2], -1)
+        r = RatFunc(p)
+        assert r.num == p and r.is_laurent()
+        assert r == RatFunc(p * (V + 1), V + 1)
+        assert (r + r).num == p * 2
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):

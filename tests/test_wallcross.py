@@ -129,6 +129,37 @@ class TestModuliMotive:
                 assert all(c == 0 for c in p.coeffs[1::2])
 
 
+class TestSmallQuivers:
+    """Cases known in closed form, written down by hand."""
+
+    @staticmethod
+    def coprime_pairs(bound):
+        return [(d, e) for d in range(bound + 1) for e in range(bound + 1 - d)
+                if (d, e) != (0, 0) and gcd(d, e) == 1]
+
+    def test_one_arrow(self):
+        # the A2 quiver: the stable representations are the two simples and
+        # the one of dimension (1,1); each has a point as moduli space
+        table = hn_extract(1, 12)
+        for D in self.coprime_pairs(12):
+            expected = (LaurentPoly.one() if D in ((0, 1), (1, 0), (1, 1))
+                        else LaurentPoly.zero())
+            assert table.motive(D) == expected, D
+
+    def test_two_arrows(self):
+        # the Kronecker quiver: preprojective and preinjective dimension
+        # vectors (|d-e| = 1) have a point as moduli space, (1,1) has P^1
+        table = hn_extract(2, 12)
+        for d, e in self.coprime_pairs(12):
+            if (d, e) == (1, 1):
+                expected = V + VINV
+            elif abs(d - e) == 1:
+                expected = LaurentPoly.one()
+            else:
+                expected = LaurentPoly.zero()
+            assert table.motive((d, e)) == expected, (d, e)
+
+
 class TestRaySeries:
     def test_constant_term(self):
         table = hn_extract(3, 8)
