@@ -6,6 +6,9 @@ characteristics and cross-validated against generalized Tamari interval
 counts.
 """
 
+# set before the submodule imports: the cache keys carry it
+__version__ = "0.1.0"
+
 from .exactalg import LaurentPoly, RatFunc, quantum_integer
 from .qseries import TruncSeries, delta_invert
 from .wallcross import (
@@ -62,5 +65,3 @@ __all__ = [
     "interval_count_bruteforce",
     "interval_count_formula",
 ]
-
-__version__ = "0.1.0"

@@ -1,6 +1,7 @@
 """Content-addressed on-disk cache for computed series and tables.
 
-Keys are canonical strings carrying the schema version; payloads are JSON.
+Keys are canonical strings carrying the schema and the package version, so
+an entry written by another release is never served; payloads are JSON.
 Corrupted entries are discarded and recomputed.  Writes go through a
 temp-file rename so concurrent invocations never see partial files.
 """
@@ -12,6 +13,8 @@ import json
 import os
 import tempfile
 from pathlib import Path
+
+from . import __version__
 
 SCHEMA = "kronmot/1"
 ENV_CACHE_DIR = "KRONMOT_CACHE_DIR"
@@ -36,7 +39,7 @@ class Cache:
     @staticmethod
     def make_key(command: str, **params) -> str:
         canon = json.dumps(params, sort_keys=True, separators=(",", ":"))
-        return f"{SCHEMA}|{command}|{canon}"
+        return f"{SCHEMA}|{__version__}|{command}|{canon}"
 
     def get(self, key: str):
         if not self.enabled:

@@ -4,6 +4,19 @@ the series identities relating them.
 
 F(t) collects the framed motives [K_{d,d}^(m),fr]_vir; G(t) collects the
 motives [K_{d,d-1}^(m)]_vir one slope below.
+
+The two solvers for F are independent; each implements its own equation
+over integer Laurent polynomials:
+
+- ``framed_recursion``: m_d = [(m-1)d+1]_v / [d]_v times the t^(d-1)
+  coefficient of prod_{i=1}^{m-1} F(v^(m-2i) t), the partial products
+  extended by one coefficient per degree.
+- ``solve_functional_eq``: one online pass over
+  F * prod_{i=1}^m (1 - v^(2i-m-1) t prod_{j=1}^{m-2} F(v^(2i-2j-2) t)) = 1,
+  then a check of F against the right-hand side evaluated directly.
+
+Both cost O(m * order^2) Laurent-polynomial products; the check costs
+O(m^2 * order^2) series-coefficient products.
 """
 
 from __future__ import annotations
@@ -13,7 +26,7 @@ from functools import lru_cache
 
 from .errors import ExactDivisionError, NoConvergenceError, NonPolynomialError
 from .exactalg import LaurentPoly, RatFunc, quantum_integer
-from .qseries import TruncSeries, delta_invert
+from .qseries import TruncSeries, delta_invert, product_coeff
 from .wallcross import hn_extract
 
 
@@ -23,30 +36,22 @@ def _require_central_m(m: int):
         raise ValueError("central-slope series need m >= 3")
 
 
-def _compositions(total: int, parts: int):
-    """All ordered tuples of `parts` nonnegative integers summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=None)
 def _framed_motives(m: int, order: int) -> tuple[LaurentPoly, ...]:
     _require_central_m(m)
     motives = [LaurentPoly.one()]
+    # scaled[k][j] is the t^j coefficient of F(v^(m-2k-2) t); partial[k] holds
+    # the coefficients of prod_{i=1}^{k+1} F(v^(m-2i) t) computed so far
+    scaled = [[] for _ in range(m - 1)]
+    partial = [[] for _ in range(m - 1)]
     for d in range(1, order + 1):
-        total = LaurentPoly.zero()
-        for comp in _compositions(d - 1, m - 1):
-            prod = LaurentPoly.one()
-            for di in comp:
-                if di:
-                    prod = prod * motives[di]
-            weight = sum((m - 2 * i) * di for i, di in enumerate(comp, start=1))
-            total = total + prod.v_shift(weight)
-        num = total * quantum_integer((m - 1) * d + 1)
+        n = d - 1
+        for k in range(m - 1):
+            scaled[k].append(motives[n].v_shift((m - 2 * k - 2) * n))
+        partial[0].append(scaled[0][n])
+        for k in range(1, m - 1):
+            partial[k].append(product_coeff(partial[k - 1], scaled[k], n))
+        num = partial[-1][n] * quantum_integer((m - 1) * d + 1)
         try:
             motives.append(num.divexact(quantum_integer(d)))
         except NonPolynomialError as exc:
@@ -57,8 +62,16 @@ def _framed_motives(m: int, order: int) -> tuple[LaurentPoly, ...]:
 
 
 def framed_recursion(m: int, order: int) -> TruncSeries:
-    """F(t) from the coefficient recursion for m_d = [K_{d,d}^(m),fr]_vir."""
-    return TruncSeries([RatFunc.of(p) for p in _framed_motives(m, order)], order)
+    """F(t) from the coefficient recursion for m_d = [K_{d,d}^(m),fr]_vir.
+
+    m_0 = 1 and m_d = [(m-1)d+1]_v / [d]_v * c_(d-1), where c_(d-1) is the
+    t^(d-1) coefficient of prod_{i=1}^{m-1} F(v^(m-2i) t).  That coefficient
+    needs m_0..m_(d-1) only, so the m-2 partial products are extended by one
+    coefficient per degree: O(m * order^2) products of integer Laurent
+    polynomials instead of a sum over all C(d+m-3, m-2) compositions of d-1.
+    The motives are cached per (m, order).
+    """
+    return TruncSeries(list(_framed_motives(m, order)), order)
 
 
 def _functional_rhs(m: int, F: TruncSeries) -> TruncSeries:
@@ -77,16 +90,46 @@ def _functional_rhs(m: int, F: TruncSeries) -> TruncSeries:
 
 
 def solve_functional_eq(m: int, order: int) -> TruncSeries:
-    """F(t) as the fixed point of the algebraic functional equation.
+    """F(t) solving F = prod_{i=1}^m (1 - v^(2i-m-1) t inner_i(t))^(-1).
 
-    Each iteration is a t-adic contraction (every F-occurrence on the right
-    is multiplied by t), so order+1 iterations from F=1 stabilize all
-    coefficients up to t^order; one extra application checks this.
+    Here inner_i(t) = prod_{j=1}^{m-2} F(v^(2i-2j-2) t) = H(v^(2i-2) t) with
+    H(t) = prod_{j=1}^{m-2} F(v^(-2j) t).  Every F on the right is multiplied
+    by t, so the t^n coefficient of the denominator D = prod_i (1 - ...)
+    needs F only up to degree n-1.  One online pass (a relaxed solve) over
+    integer Laurent polynomials therefore extends the partial products of H
+    and D by one coefficient per degree and reads F_n off F * D = 1:
+    F_n = -sum_{k=1}^n D_k F_(n-k).  That is O(m * order^2) products; the
+    solution is then checked against the right-hand side evaluated directly.
     """
     _require_central_m(m)
-    F = TruncSeries.one(order)
-    for _ in range(order + 1):
-        F = _functional_rhs(m, F)
+    F = [LaurentPoly.one()]
+    # scaled[j][a]: t^a coefficient of F(v^(-2j-2) t); inner[j]: coefficients
+    # of prod_{l=1}^{j+1} F(v^(-2l) t), so inner[-1] is H
+    scaled = [[] for _ in range(m - 2)]
+    inner = [[] for _ in range(m - 2)]
+    # factor[i][a]: t^a coefficient of 1 - v^(2i-m+1) t H(v^(2i) t), i = 0..m-1;
+    # denom[i]: coefficients of the product of factor[0..i]
+    factor = [[LaurentPoly.one()] for _ in range(m)]
+    denom = [[LaurentPoly.one()] for _ in range(m)]
+    for n in range(1, order + 1):
+        a = n - 1
+        for j in range(m - 2):
+            scaled[j].append(F[a].v_shift(-2 * (j + 1) * a))
+        inner[0].append(scaled[0][a])
+        for j in range(1, m - 2):
+            inner[j].append(product_coeff(inner[j - 1], scaled[j], a))
+        h = -inner[-1][a]
+        for i in range(m):
+            factor[i].append(h.v_shift(2 * i - m + 1 + 2 * i * a))
+        denom[0].append(factor[0][n])
+        for i in range(1, m):
+            denom[i].append(product_coeff(denom[i - 1], factor[i], n))
+        D = denom[-1]
+        acc = LaurentPoly.zero()
+        for k in range(1, n + 1):
+            acc = acc + D[k] * F[n - k]
+        F.append(-acc)
+    F = TruncSeries(F, order)
     if _functional_rhs(m, F) != F:
         raise NoConvergenceError(f"fixed point did not stabilize at m={m}")
     return F

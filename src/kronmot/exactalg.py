@@ -255,13 +255,15 @@ class LaurentPoly:
             raise NonPolynomialError("degree of divisor exceeds dividend")
         quot = [0] * qlen
         int_path = d0 in (1, -1) and _int_only(rem) and _int_only(div)
+        # quantum integers are half zeros; only the nonzero terms do work
+        terms = [(j, dv) for j, dv in enumerate(div) if dv]
         for i in range(qlen):
             c = rem[i]
             if c == 0:
                 continue
             q = c * d0 if int_path else Fraction(c) / Fraction(d0)
             quot[i] = q
-            for j, dv in enumerate(div):
+            for j, dv in terms:
                 rem[i + j] -= q * dv
         if any(rem):
             raise NonPolynomialError("Laurent division left a remainder")

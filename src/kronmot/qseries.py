@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NonZeroConstantError, NotInvertibleError
+from .errors import NonPolynomialError, NonZeroConstantError, NotInvertibleError
 from .exactalg import LaurentPoly, RatFunc, quantum_integer
 
 
@@ -167,14 +167,33 @@ class TruncSeries:
         return f"TruncSeries(order={self.order}, coeffs={list(self.coeffs)!r})"
 
 
+def product_coeff(a: list[LaurentPoly], b: list[LaurentPoly], n: int) -> LaurentPoly:
+    """The t^n coefficient of a * b, for series given as lists of at least
+    n+1 Laurent coefficients."""
+    total = LaurentPoly.zero()
+    for j in range(n + 1):
+        total = total + a[n - j] * b[j]
+    return total
+
+
 def delta_invert(b: TruncSeries) -> TruncSeries:
     """The unique G with G(0)=1 and delta(G) == b.
 
-    Divides coefficient d by [d]_v, which is exact in all uses here.
+    Divides coefficient d by [d]_v.  A Laurent coefficient that [d]_v
+    divides, as in all uses here, takes the exact Laurent division; any
+    other coefficient goes through the reducing RatFunc division.
     """
     if not b.coeffs[0].is_zero():
         raise NonZeroConstantError("delta_invert needs vanishing constant term")
     out = [RatFunc.one()]
     for d in range(1, b.order + 1):
-        out.append(b.coeffs[d] / RatFunc.of(quantum_integer(d)))
+        c = b.coeffs[d]
+        qd = quantum_integer(d)
+        if c.is_laurent():
+            try:
+                out.append(RatFunc.of(c.to_laurent().divexact(qd)))
+                continue
+            except NonPolynomialError:
+                pass
+        out.append(c / RatFunc.of(qd))
     return TruncSeries(out, b.order)

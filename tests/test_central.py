@@ -14,7 +14,8 @@ from kronmot.central import (
     verify_vdifference,
 )
 from kronmot.errors import NonZeroConstantError
-from kronmot.exactalg import RatFunc, quantum_integer
+from kronmot.eulerchar import chi_framed_closed, chi_from_motive
+from kronmot.exactalg import LaurentPoly, RatFunc, quantum_integer
 from kronmot.qseries import TruncSeries
 from kronmot.wallcross import framed_via_quotient
 
@@ -56,6 +57,50 @@ class TestFramedRecursion:
     def test_rejects_small_m(self):
         with pytest.raises(ValueError):
             framed_recursion(2, 3)
+
+
+def _compositions(total, parts):
+    """All ordered tuples of `parts` nonnegative integers summing to total."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def brute_force_motives(m, order):
+    """The coefficient recursion summed over every composition of d-1."""
+    motives = [LaurentPoly.one()]
+    for d in range(1, order + 1):
+        total = LaurentPoly.zero()
+        for comp in _compositions(d - 1, m - 1):
+            prod = LaurentPoly.one()
+            for di in comp:
+                prod = prod * motives[di]
+            weight = sum((m - 2 * i) * di for i, di in enumerate(comp, start=1))
+            total = total + prod.v_shift(weight)
+        num = total * quantum_integer((m - 1) * d + 1)
+        motives.append(num.divexact(quantum_integer(d)))
+    return motives
+
+
+class TestIndependentOracles:
+    @pytest.mark.parametrize("m,order", [(3, 12), (5, 10), (8, 6), (10, 5)])
+    def test_recursion_matches_composition_sum(self, m, order):
+        F = framed_recursion(m, order)
+        assert [c.to_laurent() for c in F.coeffs] == brute_force_motives(m, order)
+
+    @pytest.mark.parametrize("m,order", [(3, 10), (4, 8), (6, 5)])
+    def test_functional_equation_matches_recursion(self, m, order):
+        assert solve_functional_eq(m, order) == framed_recursion(m, order)
+
+    def test_euler_characteristics_match_closed_form(self):
+        for m in range(3, 13):
+            F = framed_recursion(m, 8)
+            for d in range(9):
+                chi = chi_from_motive(F.coeffs[d].to_laurent())
+                assert chi == chi_framed_closed(m, d), (m, d)
 
 
 class TestFunctionalEquation:

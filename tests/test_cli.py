@@ -248,3 +248,18 @@ class TestCache:
         second = runner.invoke(main, args)
         assert second.exit_code == 0
         assert second.output == first.output
+
+    def test_entry_of_other_version_not_served(self, runner, tmp_path,
+                                               monkeypatch):
+        # a well-formed but wrong motive left by another release of the package
+        with monkeypatch.context() as mp:
+            mp.setattr("kronmot.cache.__version__", "0.0.0-other")
+            stale_key = Cache.make_key("moduli", m=3, d=3, e=2)
+        assert stale_key != Cache.make_key("moduli", m=3, d=3, e=2)
+        Cache(tmp_path).put(stale_key, {"min_exp": 0, "coeffs": ["7"]})
+        res = run(runner, "--cache-dir", str(tmp_path), "moduli", "--m", "3",
+                  "--d", "3", "--e", "2")
+        assert res.exit_code == 0
+        assert res.output.splitlines()[-1] == "1,1,3,3,3,1,1"
+        assert "0: 7" not in res.output
+        assert Cache(tmp_path).get(stale_key) == {"min_exp": 0, "coeffs": ["7"]}

@@ -127,6 +127,60 @@ class TestConvInt:
         assert (p * q).min_exp == 2
 
 
+def plain_divexact(num, den):
+    """Long division touching every divisor term, zeros included."""
+    rem = [Fraction(c) for c in num]
+    quot = []
+    for i in range(len(num) - len(den) + 1):
+        q = rem[i] / den[0]
+        quot.append(q)
+        for j, dv in enumerate(den):
+            rem[i + j] -= q * dv
+    if any(rem):
+        raise NonPolynomialError("remainder")
+    return quot
+
+
+# divisors whose interior has runs of zero coefficients
+GAPPED = [
+    list(quantum_integer(5).coeffs),
+    [1, 0, 0, 0, 0, 0, -1],
+    [-1, 0, 3, 0, 0, 2],
+    [2, 0, 0, Fraction(1, 3), 0, -5],
+    [Fraction(-3, 4), 0, 1],
+]
+
+
+class TestDivexactSparse:
+    @pytest.mark.parametrize("den", GAPPED)
+    @pytest.mark.parametrize("quot", [
+        [1],
+        [3, -1, 0, 0, 7, 2**70],
+        [Fraction(1, 2), 0, -4, Fraction(5, 3)],
+    ])
+    def test_matches_plain_loop(self, den, quot):
+        num = schoolbook([Fraction(c) for c in quot], [Fraction(c) for c in den])
+        got = poly(num, -2).divexact(poly(den, 3))
+        expected = poly(plain_divexact(num, den), -5)
+        assert got == expected
+        assert [type(c) for c in got.coeffs] == [type(c) for c in expected.coeffs]
+
+    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=12),
+           st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=0, max_size=8),
+           st.sampled_from([1, -1, 2, Fraction(2, 3)]),
+           st.booleans())
+    def test_random_gapped_divisors(self, quot, middle, lead, as_fraction):
+        den = [lead] + middle + [1]
+        if as_fraction:
+            quot = [Fraction(c, 3) for c in quot]
+        num = schoolbook(quot, den)
+        assert poly(num).divexact(poly(den)) == poly(plain_divexact(num, den))
+        off = list(num)
+        off[-1] += 1
+        with pytest.raises(NonPolynomialError):
+            poly(off).divexact(poly(den))
+
+
 class TestQuantumInteger:
     @pytest.mark.parametrize(
         "n,expected",

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -126,6 +128,19 @@ def test_delta_invert():
 def test_delta_invert_round_trip(g):
     g = TruncSeries([RatFunc.one()] + list(g.coeffs[1:]), g.order)
     assert delta_invert(g.delta()) == g
+
+
+def test_delta_invert_divisions_agree():
+    # Laurent coefficients [d]_v divides, Laurent ones it does not, fractions
+    b = TruncSeries([0, V + VINV, quantum_integer(2) * (V - 3),
+                     LaurentPoly([Fraction(1, 2), 0, 3], -1),
+                     RatFunc(V, V + 2)], 4)
+    out = delta_invert(b)
+    for d in range(1, 5):
+        assert out.coeffs[d] == b.coeffs[d] / RatFunc.of(quantum_integer(d))
+        assert out.coeffs[d].to_json() == (
+            b.coeffs[d] / RatFunc.of(quantum_integer(d))).to_json()
+    assert out.coeffs[2].is_laurent() and not out.coeffs[3].is_laurent()
 
 
 def test_json_round_trip():
