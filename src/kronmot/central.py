@@ -16,7 +16,7 @@ over integer Laurent polynomials:
   then a check of F against the right-hand side evaluated directly.
 
 Both cost O(m * order^2) Laurent-polynomial products; the check costs
-O(m^2 * order^2) series-coefficient products.
+O(m * order^2) series-coefficient products and m series inverses.
 """
 
 from __future__ import annotations
@@ -75,14 +75,18 @@ def framed_recursion(m: int, order: int) -> TruncSeries:
 
 
 def _functional_rhs(m: int, F: TruncSeries) -> TruncSeries:
-    """Right-hand side of the algebraic functional equation, evaluated at F."""
+    """Right-hand side of the algebraic functional equation, evaluated at F.
+
+    inner_i(t) = prod_{j=1}^{m-2} F(v^(2i-2j-2) t) is H(v^(2i-2) t) for
+    H(t) = prod_{j=1}^{m-2} F(v^(-2j) t), so H is built once and rescaled.
+    """
     order = F.order
+    H = TruncSeries.one(order)
+    for j in range(1, m - 1):
+        H = H * F.scale_arg(-2 * j)
     result = TruncSeries.one(order)
     for i in range(1, m + 1):
-        inner = TruncSeries.one(order)
-        for j in range(1, m - 1):
-            inner = inner * F.scale_arg(2 * i - 2 * j - 2)
-        factor = TruncSeries.one(order) - inner.shift_t(
+        factor = TruncSeries.one(order) - H.scale_arg(2 * i - 2).shift_t(
             LaurentPoly.monomial(2 * i - m - 1)
         )
         result = result * factor.inverse()

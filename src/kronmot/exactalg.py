@@ -10,8 +10,17 @@ is an integer Laurent polynomial:
 
 - ``LaurentPoly`` checks the coefficient types in one pass and normalises
   coefficients one by one only when some coefficient is not an ``int``.
-- Products of long integer polynomials go through Kronecker substitution
-  with linear-time packing and unpacking (``_conv_int``).
+  It records the outcome, so ``*``, ``+``, ``-`` and ``v_shift`` of integer
+  polynomials build their results through a trusted constructor without
+  checking them again.
+- Integer products with a length-1 operand are a scalar multiply, short
+  ones are schoolbook, and the rest go through Kronecker substitution
+  (``_conv_int``).  Every motive is a polynomial in q = v^(-2), so its
+  coefficients vanish at odd offsets; when both operands do, only the even
+  offsets are packed (stride compaction), which halves each product.
+  Coefficient slots are rounded up to native 1, 2, 4 or 8 byte words, so
+  packing and unpacking are C-level ``array``/``memoryview`` conversions;
+  slots wider than 8 bytes take an arbitrary-precision byte path.
 - A ``RatFunc`` whose denominator is the constant 1 is already in canonical
   form when its numerator has integer coefficients, so constructing it skips
   the gcd and ``Fraction`` work, and ``+``, ``-`` and ``*`` of two such
@@ -20,6 +29,8 @@ is an integer Laurent polynomial:
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from math import gcd as int_gcd
 from operator import add, neg
@@ -45,50 +56,136 @@ def _norm_coeff(c: Coeff) -> Coeff:
     return c
 
 
+_ORDER = sys.byteorder
+
+
+def _word_slot(size: int, code: str) -> tuple:
+    half = 1 << (8 * size - 1)
+    return size, code, half, half.to_bytes(size, _ORDER), half.__add__, (-half).__add__
+
+
+# native unsigned array typecodes by item size, read off at import
+_WORD_CODES = {array(tc).itemsize: tc for tc in "QLIHB"}
+# slot width in bytes -> the narrowest native unsigned word of 1, 2, 4 or 8
+# bytes that holds it, as (size, typecode, offset h = 2**(8*size-1), h as
+# slot bytes, x -> x + h, x -> x - h); narrower words come later and
+# overwrite wider ones.
+_WORD_SLOTS = {w: _word_slot(size, _WORD_CODES[size])
+               for size in (8, 4, 2, 1) if size in _WORD_CODES
+               for w in range(1, size + 1)}
+
+# integer operands shorter than this on either side multiply by schoolbook;
+# at about this length Kronecker substitution starts to win on motive products
+_KRONECKER_MIN_LEN = 7
+
+
 def _conv_int(a: list[int], b: list[int]) -> list[int]:
     """Convolution of integer sequences via Kronecker substitution.
 
     Packs each sequence into one big integer, multiplies once, and splits the
-    product back into signed coefficients.  Every coefficient gets a
-    byte-aligned slot of ``w`` bytes, wide enough that each product
-    coefficient c satisfies -2**(8w-1) <= c < 2**(8w-1).  A slot stores
-    c + 2**(8w-1) (offset binary), so it is never negative and no slot
-    borrows from its neighbour.  Packing is then one ``int.from_bytes`` over
-    the joined slots minus the offsets.  Unpacking adds the offsets back and
-    reads each slot of one ``int.to_bytes``.  Both are linear in the size of
-    the packed integer, so the big-integer multiply dominates.
+    product back into signed coefficients.  Any int sequences are accepted,
+    including zeros, even lengths and arbitrarily wide values.
+
+    Stride compaction: when both sequences are zero at every odd index, as
+    every polynomial in q = v^(-2) is, the even entries alone are convolved
+    and the result is spread back into the even slots, which halves the
+    packed integers.
+
+    Slots: every coefficient gets a slot of ``w`` bytes, wide enough that
+    each product coefficient c satisfies -2**(8w-1) <= c < 2**(8w-1).  A slot
+    stores c + 2**(8w-1) (offset binary), so it is never negative and no slot
+    borrows from its neighbour.  When ``w`` is at most 8 it is rounded up to
+    a native unsigned word of 1, 2, 4 or 8 bytes (``_WORD_SLOTS``), and both
+    packing (``array(...).tobytes()``) and unpacking (``memoryview.cast``)
+    are C-level loops over words in native byte order.  Wider slots take the
+    arbitrary-precision byte path through ``int.to_bytes``.  Either way the
+    conversions are linear in the size of the packed integer, so the
+    big-integer multiply dominates.
     """
     n = len(a) + len(b) - 1
-    max_a = max(map(abs, a))
-    max_b = max(map(abs, b))
-    bound = min(len(a), len(b)) * max_a * max_b
-    if not bound:
+    top = max(map(abs, a)) * max(map(abs, b))
+    if not top:
         return [0] * n
-    w = bound.bit_length() // 8 + 1
-    half = 1 << (8 * w - 1)
-    offset_slot = half.to_bytes(w, "little")
+    even = n > 1 and not any(a[1::2]) and not any(b[1::2])
+    if even:
+        a, b = a[::2], b[::2]
+    m = len(a) + len(b) - 1
+    w = (min(len(a), len(b)) * top).bit_length() // 8 + 1
+    word = _WORD_SLOTS.get(w)
+    if word:
+        w, code, half, offset, to_slot, from_slot = word
+        data_a = array(code, map(to_slot, a)).tobytes()
+        data_b = array(code, map(to_slot, b)).tobytes()
+    else:
+        half = 1 << (8 * w - 1)
+        offset = half.to_bytes(w, _ORDER)
+        data_a = b"".join([(x + half).to_bytes(w, _ORDER) for x in a])
+        data_b = b"".join([(x + half).to_bytes(w, _ORDER) for x in b])
+    prod = ((int.from_bytes(data_a, _ORDER) - int.from_bytes(offset * len(a), _ORDER))
+            * (int.from_bytes(data_b, _ORDER) - int.from_bytes(offset * len(b), _ORDER))
+            + int.from_bytes(offset * m, _ORDER))
+    data = prod.to_bytes(m * w, _ORDER)
+    if word:
+        coeffs = list(map(from_slot, memoryview(data).cast(code)))
+    else:
+        coeffs = [int.from_bytes(data[i:i + w], _ORDER) - half
+                  for i in range(0, m * w, w)]
+    if not even:
+        return coeffs
+    out = [0] * n
+    out[:2 * m:2] = coeffs
+    return out
 
-    def pack(xs):
-        data = b"".join([(x + half).to_bytes(w, "little") for x in xs])
-        return (int.from_bytes(data, "little")
-                - int.from_bytes(offset_slot * len(xs), "little"))
 
-    prod = pack(a) * pack(b) + int.from_bytes(offset_slot * n, "little")
-    data = prod.to_bytes(n * w, "little")
-    return [int.from_bytes(data[i:i + w], "little") - half
-            for i in range(0, n * w, w)]
+def _schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in terms:
+                out[i + j] += x * y
+    return out
+
+
+def _mul_int(a, b) -> list[int]:
+    """Convolution of int sequences: a scalar multiply when one operand has
+    length 1, schoolbook when one is short, Kronecker substitution otherwise."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        return list(map(a[0].__mul__, b))
+    if len(a) < _KRONECKER_MIN_LEN:
+        return _schoolbook(a, b)
+    return _conv_int(a, b)
 
 
 def _conv(a, b):
-    if len(a) >= 16 and len(b) >= 16 and _int_only(a) and _int_only(b):
-        return _conv_int(a, b)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
+    """Convolution of coefficient sequences, exact for ints and Fractions."""
+    if _int_only(a) and _int_only(b):
+        return _mul_int(a, b)
+    return _schoolbook(a, b)
+
+
+def _store(poly, coeffs, min_exp: int, ints: bool):
+    """Set the slots of ``poly`` to coeffs * v^min_exp with zero ends trimmed.
+
+    ``ints`` says whether every coefficient is an ``int``; returns ``poly``.
+    """
+    lo = 0
+    hi = len(coeffs)
+    while lo < hi and coeffs[lo] == 0:
+        lo += 1
+    while hi > lo and coeffs[hi - 1] == 0:
+        hi -= 1
+    if lo == hi:
+        object.__setattr__(poly, "min_exp", 0)
+        object.__setattr__(poly, "coeffs", ())
+        object.__setattr__(poly, "_ints", True)
+    else:
+        object.__setattr__(poly, "min_exp", min_exp + lo)
+        object.__setattr__(poly, "coeffs", tuple(coeffs[lo:hi]))
+        object.__setattr__(poly, "_ints", ints)
+    return poly
 
 
 class LaurentPoly:
@@ -99,28 +196,31 @@ class LaurentPoly:
     with ``min_exp == 0``.
     """
 
-    __slots__ = ("min_exp", "coeffs")
+    __slots__ = ("min_exp", "coeffs", "_ints")
 
     def __init__(self, coeffs, min_exp: int = 0):
         if not isinstance(coeffs, (list, tuple)):
             coeffs = list(coeffs)
-        if not _int_only(coeffs):
+        ints = _int_only(coeffs)
+        if not ints:
             coeffs = [_norm_coeff(c) for c in coeffs]
-        lo = 0
-        hi = len(coeffs)
-        while lo < hi and coeffs[lo] == 0:
-            lo += 1
-        while hi > lo and coeffs[hi - 1] == 0:
-            hi -= 1
-        if lo == hi:
-            object.__setattr__(self, "min_exp", 0)
-            object.__setattr__(self, "coeffs", ())
-        else:
-            object.__setattr__(self, "min_exp", min_exp + lo)
-            object.__setattr__(self, "coeffs", tuple(coeffs[lo:hi]))
+            ints = _int_only(coeffs)
+        _store(self, coeffs, min_exp, ints)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("LaurentPoly is immutable")
+
+    @classmethod
+    def _canonical(cls, coeffs: tuple, min_exp: int, ints: bool) -> "LaurentPoly":
+        """Wrap coefficients that are already in canonical form, unchecked.
+
+        ``ints`` says whether every coefficient is an ``int``.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "min_exp", min_exp)
+        object.__setattr__(out, "coeffs", coeffs)
+        object.__setattr__(out, "_ints", ints)
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -185,12 +285,15 @@ class LaurentPoly:
         i = other.min_exp - lo
         j = i + len(other.coeffs)
         out[i:j] = map(add, out[i:j], other.coeffs)
+        if self._ints and other._ints:
+            return _store(object.__new__(LaurentPoly), out, lo, True)
         return LaurentPoly(out, lo)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(list(map(neg, self.coeffs)), self.min_exp)
+        return LaurentPoly._canonical(tuple(map(neg, self.coeffs)), self.min_exp,
+                                      self._ints)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -211,6 +314,12 @@ class LaurentPoly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return LaurentPoly.zero()
+        if self._ints and other._ints:
+            # over the integers the product of the nonzero end coefficients
+            # is nonzero, so the product is canonical as it stands
+            return LaurentPoly._canonical(
+                tuple(_mul_int(self.coeffs, other.coeffs)),
+                self.min_exp + other.min_exp, True)
         return LaurentPoly(_conv(self.coeffs, other.coeffs),
                            self.min_exp + other.min_exp)
 
@@ -232,7 +341,7 @@ class LaurentPoly:
         """Multiply by the monomial v**k."""
         if not self.coeffs:
             return self
-        return LaurentPoly(self.coeffs, self.min_exp + k)
+        return LaurentPoly._canonical(self.coeffs, self.min_exp + k, self._ints)
 
     def reciprocal(self) -> "LaurentPoly":
         """Substitute v -> 1/v."""
@@ -254,7 +363,7 @@ class LaurentPoly:
         if qlen <= 0:
             raise NonPolynomialError("degree of divisor exceeds dividend")
         quot = [0] * qlen
-        int_path = d0 in (1, -1) and _int_only(rem) and _int_only(div)
+        int_path = d0 in (1, -1) and self._ints and other._ints
         # quantum integers are half zeros; only the nonzero terms do work
         terms = [(j, dv) for j, dv in enumerate(div) if dv]
         for i in range(qlen):
@@ -434,7 +543,7 @@ class RatFunc:
     def __init__(self, num: LaurentPoly, den: LaurentPoly = _ONE):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if den.coeffs == (1,) and _int_only(num.coeffs):
+        if den.coeffs == (1,) and num._ints:
             # num / v^k is canonical once the v-power moves into num
             object.__setattr__(self, "num", num.v_shift(-den.min_exp))
             object.__setattr__(self, "den", _ONE)

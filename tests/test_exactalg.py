@@ -127,6 +127,164 @@ class TestConvInt:
         assert (p * q).min_exp == 2
 
 
+
+def spread(xs):
+    """xs at the even indices of a list, zeros at the odd ones."""
+    out = [0] * (2 * len(xs) - 1)
+    out[::2] = xs
+    return out
+
+
+def assert_canonical_int(p):
+    assert all(type(c) is int for c in p.coeffs)
+    if p.coeffs:
+        assert p.coeffs[0] != 0 and p.coeffs[-1] != 0
+    else:
+        assert p.min_exp == 0
+
+
+class TestWordSlotKernel:
+    """Stride-2 compaction, word-sized slots and the schoolbook cut-off."""
+
+    # one product coefficient lands exactly on each side of the largest
+    # magnitude a 1, 2, 4 and 8 byte slot holds, and above 8 bytes
+    @pytest.mark.parametrize("limit", [2**7, 2**15, 2**31, 2**63, 2**64, 2**100])
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_slot_width_boundaries(self, limit, delta, sign):
+        c = sign * (limit + delta)
+        for a, b in [
+            ([c], [1, -1, 0, 1, 1, -1, 1, 0, -1]),
+            ([c, 0, -c, 0, c, 0, -c], [1, 0, 1, 0, -1, 0, 1]),
+            ([1] * 8, [c // 8] * 8 + [c % 8]),
+            ([c, 1, -1, 2, 0, -c, c], [-1, 0, 1, 1, 1, 0, -1]),
+        ]:
+            assert _conv_int(a, b) == schoolbook(a, b)
+            assert _conv_int(b, a) == schoolbook(b, a)
+            assert _conv(a, b) == schoolbook(a, b)
+
+    @pytest.mark.parametrize("bits", [6, 7, 8, 14, 15, 16, 30, 31, 32, 62, 63, 64, 65])
+    def test_sums_at_slot_width_boundaries(self, bits):
+        # n terms of size x*y reach n*x*y, the bound the slot width is sized by
+        n = 9
+        x = (1 << bits) // n
+        for xs in ([x] * n, [-x] * n, [x, -x] * 4 + [x]):
+            for ys in ([1] * n, [-1] * n, spread([1] * n)):
+                assert _conv_int(xs, ys) == schoolbook(xs, ys)
+                assert _conv_int(spread(xs), spread(ys)) == schoolbook(spread(xs), spread(ys))
+
+    @pytest.mark.parametrize("a,b", [
+        ([1, 0, 2], [3, 0, 4]),
+        ([1, 0, 2, 0], [3, 0, 4, 0]),
+        ([1, 0, 2, 0], [3, 0, 4]),
+        ([1, 0, 2], [3, 0, 4, 0, 0, 0]),
+        ([0, 0, 5, 0, 0, 0, -7, 0], [0, 0, 0, 0, 9]),
+        ([2**70, 0, -(2**70), 0, 1], [0, 0, 2**65, 0, 3, 0, -1, 0]),
+        ([1, 0] * 8, [-1, 0] * 9),
+        (spread(list(range(1, 12))), spread(list(range(-5, 8)))),
+    ])
+    def test_stride_two_lengths(self, a, b):
+        assert _conv_int(a, b) == schoolbook(a, b)
+        assert _conv_int(b, a) == schoolbook(b, a)
+
+    @pytest.mark.parametrize("dense", [
+        [1, 1, 1, 1, 1, 1, 1, 1],
+        [0, 3, 0, 0, 0, 0, 0],
+        [5, 0, 0, 0, 0, 0, 0, 2],
+        [-(2**40), 7, 2**40, 0, 1, 1, 1, 1, -1],
+    ])
+    def test_stride_two_times_dense(self, dense):
+        even = spread([3, -1, 4, 1, -5, 9, 2])
+        assert _conv_int(even, dense) == schoolbook(even, dense)
+        assert _conv_int(dense, even) == schoolbook(dense, even)
+        p, q = poly(even, -6), poly(dense, 1)
+        assert p * q == poly(schoolbook(even, dense), -5)
+        assert_canonical_int(p * q)
+
+    @pytest.mark.parametrize("la", range(1, 10))
+    @pytest.mark.parametrize("lb", range(1, 10))
+    def test_lengths_around_the_threshold(self, la, lb):
+        rng = random.Random(100 * la + lb)
+        zeros_a, zeros_b = [0] * la, [0] * lb
+        assert _conv_int(zeros_a, zeros_b) == [0] * (la + lb - 1)
+        assert _conv(zeros_a, zeros_b) == [0] * (la + lb - 1)
+        a = [rng.randint(-(2**20), 2**20) or 1 for _ in range(la)]
+        b = [rng.randint(-(2**20), 2**20) or 1 for _ in range(lb)]
+        assert _conv_int(a, zeros_b) == [0] * (la + lb - 1)
+        for x, y in [(a, b), (spread(a), spread(b)), (spread(a), b)]:
+            assert _conv_int(x, y) == schoolbook(x, y)
+            assert _conv(x, y) == schoolbook(x, y)
+            p, q = poly(x, 2), poly(y, -3)
+            assert (p * q).coeffs == tuple(schoolbook(x, y))
+            assert (p * q).min_exp == -1
+
+    @given(st.lists(wide_ints, min_size=1, max_size=30),
+           st.lists(wide_ints, min_size=1, max_size=30),
+           st.booleans(), st.booleans())
+    def test_stride_two_matches_schoolbook(self, xs, ys, pad_a, pad_b):
+        # zeros at every odd index; a trailing zero gives an even length
+        a = spread(xs) + [0] * pad_a
+        b = spread(ys) + [0] * pad_b
+        assert _conv_int(a, b) == schoolbook(a, b)
+        assert all(type(c) is int for c in _conv_int(a, b))
+        assert _conv(a, b) == schoolbook(a, b)
+
+    @given(st.lists(st.integers(-(2**40), 2**40), max_size=12),
+           st.lists(st.integers(-(2**40), 2**40), max_size=12),
+           st.integers(-5, 5), st.integers(-5, 5), st.booleans())
+    def test_int_results_are_canonical(self, xs, ys, e1, e2, even):
+        if even:
+            xs, ys = spread(xs) if xs else xs, spread(ys) if ys else ys
+        p, q = poly(xs, e1), poly(ys, e2)
+
+        def public(terms):
+            # the checked constructor, from a dict exponent -> coefficient
+            lo = min(terms, default=0)
+            hi = max(terms, default=-1)
+            return LaurentPoly([terms.get(e, 0) for e in range(lo, hi + 1)], lo)
+
+        tp = {e1 + i: c for i, c in enumerate(xs)}
+        tq = {e2 + i: c for i, c in enumerate(ys)}
+        prod, total, diff = {}, dict(tp), dict(tp)
+        for i, x in tp.items():
+            for j, y in tq.items():
+                prod[i + j] = prod.get(i + j, 0) + x * y
+        for j, y in tq.items():
+            total[j] = total.get(j, 0) + y
+            diff[j] = diff.get(j, 0) - y
+        for got, want in [
+            (p * q, public(prod)),
+            (p + q, public(total)),
+            (p - q, public(diff)),
+            (p - p, LaurentPoly.zero()),
+            (-p, public({e: -c for e, c in tp.items()})),
+            (p.v_shift(3), public({e + 3: c for e, c in tp.items()})),
+        ]:
+            assert_canonical_int(got)
+            assert (got.min_exp, got.coeffs) == (want.min_exp, want.coeffs)
+
+    def test_cancelling_ends_are_trimmed(self):
+        p = poly([1, 0, 5, 0, 2], -2)
+        q = poly([-1, 0, 3, 0, -2], -2)
+        assert (p + q).coeffs == (8,) and (p + q).min_exp == 0
+        assert (p - p).coeffs == () and (p - p).min_exp == 0
+        assert_canonical_int(p + q)
+
+    def test_fraction_operands_take_the_exact_path(self):
+        # results with a non-int coefficient must never reach the int kernel
+        frac = poly([Fraction(1, 2), 0, 1, 0, -3, 0, 2, 0, 5])
+        ints = poly([2, 0, 3, 0, 1, 0, 4, 0, 5])
+        for r in (-frac, frac.v_shift(2), frac + ints, ints - frac, frac * ints):
+            assert any(type(c) is Fraction for c in r.coeffs)
+            want = schoolbook(list(r.coeffs), list(ints.coeffs))
+            assert r * ints == poly(want, r.min_exp + ints.min_exp)
+        # an integral result is stored as int and multiplies as one
+        doubled = frac * 2
+        assert_canonical_int(doubled)
+        assert_canonical_int(doubled * ints)
+        assert doubled * ints == poly(schoolbook([1, 0, 2, 0, -6, 0, 4, 0, 10],
+                                                 list(ints.coeffs)))
+
 def plain_divexact(num, den):
     """Long division touching every divisor term, zeros included."""
     rem = [Fraction(c) for c in num]
