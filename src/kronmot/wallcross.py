@@ -11,6 +11,15 @@ slope s are exactly the a_D there (a sum of vectors of slopes > s has slope
 slope-s factor and moving to the next slope yields every a_D by induction
 on d+e.
 
+The sweep runs over any down-closed set S of dimension vectors (with D it
+holds every D' <= D, component by component).  The span of the x^D with D
+outside S is a two-sided ideal of the quantum torus, since x^D x^D' is a
+multiple of x^(D+D') and D+D' is outside S whenever D or D' is.  So the
+whole factorisation can be taken modulo that ideal: it truncates to S
+exactly, and a_D for D in S depends only on the coefficients of A(x) on S.
+``MotiveTable`` sweeps the triangle d+e <= bound; ``moduli_motive(m, d, e)``
+sweeps only the box [0..d] x [0..e], which is all a_(d,e) needs.
+
 Internally each coefficient of R at D=(d,e) is stored as an integer Laurent
 polynomial numerator over the fixed denominator (q;q)_d (q;q)_e, q = v^-2;
 the q-binomial rescaling keeps that representation exact throughout, so no
@@ -83,80 +92,87 @@ def a_coeff(m: int, D) -> RatFunc:
     return RatFunc(num, _poch(d) * _poch(e))
 
 
-def _primitive_rays(bound: int) -> list[DimVector]:
-    rays = [
-        DimVector(d, e)
-        for d in range(bound + 1)
-        for e in range(bound + 1 - d)
-        if (d, e) != (0, 0) and gcd(d, e) == 1
-    ]
-    rays.sort(key=slope_key)
-    return rays
+def _check_vector(D) -> DimVector:
+    D = DimVector(*D)
+    if D.d < 0 or D.e < 0:
+        raise ValueError(f"dimension vector {tuple(D)} has a negative component")
+    return D
+
+
+def _sweep(m: int, vectors) -> dict[DimVector, LaurentPoly]:
+    """Numerators of a_D over (q;q)_d (q;q)_e for every D in ``vectors``.
+
+    ``vectors`` must be down-closed (with D it holds every D' <= D, compared
+    component by component); the factorisation then truncates to it
+    exactly, as the module docstring explains.  The final residue check
+    covers the whole set.
+    """
+    if m < 1:
+        raise ValueError("need m >= 1")
+    vectors = sorted(vectors, key=lambda D: (D.d + D.e, D.d))
+    present = set(vectors)
+    P = {D: LaurentPoly.monomial(-euler_form(m, D, D)) for D in vectors}
+    anum = {DimVector(0, 0): LaurentPoly.one()}
+    rays = sorted((D for D in vectors if D != (0, 0) and gcd(D.d, D.e) == 1),
+                  key=slope_key)
+    for D0 in rays:
+        d0, e0 = D0
+        ray = [None]  # ray[k] is the numerator of a_{k*D0}
+        kd = D0
+        while kd in present:
+            ray.append(P[kd])
+            anum[kd] = P[kd]
+            kd = DimVector(kd.d + d0, kd.e + e0)
+        # divide off the slope factor on the left: A_s * P_new = P
+        for D in vectors:
+            d, e = D
+            if d < d0 or e < e0:
+                continue
+            terms = []
+            for k in range(1, min(d // d0 if d0 else e, e // e0 if e0 else d) + 1):
+                an = ray[k]
+                if an.is_zero():
+                    continue
+                D2 = DimVector(d - k * d0, e - k * e0)
+                p2 = P[D2]
+                if p2.is_zero():
+                    continue
+                rescale = _qbinom(d, k * d0) * _qbinom(e, k * e0)
+                twist = sym_form(m, (k * d0, k * e0), D2)
+                terms.append((an * p2 * rescale).v_shift(twist))
+            if terms:
+                P[D] = P[D] - sum(terms[1:], terms[0])
+    # everything must divide off: the remainder is the constant series 1
+    for D in vectors:
+        if D != (0, 0) and not P[D].is_zero():
+            raise AssertionError(f"wall-crossing sweep left residue at {D}")
+    return anum
+
+
+def _motive(D: DimVector, anum: LaurentPoly) -> LaurentPoly:
+    """[K_D]_vir = (v - 1/v) * a_D from the numerator of a_D, D coprime."""
+    vvinv = LaurentPoly((-1, 0, 1), -1)
+    return (anum * vvinv).divexact(_poch(D.d) * _poch(D.e))
 
 
 class MotiveTable:
     """All wall-crossing coefficients a_D with d+e <= bound, for fixed m."""
 
     def __init__(self, m: int, bound: int):
-        if m < 1:
-            raise ValueError("need m >= 1")
         if bound < 0:
             raise ValueError("need bound >= 0")
         self.m = m
         self.bound = bound
         # numerator of a_D over _poch(d)*_poch(e)
-        self._anum: dict[DimVector, LaurentPoly] = {}
+        self._anum: dict[DimVector, LaurentPoly] = _sweep(m, (
+            DimVector(d, e) for d in range(bound + 1) for e in range(bound + 1 - d)))
         self._a_cache: dict[DimVector, RatFunc] = {}
-        self._build()
-
-    def _build(self):
-        m, bound = self.m, self.bound
-        vectors = sorted(
-            (DimVector(d, e) for d in range(bound + 1) for e in range(bound + 1 - d)),
-            key=lambda D: (D.d + D.e, D.d),
-        )
-        P = {
-            D: LaurentPoly.monomial(-euler_form(m, D, D)) for D in vectors
-        }
-        self._anum[DimVector(0, 0)] = LaurentPoly.one()
-        for D0 in _primitive_rays(bound):
-            d0, e0 = D0
-            kmax = bound // (d0 + e0)
-            anum = {}
-            for k in range(1, kmax + 1):
-                kd = DimVector(k * d0, k * e0)
-                anum[k] = P[kd]
-                self._anum[kd] = P[kd]
-            # divide off the slope factor on the left: A_s * P_new = P
-            for D in vectors:
-                d, e = D
-                khi = min(d // d0 if d0 else bound, e // e0 if e0 else bound)
-                acc = P[D]
-                changed = False
-                for k in range(1, khi + 1):
-                    an = anum[k]
-                    if an.is_zero():
-                        continue
-                    D2 = DimVector(d - k * d0, e - k * e0)
-                    p2 = P[D2]
-                    if p2.is_zero():
-                        continue
-                    rescale = _qbinom(d, k * d0) * _qbinom(e, k * e0)
-                    twist = sym_form(m, (k * d0, k * e0), D2)
-                    acc = acc - (an * p2 * rescale).v_shift(twist)
-                    changed = True
-                if changed:
-                    P[D] = acc
-        # everything must divide off: the remainder is the constant series 1
-        for D in vectors:
-            if D != (0, 0) and not P[D].is_zero():
-                raise AssertionError(f"wall-crossing sweep left residue at {D}")
 
     # -- queries -----------------------------------------------------------
 
     def a(self, D) -> RatFunc:
         """The reduced wall-crossing coefficient a_D."""
-        D = DimVector(*D)
+        D = _check_vector(D)
         if D.d + D.e > self.bound:
             raise InsufficientBoundError(f"{D} outside table bound {self.bound}")
         if D not in self._a_cache:
@@ -165,14 +181,12 @@ class MotiveTable:
 
     def motive(self, D) -> LaurentPoly:
         """[K_{d,e}^(m)]_vir = (v - 1/v) * a_D, for coprime (d,e)."""
-        D = DimVector(*D)
+        D = _check_vector(D)
         if gcd(D.d, D.e) != 1:
             raise NonCoprimeError(f"{tuple(D)} is not coprime")
         if D.d + D.e > self.bound:
             raise InsufficientBoundError(f"{D} outside table bound {self.bound}")
-        vvinv = LaurentPoly((-1, 0, 1), -1)
-        num = self._anum[D] * vvinv
-        return num.divexact(_poch(D.d) * _poch(D.e))
+        return _motive(D, self._anum[D])
 
     def ray_series(self, D0, order: int) -> TruncSeries:
         """Series along a primitive ray: coefficient of t^n is a_{n*D0}."""
@@ -224,11 +238,22 @@ def hn_extract(m: int, bound: int) -> MotiveTable:
     return MotiveTable(m, bound)
 
 
+@lru_cache(maxsize=256)
 def moduli_motive(m: int, d: int, e: int) -> LaurentPoly:
-    """Virtual motive of K_{d,e}^(m) for coprime (d,e)."""
+    """Virtual motive of K_{d,e}^(m) for coprime (d,e).
+
+    a_(d,e) depends only on the coefficients of A(x) at the vectors
+    D' <= (d,e), so the sweep runs over the box [0..d] x [0..e] rather than
+    the triangle d'+e' <= d+e of ``hn_extract``: the vectors outside the
+    box span a two-sided ideal of the quantum torus, and the slope
+    factorisation taken modulo that ideal is exact (module docstring).
+    Results are cached.
+    """
+    D = _check_vector((d, e))
     if gcd(d, e) != 1:
         raise NonCoprimeError(f"({d},{e}) is not coprime")
-    return hn_extract(m, d + e).motive((d, e))
+    box = (DimVector(i, j) for i in range(d + 1) for j in range(e + 1))
+    return _motive(D, _sweep(m, box)[D])
 
 
 def framed_via_quotient(m: int, D0, order: int) -> TruncSeries:

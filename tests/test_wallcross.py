@@ -5,6 +5,7 @@ import pytest
 from kronmot.errors import InsufficientBoundError, NonCoprimeError
 from kronmot.exactalg import LaurentPoly, RatFunc, quantum_integer
 from kronmot.wallcross import (
+    MotiveTable,
     a_coeff,
     euler_form,
     framed_via_quotient,
@@ -127,6 +128,38 @@ class TestModuliMotive:
                 assert (p.min_exp, p.max_exp) == (-dim, dim)
                 assert all(isinstance(c, int) and c >= 0 for c in p.coeffs[::2])
                 assert all(c == 0 for c in p.coeffs[1::2])
+
+
+class TestBoxSweep:
+    """moduli_motive sweeps only the box [0..d] x [0..e] below (d,e)."""
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_box_equals_triangle(self, m):
+        # the uncached function, so every pair really runs its box sweep
+        box_motive = moduli_motive.__wrapped__
+        for bound in range(1, 13):
+            table = MotiveTable(m, bound)
+            for d in range(bound + 1):
+                e = bound - d
+                if gcd(d, e) == 1:
+                    assert box_motive(m, d, e) == table.motive((d, e)), (m, d, e)
+
+    def test_repeat_served_from_cache(self):
+        first = moduli_motive(4, 5, 3)
+        before = moduli_motive.cache_info()
+        assert moduli_motive(4, 5, 3) is first
+        after = moduli_motive.cache_info()
+        assert after.hits == before.hits + 1
+        assert after.misses == before.misses
+
+    def test_negative_component_rejected(self):
+        with pytest.raises(ValueError):
+            moduli_motive(3, -1, 2)
+        table = hn_extract(3, 4)
+        with pytest.raises(ValueError):
+            table.motive((2, -1))
+        with pytest.raises(ValueError):
+            table.a((2, -1))
 
 
 class TestSmallQuivers:
