@@ -27,7 +27,7 @@ from functools import lru_cache
 from .errors import ExactDivisionError, NoConvergenceError, NonPolynomialError
 from .exactalg import LaurentPoly, RatFunc, quantum_integer
 from .qseries import TruncSeries, delta_invert, product_coeff
-from .wallcross import hn_extract
+from .wallcross import MotiveTable
 
 
 def _require_central_m(m: int):
@@ -139,15 +139,20 @@ def solve_functional_eq(m: int, order: int) -> TruncSeries:
     return F
 
 
+def _scaled_product(m: int, F: TruncSeries) -> TruncSeries:
+    """prod_{i=1}^{m-1} F(v^(m-2i) t)."""
+    prod = TruncSeries.one(F.order)
+    for i in range(1, m):
+        prod = prod * F.scale_arg(m - 2 * i)
+    return prod
+
+
 def extract_G(m: int, F: TruncSeries) -> TruncSeries:
     """G(t) with delta(G) = t * prod_i F(v^(m-2i) t) and G(0)=1."""
     _require_central_m(m)
     if F.coeffs[0] != RatFunc.one():
         raise ValueError("F must have constant term 1")
-    rhs = TruncSeries.one(F.order)
-    for i in range(1, m):
-        rhs = rhs * F.scale_arg(m - 2 * i)
-    return delta_invert(rhs.shift_t())
+    return delta_invert(_scaled_product(m, F).shift_t())
 
 
 @dataclass(frozen=True)
@@ -173,11 +178,9 @@ def g_series(m: int, k: int, sign: int, order: int) -> TruncSeries:
     """G^(k),+- from moduli motives: coefficient d is [K_{d, k*d+sign}]_vir."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    bound = max(order * (k + 1) + 1, 1)
-    table = hn_extract(m, bound)
-    coeffs = [RatFunc.one()]
-    for d in range(1, order + 1):
-        coeffs.append(RatFunc.of(table.motive((d, k * d + sign))))
+    vectors = [(d, k * d + sign) for d in range(1, order + 1)]
+    table = MotiveTable.covering(m, vectors)
+    coeffs = [RatFunc.one()] + [RatFunc.of(table.motive(D)) for D in vectors]
     return TruncSeries(coeffs, order)
 
 
@@ -209,25 +212,19 @@ def verify_main_theorem(m: int, order: int) -> list[dict]:
     """
     F = framed_recursion(m, order)
     G = g_series(m, 1, -1, order)
-    prod = TruncSeries.one(order)
-    for i in range(1, m):
-        prod = prod * F.scale_arg(m - 2 * i)
     return [
         _report("maintheorem:F=nabla^(m-1)G", m, None, order, F, G.nabla(m - 1)),
         _report("maintheorem:deltaG=t*prodF", m, None, order, G.delta(),
-                prod.shift_t()),
+                _scaled_product(m, F).shift_t()),
     ]
 
 
 def verify_vdifference(m: int, order: int) -> list[dict]:
     """delta F = nabla^(m-1)(t * prod_i F(v^(m-2i) t))."""
     F = framed_recursion(m, order)
-    prod = TruncSeries.one(order)
-    for i in range(1, m):
-        prod = prod * F.scale_arg(m - 2 * i)
     return [
         _report("vdifference", m, None, order, F.delta(),
-                prod.shift_t().nabla(m - 1)),
+                _scaled_product(m, F).shift_t().nabla(m - 1)),
     ]
 
 
@@ -249,8 +246,7 @@ def verify_corident(m: int, k: int, order: int) -> list[dict]:
     """The four identities relating A^(k), F^(k) and G^(k),+-."""
     if not 1 <= k <= m - 1:
         raise ValueError("need 1 <= k <= m-1")
-    bound = max(order * (k + 1), order * (m - k + 1) + 1, 1)
-    table = hn_extract(m, bound)
+    table = MotiveTable.covering(m, [(order, order * k), (order, order * (m - k))])
     A_k = table.ray_series((1, k), order)
     A_mk = table.ray_series((1, m - k), order)
     # independent F^(1) exists via the recursion; other k use the quotient

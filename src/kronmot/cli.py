@@ -40,26 +40,24 @@ def _coeff_list(p: LaurentPoly) -> list[str]:
     return [str(c) for c in p.coeffs[::step]]
 
 
-def _print_poly(ctx_fmt: str, command: str, p: LaurentPoly, extra=None):
-    if ctx_fmt == "json":
-        result = p.to_json()
-        if extra:
-            result = {**extra, "motive": result}
+def _poly_lines(p: LaurentPoly) -> list[str]:
+    """Plain form of a motive: one line per nonzero term, then the table row."""
+    lines = [f"{p.min_exp + i}: {c}" for i, c in enumerate(p.coeffs) if c != 0]
+    return lines + [",".join(_coeff_list(p))]
+
+
+def _emit(ctx, command: str, result, lines, csv_row=()):
+    """Print a result in the --format asked for: ``result`` in the JSON
+    envelope, the fields of ``csv_row`` as one csv line, or plain ``lines``."""
+    fmt = ctx.obj["fmt"]
+    if fmt == "json":
         click.echo(json.dumps({"schema": SCHEMA, "command": command,
                                "result": result}, sort_keys=True))
-    elif ctx_fmt == "csv":
-        fields = list((extra or {}).values())
-        click.echo(",".join(str(x) for x in fields + [p.min_exp] + _coeff_list(p)))
+    elif fmt == "csv":
+        click.echo(",".join(str(x) for x in csv_row))
     else:
-        for i, c in enumerate(p.coeffs):
-            if c != 0:
-                click.echo(f"{p.min_exp + i}: {c}")
-        click.echo(",".join(_coeff_list(p)))
-
-
-def _print_json_result(command: str, result):
-    click.echo(json.dumps({"schema": SCHEMA, "command": command,
-                           "result": result}, sort_keys=True))
+        for line in lines:
+            click.echo(line)
 
 
 @click.group()
@@ -170,7 +168,8 @@ def framed(ctx, m, d, method):
     else:
         poly = _cached_poly(ctx, "framed", {"m": m, "d": d, "method": method},
                             lambda: by(method))
-    _print_poly(ctx.obj["fmt"], "framed", poly, {"m": m, "d": d})
+    _emit(ctx, "framed", {"m": m, "d": d, "motive": poly.to_json()},
+          _poly_lines(poly), [m, d, poly.min_exp, *_coeff_list(poly)])
 
 
 @main.command()
@@ -192,7 +191,8 @@ def moduli(ctx, m, d, e):
             err=True,
         )
         raise click.exceptions.Exit(EXIT_BAD_INPUT)
-    _print_poly(ctx.obj["fmt"], "moduli", poly, {"m": m, "d": d, "e": e})
+    _emit(ctx, "moduli", {"m": m, "d": d, "e": e, "motive": poly.to_json()},
+          _poly_lines(poly), [m, d, e, poly.min_exp, *_coeff_list(poly)])
 
 
 @main.command()
@@ -207,18 +207,14 @@ def hn(ctx, m, bound):
     records = _cached(ctx, "hn", {"m": m, "bound": bound},
                       lambda: wallcross.hn_extract(m, bound).export(),
                       lambda p: _canonical_records(p, bound))
-    fmt = ctx.obj["fmt"]
-    if fmt == "json":
-        _print_json_result("hn", records)
-    else:
-        for rec in records:
-            motive = rec["motive"]
-            desc = (
-                ",".join(_coeff_list(LaurentPoly.from_json(motive)))
-                if motive is not None
-                else "-"
-            )
-            click.echo(f"({rec['d']},{rec['e']}) motive: {desc}")
+
+    def line(rec):
+        motive = rec["motive"]
+        desc = (",".join(_coeff_list(LaurentPoly.from_json(motive)))
+                if motive is not None else "-")
+        return f"({rec['d']},{rec['e']}) motive: {desc}"
+
+    _emit(ctx, "hn", records, map(line, records))
 
 
 @main.command()
@@ -243,27 +239,24 @@ def series(ctx, which, m, k, order):
             else:
                 if not 1 <= k <= m - 1:
                     raise click.exceptions.Exit(_bad_input("need 1 <= k <= m-1"))
-                ts = wallcross.hn_extract(m, order * (k + 1)).ray_series((1, k), order)
+                table = wallcross.MotiveTable.covering(m, [(order, order * k)])
+                ts = table.ray_series((1, k), order)
         except ValueError as exc:
             raise click.exceptions.Exit(_bad_input(str(exc)))
         return ts.to_json()
 
     payload = _cached(ctx, "series", {"which": which, "m": m, "k": k, "order": order},
                       compute, lambda p: _canonical_series(p, order))
-    fmt = ctx.obj["fmt"]
-    if fmt == "json":
-        _print_json_result("series", payload)
-    else:
-        for dd, coeff in enumerate(payload["coeffs"]):
-            num = LaurentPoly.from_json(coeff["num"])
-            den = LaurentPoly.from_json(coeff["den"])
-            if den == LaurentPoly.one():
-                click.echo(f"t^{dd}: {','.join(_coeff_list(num))}")
-            else:
-                click.echo(
-                    f"t^{dd}: ({','.join(_coeff_list(num))}) / "
-                    f"({','.join(_coeff_list(den))})"
-                )
+
+    def line(dd, coeff):
+        num = ",".join(_coeff_list(LaurentPoly.from_json(coeff["num"])))
+        den = LaurentPoly.from_json(coeff["den"])
+        if den == LaurentPoly.one():
+            return f"t^{dd}: {num}"
+        return f"t^{dd}: ({num}) / ({','.join(_coeff_list(den))})"
+
+    _emit(ctx, "series", payload,
+          (line(dd, coeff) for dd, coeff in enumerate(payload["coeffs"])))
 
 
 @main.command()
@@ -290,7 +283,8 @@ def euler(ctx, m, d, kind, check):
         if eulerchar.chi_from_motive(motive) != value:
             click.echo("closed form and motive sum disagree", err=True)
             raise click.exceptions.Exit(EXIT_VERIFY_FAIL)
-    _emit_int(ctx, "euler", value, {"m": m, "d": d, "kind": kind})
+    _emit(ctx, "euler", {"m": m, "d": d, "kind": kind, "value": value},
+          [str(value)], [m, d, kind, value])
 
 
 @main.command()
@@ -322,7 +316,8 @@ def tamari_cmd(ctx, mprime, n, method, check):
         raise click.exceptions.Exit(EXIT_RESOURCE)
     except ValueError as exc:
         raise click.exceptions.Exit(_bad_input(str(exc)))
-    _emit_int(ctx, "tamari", value, {"m_prime": mprime, "n": n})
+    _emit(ctx, "tamari", {"m_prime": mprime, "n": n, "value": value},
+          [str(value)], [mprime, n, value])
 
 
 main.add_command(tamari_cmd, name="tamari")
@@ -360,17 +355,13 @@ def verify(ctx, identity, m, k, order):
             reports = _VERIFIERS[identity](m, k, order)
     except ValueError as exc:
         raise click.exceptions.Exit(_bad_input(str(exc)))
-    fmt = ctx.obj["fmt"]
-    if fmt == "json":
-        _print_json_result("verify", reports)
-    else:
-        for r in reports:
-            tail = "".join(
-                f" {key}={r[key]}"
-                for key in ("k", "order", "pair")
-                if r.get(key) is not None
-            )
-            click.echo(f"{r['status'].upper()} {r['identity']} m={r['m']}{tail}")
+
+    def line(r):
+        tail = "".join(f" {key}={r[key]}" for key in ("k", "order", "pair")
+                       if r.get(key) is not None)
+        return f"{r['status'].upper()} {r['identity']} m={r['m']}{tail}"
+
+    _emit(ctx, "verify", reports, map(line, reports))
     if any(r["status"] != "pass" for r in reports):
         raise click.exceptions.Exit(EXIT_VERIFY_FAIL)
 
@@ -383,16 +374,6 @@ def selftest_cmd():
 
 
 main.add_command(selftest_cmd, name="selftest")
-
-
-def _emit_int(ctx, command: str, value: int, params: dict):
-    fmt = ctx.obj["fmt"]
-    if fmt == "json":
-        _print_json_result(command, {**params, "value": value})
-    elif fmt == "csv":
-        click.echo(",".join(str(x) for x in list(params.values()) + [value]))
-    else:
-        click.echo(str(value))
 
 
 def _bad_input(message: str) -> int:

@@ -75,6 +75,7 @@ def criterion_3() -> bool:
             reports += central.verify_corident(m, k, 4)
             reports += central.verify_newduality(m, k, 4)
     reports += wallcross.verify_dualities(3, 7)
+    reports += wallcross.verify_dualities(4, 8)
     return all(r["status"] == "pass" for r in reports)
 
 

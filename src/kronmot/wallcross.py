@@ -17,8 +17,11 @@ outside S is a two-sided ideal of the quantum torus, since x^D x^D' is a
 multiple of x^(D+D') and D+D' is outside S whenever D or D' is.  So the
 whole factorisation can be taken modulo that ideal: it truncates to S
 exactly, and a_D for D in S depends only on the coefficients of A(x) on S.
-``MotiveTable`` sweeps the triangle d+e <= bound; ``moduli_motive(m, d, e)``
-sweeps only the box [0..d] x [0..e], which is all a_(d,e) needs.
+So every reader sweeps only the down-closure of the vectors it reads (a
+staircase of boxes), through ``MotiveTable.covering``: ``moduli_motive(m,
+d, e)`` sweeps the box [0..d] x [0..e], a ray series the box below its top
+vector.  Only ``hn_extract`` (the ``kronmot hn`` table) sweeps the triangle
+d+e <= bound.
 
 Internally each coefficient of R at D=(d,e) is stored as an integer Laurent
 polynomial numerator over the fixed denominator (q;q)_d (q;q)_e, q = v^-2;
@@ -99,6 +102,18 @@ def _check_vector(D) -> DimVector:
     return D
 
 
+def _down_closure(vectors) -> list[DimVector]:
+    """(0,0) and every D' <= D for D in ``vectors``, component by component."""
+    reach = {}  # reach[d]: the largest e of a vector with first component d
+    for D in map(_check_vector, vectors):
+        reach[D.d] = max(reach.get(D.d, 0), D.e)
+    closure, e_max = [], 0
+    for d in range(max(reach, default=0), -1, -1):
+        e_max = max(e_max, reach.get(d, 0))
+        closure.extend(DimVector(d, e) for e in range(e_max + 1))
+    return closure
+
+
 def _sweep(m: int, vectors) -> dict[DimVector, LaurentPoly]:
     """Numerators of a_D over (q;q)_d (q;q)_e for every D in ``vectors``.
 
@@ -107,8 +122,6 @@ def _sweep(m: int, vectors) -> dict[DimVector, LaurentPoly]:
     exactly, as the module docstring explains.  The final residue check
     covers the whole set.
     """
-    if m < 1:
-        raise ValueError("need m >= 1")
     vectors = sorted(vectors, key=lambda D: (D.d + D.e, D.d))
     present = set(vectors)
     P = {D: LaurentPoly.monomial(-euler_form(m, D, D)) for D in vectors}
@@ -156,47 +169,58 @@ def _motive(D: DimVector, anum: LaurentPoly) -> LaurentPoly:
 
 
 class MotiveTable:
-    """All wall-crossing coefficients a_D with d+e <= bound, for fixed m."""
+    """Wall-crossing coefficients a_D over a down-closed set of vectors, fixed m.
+
+    ``MotiveTable(m, bound)`` holds the triangle d+e <= bound;
+    ``MotiveTable.covering(m, vectors)`` holds only the vectors below those
+    a caller reads.  A query outside the set raises InsufficientBoundError.
+    """
 
     def __init__(self, m: int, bound: int):
         if bound < 0:
             raise ValueError("need bound >= 0")
+        self._fill(m, [(d, bound - d) for d in range(bound + 1)])
+
+    @classmethod
+    def covering(cls, m: int, vectors) -> "MotiveTable":
+        """The table over every D' <= D for D in ``vectors``."""
+        table = cls.__new__(cls)
+        table._fill(m, vectors)
+        return table
+
+    def _fill(self, m: int, vectors):
+        if m < 1:
+            raise ValueError("need m >= 1")
         self.m = m
-        self.bound = bound
         # numerator of a_D over _poch(d)*_poch(e)
-        self._anum: dict[DimVector, LaurentPoly] = _sweep(m, (
-            DimVector(d, e) for d in range(bound + 1) for e in range(bound + 1 - d)))
-        self._a_cache: dict[DimVector, RatFunc] = {}
+        self._anum: dict[DimVector, LaurentPoly] = _sweep(m, _down_closure(vectors))
 
     # -- queries -----------------------------------------------------------
+
+    def _numerator(self, D: DimVector) -> LaurentPoly:
+        try:
+            return self._anum[D]
+        except KeyError:
+            raise InsufficientBoundError(
+                f"{tuple(D)} is outside the swept vectors") from None
 
     def a(self, D) -> RatFunc:
         """The reduced wall-crossing coefficient a_D."""
         D = _check_vector(D)
-        if D.d + D.e > self.bound:
-            raise InsufficientBoundError(f"{D} outside table bound {self.bound}")
-        if D not in self._a_cache:
-            self._a_cache[D] = RatFunc(self._anum[D], _poch(D.d) * _poch(D.e))
-        return self._a_cache[D]
+        return RatFunc(self._numerator(D), _poch(D.d) * _poch(D.e))
 
     def motive(self, D) -> LaurentPoly:
         """[K_{d,e}^(m)]_vir = (v - 1/v) * a_D, for coprime (d,e)."""
         D = _check_vector(D)
         if gcd(D.d, D.e) != 1:
             raise NonCoprimeError(f"{tuple(D)} is not coprime")
-        if D.d + D.e > self.bound:
-            raise InsufficientBoundError(f"{D} outside table bound {self.bound}")
-        return _motive(D, self._anum[D])
+        return _motive(D, self._numerator(D))
 
     def ray_series(self, D0, order: int) -> TruncSeries:
         """Series along a primitive ray: coefficient of t^n is a_{n*D0}."""
         d0, e0 = D0
         if gcd(d0, e0) != 1:
             raise NonCoprimeError(f"ray {tuple(D0)} is not primitive")
-        if order * (d0 + e0) > self.bound:
-            raise InsufficientBoundError(
-                f"order {order} on ray {tuple(D0)} needs bound >= {order * (d0 + e0)}"
-            )
         return TruncSeries(
             [self.a((k * d0, k * e0)) for k in range(order + 1)], order
         )
@@ -232,9 +256,8 @@ class MotiveTable:
         return records
 
 
-@lru_cache(maxsize=8)
 def hn_extract(m: int, bound: int) -> MotiveTable:
-    """Build (and cache) the table of wall-crossing coefficients."""
+    """The table of every a_D with d+e <= bound (the ``kronmot hn`` table)."""
     return MotiveTable(m, bound)
 
 
@@ -243,23 +266,22 @@ def moduli_motive(m: int, d: int, e: int) -> LaurentPoly:
     """Virtual motive of K_{d,e}^(m) for coprime (d,e).
 
     a_(d,e) depends only on the coefficients of A(x) at the vectors
-    D' <= (d,e), so the sweep runs over the box [0..d] x [0..e] rather than
-    the triangle d'+e' <= d+e of ``hn_extract``: the vectors outside the
-    box span a two-sided ideal of the quantum torus, and the slope
-    factorisation taken modulo that ideal is exact (module docstring).
-    Results are cached.
+    D' <= (d,e), so the sweep covers the box [0..d] x [0..e] only: the
+    vectors outside it span a two-sided ideal of the quantum torus, and the
+    slope factorisation taken modulo that ideal is exact (module docstring).
+    Negative and non-coprime (d,e) are rejected before any sweep.  Results
+    are cached.
     """
     D = _check_vector((d, e))
     if gcd(d, e) != 1:
         raise NonCoprimeError(f"({d},{e}) is not coprime")
-    box = (DimVector(i, j) for i in range(d + 1) for j in range(e + 1))
-    return _motive(D, _sweep(m, box)[D])
+    return MotiveTable.covering(m, [D]).motive(D)
 
 
 def framed_via_quotient(m: int, D0, order: int) -> TruncSeries:
     """Framed motive series along a primitive ray, from the quotient formula."""
     d0, e0 = D0
-    table = hn_extract(m, order * (d0 + e0))
+    table = MotiveTable.covering(m, [(order * d0, order * e0)])
     return table.framed_series(D0, order)
 
 
@@ -275,11 +297,9 @@ def verify_dualities(m: int, bound: int) -> list[dict]:
         for e in range(bound + 1 - d)
         if (d, e) != (0, 0) and gcd(d, e) == 1
     ]
-    big = max(
-        max(d + e for d, e in pairs),
-        max(m * d - e + d for d, e in pairs if e <= m * d),
-    )
-    table = hn_extract(m, big)
+    # the pairs hold every swap (e, d) already
+    table = MotiveTable.covering(
+        m, pairs + [(m * d - e, d) for d, e in pairs if e <= m * d])
     report = []
     for d, e in pairs:
         lhs = table.motive((d, e))

@@ -77,6 +77,7 @@ def test_criterion_3_identity_suite():
             reports += central.verify_corident(m, k, 4)
             reports += central.verify_newduality(m, k, 4)
     reports += wallcross.verify_dualities(3, 7)
+    reports += wallcross.verify_dualities(4, 8)
     ok = bool(reports) and all(r["status"] == "pass" for r in reports)
     _report(3, "identity suite", ok)
 

@@ -1,7 +1,11 @@
+from functools import lru_cache
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kronmot import wallcross
 from kronmot.errors import InsufficientBoundError, NonCoprimeError
 from kronmot.exactalg import LaurentPoly, RatFunc, quantum_integer
 from kronmot.wallcross import (
@@ -160,6 +164,55 @@ class TestBoxSweep:
             table.motive((2, -1))
         with pytest.raises(ValueError):
             table.a((2, -1))
+        with pytest.raises(ValueError):
+            MotiveTable.covering(3, [(1, 1), (2, -1)])
+
+
+TRIANGLE = 10
+
+
+@lru_cache(maxsize=None)
+def triangle_table(m):
+    return MotiveTable(m, TRIANGLE)
+
+
+class TestCovering:
+    """MotiveTable.covering sweeps the down-closure of the vectors it is given."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 5),
+           vectors=st.lists(st.tuples(st.integers(0, TRIANGLE), st.integers(0, TRIANGLE))
+                            .filter(lambda D: sum(D) <= TRIANGLE), max_size=4))
+    def test_covering_equals_triangle(self, m, vectors):
+        table = MotiveTable.covering(m, vectors)
+        triangle = triangle_table(m)
+        # one diagonal past the triangle, where nothing is swept
+        for d in range(TRIANGLE + 2):
+            for e in range(TRIANGLE + 2 - d):
+                D = (d, e)
+                coprime = gcd(d, e) == 1
+                if D == (0, 0) or any(d <= a and e <= b for a, b in vectors):
+                    assert table.a(D) == triangle.a(D), (m, D)
+                    if coprime:
+                        assert table.motive(D) == triangle.motive(D), (m, D)
+                    continue
+                with pytest.raises(InsufficientBoundError):
+                    table.a(D)
+                if coprime:
+                    with pytest.raises(InsufficientBoundError):
+                        table.motive(D)
+
+    def test_invalid_input_rejected_before_sweeping(self, monkeypatch):
+        def no_sweep(m, vectors):
+            raise AssertionError("swept")
+
+        monkeypatch.setattr(wallcross, "_sweep", no_sweep)
+        with pytest.raises(NonCoprimeError):
+            moduli_motive(3, 400, 600)
+        with pytest.raises(ValueError):
+            moduli_motive(3, -1, 400)
+        with pytest.raises(ValueError):
+            moduli_motive(0, 400, 601)
 
 
 class TestSmallQuivers:
