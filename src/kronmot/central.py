@@ -254,12 +254,14 @@ def verify_corident(m: int, k: int, order: int) -> list[dict]:
         F_k = framed_recursion(m, order)
     else:
         F_k = table.framed_series((1, k), order)
-    quotient = A_k.scale_arg(k) * A_k.scale_arg(-k).inverse()
     g_minus = g_series(m, k, -1, order)
     g_plus_mk = g_series(m, m - k, 1, order)
     return [
         _report("corident:A^(k)=A^(m-k)", m, k, order, A_k, A_mk),
-        _report("corident:F^(k)=A-quotient", m, k, order, F_k, quotient),
+        # F = A(v^k t) / A(v^-k t) multiplied out; A has constant term 1, so
+        # the first failing degree is that of the quotient itself
+        _report("corident:F^(k)=A-quotient", m, k, order,
+                F_k * A_k.scale_arg(-k), A_k.scale_arg(k)),
         _report("corident:G^(k),-=G^(m-k),+", m, k, order, g_minus, g_plus_mk),
         _report("corident:F^(k)=nabla G^(m-k),+", m, k, order, F_k,
                 g_plus_mk.nabla(m - k)),

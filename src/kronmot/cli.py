@@ -10,6 +10,7 @@ import json
 import sys
 
 import click
+from click.core import ParameterSource
 
 from . import central, eulerchar, selftest, tamari, wallcross
 from .cache import SCHEMA, Cache
@@ -229,6 +230,9 @@ def series(ctx, which, m, k, order):
     _reject_csv(ctx)
     if order < 0:
         raise click.exceptions.Exit(_bad_input("order must be >= 0"))
+    # the default k=1 stays in the cache key of F and G; an explicit --k is refused
+    if which != "A" and ctx.get_parameter_source("k") is not ParameterSource.DEFAULT:
+        raise click.exceptions.Exit(_bad_input("--k applies only to --which A"))
 
     def compute():
         try:
@@ -346,6 +350,9 @@ def verify(ctx, identity, m, k, order):
     if order < 1:
         raise click.exceptions.Exit(_bad_input("order must be >= 1"))
     needs_k = identity in ("corident", "newduality")
+    if k is not None and not needs_k:
+        raise click.exceptions.Exit(_bad_input(
+            "--k applies only to --identity corident and newduality"))
     try:
         if needs_k and k is None:
             reports = []

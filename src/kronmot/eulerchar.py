@@ -3,7 +3,6 @@ forms obtained by Lagrange inversion from the v=1 functional equation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -53,24 +52,3 @@ def chi_framed_closed(m: int, d: int) -> int:
     val = Fraction(m, m + (m - 1) ** 2 * d) * comb((m - 1) ** 2 * d + m, d)
     return _as_int(val, "chi_framed_closed")
 
-
-@dataclass(frozen=True)
-class ChiRecord:
-    m: int
-    d: int
-    chi_framed: int
-    chi_moduli: int
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "d": self.d,
-            "chi_framed": self.chi_framed,
-            "chi_moduli": self.chi_moduli,
-        }
-
-
-def chi_record(m: int, d: int) -> ChiRecord:
-    return ChiRecord(
-        m=m, d=d, chi_framed=chi_framed_closed(m, d), chi_moduli=chi_moduli_closed(m, d)
-    )

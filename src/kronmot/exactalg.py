@@ -159,13 +159,6 @@ def _mul_int(a, b) -> list[int]:
     return _conv_int(a, b)
 
 
-def _conv(a, b):
-    """Convolution of coefficient sequences, exact for ints and Fractions."""
-    if _int_only(a) and _int_only(b):
-        return _mul_int(a, b)
-    return _schoolbook(a, b)
-
-
 def _store(poly, coeffs, min_exp: int, ints: bool):
     """Set the slots of ``poly`` to coeffs * v^min_exp with zero ends trimmed.
 
@@ -320,7 +313,7 @@ class LaurentPoly:
             return LaurentPoly._canonical(
                 tuple(_mul_int(self.coeffs, other.coeffs)),
                 self.min_exp + other.min_exp, True)
-        return LaurentPoly(_conv(self.coeffs, other.coeffs),
+        return LaurentPoly(_schoolbook(self.coeffs, other.coeffs),
                            self.min_exp + other.min_exp)
 
     __rmul__ = __mul__

@@ -98,16 +98,8 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        out = []
-        for d in range(n + 1):
-            acc = RatFunc.zero()
-            for i in range(d + 1):
-                a = self.coeffs[i]
-                b = other.coeffs[d - i]
-                if a and b:
-                    acc = acc + a * b
-            out.append(acc)
-        return TruncSeries(out, n)
+        return TruncSeries(
+            [product_coeff(self.coeffs, other.coeffs, d) for d in range(n + 1)], n)
 
     __rmul__ = __mul__
 
@@ -118,12 +110,9 @@ class TruncSeries:
             raise NotInvertibleError("constant term is zero")
         inv0 = RatFunc.one() / c0
         out = [inv0]
-        for d in range(1, self.order + 1):
-            acc = RatFunc.zero()
-            for i in range(1, d + 1):
-                if self.coeffs[i]:
-                    acc = acc + self.coeffs[i] * out[d - i]
-            out.append(-inv0 * acc)
+        tail = self.coeffs[1:]
+        for d in range(self.order):
+            out.append(-inv0 * product_coeff(tail, out, d))
         return TruncSeries(out, self.order)
 
     def scale_arg(self, p: int) -> "TruncSeries":
@@ -167,11 +156,11 @@ class TruncSeries:
         return f"TruncSeries(order={self.order}, coeffs={list(self.coeffs)!r})"
 
 
-def product_coeff(a: list[LaurentPoly], b: list[LaurentPoly], n: int) -> LaurentPoly:
-    """The t^n coefficient of a * b, for series given as lists of at least
-    n+1 Laurent coefficients."""
-    total = LaurentPoly.zero()
-    for j in range(n + 1):
+def product_coeff(a, b, n: int):
+    """The t^n coefficient of a * b, for series given as sequences of at least
+    n+1 ring elements (integer Laurent polynomials or RatFunc)."""
+    total = a[n] * b[0]
+    for j in range(1, n + 1):
         total = total + a[n - j] * b[j]
     return total
 

@@ -36,7 +36,8 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .errors import InsufficientBoundError, NonCoprimeError
+from .errors import (ExactDivisionError, InsufficientBoundError, NonCoprimeError,
+                     NonPolynomialError)
 from .exactalg import LaurentPoly, RatFunc
 from .qseries import TruncSeries
 
@@ -228,12 +229,34 @@ class MotiveTable:
     def framed_series(self, D0, order: int) -> TruncSeries:
         """Framed motives along a ray, via the quotient formula.
 
-        Coefficient of t^n is [K_{n*d0,n*e0}^(m),fr]_vir; framing at the sink
-        makes the substitution exponent the e-component of the ray.
+        Coefficient of t^n is [K_{n*d0,n*e0}^(m),fr]_vir, the t^n coefficient
+        of F = A(v^e0 t) * A(v^-e0 t)^(-1) for the ray series A; framing at
+        the sink makes the substitution exponent the e-component of the ray.
+        With a_n = num_n / c_n, c_n = (q;q)_{n*d0} (q;q)_{n*e0}, the t^n
+        coefficient of F * A(v^-e0 t) = A(v^e0 t) multiplied by c_n reads
+
+            c_n F_n = v^(n*e0) num_n - sum_{k=1..n} F_(n-k) v^(-k*e0) num_k (c_n / c_k),
+
+        where every c_n / c_k is a polynomial.  So F is solved over integer
+        Laurent polynomials with one exact division by c_n per degree.
         """
         d0, e0 = D0
-        a_ray = self.ray_series(D0, order)
-        return a_ray.scale_arg(e0) * a_ray.scale_arg(-e0).inverse()
+        if gcd(d0, e0) != 1:
+            raise NonCoprimeError(f"ray {tuple(D0)} is not primitive")
+        num = [self._numerator(_check_vector((k * d0, k * e0)))
+               for k in range(order + 1)]
+        c = [_poch(k * d0) * _poch(k * e0) for k in range(order + 1)]
+        F = [LaurentPoly.one()]
+        for n in range(1, order + 1):
+            total = num[n].v_shift(n * e0)
+            for k in range(1, n + 1):
+                total = total - F[n - k] * num[k].v_shift(-k * e0) * c[n].divexact(c[k])
+            try:
+                F.append(total.divexact(c[n]))
+            except NonPolynomialError as exc:
+                raise ExactDivisionError(
+                    f"quotient division failed at m={self.m}, n={n}") from exc
+        return TruncSeries(F, order)
 
     def export(self) -> list[dict]:
         """Table records for serialization; motive is null for non-coprime D."""

@@ -17,7 +17,7 @@ from kronmot.errors import NonZeroConstantError
 from kronmot.eulerchar import chi_framed_closed, chi_from_motive
 from kronmot.exactalg import LaurentPoly, RatFunc, quantum_integer
 from kronmot.qseries import TruncSeries
-from kronmot.wallcross import framed_via_quotient
+from kronmot.wallcross import MotiveTable, framed_via_quotient
 
 
 def step2(p):
@@ -180,6 +180,21 @@ class TestIdentities:
         _all_pass(verify_corident(3, 1, 4))
         _all_pass(verify_corident(3, 2, 0))
         _all_pass(verify_corident(4, 2, 3))
+
+    @pytest.mark.parametrize("d", range(4))
+    def test_corident_quotient_check_catches_a_wrong_coefficient(self, monkeypatch, d):
+        framed_series = MotiveTable.framed_series
+
+        def perturbed(table, D0, order):
+            coeffs = list(framed_series(table, D0, order).coeffs)
+            coeffs[d] = coeffs[d] + 1
+            return TruncSeries(coeffs, order)
+
+        monkeypatch.setattr(MotiveTable, "framed_series", perturbed)
+        report = {r["identity"]: r for r in verify_corident(4, 2, 3)}
+        check = report["corident:F^(k)=A-quotient"]
+        assert check["status"] == "fail"
+        assert check["first_failure_degree"] == d
 
     def test_newduality(self):
         _all_pass(verify_newduality(3, 1, 4))

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from kronmot import central, wallcross
 from kronmot.cache import Cache
 from kronmot.cli import main
 
@@ -90,6 +91,19 @@ class TestSeries:
         payload = json.loads(res.output)
         assert payload["result"]["order"] == 2
 
+    @pytest.mark.parametrize("which", ["F", "G"])
+    @pytest.mark.parametrize("k", ["1", "9"])
+    def test_k_refused_for_f_and_g(self, runner, monkeypatch, which, k):
+        def no_compute(*args):
+            raise AssertionError("computed")
+
+        monkeypatch.setattr(central, "framed_recursion", no_compute)
+        res = run(runner, "--no-cache", "series", "--which", which, "--m", "3",
+                  "--k", k, "--order", "2")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "--k applies only to --which A" in res.stderr
+
     def test_a_slope_out_of_range(self, runner):
         res = run(runner, "--no-cache", "series", "--which", "A", "--m", "3",
                   "--k", "5", "--order", "2")
@@ -149,6 +163,21 @@ class TestVerify:
         res = run(runner, "--no-cache", "verify", "--identity", "dualities",
                   "--m", "3", "--order", "4")
         assert res.exit_code == 0
+
+    @pytest.mark.parametrize("identity", ["maintheorem", "vdifference", "funceq",
+                                          "eqnew", "dualities"])
+    def test_k_refused_where_unused(self, runner, monkeypatch, identity):
+        def no_compute(*args):
+            raise AssertionError("computed")
+
+        for name in ("framed_recursion", "g_series"):
+            monkeypatch.setattr(central, name, no_compute)
+        monkeypatch.setattr(wallcross, "verify_dualities", no_compute)
+        res = run(runner, "--no-cache", "verify", "--identity", identity,
+                  "--m", "3", "--k", "7", "--order", "2")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "--k applies only to" in res.stderr
 
     def test_order_below_one_rejected(self, runner):
         res = run(runner, "--no-cache", "verify", "--identity", "dualities",

@@ -9,7 +9,6 @@ from kronmot.eulerchar import (
     chi_framed_pow_closed,
     chi_from_motive,
     chi_moduli_closed,
-    chi_record,
 )
 from kronmot.exactalg import LaurentPoly
 from kronmot.wallcross import moduli_motive
@@ -88,8 +87,3 @@ def test_specialized_functional_equation(m):
     for _ in range(m):
         rhs = mul(rhs, inv)
     assert rhs == fbar
-
-
-def test_chi_record_serialization():
-    rec = chi_record(3, 3)
-    assert rec.to_json() == {"m": 3, "d": 3, "chi_framed": 91, "chi_moduli": 13}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kronmot.errors import NonPolynomialError
-from kronmot.exactalg import LaurentPoly, RatFunc, _conv, _conv_int, quantum_integer
+from kronmot.exactalg import LaurentPoly, RatFunc, _conv_int, _mul_int, quantum_integer
 
 V = LaurentPoly.monomial(1)
 VINV = LaurentPoly.monomial(-1)
@@ -120,8 +120,8 @@ class TestConvInt:
         rng = random.Random(n)
         a = [rng.choice(WIDE) * rng.choice((-1, 1)) for _ in range(n)]
         b = [rng.randint(-(2**65), 2**65) for _ in range(16)]
-        assert _conv(a, b) == schoolbook(a, b)
-        assert _conv(b, a) == schoolbook(b, a)
+        assert _mul_int(a, b) == schoolbook(a, b)
+        assert _mul_int(b, a) == schoolbook(b, a)
         p, q = poly(a, -3), poly(b, 5)
         assert (p * q).coeffs == tuple(schoolbook(a, b))
         assert (p * q).min_exp == 2
@@ -161,7 +161,7 @@ class TestWordSlotKernel:
         ]:
             assert _conv_int(a, b) == schoolbook(a, b)
             assert _conv_int(b, a) == schoolbook(b, a)
-            assert _conv(a, b) == schoolbook(a, b)
+            assert _mul_int(a, b) == schoolbook(a, b)
 
     @pytest.mark.parametrize("bits", [6, 7, 8, 14, 15, 16, 30, 31, 32, 62, 63, 64, 65])
     def test_sums_at_slot_width_boundaries(self, bits):
@@ -207,13 +207,13 @@ class TestWordSlotKernel:
         rng = random.Random(100 * la + lb)
         zeros_a, zeros_b = [0] * la, [0] * lb
         assert _conv_int(zeros_a, zeros_b) == [0] * (la + lb - 1)
-        assert _conv(zeros_a, zeros_b) == [0] * (la + lb - 1)
+        assert _mul_int(zeros_a, zeros_b) == [0] * (la + lb - 1)
         a = [rng.randint(-(2**20), 2**20) or 1 for _ in range(la)]
         b = [rng.randint(-(2**20), 2**20) or 1 for _ in range(lb)]
         assert _conv_int(a, zeros_b) == [0] * (la + lb - 1)
         for x, y in [(a, b), (spread(a), spread(b)), (spread(a), b)]:
             assert _conv_int(x, y) == schoolbook(x, y)
-            assert _conv(x, y) == schoolbook(x, y)
+            assert _mul_int(x, y) == schoolbook(x, y)
             p, q = poly(x, 2), poly(y, -3)
             assert (p * q).coeffs == tuple(schoolbook(x, y))
             assert (p * q).min_exp == -1
@@ -227,7 +227,7 @@ class TestWordSlotKernel:
         b = spread(ys) + [0] * pad_b
         assert _conv_int(a, b) == schoolbook(a, b)
         assert all(type(c) is int for c in _conv_int(a, b))
-        assert _conv(a, b) == schoolbook(a, b)
+        assert _mul_int(a, b) == schoolbook(a, b)
 
     @given(st.lists(st.integers(-(2**40), 2**40), max_size=12),
            st.lists(st.integers(-(2**40), 2**40), max_size=12),

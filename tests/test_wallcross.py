@@ -275,6 +275,24 @@ class TestFramedQuotient:
         assert step2(F.coeffs[1].to_laurent()) == [1, 1, 1]
         assert step2(F.coeffs[2].to_laurent()) == [1, 2, 3, 3, 3, 2, 1]
 
+    @pytest.mark.parametrize("m", range(1, 6))
+    @pytest.mark.parametrize("ray", [(1, 1), (1, 2), (2, 1), (2, 3), (0, 1), (1, 0)])
+    def test_integer_recurrence_matches_series_quotient(self, m, ray):
+        # reference: A(v^e0 t) * A(v^-e0 t)^(-1) over the RatFunc ray series;
+        # a truncated quotient is the quotient of the truncations
+        d0, e0 = ray
+        table = MotiveTable.covering(m, [(5 * d0, 5 * e0)])
+        A = table.ray_series(ray, 5)
+        reference = A.scale_arg(e0) * A.scale_arg(-e0).inverse()
+        for order in range(6):
+            F = table.framed_series(ray, order)
+            assert F == reference.truncate(order), order
+            assert all(c.is_laurent() for c in F.coeffs)
+
+    def test_non_primitive_ray_rejected(self):
+        with pytest.raises(NonCoprimeError):
+            MotiveTable.covering(3, [(4, 4)]).framed_series((2, 2), 1)
+
 
 class TestDualities:
     def test_all_pass_small(self):
