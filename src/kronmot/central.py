@@ -174,8 +174,14 @@ class CentralSeriesPair:
 # -- series assembled from wall-crossing motives ----------------------------
 
 
+@lru_cache(maxsize=64)
 def g_series(m: int, k: int, sign: int, order: int) -> TruncSeries:
-    """G^(k),+- from moduli motives: coefficient d is [K_{d, k*d+sign}]_vir."""
+    """G^(k),+- from moduli motives: coefficient d is [K_{d, k*d+sign}]_vir.
+
+    The verifiers ask for the same series repeatedly (``verify_corident``
+    and ``verify_newduality`` both read G^(k),- and G^(m-k),+), so results
+    are cached; ``TruncSeries`` is immutable.
+    """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     vectors = [(d, k * d + sign) for d in range(1, order + 1)]

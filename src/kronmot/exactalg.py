@@ -21,6 +21,10 @@ is an integer Laurent polynomial:
   Coefficient slots are rounded up to native 1, 2, 4 or 8 byte words, so
   packing and unpacking are C-level ``array``/``memoryview`` conversions;
   slots wider than 8 bytes take an arbitrary-precision byte path.
+- A sum of products of integer polynomials, each product shifted by a
+  power of v, is one signed Kronecker evaluation (``sum_of_products``):
+  each ``Operand`` is packed once per slot width and keeps its packings,
+  the big-integer products are summed, and the sum is unpacked once.
 - A ``RatFunc`` whose denominator is the constant 1 is already in canonical
   form when its numerator has integer coefficients, so constructing it skips
   the gcd and ``Fraction`` work, and ``+``, ``-`` and ``*`` of two such
@@ -61,15 +65,14 @@ _ORDER = sys.byteorder
 
 def _word_slot(size: int, code: str) -> tuple:
     half = 1 << (8 * size - 1)
-    return size, code, half, half.to_bytes(size, _ORDER), half.__add__, (-half).__add__
+    return size, code, half.to_bytes(size, _ORDER)
 
 
-# native unsigned array typecodes by item size, read off at import
-_WORD_CODES = {array(tc).itemsize: tc for tc in "QLIHB"}
-# slot width in bytes -> the narrowest native unsigned word of 1, 2, 4 or 8
-# bytes that holds it, as (size, typecode, offset h = 2**(8*size-1), h as
-# slot bytes, x -> x + h, x -> x - h); narrower words come later and
-# overwrite wider ones.
+# native signed array typecodes by item size, read off at import
+_WORD_CODES = {array(tc).itemsize: tc for tc in "qlihb"}
+# slot width in bytes -> the narrowest native word of 1, 2, 4 or 8 bytes
+# that holds it, as (size, signed typecode, the offset h = 2**(8*size-1) as
+# slot bytes); narrower words come later and overwrite wider ones.
 _WORD_SLOTS = {w: _word_slot(size, _WORD_CODES[size])
                for size in (8, 4, 2, 1) if size in _WORD_CODES
                for w in range(1, size + 1)}
@@ -77,6 +80,46 @@ _WORD_SLOTS = {w: _word_slot(size, _WORD_CODES[size])
 # integer operands shorter than this on either side multiply by schoolbook;
 # at about this length Kronecker substitution starts to win on motive products
 _KRONECKER_MIN_LEN = 7
+
+
+def _slot(w: int) -> tuple:
+    """The slot for values c with -2**(8w-1) <= c < 2**(8w-1).
+
+    A native word of 1, 2, 4 or 8 bytes when one holds ``w`` bytes
+    (``_WORD_SLOTS``), else ``w`` bytes on the arbitrary-precision byte
+    path (empty typecode).
+    """
+    return _WORD_SLOTS.get(w) or _word_slot(w, "")
+
+
+# Slots hold signed values in offset binary: c is stored as c + h, which
+# lies in [0, X) for X = 2**(8*size) and -h <= c < h, so no slot borrows
+# from its neighbour.  c + h is the two's complement word of c with its top
+# bit flipped, so one XOR with the packed offsets converts a whole string of
+# two's complement words (what ``array`` and ``to_bytes(signed=True)``
+# write and ``memoryview.cast`` reads) to offset binary and back.
+
+
+def _pack(xs, slot) -> int:
+    """sum_i xs[i] * X**i as a signed integer, X = 2**(8 * slot size)."""
+    size, code, offset = slot
+    if code:
+        data = array(code, xs).tobytes()
+    else:
+        data = b"".join([x.to_bytes(size, _ORDER, signed=True) for x in xs])
+    offsets = int.from_bytes(offset * len(xs), _ORDER)
+    return (int.from_bytes(data, _ORDER) ^ offsets) - offsets
+
+
+def _unpack(value: int, n: int, slot) -> list[int]:
+    """The n entries c_i of value = sum_i c_i * X**i, each -h <= c_i < h."""
+    size, code, offset = slot
+    offsets = int.from_bytes(offset * n, _ORDER)
+    data = ((value + offsets) ^ offsets).to_bytes(n * size, _ORDER)
+    if code:
+        return memoryview(data).cast(code).tolist()
+    return [int.from_bytes(data[i:i + size], _ORDER, signed=True)
+            for i in range(0, n * size, size)]
 
 
 def _conv_int(a: list[int], b: list[int]) -> list[int]:
@@ -95,9 +138,9 @@ def _conv_int(a: list[int], b: list[int]) -> list[int]:
     each product coefficient c satisfies -2**(8w-1) <= c < 2**(8w-1).  A slot
     stores c + 2**(8w-1) (offset binary), so it is never negative and no slot
     borrows from its neighbour.  When ``w`` is at most 8 it is rounded up to
-    a native unsigned word of 1, 2, 4 or 8 bytes (``_WORD_SLOTS``), and both
-    packing (``array(...).tobytes()``) and unpacking (``memoryview.cast``)
-    are C-level loops over words in native byte order.  Wider slots take the
+    a native word of 1, 2, 4 or 8 bytes (``_WORD_SLOTS``), and both packing
+    (``array(...).tobytes()``) and unpacking (``memoryview.cast``) are
+    C-level loops over words in native byte order.  Wider slots take the
     arbitrary-precision byte path through ``int.to_bytes``.  Either way the
     conversions are linear in the size of the packed integer, so the
     big-integer multiply dominates.
@@ -110,26 +153,8 @@ def _conv_int(a: list[int], b: list[int]) -> list[int]:
     if even:
         a, b = a[::2], b[::2]
     m = len(a) + len(b) - 1
-    w = (min(len(a), len(b)) * top).bit_length() // 8 + 1
-    word = _WORD_SLOTS.get(w)
-    if word:
-        w, code, half, offset, to_slot, from_slot = word
-        data_a = array(code, map(to_slot, a)).tobytes()
-        data_b = array(code, map(to_slot, b)).tobytes()
-    else:
-        half = 1 << (8 * w - 1)
-        offset = half.to_bytes(w, _ORDER)
-        data_a = b"".join([(x + half).to_bytes(w, _ORDER) for x in a])
-        data_b = b"".join([(x + half).to_bytes(w, _ORDER) for x in b])
-    prod = ((int.from_bytes(data_a, _ORDER) - int.from_bytes(offset * len(a), _ORDER))
-            * (int.from_bytes(data_b, _ORDER) - int.from_bytes(offset * len(b), _ORDER))
-            + int.from_bytes(offset * m, _ORDER))
-    data = prod.to_bytes(m * w, _ORDER)
-    if word:
-        coeffs = list(map(from_slot, memoryview(data).cast(code)))
-    else:
-        coeffs = [int.from_bytes(data[i:i + w], _ORDER) - half
-                  for i in range(0, m * w, w)]
+    slot = _slot((min(len(a), len(b)) * top).bit_length() // 8 + 1)
+    coeffs = _unpack(_pack(a, slot) * _pack(b, slot), m, slot)
     if not even:
         return coeffs
     out = [0] * n
@@ -411,6 +436,105 @@ class LaurentPoly:
             else:
                 terms.append(f"{c}*v^{e}")
         return "LaurentPoly(" + " + ".join(terms) + ")"
+
+
+_ZERO = LaurentPoly(())
+
+
+class Operand:
+    """An integer ``LaurentPoly`` prepared for :func:`sum_of_products`.
+
+    Its exponent range, l1 norm and whether it vanishes at every odd offset
+    are computed once; its packing is computed once per slot and stride and
+    kept for the life of the operand.  ``LaurentPoly`` is immutable, so a
+    packing can never go stale.
+    """
+
+    __slots__ = ("poly", "lo", "hi", "norm", "even", "packed")
+
+    def __init__(self, poly: LaurentPoly, norm: int | None = None):
+        coeffs = poly.coeffs
+        self.poly = poly
+        self.lo = poly.min_exp
+        self.hi = poly.min_exp + len(coeffs) - 1
+        self.norm = sum(map(abs, coeffs)) if norm is None else norm
+        self.even = not any(coeffs[1::2])
+        # slot size (stride 2) or minus slot size (stride 1) -> packing
+        self.packed = {}
+
+
+def sum_of_products(terms) -> Operand:
+    """sum of sign * v^shift * op_1 * ... * op_r over ``terms``, exactly.
+
+    ``terms`` holds triples (sign, shift, ops) with sign +1 or -1 and ops a
+    non-empty sequence of :class:`Operand`.  This is signed Kronecker
+    evaluation: every operand is packed at one slot base X (once per operand
+    and slot), each product is a big-integer product moved to its place in
+    the sum by a shift, and the sum is unpacked once.  The packed sum is
+    also the packing of the result at that slot, so the returned operand
+    starts out with it.
+
+    Slot: every coefficient of the sum is bounded in absolute value by
+    sum_terms prod_ops ||op||_1, so a slot of w bytes with that bound below
+    2**(8w-1) holds it in offset binary without borrowing (``_unpack``).
+    Stride compaction: when every operand vanishes at its odd offsets and
+    every term starts at an exponent of the same parity, only even offsets
+    are packed; otherwise every offset is.
+    """
+    bound = 0
+    even = True
+    spans = []
+    for sign, shift, ops in terms:
+        norm = 1
+        start = end = shift
+        for op in ops:
+            norm *= op.norm
+            start += op.lo
+            end += op.hi
+            if not op.even:
+                even = False
+        if norm:
+            bound += norm
+            spans.append((start, end, sign, ops))
+    if not spans:
+        return Operand(_ZERO)
+    lo = min([span[0] for span in spans])
+    hi = max([span[1] for span in spans])
+    if even:
+        even = not any([(span[0] - lo) & 1 for span in spans])
+    stride = 2 if even else 1
+    slot = _slot(bound.bit_length() // 8 + 1)
+    key = slot[0] if even else -slot[0]
+    bits = 8 * slot[0]
+    total = 0
+    for start, _, sign, ops in spans:
+        prod = 1
+        for op in ops:
+            packed = op.packed.get(key)
+            if packed is None:
+                packed = op.packed[key] = _pack(op.poly.coeffs[::stride], slot)
+            prod *= packed
+        prod <<= bits * ((start - lo) // stride)
+        total = total + prod if sign > 0 else total - prod
+    if not total:
+        return Operand(_ZERO)
+    coeffs = _unpack(total, (hi - lo) // stride + 1, slot)
+    # trim the zero slots at both ends; some slot is nonzero
+    first, last = 0, len(coeffs) - 1
+    while not coeffs[first]:
+        first += 1
+    while not coeffs[last]:
+        last -= 1
+    coeffs = coeffs[first:last + 1]
+    norm = sum(map(abs, coeffs))
+    if even:
+        spread = [0] * (2 * len(coeffs) - 1)
+        spread[::2] = coeffs
+        coeffs = spread
+    out = Operand(LaurentPoly._canonical(tuple(coeffs), lo + stride * first, True), norm)
+    # the sum is X^first times the packing of the result at this slot
+    out.packed[key] = total >> bits * first
+    return out
 
 
 def quantum_integer(n: int) -> LaurentPoly:

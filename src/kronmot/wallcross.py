@@ -24,9 +24,21 @@ vector.  Only ``hn_extract`` (the ``kronmot hn`` table) sweeps the triangle
 d+e <= bound.
 
 Internally each coefficient of R at D=(d,e) is stored as an integer Laurent
-polynomial numerator over the fixed denominator (q;q)_d (q;q)_e, q = v^-2;
-the q-binomial rescaling keeps that representation exact throughout, so no
-rational-function gcd is needed in the hot loop.
+polynomial numerator P[D] over the fixed denominator (q;q)_d (q;q)_e,
+q = v^-2; the q-binomial rescaling keeps that representation exact
+throughout, so no rational-function gcd is needed in the hot loop.
+Dividing off the factor of a ray D0 replaces every P[D] with d >= d0 and
+e >= e0 by
+
+    P[D] - sum_k v^twist a_k P[D - k*D0] [d, k*d0]_q [e, k*e0]_q,
+
+and each such update is one packed sum (``exactalg.sum_of_products``):
+every operand is packed into a big integer at a slot width that its l1
+norms prove wide enough, the products are summed as big integers and the
+result is unpacked once.  Each operand keeps its packings for as long as
+it is in use, so a numerator, an a_k or a q-binomial is packed at most
+once per slot width, and an updated P[D] starts out with the packing its
+own sum produced.
 """
 
 from __future__ import annotations
@@ -38,7 +50,7 @@ from typing import NamedTuple
 
 from .errors import (ExactDivisionError, InsufficientBoundError, NonCoprimeError,
                      NonPolynomialError)
-from .exactalg import LaurentPoly, RatFunc
+from .exactalg import LaurentPoly, Operand, RatFunc, sum_of_products
 from .qseries import TruncSeries
 
 
@@ -121,12 +133,22 @@ def _sweep(m: int, vectors) -> dict[DimVector, LaurentPoly]:
     ``vectors`` must be down-closed (with D it holds every D' <= D, compared
     component by component); the factorisation then truncates to it
     exactly, as the module docstring explains.  The final residue check
-    covers the whole set.
+    covers the whole set.  Numerators are held as ``exactalg.Operand`` and
+    each update is one ``sum_of_products``; a new operand replaces P[D],
+    so no packing outlives the value it was made from.
     """
     vectors = sorted(vectors, key=lambda D: (D.d + D.e, D.d))
     present = set(vectors)
-    P = {D: LaurentPoly.monomial(-euler_form(m, D, D)) for D in vectors}
+    P = {D: Operand(LaurentPoly.monomial(-euler_form(m, D, D))) for D in vectors}
     anum = {DimVector(0, 0): LaurentPoly.one()}
+    qbinoms = {}  # (n, k) -> the operand of _qbinom(n, k), for this sweep
+
+    def qbinom(n: int, k: int) -> Operand:
+        op = qbinoms.get((n, k))
+        if op is None:
+            op = qbinoms[n, k] = Operand(_qbinom(n, k))
+        return op
+
     rays = sorted((D for D in vectors if D != (0, 0) and gcd(D.d, D.e) == 1),
                   key=slope_key)
     for D0 in rays:
@@ -135,9 +157,11 @@ def _sweep(m: int, vectors) -> dict[DimVector, LaurentPoly]:
         kd = D0
         while kd in present:
             ray.append(P[kd])
-            anum[kd] = P[kd]
+            anum[kd] = P[kd].poly
             kd = DimVector(kd.d + d0, kd.e + e0)
-        # divide off the slope factor on the left: A_s * P_new = P
+        # divide off the slope factor on the left: A_s * P_new = P, one
+        # packed sum per D; P[D - k*D0] is already P_new, as D - k*D0 comes
+        # first in the order
         for D in vectors:
             d, e = D
             if d < d0 or e < e0:
@@ -145,20 +169,20 @@ def _sweep(m: int, vectors) -> dict[DimVector, LaurentPoly]:
             terms = []
             for k in range(1, min(d // d0 if d0 else e, e // e0 if e0 else d) + 1):
                 an = ray[k]
-                if an.is_zero():
+                if not an.norm:
                     continue
                 D2 = DimVector(d - k * d0, e - k * e0)
                 p2 = P[D2]
-                if p2.is_zero():
+                if not p2.norm:
                     continue
-                rescale = _qbinom(d, k * d0) * _qbinom(e, k * e0)
                 twist = sym_form(m, (k * d0, k * e0), D2)
-                terms.append((an * p2 * rescale).v_shift(twist))
+                terms.append((-1, twist, (an, p2, qbinom(d, k * d0), qbinom(e, k * e0))))
             if terms:
-                P[D] = P[D] - sum(terms[1:], terms[0])
+                terms.append((1, 0, (P[D],)))
+                P[D] = sum_of_products(terms)
     # everything must divide off: the remainder is the constant series 1
     for D in vectors:
-        if D != (0, 0) and not P[D].is_zero():
+        if D != (0, 0) and P[D].norm:
             raise AssertionError(f"wall-crossing sweep left residue at {D}")
     return anum
 

@@ -221,3 +221,19 @@ class TestGSeries:
         gp = g_series(3, 1, 1, 3)
         gm = g_series(3, 1, -1, 4)
         assert list(gp.coeffs) == list(gm.coeffs[1:])
+
+    def test_repeat_served_from_cache(self):
+        first = g_series(4, 3, -1, 4)
+        before = g_series.cache_info()
+        assert g_series(4, 3, -1, 4) is first
+        after = g_series.cache_info()
+        assert after.hits == before.hits + 1
+        assert after.misses == before.misses
+
+    def test_verifiers_reuse_the_series(self):
+        # at m = 2k, corident and newduality both read G^(k),- and G^(k),+
+        g_series.cache_clear()
+        verify_corident(4, 2, 3)
+        verify_newduality(4, 2, 3)
+        info = g_series.cache_info()
+        assert (info.misses, info.hits) == (2, 2)

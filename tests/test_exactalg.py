@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kronmot.errors import NonPolynomialError
-from kronmot.exactalg import LaurentPoly, RatFunc, _conv_int, _mul_int, quantum_integer
+from kronmot.exactalg import (
+    LaurentPoly,
+    Operand,
+    RatFunc,
+    _conv_int,
+    _mul_int,
+    _pack,
+    _slot,
+    quantum_integer,
+    sum_of_products,
+)
 
 V = LaurentPoly.monomial(1)
 VINV = LaurentPoly.monomial(-1)
@@ -284,6 +294,144 @@ class TestWordSlotKernel:
         assert_canonical_int(doubled * ints)
         assert doubled * ints == poly(schoolbook([1, 0, 2, 0, -6, 0, 4, 0, 10],
                                                  list(ints.coeffs)))
+
+
+def shifted_sum(terms):
+    """sum of sign * v^shift * p_1 * ... * p_r by schoolbook, as a LaurentPoly."""
+    total = {}
+    for sign, shift, polys in terms:
+        coeffs, lo = [1], shift
+        for p in polys:
+            coeffs = schoolbook(coeffs, list(p.coeffs))
+            lo += p.min_exp
+        for i, c in enumerate(coeffs):
+            total[lo + i] = total.get(lo + i, 0) + sign * c
+    lo, hi = min(total, default=0), max(total, default=-1)
+    return LaurentPoly([total.get(e, 0) for e in range(lo, hi + 1)], lo)
+
+
+def check_sum(terms):
+    """sum_of_products on ``terms`` agrees with schoolbook; returns its operand."""
+    ops = {}  # one operand per polynomial object, so packings are shared
+    got = sum_of_products([
+        (sign, shift, [ops.setdefault(id(p), Operand(p)) for p in polys])
+        for sign, shift, polys in terms])
+    want = shifted_sum(terms)
+    assert_canonical_int(got.poly)
+    assert (got.poly.min_exp, got.poly.coeffs) == (want.min_exp, want.coeffs)
+    assert got.norm == sum(map(abs, want.coeffs))
+    assert got.even == (not any(want.coeffs[1::2]))
+    # the packing the result starts out with is the one it would be given
+    for key, packed in got.packed.items():
+        stride = 2 if key > 0 else 1
+        assert packed == _pack(got.poly.coeffs[::stride], _slot(abs(key)))
+    return got
+
+
+narrow_or_wide_ints = st.one_of(st.integers(-3, 3), st.integers(-(2**20), 2**20), wide_ints)
+
+
+@st.composite
+def product_sums(draw):
+    """0-4 products of 2-4 operands, plus maybe a single-operand start term.
+
+    Operands vanish at odd offsets ("aligned" and "even") or only sometimes
+    ("mixed"); exponents and shifts are all even ("aligned", the stride-2
+    case) or of any parity.
+    """
+    mode = draw(st.sampled_from(["aligned", "even", "mixed"]))
+    scale = 2 if mode == "aligned" else 1
+
+    def operand():
+        xs = draw(st.lists(narrow_or_wide_ints, max_size=7))
+        if xs and (mode != "mixed" or draw(st.booleans())):
+            xs = spread(xs)
+        return poly(xs, scale * draw(st.integers(-5, 5)))
+
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        sign = draw(st.sampled_from([1, -1]))
+        ops = [operand() for _ in range(draw(st.integers(2, 4)))]
+        terms.append((sign, scale * draw(st.integers(-6, 6)), ops))
+    if draw(st.booleans()):
+        terms.append((1, scale * draw(st.integers(-6, 6)), [operand()]))
+    return terms
+
+
+class TestSumOfProducts:
+    """The signed Kronecker sum against schoolbook products plus shifts."""
+
+    @given(product_sums())
+    def test_matches_schoolbook(self, terms):
+        check_sum(terms)
+
+    # one sum coefficient lands exactly on each side of the largest magnitude
+    # a 1, 2, 4 and 8 byte slot holds, and above 8 bytes; monomial operands
+    # make the l1 bound the slot is sized by exact
+    @pytest.mark.parametrize("limit", [2**7, 2**15, 2**31, 2**63, 2**64, 2**100])
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_slot_width_boundaries(self, limit, delta, sign):
+        c = sign * (limit + delta)
+        one, v2 = poly([1]), poly([1], 2)
+        q, r = divmod(c, 3)
+        for terms in [
+            [(1, 0, [poly([c]), one])],
+            [(-1, 4, [poly([c], -4), one, v2, poly([-1])])],
+            # three products add up to c at v^2
+            [(1, 0, [poly([q]), v2]), (1, 2, [poly([q]), one]),
+             (-1, 1, [poly([-q - r], 1), one, one])],
+            # a start term plus a stride-2 product reaching c at v^0
+            [(1, 0, [poly([c - 1, 0, 5])]), (1, -2, [v2, poly([1]), poly([1, 0, -1])])],
+            # odd and even offsets or exponents: the full-stride path
+            [(1, 0, [poly([c]), one]), (-1, 1, [poly([c // 2, -1]), one, v2])],
+            [(1, 0, [poly([c, 0, 1]), v2]), (-1, 1, [poly([c // 2]), one, v2])],
+        ]:
+            check_sum(terms)
+
+    @pytest.mark.parametrize("bits", [6, 7, 8, 14, 15, 16, 30, 31, 32, 62, 63, 64, 65])
+    def test_dense_sums_at_slot_width_boundaries(self, bits):
+        # dense sums whose l1 bound is 48x (just above 2**bits) and 30x (below
+        # it), for bits on both sides of each slot size
+        x = (1 << bits) // 45
+        a, b = poly([x] * 5), poly(spread([1] * 3))
+        check_sum([(1, 0, [a, b]), (1, 0, [b, a]), (-1, 2, [poly([-x, 0, -x]), b, b])])
+        check_sum([(1, 0, [poly(spread([x] * 5)), b]), (1, 1, [poly([x] * 5), b])])
+
+    def test_empty_and_zero_terms(self):
+        assert sum_of_products([]).poly == LaurentPoly.zero()
+        zero = Operand(LaurentPoly.zero())
+        some = Operand(poly([3, 0, 1], -2))
+        assert sum_of_products([(1, 5, [some, zero]), (-1, 0, [zero])]).poly.is_zero()
+        assert sum_of_products([(1, 5, [some, zero]), (1, -1, [some, some])]).poly == \
+            (some.poly * some.poly).v_shift(-1)
+
+    def test_sums_that_cancel(self):
+        p = poly([7, 0, -3, 0, 2**70], -6)
+        q = poly([1, 0, -1], 2)
+        assert check_sum([(1, 0, [p, q]), (-1, 0, [q, p])]).poly.is_zero()
+        assert check_sum([(1, 0, [p]), (-1, 3, [p, poly([1], -3)])]).poly.is_zero()
+        # the low and high ends cancel; the packing starts at the new low end
+        one = LaurentPoly.one()
+        got = check_sum([(1, 0, [poly([5, 0, 1, 0, 9])]), (-1, 0, [poly([5]), one]),
+                         (-1, 4, [poly([9]), one])])
+        assert (got.poly.min_exp, got.poly.coeffs) == (2, (1,))
+        got = check_sum([(1, 0, [poly([2**64, 0, -3, 0, 8, 0, 1])]),
+                         (-1, -2, [poly([2**64], 2), one])])
+        assert got.poly.min_exp == 2
+
+    def test_operands_are_packed_once_per_slot(self):
+        a = Operand(poly(spread([1, 2, 3]), -2))
+        sum_of_products([(1, 0, [a, a]), (1, 2, [a, a, a])])
+        # bound 6*6 + 6**3 = 252 needs 2 bytes; stride 2 keys are positive
+        assert list(a.packed) == [2]
+        first = a.packed[2]
+        sum_of_products([(1, 0, [a, a, a]), (-1, 2, [a])])
+        assert a.packed == {2: first} and a.packed[2] is first
+        # mixed parity adds the full-stride packing beside it
+        sum_of_products([(1, 1, [a, a]), (1, 0, [a])])
+        assert sorted(a.packed) == [-1, 2]
+
 
 def plain_divexact(num, den):
     """Long division touching every divisor term, zeros included."""

@@ -215,6 +215,86 @@ class TestCovering:
             moduli_motive(0, 400, 601)
 
 
+def per_term_sweep(m, vectors):
+    """The sweep as it was before the packed sums: one Laurent product per term.
+
+    Kept verbatim as an independent reference for ``wallcross._sweep``: every
+    correction term a_k * P[D-kD0] * [d, kd0]_q * [e, ke0]_q * v^twist is
+    formed with ``LaurentPoly.__mul__`` and the terms are summed one by one.
+    """
+    from kronmot.wallcross import DimVector, _qbinom, slope_key
+
+    vectors = sorted(vectors, key=lambda D: (D.d + D.e, D.d))
+    present = set(vectors)
+    P = {D: LaurentPoly.monomial(-euler_form(m, D, D)) for D in vectors}
+    anum = {DimVector(0, 0): LaurentPoly.one()}
+    rays = sorted((D for D in vectors if D != (0, 0) and gcd(D.d, D.e) == 1),
+                  key=slope_key)
+    for D0 in rays:
+        d0, e0 = D0
+        ray = [None]
+        kd = D0
+        while kd in present:
+            ray.append(P[kd])
+            anum[kd] = P[kd]
+            kd = DimVector(kd.d + d0, kd.e + e0)
+        for D in vectors:
+            d, e = D
+            if d < d0 or e < e0:
+                continue
+            terms = []
+            for k in range(1, min(d // d0 if d0 else e, e // e0 if e0 else d) + 1):
+                an = ray[k]
+                if an.is_zero():
+                    continue
+                D2 = DimVector(d - k * d0, e - k * e0)
+                p2 = P[D2]
+                if p2.is_zero():
+                    continue
+                rescale = _qbinom(d, k * d0) * _qbinom(e, k * e0)
+                twist = sym_form(m, (k * d0, k * e0), D2)
+                terms.append((an * p2 * rescale).v_shift(twist))
+            if terms:
+                P[D] = P[D] - sum(terms[1:], terms[0])
+    for D in vectors:
+        if D != (0, 0) and not P[D].is_zero():
+            raise AssertionError(f"wall-crossing sweep left residue at {D}")
+    return anum
+
+
+ORACLE_BOUND = 12
+
+
+class TestSweepOracle:
+    """The packed-sum sweep against the per-term reference.
+
+    The reference runs once per m on the triangle d+e <= 12, which holds
+    every vector below; a_D does not depend on the down-closed set swept
+    (module docstring of ``wallcross``, and ``TestCovering``), so each box
+    and triangle inside it is compared vector by vector against that run.
+    """
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_matches_per_term_sweep(self, m):
+        triangle = [(d, ORACLE_BOUND - d) for d in range(ORACLE_BOUND + 1)]
+        want = per_term_sweep(m, wallcross._down_closure(triangle))
+        sets = [[(d, e)] for d in range(ORACLE_BOUND + 1)
+                for e in range(ORACLE_BOUND + 1 - d)]
+        sets += [[(d, b - d) for d in range(b + 1)] for b in range(ORACLE_BOUND + 1)]
+        for vectors in sets:
+            closure = wallcross._down_closure(vectors)
+            got = wallcross._sweep(m, closure)
+            assert sorted(got) == sorted(closure)
+            for D in closure:
+                assert got[D] == want[D], (m, vectors, D)
+
+    def test_wide_slots_match_per_term_sweep(self):
+        # some sums of this box need 8 byte slots; the sets with d+e <= 12
+        # and m <= 5 above need at most 4
+        closure = wallcross._down_closure([(10, 11)])
+        assert wallcross._sweep(8, closure) == per_term_sweep(8, closure)
+
+
 class TestSmallQuivers:
     """Cases known in closed form, written down by hand."""
 
