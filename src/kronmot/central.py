@@ -10,13 +10,19 @@ over integer Laurent polynomials:
 
 - ``framed_recursion``: m_d = [(m-1)d+1]_v / [d]_v times the t^(d-1)
   coefficient of prod_{i=1}^{m-1} F(v^(m-2i) t), the partial products
-  extended by one coefficient per degree.
+  extended by one coefficient per degree.  Each partial-product
+  coefficient is one packed sum of products (``exactalg.sum_of_products``)
+  over the motives, each wrapped once as an ``exactalg.Operand``; the
+  prefactor takes its binomial form (``_quantum_ratio``), linear in the
+  length of the coefficient.
 - ``solve_functional_eq``: one online pass over
   F * prod_{i=1}^m (1 - v^(2i-m-1) t prod_{j=1}^{m-2} F(v^(2i-2j-2) t)) = 1,
   then a check of F against the right-hand side evaluated directly.
 
-Both cost O(m * order^2) Laurent-polynomial products; the check costs
-O(m * order^2) series-coefficient products and m series inverses.
+Both cost O(m * order^2) Laurent-polynomial products: the recursion as
+O(m * order) packed sums of at most order products each, the online pass
+one ``LaurentPoly`` product per term.  The check costs O(m * order^2)
+series-coefficient products and m series inverses.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ExactDivisionError, NoConvergenceError, NonPolynomialError
-from .exactalg import LaurentPoly, RatFunc, quantum_integer
+from .exactalg import LaurentPoly, Operand, RatFunc, sum_of_products
 from .qseries import TruncSeries, delta_invert, product_coeff
 from .wallcross import MotiveTable
 
@@ -36,28 +42,45 @@ def _require_central_m(m: int):
         raise ValueError("central-slope series need m >= 3")
 
 
+def _quantum_ratio(c: LaurentPoly, a: int, d: int) -> LaurentPoly:
+    """c * [a]_v / [d]_v for a, d >= 1, as an exact Laurent polynomial.
+
+    [a]_v / [d]_v = v^(a-d) (1 - v^(-2a)) / (1 - v^(-2d)), so this is one
+    subtraction and one division by a two-term divisor, each linear in the
+    length of c.  Both sides are the same rational function, so this raises
+    ``NonPolynomialError`` exactly when c * [a]_v leaves a remainder on
+    division by [d]_v.
+    """
+    binom = LaurentPoly.one() - LaurentPoly.monomial(-2 * d)
+    return (c - c.v_shift(-2 * a)).divexact(binom).v_shift(a - d)
+
+
 @lru_cache(maxsize=None)
 def _framed_motives(m: int, order: int) -> tuple[LaurentPoly, ...]:
     _require_central_m(m)
     motives = [LaurentPoly.one()]
-    # scaled[k][j] is the t^j coefficient of F(v^(m-2k-2) t); partial[k] holds
-    # the coefficients of prod_{i=1}^{k+1} F(v^(m-2i) t) computed so far
-    scaled = [[] for _ in range(m - 1)]
+    ops = [Operand(motives[0])]  # ops[j] wraps motives[j]
+    # partial[k][n] = (shift, operand): the t^n coefficient of
+    # prod_{i=1}^{k+1} F(v^(m-2i) t) is v^shift times the operand; the first
+    # factor is F(v^(m-2) t) itself, whose t^n coefficient is m_n v^((m-2)n)
     partial = [[] for _ in range(m - 1)]
     for d in range(1, order + 1):
         n = d - 1
-        for k in range(m - 1):
-            scaled[k].append(motives[n].v_shift((m - 2 * k - 2) * n))
-        partial[0].append(scaled[0][n])
+        partial[0].append(((m - 2) * n, ops[n]))
         for k in range(1, m - 1):
-            partial[k].append(product_coeff(partial[k - 1], scaled[k], n))
-        num = partial[-1][n] * quantum_integer((m - 1) * d + 1)
+            s = m - 2 * k - 2
+            prev = partial[k - 1]
+            partial[k].append((0, sum_of_products(
+                [(1, prev[n - j][0] + s * j, (prev[n - j][1], ops[j]))
+                 for j in range(n + 1)])))
+        c = partial[-1][n][1].poly  # m >= 3, so partial[-1] has shift 0
         try:
-            motives.append(num.divexact(quantum_integer(d)))
+            motives.append(_quantum_ratio(c, (m - 1) * d + 1, d))
         except NonPolynomialError as exc:
             raise ExactDivisionError(
                 f"prefactor division failed at m={m}, d={d}"
             ) from exc
+        ops.append(Operand(motives[d]))
     return tuple(motives)
 
 
@@ -69,7 +92,13 @@ def framed_recursion(m: int, order: int) -> TruncSeries:
     needs m_0..m_(d-1) only, so the m-2 partial products are extended by one
     coefficient per degree: O(m * order^2) products of integer Laurent
     polynomials instead of a sum over all C(d+m-3, m-2) compositions of d-1.
-    The motives are cached per (m, order).
+    Each new coefficient of a partial product is one packed Kronecker sum
+    (``exactalg.sum_of_products``) whose terms carry the v-shifts of the
+    rescaled factor, so the m-1 rescaled copies of F are never formed.  The
+    prefactor is applied as v^(a-d) (1 - v^(-2a)) / (1 - v^(-2d)),
+    a = (m-1)d+1: one subtraction and one exact division by a two-term
+    divisor, where a product by [a]_v and a division by [d]_v would cost
+    O(d) per coefficient.  The motives are cached per (m, order).
     """
     return TruncSeries(list(_framed_motives(m, order)), order)
 

@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given, strategies as st
 
+from kronmot import exactalg
 from kronmot.central import (
     CentralSeriesPair,
+    _framed_motives,
+    _quantum_ratio,
     extract_G,
     framed_recursion,
     g_series,
@@ -13,10 +17,10 @@ from kronmot.central import (
     verify_newduality,
     verify_vdifference,
 )
-from kronmot.errors import NonZeroConstantError
+from kronmot.errors import NonPolynomialError, NonZeroConstantError
 from kronmot.eulerchar import chi_framed_closed, chi_from_motive
 from kronmot.exactalg import LaurentPoly, RatFunc, quantum_integer
-from kronmot.qseries import TruncSeries
+from kronmot.qseries import TruncSeries, product_coeff
 from kronmot.wallcross import MotiveTable, framed_via_quotient
 
 
@@ -101,6 +105,85 @@ class TestIndependentOracles:
             for d in range(9):
                 chi = chi_from_motive(F.coeffs[d].to_laurent())
                 assert chi == chi_framed_closed(m, d), (m, d)
+
+
+def per_product_framed(m, order):
+    """The recursion with one LaurentPoly product per term (qseries.product_coeff)
+    and the prefactor as a product by [(m-1)d+1]_v and a division by [d]_v."""
+    motives = [LaurentPoly.one()]
+    # scaled[k][j] is the t^j coefficient of F(v^(m-2k-2) t); partial[k] holds
+    # the coefficients of prod_{i=1}^{k+1} F(v^(m-2i) t) computed so far
+    scaled = [[] for _ in range(m - 1)]
+    partial = [[] for _ in range(m - 1)]
+    for d in range(1, order + 1):
+        n = d - 1
+        for k in range(m - 1):
+            scaled[k].append(motives[n].v_shift((m - 2 * k - 2) * n))
+        partial[0].append(scaled[0][n])
+        for k in range(1, m - 1):
+            partial[k].append(product_coeff(partial[k - 1], scaled[k], n))
+        num = partial[-1][n] * quantum_integer((m - 1) * d + 1)
+        motives.append(num.divexact(quantum_integer(d)))
+    return tuple(motives)
+
+
+# the largest order per m in the framed-recursion benchmark pool
+POOL_ORDERS = {3: 22, 4: 18, 5: 13, 6: 10, 7: 8, 8: 7, 9: 7, 10: 6}
+
+
+class TestPackedRecursion:
+    @pytest.mark.parametrize("m", sorted(POOL_ORDERS))
+    def test_matches_per_product_recursion(self, m):
+        reference = per_product_framed(m, POOL_ORDERS[m])
+        for order in range(POOL_ORDERS[m] + 1):
+            assert _framed_motives(m, order) == reference[:order + 1], order
+
+    def test_matches_on_wide_slots(self, monkeypatch):
+        widths = []
+        slot = exactalg._slot
+
+        def recording_slot(w):
+            widths.append(w)
+            return slot(w)
+
+        monkeypatch.setattr(exactalg, "_slot", recording_slot)
+        # the uncached solver, so the sums run under the wrapped _slot
+        got = _framed_motives.__wrapped__(30, 10)
+        monkeypatch.undo()
+        assert max(widths) > 8  # the arbitrary-precision byte path
+        assert got == per_product_framed(30, 10)
+
+
+@st.composite
+def prefactor_cases(draw):
+    """(p, a, d): an integer LaurentPoly p, times [k]_v so that p * [a]_v is
+    sometimes divisible by [d]_v without p being so, and 1 <= a, d <= 40."""
+    coeffs = draw(st.lists(st.integers(-50, 50), max_size=12))
+    r = LaurentPoly(coeffs, draw(st.integers(-30, 30)))
+    p = r * quantum_integer(draw(st.integers(1, 40)))
+    return p, draw(st.integers(1, 40)), draw(st.integers(1, 40))
+
+
+def _outcome(f):
+    try:
+        return f()
+    except NonPolynomialError:
+        return NonPolynomialError
+
+
+class TestQuantumRatio:
+    @given(prefactor_cases())
+    def test_matches_product_then_division(self, case):
+        p, a, d = case
+        want = _outcome(lambda: (p * quantum_integer(a)).divexact(quantum_integer(d)))
+        assert _outcome(lambda: _quantum_ratio(p, a, d)) == want
+
+    def test_both_outcomes(self):
+        # [6]_v = [2]_v (v^4 + 1 + v^-4)
+        p = LaurentPoly([1, 0, 0, 0, 1, 0, 0, 0, 1], -4)
+        assert _quantum_ratio(p, 2, 6) == LaurentPoly.one()
+        with pytest.raises(NonPolynomialError):
+            _quantum_ratio(LaurentPoly.one(), 4, 3)
 
 
 class TestFunctionalEquation:
