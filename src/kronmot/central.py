@@ -17,22 +17,27 @@ over integer Laurent polynomials:
   length of the coefficient.
 - ``solve_functional_eq``: one online pass over
   F * prod_{i=1}^m (1 - v^(2i-m-1) t prod_{j=1}^{m-2} F(v^(2i-2j-2) t)) = 1,
-  then a check of F against the right-hand side evaluated directly.
+  each partial-product coefficient one packed sum like the recursion's,
+  then a check of F against the right-hand side evaluated directly.  The
+  check runs over integer series (``TruncSeries.laurent``): every series
+  it inverts has constant term 1, so it needs no division, and F is lifted
+  to ``RatFunc`` coefficients only once it has passed.
 
-Both cost O(m * order^2) Laurent-polynomial products: the recursion as
-O(m * order) packed sums of at most order products each, the online pass
-one ``LaurentPoly`` product per term.  The check costs O(m * order^2)
-series-coefficient products and m series inverses.
+Both cost O(m * order^2) Laurent-polynomial products in O(m * order)
+packed sums of at most order+1 products each.  The check costs
+O(m * order^2) integer series-coefficient products, again as packed sums,
+and m series inverses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 
 from .errors import ExactDivisionError, NoConvergenceError, NonPolynomialError
 from .exactalg import LaurentPoly, Operand, RatFunc, sum_of_products
-from .qseries import TruncSeries, delta_invert, product_coeff
+from .qseries import TruncSeries, delta_invert
 from .wallcross import MotiveTable
 
 
@@ -108,18 +113,20 @@ def _functional_rhs(m: int, F: TruncSeries) -> TruncSeries:
 
     inner_i(t) = prod_{j=1}^{m-2} F(v^(2i-2j-2) t) is H(v^(2i-2) t) for
     H(t) = prod_{j=1}^{m-2} F(v^(-2j) t), so H is built once and rescaled.
+    F must be an integral series (``TruncSeries.laurent``); every factor
+    1 - v^(2i-m-1) t H(v^(2i-2) t) has constant term 1, so H, the factors,
+    their inverses and the result all stay integral.
     """
-    order = F.order
-    H = TruncSeries.one(order)
-    for j in range(1, m - 1):
+    one = TruncSeries.laurent([LaurentPoly.one()], F.order)
+    H = F.scale_arg(-2)  # m >= 3, so H has at least one factor
+    for j in range(2, m - 1):
         H = H * F.scale_arg(-2 * j)
-    result = TruncSeries.one(order)
-    for i in range(1, m + 1):
-        factor = TruncSeries.one(order) - H.scale_arg(2 * i - 2).shift_t(
-            LaurentPoly.monomial(2 * i - m - 1)
-        )
-        result = result * factor.inverse()
-    return result
+    inverses = [
+        (one - H.scale_arg(2 * i - 2).shift_t(LaurentPoly.monomial(2 * i - m - 1)))
+        .inverse()
+        for i in range(1, m + 1)
+    ]
+    return reduce(mul, inverses)
 
 
 def solve_functional_eq(m: int, order: int) -> TruncSeries:
@@ -131,41 +138,45 @@ def solve_functional_eq(m: int, order: int) -> TruncSeries:
     needs F only up to degree n-1.  One online pass (a relaxed solve) over
     integer Laurent polynomials therefore extends the partial products of H
     and D by one coefficient per degree and reads F_n off F * D = 1:
-    F_n = -sum_{k=1}^n D_k F_(n-k).  That is O(m * order^2) products; the
-    solution is then checked against the right-hand side evaluated directly.
+    F_n = -sum_{k=1}^n D_k F_(n-k).  Each new coefficient is one packed sum
+    of products (``exactalg.sum_of_products``) over the coefficients, each
+    wrapped once as an ``exactalg.Operand``, whose terms carry the v-shifts
+    of the rescaled factors, so no rescaled copy of F or H is formed.  That
+    is O(m * order^2) products in O(m * order) sums; the solution is then
+    checked against the right-hand side evaluated directly over integer
+    series, and lifted to RatFunc coefficients once it passes.
     """
     _require_central_m(m)
-    F = [LaurentPoly.one()]
-    # scaled[j][a]: t^a coefficient of F(v^(-2j-2) t); inner[j]: coefficients
-    # of prod_{l=1}^{j+1} F(v^(-2l) t), so inner[-1] is H
-    scaled = [[] for _ in range(m - 2)]
+    F = [Operand(LaurentPoly.one())]
+    # inner[j][a] = (shift, operand): the t^a coefficient of
+    # prod_{l=1}^{j+1} F(v^(-2l) t) is v^shift times the operand, so
+    # inner[-1] holds H; denom[i][n]: the t^n coefficient of
+    # prod_{l=0}^{i} (1 - v^(2l-m+1) t H(v^(2l) t)), so denom[-1] holds D
     inner = [[] for _ in range(m - 2)]
-    # factor[i][a]: t^a coefficient of 1 - v^(2i-m+1) t H(v^(2i) t), i = 0..m-1;
-    # denom[i]: coefficients of the product of factor[0..i]
-    factor = [[LaurentPoly.one()] for _ in range(m)]
-    denom = [[LaurentPoly.one()] for _ in range(m)]
+    denom = [[F[0]] for _ in range(m)]
     for n in range(1, order + 1):
         a = n - 1
-        for j in range(m - 2):
-            scaled[j].append(F[a].v_shift(-2 * (j + 1) * a))
-        inner[0].append(scaled[0][a])
+        inner[0].append((-2 * a, F[a]))
         for j in range(1, m - 2):
-            inner[j].append(product_coeff(inner[j - 1], scaled[j], a))
-        h = -inner[-1][a]
-        for i in range(m):
-            factor[i].append(h.v_shift(2 * i - m + 1 + 2 * i * a))
-        denom[0].append(factor[0][n])
+            inner[j].append((0, sum_of_products(
+                [(1, shift - 2 * (j + 1) * b, (op, F[b]))
+                 for b, (shift, op) in enumerate(inner[j - 1][a::-1])])))
+        H = inner[-1]
+        # factor l has t^k coefficient -v^(2lk-m+1) H_(k-1) for k >= 1
+        denom[0].append(sum_of_products([(-1, H[a][0] + 1 - m, (H[a][1],))]))
         for i in range(1, m):
-            denom[i].append(product_coeff(denom[i - 1], factor[i], n))
+            prev = denom[i - 1]
+            denom[i].append(sum_of_products(
+                [(1, 0, (prev[n],))]
+                + [(-1, H[k - 1][0] + 2 * i * k - m + 1, (prev[n - k], H[k - 1][1]))
+                   for k in range(1, n + 1)]))
         D = denom[-1]
-        acc = LaurentPoly.zero()
-        for k in range(1, n + 1):
-            acc = acc + D[k] * F[n - k]
-        F.append(-acc)
-    F = TruncSeries(F, order)
+        F.append(sum_of_products(
+            [(-1, 0, (D[k], F[n - k])) for k in range(1, n + 1)]))
+    F = TruncSeries.laurent([op.poly for op in F], order)
     if _functional_rhs(m, F) != F:
         raise NoConvergenceError(f"fixed point did not stabilize at m={m}")
-    return F
+    return TruncSeries(F.coeffs, order)
 
 
 def _scaled_product(m: int, F: TruncSeries) -> TruncSeries:
@@ -266,6 +277,7 @@ def verify_vdifference(m: int, order: int) -> list[dict]:
 def verify_funceq(m: int, order: int) -> list[dict]:
     """F from the recursion satisfies the algebraic functional equation."""
     F = framed_recursion(m, order)
+    F = TruncSeries.laurent([c.to_laurent() for c in F.coeffs], order)
     return [_report("funceq", m, None, order, F, _functional_rhs(m, F))]
 
 

@@ -726,6 +726,9 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a Laurent-valued RatFunc equals its numerator, so hashes as it
+        if self.is_laurent():
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __add__(self, other):

@@ -1,15 +1,33 @@
-"""Truncated power series in t with RatFunc coefficients.
+"""Truncated power series in t over one of two coefficient rings.
 
-Carries the argument rescaling t -> v^p t and the coefficientwise
-q-difference operators used throughout the central-slope identities.
+- ``TruncSeries(coeffs, order)`` lifts every coefficient to ``RatFunc``;
+  this is the ring of every series the package returns.
+- ``TruncSeries.laurent(polys, order)`` keeps integer ``LaurentPoly``
+  coefficients.  ``+``, ``-``, ``*``, ``scale_arg``, ``shift_t``, ``delta``
+  and ``nabla`` of integral series stay integral, and so does the inverse
+  of an integral series with constant term 1, which needs no division.  A
+  ``RatFunc`` operand or scalar lifts the result to ``RatFunc``; so does
+  inverting an integral series with any other constant term.  Each
+  coefficient of an integral product or inverse is one packed sum of
+  products (``exactalg.sum_of_products``) over coefficients wrapped once
+  as ``exactalg.Operand``.
+
+The two rings compare equal and hash alike coefficient by coefficient, so a
+series equals its lift.  Carries the argument rescaling t -> v^p t and the
+coefficientwise q-difference operators used throughout the central-slope
+identities.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, neg
 
 from .errors import NonPolynomialError, NonZeroConstantError, NotInvertibleError
-from .exactalg import LaurentPoly, RatFunc, quantum_integer
+from .exactalg import LaurentPoly, Operand, RatFunc, quantum_integer, sum_of_products
+
+_ZERO = LaurentPoly.zero()
+_ONE = LaurentPoly.one()
 
 
 def _lift(x) -> RatFunc:
@@ -20,11 +38,30 @@ def _lift(x) -> RatFunc:
     raise TypeError(f"cannot use {x!r} as a series coefficient")
 
 
+def _integral(x) -> bool:
+    """True iff ``x`` is an integer Laurent polynomial."""
+    return isinstance(x, LaurentPoly) and x._ints
+
+
+def _scalar(x, integral: bool):
+    """``x`` as a coefficient of a series in the ring ``integral`` names:
+    an int or integer LaurentPoly stays in the integral ring, anything else
+    is lifted to RatFunc."""
+    if integral:
+        if type(x) is int:
+            return LaurentPoly((x,))
+        if _integral(x):
+            return x
+    return _lift(x)
+
+
 class TruncSeries:
     """Power series in t, truncated at a fixed order.
 
     ``coeffs[d]`` is the coefficient of t^d; binary operations truncate to
-    the smaller order of the two operands.
+    the smaller order of the two operands.  The coefficients are all
+    ``RatFunc`` or, for a series made by :meth:`laurent` and the operations
+    that keep it integral, all integer ``LaurentPoly``.
     """
 
     __slots__ = ("order", "coeffs")
@@ -44,6 +81,26 @@ class TruncSeries:
         raise AttributeError("TruncSeries is immutable")
 
     @classmethod
+    def _make(cls, coeffs, order: int) -> "TruncSeries":
+        """Wrap order+1 coefficients of one ring, unchecked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "order", order)
+        object.__setattr__(out, "coeffs", tuple(coeffs))
+        return out
+
+    @classmethod
+    def laurent(cls, polys, order: int) -> "TruncSeries":
+        """An integral series: integer ``LaurentPoly`` coefficients, kept
+        as they are and padded with zeros up to ``order``."""
+        if order < 0:
+            raise ValueError("order must be >= 0")
+        polys = list(polys)[: order + 1]
+        for p in polys:
+            if not _integral(p):
+                raise TypeError(f"{p!r} is not an integer LaurentPoly")
+        return cls._make(polys + [_ZERO] * (order + 1 - len(polys)), order)
+
+    @classmethod
     def constant(cls, c, order: int) -> "TruncSeries":
         return cls([c], order)
 
@@ -54,6 +111,17 @@ class TruncSeries:
     @classmethod
     def zero(cls, order: int) -> "TruncSeries":
         return cls.constant(0, order)
+
+    def is_integral(self) -> bool:
+        """True iff the coefficients are integer ``LaurentPoly``s."""
+        return type(self.coeffs[0]) is LaurentPoly
+
+    def _constant_like(self, x) -> "TruncSeries":
+        """The constant series x at this order, in this series' ring if x
+        belongs to it, else over RatFunc."""
+        c = _scalar(x, self.is_integral())
+        zero = _ZERO if type(c) is LaurentPoly else RatFunc.zero()
+        return TruncSeries._make([c] + [zero] * self.order, self.order)
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
@@ -66,24 +134,24 @@ class TruncSeries:
     def truncate(self, order: int) -> "TruncSeries":
         if order >= self.order:
             return self
-        return TruncSeries(list(self.coeffs[: order + 1]), order)
+        return TruncSeries._make(self.coeffs[: order + 1], order)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, LaurentPoly, RatFunc)):
-            other = TruncSeries.constant(other, self.order)
+            other = self._constant_like(other)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        return TruncSeries([self.coeffs[d] + other.coeffs[d] for d in range(n + 1)], n)
+        return TruncSeries._make(map(add, self.coeffs[: n + 1], other.coeffs), n)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries([-c for c in self.coeffs], self.order)
+        return TruncSeries._make(map(neg, self.coeffs), self.order)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, LaurentPoly, RatFunc)):
-            other = TruncSeries.constant(other, self.order)
+            other = self._constant_like(other)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         return self + (-other)
@@ -93,46 +161,63 @@ class TruncSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, LaurentPoly, RatFunc)):
-            c = _lift(other)
-            return TruncSeries([x * c for x in self.coeffs], self.order)
+            c = _scalar(other, self.is_integral())
+            return TruncSeries._make([x * c for x in self.coeffs], self.order)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        return TruncSeries(
+        if self.is_integral() and other.is_integral():
+            a = [Operand(c) for c in self.coeffs[: n + 1]]
+            b = [Operand(c) for c in other.coeffs[: n + 1]]
+            return TruncSeries._make(
+                [_dot(1, a[d::-1], b).poly for d in range(n + 1)], n)
+        return TruncSeries._make(
             [product_coeff(self.coeffs, other.coeffs, d) for d in range(n + 1)], n)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "TruncSeries":
-        """Multiplicative inverse; the constant term must be nonzero."""
+        """Multiplicative inverse; the constant term must be nonzero.
+
+        An integral series with constant term 1 inverts in the integral
+        ring by out[d+1] = -sum_j tail[d-j] out[j], with no division; any
+        other series inverts over RatFunc.
+        """
         c0 = self.coeffs[0]
         if c0.is_zero():
             raise NotInvertibleError("constant term is zero")
+        if type(c0) is LaurentPoly and c0 == _ONE:
+            tail = [Operand(c) for c in self.coeffs[1:]]
+            out = [Operand(c0)]
+            for d in range(self.order):
+                out.append(_dot(-1, tail[d::-1], out))
+            return TruncSeries._make([op.poly for op in out], self.order)
         inv0 = RatFunc.one() / c0
         out = [inv0]
         tail = self.coeffs[1:]
         for d in range(self.order):
             out.append(-inv0 * product_coeff(tail, out, d))
-        return TruncSeries(out, self.order)
+        return TruncSeries._make(out, self.order)
 
     def scale_arg(self, p: int) -> "TruncSeries":
         """Substitute t -> v^p t."""
         if p == 0:
             return self
-        return TruncSeries(
+        return TruncSeries._make(
             [c.v_shift(p * d) for d, c in enumerate(self.coeffs)], self.order
         )
 
     def shift_t(self, scalar=1) -> "TruncSeries":
         """Multiply by scalar * t, truncating at the same order."""
-        c = _lift(scalar)
-        return TruncSeries(
-            [RatFunc.zero()] + [x * c for x in self.coeffs[: self.order]], self.order
+        c = _scalar(scalar, self.is_integral())
+        zero = _ZERO if type(c) is LaurentPoly else RatFunc.zero()
+        return TruncSeries._make(
+            [zero] + [x * c for x in self.coeffs[: self.order]], self.order
         )
 
     def delta(self) -> "TruncSeries":
         """Coefficient of t^d multiplied by the quantum integer [d]_v."""
-        return TruncSeries(
+        return TruncSeries._make(
             [c * quantum_integer(d) for d, c in enumerate(self.coeffs)], self.order
         )
 
@@ -140,13 +225,15 @@ class TruncSeries:
         """Coefficient of t^d multiplied by [kd+1]_v, the motive of P^(kd)."""
         if k < 0:
             raise ValueError("nabla requires k >= 0")
-        return TruncSeries(
+        return TruncSeries._make(
             [c * quantum_integer(k * d + 1) for d, c in enumerate(self.coeffs)],
             self.order,
         )
 
     def to_json(self) -> dict:
-        return {"order": self.order, "coeffs": [c.to_json() for c in self.coeffs]}
+        """The series over RatFunc, whichever ring holds it."""
+        return {"order": self.order,
+                "coeffs": [RatFunc.of(c).to_json() for c in self.coeffs]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "TruncSeries":
@@ -154,6 +241,12 @@ class TruncSeries:
 
     def __repr__(self):
         return f"TruncSeries(order={self.order}, coeffs={list(self.coeffs)!r})"
+
+
+def _dot(sign: int, a, b) -> Operand:
+    """sign * sum_j a[j] * b[j] over the shorter of two ``Operand`` lists,
+    as one packed sum (``exactalg.sum_of_products``)."""
+    return sum_of_products([(sign, 0, pair) for pair in zip(a, b)])
 
 
 def product_coeff(a, b, n: int):

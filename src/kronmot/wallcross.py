@@ -91,14 +91,13 @@ def _poch(n: int) -> LaurentPoly:
     return _poch(n - 1) * (LaurentPoly.one() - LaurentPoly.monomial(-2 * n))
 
 
-@lru_cache(maxsize=None)
-def _qbinom(n: int, k: int) -> LaurentPoly:
-    """Gaussian binomial [n choose k] in q = v^(-2), by the Pascal recursion."""
-    if k < 0 or k > n:
-        return LaurentPoly.zero()
-    if k == 0 or k == n:
-        return LaurentPoly.one()
-    return _qbinom(n - 1, k - 1) + _qbinom(n - 1, k).v_shift(-2 * k)
+def _qbinom_row(prev: list[LaurentPoly]) -> list[LaurentPoly]:
+    """Gaussian binomials [n choose k] in q = v^(-2), k = 0..n, from the
+    row for n-1 by the Pascal recursion [n, k] = [n-1, k-1] + q^k [n-1, k]."""
+    n = len(prev)
+    return ([LaurentPoly.one()]
+            + [prev[k - 1] + prev[k].v_shift(-2 * k) for k in range(1, n)]
+            + [LaurentPoly.one()])
 
 
 def a_coeff(m: int, D) -> RatFunc:
@@ -141,12 +140,17 @@ def _sweep(m: int, vectors) -> dict[DimVector, LaurentPoly]:
     present = set(vectors)
     P = {D: Operand(LaurentPoly.monomial(-euler_form(m, D, D))) for D in vectors}
     anum = {DimVector(0, 0): LaurentPoly.one()}
-    qbinoms = {}  # (n, k) -> the operand of _qbinom(n, k), for this sweep
+    # Pascal rows of Gaussian binomials and their operands, for this sweep
+    # only: rows[n][k] is [n choose k] in q, qbinoms[n, k] wraps it
+    rows = [[LaurentPoly.one()]]
+    qbinoms = {}
 
     def qbinom(n: int, k: int) -> Operand:
         op = qbinoms.get((n, k))
         if op is None:
-            op = qbinoms[n, k] = Operand(_qbinom(n, k))
+            while len(rows) <= n:
+                rows.append(_qbinom_row(rows[-1]))
+            op = qbinoms[n, k] = Operand(rows[n][k])
         return op
 
     rays = sorted((D for D in vectors if D != (0, 0) and gcd(D.d, D.e) == 1),

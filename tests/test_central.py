@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from kronmot import exactalg
+from kronmot import central, exactalg
 from kronmot.central import (
     CentralSeriesPair,
     _framed_motives,
+    _functional_rhs,
     _quantum_ratio,
     extract_G,
     framed_recursion,
@@ -197,6 +198,57 @@ class TestFunctionalEquation:
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_matches_recursion(self, m):
         assert solve_functional_eq(m, 4) == framed_recursion(m, 4)
+
+
+def rhs_by_definition(m, F):
+    """prod_{i=1}^m (1 - v^(2i-m-1) t prod_{j=1}^{m-2} F(v^(2i-2j-2) t))^(-1),
+    term by term as written, over RatFunc series from the public constructor."""
+    F = TruncSeries(F.coeffs, F.order)
+    one = TruncSeries.one(F.order)
+    result = one
+    for i in range(1, m + 1):
+        inner = one
+        for j in range(1, m - 1):
+            inner = inner * F.scale_arg(2 * i - 2 * j - 2)
+        factor = one - inner.shift_t(LaurentPoly.monomial(2 * i - m - 1))
+        result = result * factor.inverse()
+    return result
+
+
+def integral(F):
+    return TruncSeries.laurent([c.to_laurent() for c in F.coeffs], F.order)
+
+
+class TestFunctionalRhs:
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_matches_the_equation_over_ratfunc(self, m):
+        for order in range(7):
+            F = integral(framed_recursion(m, order))
+            # an F off the solution as well, so both sides do real work
+            G = TruncSeries.laurent(
+                [c + LaurentPoly([d, 0, -1], d) for d, c in enumerate(F.coeffs)],
+                order)
+            for series in (F, G):
+                got = _functional_rhs(m, series)
+                assert got.is_integral()
+                assert got == rhs_by_definition(m, series), (m, order)
+            assert _functional_rhs(m, F) == F
+
+    @pytest.mark.parametrize("d", range(6))
+    def test_report_catches_a_wrong_coefficient(self, monkeypatch, d):
+        recursion = central.framed_recursion
+
+        def perturbed(m, order):
+            coeffs = list(recursion(m, order).coeffs)
+            coeffs[d] = coeffs[d] + LaurentPoly.monomial(2 * d)
+            return TruncSeries(coeffs, order)
+
+        monkeypatch.setattr(central, "framed_recursion", perturbed)
+        for m in (3, 5):
+            (report,) = verify_funceq(m, 5)
+            assert report["status"] == "fail"
+            # the t^d coefficient of the right-hand side reads F below d only
+            assert report["first_failure_degree"] == d
 
 
 class TestExtractG:

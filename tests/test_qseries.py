@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kronmot import exactalg
 from kronmot.errors import NonZeroConstantError, NotInvertibleError
 from kronmot.exactalg import LaurentPoly, RatFunc, quantum_integer
 from kronmot.qseries import TruncSeries, delta_invert
@@ -16,15 +17,34 @@ def geometric(order):
 
 
 @st.composite
-def series(draw, order=4):
-    coeffs = [
+def polys(draw, order=4):
+    return [
         LaurentPoly(
             draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3)),
             draw(st.integers(-2, 2)),
         )
         for _ in range(order + 1)
     ]
-    return TruncSeries(coeffs, order)
+
+
+@st.composite
+def series(draw, order=4):
+    return TruncSeries(draw(polys(order)), order)
+
+
+@st.composite
+def integral_series(draw, order=4):
+    return TruncSeries.laurent(draw(polys(order)), order)
+
+
+def lift(a):
+    """The same series over RatFunc, through the public constructor."""
+    return TruncSeries(a.coeffs, a.order)
+
+
+def integral_unit(coeffs, order):
+    """An integral series with constant term 1 and the given higher terms."""
+    return TruncSeries.laurent([LaurentPoly.one()] + list(coeffs[1:]), order)
 
 
 def test_mul_basics():
@@ -146,3 +166,107 @@ def test_delta_invert_divisions_agree():
 def test_json_round_trip():
     a = TruncSeries([RatFunc.one(), RatFunc(LaurentPoly.one(), V - VINV)], 1)
     assert TruncSeries.from_json(a.to_json()) == a
+
+
+# -- the integral ring ---------------------------------------------------------
+
+
+def test_laurent_constructor():
+    a = TruncSeries.laurent([LaurentPoly.one(), V], 3)
+    assert a.is_integral()
+    assert a.coeffs == (LaurentPoly.one(), V, LaurentPoly.zero(), LaurentPoly.zero())
+    assert TruncSeries.laurent([V, V, V], 1).coeffs == (V, V)
+    assert not lift(a).is_integral() and not TruncSeries([V], 2).is_integral()
+    assert a.to_json() == lift(a).to_json()
+    for bad in (RatFunc.one(), 1, LaurentPoly([Fraction(1, 2)])):
+        with pytest.raises(TypeError):
+            TruncSeries.laurent([LaurentPoly.one(), bad], 2)
+    with pytest.raises(ValueError):
+        TruncSeries.laurent([], -1)
+
+
+@given(integral_series(), integral_series(order=3))
+def test_integral_operations_stay_integral(a, b):
+    cases = [
+        (a + b, lift(a) + lift(b)),
+        (a - b, lift(a) - lift(b)),
+        (-a, -lift(a)),
+        (a * b, lift(a) * lift(b)),
+        (b * a, lift(b) * lift(a)),
+        (a.scale_arg(3), lift(a).scale_arg(3)),
+        (a.shift_t(V - 2), lift(a).shift_t(V - 2)),
+        (a.shift_t(), lift(a).shift_t()),
+        (a.delta(), lift(a).delta()),
+        (a.nabla(2), lift(a).nabla(2)),
+        (a.truncate(2), lift(a).truncate(2)),
+        (a + 1, lift(a) + 1),
+        (1 - a, 1 - lift(a)),
+        (a * V, lift(a) * V),
+        (3 * a, 3 * lift(a)),
+    ]
+    for got, want in cases:
+        assert got.is_integral()
+        assert got == want
+        assert got.to_json() == want.to_json()
+
+
+@given(integral_series(), series(order=3))
+def test_ratfunc_operand_lifts(a, b):
+    r = RatFunc(V, V + 2)
+    cases = [
+        (a + b, lift(a) + b),
+        (b + a, b + lift(a)),
+        (a - b, lift(a) - b),
+        (a * b, lift(a) * b),
+        (b * a, b * lift(a)),
+        (a + RatFunc.one(), lift(a) + 1),
+        (a * r, lift(a) * r),
+        (a * Fraction(1, 2), lift(a) * Fraction(1, 2)),
+        (a - LaurentPoly([Fraction(1, 3)]), lift(a) - Fraction(1, 3)),
+        (a.shift_t(r), lift(a).shift_t(r)),
+    ]
+    for got, want in cases:
+        assert not got.is_integral()
+        assert all(isinstance(c, RatFunc) for c in got.coeffs)
+        assert got == want
+
+
+@given(polys(order=6))
+def test_unit_inverse_stays_integral_and_builds_no_ratfunc(coeffs):
+    a = integral_unit(coeffs, 6)
+    want = lift(a).inverse()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a RatFunc was constructed")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactalg.RatFunc, "__init__", forbidden)
+        mp.setattr(exactalg.RatFunc, "_canonical", forbidden)
+        got = a.inverse()
+        assert got.is_integral()
+        assert (got * a).coeffs == TruncSeries.laurent([LaurentPoly.one()], 6).coeffs
+    assert got == want
+
+
+def test_nonunit_constant_term_inverts_over_ratfunc():
+    for c0 in (LaurentPoly([2]), V, -LaurentPoly.one(), V + 1):
+        a = TruncSeries.laurent([c0, V, LaurentPoly([1, 0, 3], -1)], 2)
+        got = a.inverse()
+        assert not got.is_integral()
+        assert got == lift(a).inverse()
+        assert got * lift(a) == TruncSeries.one(2)
+    with pytest.raises(NotInvertibleError):
+        TruncSeries.laurent([LaurentPoly.zero(), V], 2).inverse()
+
+
+@given(integral_series())
+def test_equality_and_hash_agree_across_rings(a):
+    p = LaurentPoly([1, 2], -1)
+    r = RatFunc.of(p)
+    assert p == r and r == p
+    assert hash(p) == hash(r)
+    assert len({p, r}) == 1
+    b = lift(a)
+    assert a == b and b == a
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from functools import lru_cache
 from math import gcd
 
@@ -10,6 +12,7 @@ from kronmot.errors import InsufficientBoundError, NonCoprimeError
 from kronmot.exactalg import LaurentPoly, RatFunc, quantum_integer
 from kronmot.wallcross import (
     MotiveTable,
+    _poch,
     a_coeff,
     euler_form,
     framed_via_quotient,
@@ -215,14 +218,22 @@ class TestCovering:
             moduli_motive(0, 400, 601)
 
 
+@lru_cache(maxsize=None)
+def _qbinom(n, k):
+    """[n choose k] in q = v^(-2) as (q;q)_n / ((q;q)_k (q;q)_(n-k)), a
+    formula independent of the Pascal rows the sweep builds."""
+    return _poch(n).divexact(_poch(k) * _poch(n - k))
+
+
 def per_term_sweep(m, vectors):
     """The sweep as it was before the packed sums: one Laurent product per term.
 
-    Kept verbatim as an independent reference for ``wallcross._sweep``: every
+    Kept as an independent reference for ``wallcross._sweep``: every
     correction term a_k * P[D-kD0] * [d, kd0]_q * [e, ke0]_q * v^twist is
-    formed with ``LaurentPoly.__mul__`` and the terms are summed one by one.
+    formed with ``LaurentPoly.__mul__`` and the terms are summed one by one;
+    the Gaussian binomials come from ``_qbinom`` above.
     """
-    from kronmot.wallcross import DimVector, _qbinom, slope_key
+    from kronmot.wallcross import DimVector, slope_key
 
     vectors = sorted(vectors, key=lambda D: (D.d + D.e, D.d))
     present = set(vectors)
@@ -287,6 +298,24 @@ class TestSweepOracle:
             assert sorted(got) == sorted(closure)
             for D in closure:
                 assert got[D] == want[D], (m, vectors, D)
+
+    def test_sweep_retains_nothing(self):
+        # the q-binomials a sweep needs live as long as the sweep, so a
+        # dropped table leaves no memory behind
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            table = MotiveTable(3, 16)
+            del table
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert retained < 4096
 
     def test_wide_slots_match_per_term_sweep(self):
         # some sums of this box need 8 byte slots; the sets with d+e <= 12
