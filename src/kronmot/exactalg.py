@@ -36,6 +36,7 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd as int_gcd
 from operator import add, neg
 
@@ -182,6 +183,32 @@ def _mul_int(a, b) -> list[int]:
     if len(a) < _KRONECKER_MIN_LEN:
         return _schoolbook(a, b)
     return _conv_int(a, b)
+
+
+def _divexact_binomial(rem: list[int], c: int, s: int, d0: int, qlen: int) -> tuple:
+    """The quotient of rem by d0 * (1 + c * v^s), c and d0 = +1 or -1.
+
+    Its coefficients obey q_i = d0 * rem_i - c * q_(i-s), one linear
+    recurrence along each residue class of i mod s, which is a running sum
+    (c = -1) or a running sum of alternating signs (c = +1); each class is
+    one strided ``itertools.accumulate``.  Run over the whole of rem, the
+    recurrence leaves q_i = 0 for every i >= qlen exactly when there is no
+    remainder, and raises NonPolynomialError otherwise.
+    """
+    if d0 < 0:
+        rem = list(map(neg, rem))
+    for r in range(min(s, len(rem))):
+        xs = rem[r::s]
+        if c > 0:
+            xs[1::2] = map(neg, xs[1::2])
+            xs = list(accumulate(xs))
+            xs[1::2] = map(neg, xs[1::2])
+            rem[r::s] = xs
+        else:
+            rem[r::s] = accumulate(xs)
+    if any(rem[qlen:]):
+        raise NonPolynomialError("Laurent division left a remainder")
+    return tuple(rem[:qlen])
 
 
 def _store(poly, coeffs, min_exp: int, ints: bool):
@@ -380,6 +407,11 @@ class LaurentPoly:
         qlen = len(rem) - len(div) + 1
         if qlen <= 0:
             raise NonPolynomialError("degree of divisor exceeds dividend")
+        if (len(div) > 1 and d0 in (1, -1) and div[-1] in (1, -1)
+                and self._ints and other._ints and not any(div[1:-1])):
+            return LaurentPoly._canonical(
+                _divexact_binomial(rem, d0 * div[-1], len(div) - 1, d0, qlen),
+                self.min_exp - other.min_exp, True)
         quot = [0] * qlen
         int_path = d0 in (1, -1) and self._ints and other._ints
         # quantum integers are half zeros; only the nonzero terms do work
@@ -444,23 +476,39 @@ _ZERO = LaurentPoly(())
 class Operand:
     """An integer ``LaurentPoly`` prepared for :func:`sum_of_products`.
 
-    Its exponent range, l1 norm and whether it vanishes at every odd offset
-    are computed once; its packing is computed once per slot and stride and
-    kept for the life of the operand.  ``LaurentPoly`` is immutable, so a
+    Its lowest exponent, l1 norm and whether it vanishes at every odd
+    offset are computed once; its packing is computed once per slot and
+    stride and kept for the life of the operand.  ``coeffs`` holds the
+    coefficients at the operand's own stride: every second one from the
+    lowest when it vanishes at its odd offsets, else all of them.  An
+    operand that ``sum_of_products`` returns builds its ``LaurentPoly``
+    only when ``poly`` is first read.  ``LaurentPoly`` is immutable, so a
     packing can never go stale.
     """
 
-    __slots__ = ("poly", "lo", "hi", "norm", "even", "packed")
+    __slots__ = ("_poly", "coeffs", "lo", "norm", "even", "packed")
 
-    def __init__(self, poly: LaurentPoly, norm: int | None = None):
+    def __init__(self, poly: LaurentPoly):
         coeffs = poly.coeffs
-        self.poly = poly
+        self._poly = poly
         self.lo = poly.min_exp
-        self.hi = poly.min_exp + len(coeffs) - 1
-        self.norm = sum(map(abs, coeffs)) if norm is None else norm
+        self.norm = sum(map(abs, coeffs))
         self.even = not any(coeffs[1::2])
+        self.coeffs = coeffs[::2] if self.even else coeffs
         # slot size (stride 2) or minus slot size (stride 1) -> packing
         self.packed = {}
+
+    @property
+    def poly(self) -> LaurentPoly:
+        poly = self._poly
+        if poly is None:
+            coeffs = self.coeffs
+            if self.even and coeffs:
+                spread = [0] * (2 * len(coeffs) - 1)
+                spread[::2] = coeffs
+                coeffs = spread
+            poly = self._poly = LaurentPoly._canonical(tuple(coeffs), self.lo, True)
+        return poly
 
 
 def sum_of_products(terms) -> Operand:
@@ -476,64 +524,85 @@ def sum_of_products(terms) -> Operand:
 
     Slot: every coefficient of the sum is bounded in absolute value by
     sum_terms prod_ops ||op||_1, so a slot of w bytes with that bound below
-    2**(8w-1) holds it in offset binary without borrowing (``_unpack``).
+    h = 2**(8w-1) holds it in offset binary without borrowing (``_unpack``).
     Stride compaction: when every operand vanishes at its odd offsets and
     every term starts at an exponent of the same parity, only even offsets
     are packed; otherwise every offset is.
+
+    Unpacking reads the live slots off the sum itself.  The lowest nonzero
+    slot holds the lowest set bit of the sum (each slot value is nonzero
+    modulo X), and it is shifted off first.  What is left is
+    t = c_0 + c_1 X + ... + c_(n-1) X^(n-1) with c_0, c_(n-1) nonzero and
+    every |c_i| < h = X/2, so X^(n-1)/4 < |t| < X^n: with L the bit length
+    of |t| and b = log2 X, n - 1 <= (L + 1) // b <= n, so that many slots
+    plus one hold every live slot and at most one zero on top.
     """
     bound = 0
     even = True
+    mixed = 0  # the bits in which some term start differs from the first
     spans = []
     for sign, shift, ops in terms:
         norm = 1
-        start = end = shift
+        start = shift
         for op in ops:
             norm *= op.norm
             start += op.lo
-            end += op.hi
             if not op.even:
                 even = False
         if norm:
             bound += norm
-            spans.append((start, end, sign, ops))
+            if spans:
+                mixed |= start ^ first
+                if start < lo:
+                    lo = start
+            else:
+                lo = first = start
+            spans.append((start, sign, ops))
     if not spans:
         return Operand(_ZERO)
-    lo = min([span[0] for span in spans])
-    hi = max([span[1] for span in spans])
-    if even:
-        even = not any([(span[0] - lo) & 1 for span in spans])
+    if mixed & 1:
+        even = False
     stride = 2 if even else 1
     slot = _slot(bound.bit_length() // 8 + 1)
-    key = slot[0] if even else -slot[0]
-    bits = 8 * slot[0]
+    size = slot[0]
+    key = size if even else -size
+    bits = 8 * size
     total = 0
-    for start, _, sign, ops in spans:
+    for start, sign, ops in spans:
         prod = 1
         for op in ops:
             packed = op.packed.get(key)
             if packed is None:
-                packed = op.packed[key] = _pack(op.poly.coeffs[::stride], slot)
+                # at stride 1, an even operand packs its spread coefficients
+                packed = op.packed[key] = _pack(
+                    op.coeffs if even or not op.even else op.poly.coeffs, slot)
             prod *= packed
-        prod <<= bits * ((start - lo) // stride)
-        total = total + prod if sign > 0 else total - prod
+        if start != lo:
+            prod <<= bits * ((start - lo) // stride)
+        if sign > 0:
+            total += prod
+        else:
+            total -= prod
     if not total:
         return Operand(_ZERO)
-    coeffs = _unpack(total, (hi - lo) // stride + 1, slot)
-    # trim the zero slots at both ends; some slot is nonzero
-    first, last = 0, len(coeffs) - 1
-    while not coeffs[first]:
-        first += 1
-    while not coeffs[last]:
-        last -= 1
-    coeffs = coeffs[first:last + 1]
-    norm = sum(map(abs, coeffs))
-    if even:
-        spread = [0] * (2 * len(coeffs) - 1)
-        spread[::2] = coeffs
-        coeffs = spread
-    out = Operand(LaurentPoly._canonical(tuple(coeffs), lo + stride * first, True), norm)
-    # the sum is X^first times the packing of the result at this slot
-    out.packed[key] = total >> bits * first
+    first = ((total & -total).bit_length() - 1) // bits
+    if first:
+        total >>= bits * first
+    coeffs = _unpack(total, (abs(total).bit_length() + 1) // bits + 1, slot)
+    while not coeffs[-1]:
+        coeffs.pop()
+    out = object.__new__(Operand)
+    out._poly = None
+    out.lo = lo + stride * first
+    out.norm = sum(map(abs, coeffs))
+    if not even:
+        even = not any(coeffs[1::2])
+        if even:
+            coeffs = coeffs[::2]
+    out.coeffs = coeffs
+    out.even = even
+    # the shifted sum is the packing of the result at this slot
+    out.packed = {key: total}
     return out
 
 

@@ -132,69 +132,88 @@ def _sweep(m: int, vectors) -> dict[DimVector, LaurentPoly]:
     ``vectors`` must be down-closed (with D it holds every D' <= D, compared
     component by component); the factorisation then truncates to it
     exactly, as the module docstring explains.  The final residue check
-    covers the whole set.  Numerators are held as ``exactalg.Operand`` and
-    each update is one ``sum_of_products``; a new operand replaces P[D],
-    so no packing outlives the value it was made from.
+    covers the whole set.
+
+    A down-closed set is a staircase: row d holds e = 0..emax[d], and emax
+    does not increase with d.  P[d][e] is the numerator at (d, e), held as
+    an ``exactalg.Operand``, and each update is one ``sum_of_products``; a
+    new operand replaces P[d][e], so no packing outlives the value it was
+    made from.  The ray of D0 = (d0, e0) visits d >= d0, then
+    e0 <= e <= emax[d] in increasing order, so P[D - k*D0] is updated
+    before D.  Its twist is sym_form(m, k*D0, D - k*D0) = k * c with
+    c = m(d*e0 - d0*e), one constant per D.  When c > 0, D and every
+    D - k*D0 lie below the ray's slope, where the earlier rays have
+    already left P zero, so those D are skipped.
     """
-    vectors = sorted(vectors, key=lambda D: (D.d + D.e, D.d))
-    present = set(vectors)
-    P = {D: Operand(LaurentPoly.monomial(-euler_form(m, D, D))) for D in vectors}
+    emax = []  # emax[d]: the largest e of a vector in row d
+    for d, e in vectors:
+        emax.extend([-1] * (d + 1 - len(emax)))
+        emax[d] = max(emax[d], e)
+    P = [[Operand(LaurentPoly.monomial(-euler_form(m, (d, e), (d, e))))
+          for e in range(top + 1)] for d, top in enumerate(emax)]
+    # Pascal rows of Gaussian binomials, wrapped once: qbin[n][j] is the
+    # operand of [n choose j] in q, for every n a q-binomial is taken of
+    qbin = [[Operand(LaurentPoly.one())]]
+    row = qbin[0][0].poly,
+    while len(qbin) <= max(len(emax) - 1, emax[0]):
+        row = _qbinom_row(row)
+        qbin.append([Operand(c) for c in row])
     anum = {DimVector(0, 0): LaurentPoly.one()}
-    # Pascal rows of Gaussian binomials and their operands, for this sweep
-    # only: rows[n][k] is [n choose k] in q, qbinoms[n, k] wraps it
-    rows = [[LaurentPoly.one()]]
-    qbinoms = {}
-
-    def qbinom(n: int, k: int) -> Operand:
-        op = qbinoms.get((n, k))
-        if op is None:
-            while len(rows) <= n:
-                rows.append(_qbinom_row(rows[-1]))
-            op = qbinoms[n, k] = Operand(rows[n][k])
-        return op
-
-    rays = sorted((D for D in vectors if D != (0, 0) and gcd(D.d, D.e) == 1),
-                  key=slope_key)
-    for D0 in rays:
-        d0, e0 = D0
-        ray = [None]  # ray[k] is the numerator of a_{k*D0}
-        kd = D0
-        while kd in present:
-            ray.append(P[kd])
-            anum[kd] = P[kd].poly
-            kd = DimVector(kd.d + d0, kd.e + e0)
+    rays = sorted((DimVector(d, e) for d, top in enumerate(emax)
+                   for e in range(top + 1) if gcd(d, e) == 1), key=slope_key)
+    for d0, e0 in rays:
+        # (k, k*d0, k*e0, a_k) for each multiple of the ray with a_k != 0
+        ray = []
+        k, kd, ke = 1, d0, e0
+        while kd < len(emax) and ke <= emax[kd]:
+            an = P[kd][ke]
+            anum[DimVector(kd, ke)] = an.poly
+            if an.norm:
+                ray.append((k, kd, ke, an))
+            k, kd, ke = k + 1, kd + d0, ke + e0
+        if not ray:
+            continue
         # divide off the slope factor on the left: A_s * P_new = P, one
-        # packed sum per D; P[D - k*D0] is already P_new, as D - k*D0 comes
-        # first in the order
-        for D in vectors:
-            d, e = D
-            if d < d0 or e < e0:
-                continue
-            terms = []
-            for k in range(1, min(d // d0 if d0 else e, e // e0 if e0 else d) + 1):
-                an = ray[k]
-                if not an.norm:
-                    continue
-                D2 = DimVector(d - k * d0, e - k * e0)
-                p2 = P[D2]
-                if not p2.norm:
-                    continue
-                twist = sym_form(m, (k * d0, k * e0), D2)
-                terms.append((-1, twist, (an, p2, qbinom(d, k * d0), qbinom(e, k * e0))))
-            if terms:
-                terms.append((1, 0, (P[D],)))
-                P[D] = sum_of_products(terms)
+        # packed sum per D
+        for d in range(d0, len(emax)):
+            Pd, qd = P[d], qbin[d]
+            e_first = max(e0, -(-d * e0 // d0)) if d0 else e0
+            for e in range(e_first, emax[d] + 1):
+                c = m * (d * e0 - d0 * e)
+                qe = qbin[e]
+                terms = []
+                for k, kd, ke, an in ray:
+                    if kd > d or ke > e:
+                        break
+                    p2 = P[d - kd][e - ke]
+                    if p2.norm:
+                        terms.append((-1, k * c, (qd[kd], qe[ke], an, p2)))
+                if terms:
+                    terms.append((1, 0, (Pd[e],)))
+                    Pd[e] = sum_of_products(terms)
     # everything must divide off: the remainder is the constant series 1
-    for D in vectors:
-        if D != (0, 0) and P[D].norm:
-            raise AssertionError(f"wall-crossing sweep left residue at {D}")
+    for d, Pd in enumerate(P):
+        for e, p in enumerate(Pd):
+            if p.norm and (d or e):
+                raise AssertionError(
+                    f"wall-crossing sweep left residue at {(d, e)}")
     return anum
 
 
 def _motive(D: DimVector, anum: LaurentPoly) -> LaurentPoly:
-    """[K_D]_vir = (v - 1/v) * a_D from the numerator of a_D, D coprime."""
-    vvinv = LaurentPoly((-1, 0, 1), -1)
-    return (anum * vvinv).divexact(_poch(D.d) * _poch(D.e))
+    """[K_D]_vir = (v - 1/v) * a_D from the numerator of a_D, D coprime.
+
+    a_D = anum / ((q;q)_d (q;q)_e) and v - 1/v = v (1 - q), while
+    (q;q)_n = (1 - q)(1 - q^2)...(1 - q^n).  So [K_D]_vir is v * anum
+    divided by the binomials 1 - q^i of (q;q)_d and (q;q)_e, one factor
+    1 - q dropped, one exact two-term division at a time (a divisor of an
+    exact quotient divides exactly).
+    """
+    d, e = sorted(D)
+    motive = anum.v_shift(1)
+    for i in [*range(2, e + 1), *range(1, d + 1)]:
+        motive = motive.divexact(LaurentPoly((-1,) + (0,) * (2 * i - 1) + (1,), -2 * i))
+    return motive
 
 
 class MotiveTable:
