@@ -303,6 +303,12 @@ class LaurentPoly:
         return self.min_exp == other.min_exp and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant equals its coefficient (and zero equals 0), so it
+        # hashes as that number
+        if not self.coeffs:
+            return hash(0)
+        if self.min_exp == 0 and len(self.coeffs) == 1:
+            return hash(self.coeffs[0])
         return hash((self.min_exp, self.coeffs))
 
     def coeff(self, exp: int) -> Coeff:
@@ -533,9 +539,9 @@ def sum_of_products(terms) -> Operand:
     slot holds the lowest set bit of the sum (each slot value is nonzero
     modulo X), and it is shifted off first.  What is left is
     t = c_0 + c_1 X + ... + c_(n-1) X^(n-1) with c_0, c_(n-1) nonzero and
-    every |c_i| < h = X/2, so X^(n-1)/4 < |t| < X^n: with L the bit length
-    of |t| and b = log2 X, n - 1 <= (L + 1) // b <= n, so that many slots
-    plus one hold every live slot and at most one zero on top.
+    sum |c_i| < h = X/2, as the bound holds the l1 norm of the sum.  So
+    X^(n-1) / 2 < |t| < h X^(n-1): the bit length of |t| lies in
+    [b(n-1), bn - 1] for b = log2 X, and gives n exactly.
     """
     bound = 0
     even = True
@@ -588,9 +594,7 @@ def sum_of_products(terms) -> Operand:
     first = ((total & -total).bit_length() - 1) // bits
     if first:
         total >>= bits * first
-    coeffs = _unpack(total, (abs(total).bit_length() + 1) // bits + 1, slot)
-    while not coeffs[-1]:
-        coeffs.pop()
+    coeffs = _unpack(total, abs(total).bit_length() // bits + 1, slot)
     out = object.__new__(Operand)
     out._poly = None
     out.lo = lo + stride * first

@@ -175,9 +175,10 @@ def _sweep(m: int, vectors) -> dict[DimVector, LaurentPoly]:
             continue
         # divide off the slope factor on the left: A_s * P_new = P, one
         # packed sum per D
-        for d in range(d0, len(emax)):
+        for d in range(d0, len(emax) if d0 else 1):
             Pd, qd = P[d], qbin[d]
-            e_first = max(e0, -(-d * e0 // d0)) if d0 else e0
+            # the least e >= e0 with c <= 0; for d0 = 0 only d = 0 has one
+            e_first = -(-d * e0 // d0) if d0 else e0
             for e in range(e_first, emax[d] + 1):
                 c = m * (d * e0 - d0 * e)
                 qe = qbin[e]

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from kronmot import exactalg
 from kronmot.errors import NonPolynomialError
 from kronmot.exactalg import (
     LaurentPoly,
@@ -79,6 +80,20 @@ class TestLaurentPoly:
         q = poly([Fraction(4, 2), 5])
         assert [type(c) for c in q.coeffs] == [int, int]
         assert q == poly([2, 5]) and hash(q) == hash(poly([2, 5]))
+
+    @pytest.mark.parametrize("c", [0, 1, -3, Fraction(1, 2)])
+    def test_constants_hash_as_their_coefficient(self, c):
+        for x in [poly([c]), RatFunc.of(c), RatFunc(poly([c])), RatFunc(poly([c]), V).v_shift(1)]:
+            assert x == c and c == x
+            assert hash(x) == hash(c)
+
+    def test_equal_constants_collapse_in_a_set(self):
+        assert {1, LaurentPoly.one()} == {1}
+        assert len({1, Fraction(1), LaurentPoly.one(), poly([Fraction(2, 2)]),
+                    RatFunc.one(), RatFunc(V, V)}) == 1
+        assert len({0, LaurentPoly.zero(), RatFunc.zero(), poly([0, 0], 3)}) == 1
+        # a monomial off v^0 is no constant
+        assert len({1, V, VINV, poly([1], 2)}) == 4
 
     def test_json_round_trip(self):
         p = poly([Fraction(1, 3), 2, -5], -4)
@@ -433,6 +448,75 @@ class TestSumOfProducts:
         assert sorted(a.packed) == [-1, 2]
 
 
+class TestSumOfProductsEdges:
+    """Ends that cancel, signs at the top slot and exact zeros, on word and
+    byte slots and at strides 1 and 2, against schoolbook."""
+
+    # the largest magnitude a 4 byte word slot holds, and one that needs a
+    # slot wider than 8 bytes
+    LIMITS = {"word": 2**31, "byte": 2**100}
+
+    @staticmethod
+    def layout(stride):
+        """xs * v^(stride * lo) at stride 2 (zeros between) or 1 (dense)."""
+        def make(xs, lo=0):
+            return poly(spread(xs) if stride == 2 else xs, stride * lo)
+        return make
+
+    @staticmethod
+    def check(terms, width, stride):
+        got = check_sum(terms)
+        if got.norm:
+            (key,) = got.packed
+            assert (abs(key) > 8) == (width == "byte")
+            assert (key > 0) == (stride == 2)
+        return got
+
+    @pytest.mark.parametrize("width", ["word", "byte"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_lowest_slots_cancel(self, width, stride):
+        P, B = self.layout(stride), self.LIMITS[width] // 8
+        got = self.check([(1, 0, [P([B, -2 * B, 3, 4, 5 * B])]),
+                          (-1, 0, [P([B, -2 * B]), poly([1])])], width, stride)
+        assert got.poly.min_exp == 2 * stride
+
+    @pytest.mark.parametrize("width", ["word", "byte"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_highest_slots_cancel(self, width, stride):
+        P, B = self.layout(stride), self.LIMITS[width] // 8
+        got = self.check([(1, 0, [P([3, 4, 5 * B, -B, 2 * B], -1)]),
+                          (-1, stride * 4, [P([-B, 2 * B], -2), poly([1])])],
+                         width, stride)
+        assert got.poly.max_exp == stride
+
+    @pytest.mark.parametrize("width", ["word", "byte"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("top", [-1, 1])
+    def test_top_sign_against_lower_slots(self, width, stride, top):
+        # the bound 3B + 2 lies just below the slot limit, the lower slots
+        # are all near a third of it and opposite in sign to the top one
+        P, B = self.layout(stride), (self.LIMITS[width] - 3) // 3
+        lower = -top * B
+        got = self.check([(1, 0, [P([lower, lower, lower, 2 * top])]),
+                          (-1, 3 * stride, [poly([top]), poly([1])])],
+                         width, stride)
+        assert got.poly.coeffs[-1] == top
+        assert got.norm == 3 * B + 1
+
+    @pytest.mark.parametrize("width", ["word", "byte"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_sum_cancels_to_zero(self, width, stride):
+        P, B = self.layout(stride), self.LIMITS[width] // 64
+        a, b = P([B, -3, 0, 7, -B], -2), P([2, 0, -B, 1], 1)
+        for terms in [
+            [(1, 0, [a, b]), (-1, 0, [b, a])],
+            [(1, stride, [a, b, b]), (-1, 0, [b, P([1], 1), a, b])],
+            [(1, 0, [a]), (1, 0, [P([-1]), a])],
+        ]:
+            got = self.check(terms, width, stride)
+            assert got.poly.is_zero() and got.norm == 0 and not got.packed
+
+
 def plain_divexact(num, den):
     """Long division touching every divisor term, zeros included."""
     rem = [Fraction(c) for c in num]
@@ -485,6 +569,56 @@ class TestDivexactSparse:
         off[-1] += 1
         with pytest.raises(NonPolynomialError):
             poly(off).divexact(poly(den))
+
+
+class TestDivexactBinomial:
+    """Division by +-1 +- v^s, two terms, in linear time."""
+
+    @pytest.fixture
+    def fast_calls(self, monkeypatch):
+        calls = []
+        fast = exactalg._divexact_binomial
+
+        def spy(*args):
+            calls.append(args)
+            return fast(*args)
+
+        monkeypatch.setattr(exactalg, "_divexact_binomial", spy)
+        return calls
+
+    @pytest.mark.parametrize("s", range(1, 7))
+    @pytest.mark.parametrize("lead", [1, -1])
+    @pytest.mark.parametrize("last", [1, -1])
+    def test_matches_long_division(self, s, lead, last, fast_calls):
+        den = [lead] + [0] * (s - 1) + [last]
+        for quot in [[1], [3, -1, 0, 2**70, 5, 0, 0, -7, 1], list(range(-6, 7))]:
+            num = schoolbook(quot, den)
+            calls = len(fast_calls)
+            got = poly(num, -2).divexact(poly(den, -s))
+            assert len(fast_calls) == calls + 1
+            assert got == poly(plain_divexact(num, den), s - 2)
+            assert_canonical_int(got)
+            for i in [0, len(num) // 2, len(num) - 1]:
+                off = list(num)
+                off[i] += 1
+                with pytest.raises(NonPolynomialError):
+                    poly(off, 1).divexact(poly(den))
+
+    def test_fraction_operands_take_the_long_division(self, fast_calls):
+        den = [1, 0, 0, -1]
+        quot = [Fraction(1, 3), 2, 0, -5]
+        num = schoolbook(quot, den)
+        got = poly(num).divexact(poly(den))
+        assert got == poly(quot)
+        assert [type(c) for c in got.coeffs] == [Fraction, int, int, int]
+        # neither +-1 at both ends, or more than two terms
+        assert poly(schoolbook([1, 2], [2, 0, 1])).divexact(poly([2, 0, 1])) == poly([1, 2])
+        assert poly(schoolbook([1, 2], [1, 1, 1])).divexact(poly([1, 1, 1])) == poly([1, 2])
+        assert not fast_calls
+        # an integral Fraction is stored as an int, so this one takes it
+        assert poly(schoolbook([1, 2], den)).divexact(poly([Fraction(1), 0, 0, -1])) \
+            == poly([1, 2])
+        assert len(fast_calls) == 1
 
 
 class TestQuantumInteger:

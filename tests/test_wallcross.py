@@ -299,6 +299,22 @@ class TestSweepOracle:
             for D in closure:
                 assert got[D] == want[D], (m, vectors, D)
 
+    # 2-3 vectors with d+e <= 10, at least one on an axis: the down-closure
+    # is a staircase with arms along the axes, where the rays (1,0) and
+    # (0,1) take the trivial q-binomial [n choose 0]
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.integers(1, 5),
+           axis=st.integers(1, 10).flatmap(
+               lambda n: st.sampled_from([(n, 0), (0, n)])),
+           others=st.lists(st.integers(0, 10).flatmap(
+               lambda s: st.integers(0, s).map(lambda d: (d, s - d))),
+               min_size=1, max_size=2))
+    def test_staircases_match_per_term_sweep(self, m, axis, others):
+        closure = wallcross._down_closure([axis] + others)
+        got = wallcross._sweep(m, closure)
+        assert got == per_term_sweep(m, closure)
+        assert sorted(got) == sorted(closure)
+
     def test_sweep_retains_nothing(self):
         # the q-binomials a sweep needs live as long as the sweep, so a
         # dropped table leaves no memory behind
