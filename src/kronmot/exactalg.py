@@ -25,6 +25,14 @@ is an integer Laurent polynomial:
   power of v, is one signed Kronecker evaluation (``sum_of_products``):
   each ``Operand`` is packed once per slot width and keeps its packings,
   the big-integer products are summed, and the sum is unpacked once.
+  The bit lengths of the sum give its lowest and highest nonzero slots,
+  so only those are unpacked, and the ``LaurentPoly`` of a sum is built
+  only when it is read.
+- Exact division of integer polynomials by a two-term divisor
+  +-1 +- v^s, such as 1 - q^i, is a linear recurrence along each residue
+  class mod s, run as one strided ``itertools.accumulate`` per class, so
+  it costs a C-level pass instead of a Python long division.  A remainder
+  raises ``NonPolynomialError`` as on the general path.
 - A ``RatFunc`` whose denominator is the constant 1 is already in canonical
   form when its numerator has integer coefficients, so constructing it skips
   the gcd and ``Fraction`` work, and ``+``, ``-`` and ``*`` of two such

@@ -27,12 +27,19 @@ Internally each coefficient of R at D=(d,e) is stored as an integer Laurent
 polynomial numerator P[D] over the fixed denominator (q;q)_d (q;q)_e,
 q = v^-2; the q-binomial rescaling keeps that representation exact
 throughout, so no rational-function gcd is needed in the hot loop.
-Dividing off the factor of a ray D0 replaces every P[D] with d >= d0 and
-e >= e0 by
+Dividing off the factor of a ray D0 = (d0, e0) replaces every P[D] with
+d >= d0 and e >= e0 by
 
-    P[D] - sum_k v^twist a_k P[D - k*D0] [d, k*d0]_q [e, k*e0]_q,
+    P[D] - sum_k v^(k*c) a_k P[D - k*D0] [d, k*d0]_q [e, k*e0]_q,
 
-and each such update is one packed sum (``exactalg.sum_of_products``):
+where the twist sym_form(m, k*D0, D - k*D0) is k*c for the one constant
+c = m(d*e0 - d0*e) of D.  A down-closed set is a staircase, row d holding
+e = 0..emax[d], so P is a list of rows indexed [d][e].  A ray visits its
+rows d >= d0 in increasing order and each row in increasing e, so
+P[D - k*D0] is already updated when D is; it starts each row at the least
+e with c <= 0, since below the ray's slope the earlier rays have already
+left every P zero.  Each update is one packed sum
+(``exactalg.sum_of_products``):
 every operand is packed into a big integer at a slot width that its l1
 norms prove wide enough, the products are summed as big integers and the
 result is unpacked once.  Each operand keeps its packings for as long as
@@ -153,13 +160,13 @@ def _sweep(m: int, vectors) -> dict[DimVector, LaurentPoly]:
           for e in range(top + 1)] for d, top in enumerate(emax)]
     # Pascal rows of Gaussian binomials, wrapped once: qbin[n][j] is the
     # operand of [n choose j] in q, for every n a q-binomial is taken of
-    qbin = [[Operand(LaurentPoly.one())]]
-    row = qbin[0][0].poly,
+    row = [LaurentPoly.one()]
+    qbin = [[Operand(row[0])]]
     while len(qbin) <= max(len(emax) - 1, emax[0]):
         row = _qbinom_row(row)
         qbin.append([Operand(c) for c in row])
     anum = {DimVector(0, 0): LaurentPoly.one()}
-    rays = sorted((DimVector(d, e) for d, top in enumerate(emax)
+    rays = sorted(((d, e) for d, top in enumerate(emax)
                    for e in range(top + 1) if gcd(d, e) == 1), key=slope_key)
     for d0, e0 in rays:
         # (k, k*d0, k*e0, a_k) for each multiple of the ray with a_k != 0
