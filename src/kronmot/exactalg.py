@@ -193,16 +193,19 @@ def _mul_int(a, b) -> list[int]:
     return _conv_int(a, b)
 
 
-def _divexact_binomial(rem: list[int], c: int, s: int, d0: int, qlen: int) -> tuple:
-    """The quotient of rem by d0 * (1 + c * v^s), c and d0 = +1 or -1.
+def _divexact_binomial(rem: list[int], div: tuple, qlen: int) -> tuple:
+    """The qlen coefficients of rem / div for div = d0 + d1 v^s, d0 and d1
+    each +1 or -1, so div = d0 (1 + c v^s) with c = d0 * d1.
 
-    Its coefficients obey q_i = d0 * rem_i - c * q_(i-s), one linear
+    The quotient obeys q_i = d0 * rem_i - c * q_(i-s), one linear
     recurrence along each residue class of i mod s, which is a running sum
     (c = -1) or a running sum of alternating signs (c = +1); each class is
     one strided ``itertools.accumulate``.  Run over the whole of rem, the
     recurrence leaves q_i = 0 for every i >= qlen exactly when there is no
     remainder, and raises NonPolynomialError otherwise.
     """
+    d0, s = div[0], len(div) - 1
+    c = d0 * div[-1]
     if d0 < 0:
         rem = list(map(neg, rem))
     for r in range(min(s, len(rem))):
@@ -423,9 +426,8 @@ class LaurentPoly:
             raise NonPolynomialError("degree of divisor exceeds dividend")
         if (len(div) > 1 and d0 in (1, -1) and div[-1] in (1, -1)
                 and self._ints and other._ints and not any(div[1:-1])):
-            return LaurentPoly._canonical(
-                _divexact_binomial(rem, d0 * div[-1], len(div) - 1, d0, qlen),
-                self.min_exp - other.min_exp, True)
+            return LaurentPoly._canonical(_divexact_binomial(rem, div, qlen),
+                                          self.min_exp - other.min_exp, True)
         quot = [0] * qlen
         int_path = d0 in (1, -1) and self._ints and other._ints
         # quantum integers are half zeros; only the nonzero terms do work
@@ -553,7 +555,7 @@ def sum_of_products(terms) -> Operand:
     """
     bound = 0
     even = True
-    mixed = 0  # the bits in which some term start differs from the first
+    mixed = 0  # the bits in which some term start differs from start0
     spans = []
     for sign, shift, ops in terms:
         norm = 1
@@ -566,11 +568,11 @@ def sum_of_products(terms) -> Operand:
         if norm:
             bound += norm
             if spans:
-                mixed |= start ^ first
+                mixed |= start ^ start0
                 if start < lo:
                     lo = start
             else:
-                lo = first = start
+                lo = start0 = start
             spans.append((start, sign, ops))
     if not spans:
         return Operand(_ZERO)
@@ -591,12 +593,8 @@ def sum_of_products(terms) -> Operand:
                 packed = op.packed[key] = _pack(
                     op.coeffs if even or not op.even else op.poly.coeffs, slot)
             prod *= packed
-        if start != lo:
-            prod <<= bits * ((start - lo) // stride)
-        if sign > 0:
-            total += prod
-        else:
-            total -= prod
+        prod <<= bits * ((start - lo) // stride)
+        total = total + prod if sign > 0 else total - prod
     if not total:
         return Operand(_ZERO)
     first = ((total & -total).bit_length() - 1) // bits
