@@ -220,7 +220,7 @@ def _motive(D: DimVector, anum: LaurentPoly) -> LaurentPoly:
     d, e = sorted(D)
     motive = anum.v_shift(1)
     for i in [*range(2, e + 1), *range(1, d + 1)]:
-        motive = motive.divexact(LaurentPoly((-1,) + (0,) * (2 * i - 1) + (1,), -2 * i))
+        motive = motive.divexact(LaurentPoly.one() - LaurentPoly.monomial(-2 * i))
     return motive
 
 
