@@ -3,11 +3,13 @@
 Keys are canonical strings carrying the schema and the package version, so
 an entry written by another release is never served; payloads are JSON.
 Corrupted entries are discarded and recomputed.  Writes go through a
-temp-file rename so concurrent invocations never see partial files.
+temp-file rename so concurrent invocations never see partial files; a write
+that fails removes its temp file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -59,10 +61,14 @@ class Cache:
             return
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
-            entry = {"key": key, "payload": payload}
             fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        except OSError:
+            return  # cache is best effort
+        try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(entry, fh)
+                json.dump({"key": key, "payload": payload}, fh)
             os.replace(tmp, self._path(key))
         except OSError:
-            pass  # cache is best effort
+            # still best effort, but leave no temp file behind
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)

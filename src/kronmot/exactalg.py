@@ -13,21 +13,22 @@ is an integer Laurent polynomial:
   It records the outcome, so ``*``, ``+``, ``-`` and ``v_shift`` of integer
   polynomials build their results through a trusted constructor without
   checking them again.
-- Integer products with a length-1 operand are a scalar multiply, short
-  ones are schoolbook, and the rest go through Kronecker substitution
-  (``_conv_int``).  Every motive is a polynomial in q = v^(-2), so its
-  coefficients vanish at odd offsets; when both operands do, only the even
-  offsets are packed (stride compaction), which halves each product.
-  Coefficient slots are rounded up to native 1, 2, 4 or 8 byte words, so
-  packing and unpacking are C-level ``array``/``memoryview`` conversions;
-  slots wider than 8 bytes take an arbitrary-precision byte path.
-- A sum of products of integer polynomials, each product shifted by a
-  power of v, is one signed Kronecker evaluation (``sum_of_products``):
-  each ``Operand`` is packed once per slot width and keeps its packings,
+- Integer products go through one Kronecker substitution kernel,
+  ``sum_of_products``: a sum of products of integer polynomials, each
+  product shifted by a power of v, is one signed Kronecker evaluation.
+  Each ``Operand`` is packed once per slot width and keeps its packings,
   the big-integer products are summed, and the sum is unpacked once.
   The bit lengths of the sum give its lowest and highest nonzero slots,
   so only those are unpacked, and the ``LaurentPoly`` of a sum is built
-  only when it is read.
+  only when it is read.  Every motive is a polynomial in q = v^(-2), so
+  its coefficients vanish at odd offsets; when every operand does, only
+  the even offsets are packed (stride compaction), which halves each
+  product.  Coefficient slots are rounded up to native 1, 2, 4 or 8 byte
+  words, so packing and unpacking are C-level ``array``/``memoryview``
+  conversions; slots wider than 8 bytes take an arbitrary-precision byte
+  path.  An integer ``*`` with a length-1 operand is a scalar multiply,
+  one with a short operand is schoolbook, and any other is a one-term
+  ``sum_of_products``.
 - Exact division of integer polynomials by a two-term divisor
   +-1 +- v^s, such as 1 - q^i, is a linear recurrence along each residue
   class mod s, run as one strided ``itertools.accumulate`` per class, so
@@ -87,8 +88,8 @@ _WORD_SLOTS = {w: _word_slot(size, _WORD_CODES[size])
                for w in range(1, size + 1)}
 
 # integer operands shorter than this on either side multiply by schoolbook;
-# at about this length Kronecker substitution starts to win on motive products
-_KRONECKER_MIN_LEN = 7
+# from this length on the one-term packed sum wins on motive products
+_KRONECKER_MIN_LEN = 9
 
 
 def _slot(w: int) -> tuple:
@@ -131,46 +132,6 @@ def _unpack(value: int, n: int, slot) -> list[int]:
             for i in range(0, n * size, size)]
 
 
-def _conv_int(a: list[int], b: list[int]) -> list[int]:
-    """Convolution of integer sequences via Kronecker substitution.
-
-    Packs each sequence into one big integer, multiplies once, and splits the
-    product back into signed coefficients.  Any int sequences are accepted,
-    including zeros, even lengths and arbitrarily wide values.
-
-    Stride compaction: when both sequences are zero at every odd index, as
-    every polynomial in q = v^(-2) is, the even entries alone are convolved
-    and the result is spread back into the even slots, which halves the
-    packed integers.
-
-    Slots: every coefficient gets a slot of ``w`` bytes, wide enough that
-    each product coefficient c satisfies -2**(8w-1) <= c < 2**(8w-1).  A slot
-    stores c + 2**(8w-1) (offset binary), so it is never negative and no slot
-    borrows from its neighbour.  When ``w`` is at most 8 it is rounded up to
-    a native word of 1, 2, 4 or 8 bytes (``_WORD_SLOTS``), and both packing
-    (``array(...).tobytes()``) and unpacking (``memoryview.cast``) are
-    C-level loops over words in native byte order.  Wider slots take the
-    arbitrary-precision byte path through ``int.to_bytes``.  Either way the
-    conversions are linear in the size of the packed integer, so the
-    big-integer multiply dominates.
-    """
-    n = len(a) + len(b) - 1
-    top = max(map(abs, a)) * max(map(abs, b))
-    if not top:
-        return [0] * n
-    even = n > 1 and not any(a[1::2]) and not any(b[1::2])
-    if even:
-        a, b = a[::2], b[::2]
-    m = len(a) + len(b) - 1
-    slot = _slot((min(len(a), len(b)) * top).bit_length() // 8 + 1)
-    coeffs = _unpack(_pack(a, slot) * _pack(b, slot), m, slot)
-    if not even:
-        return coeffs
-    out = [0] * n
-    out[:2 * m:2] = coeffs
-    return out
-
-
 def _schoolbook(a, b):
     out = [0] * (len(a) + len(b) - 1)
     terms = [(j, y) for j, y in enumerate(b) if y]
@@ -179,18 +140,6 @@ def _schoolbook(a, b):
             for j, y in terms:
                 out[i + j] += x * y
     return out
-
-
-def _mul_int(a, b) -> list[int]:
-    """Convolution of int sequences: a scalar multiply when one operand has
-    length 1, schoolbook when one is short, Kronecker substitution otherwise."""
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) == 1:
-        return list(map(a[0].__mul__, b))
-    if len(a) < _KRONECKER_MIN_LEN:
-        return _schoolbook(a, b)
-    return _conv_int(a, b)
 
 
 def _divexact_binomial(rem: list[int], div: tuple, qlen: int) -> tuple:
@@ -377,11 +326,16 @@ class LaurentPoly:
         if not self.coeffs or not other.coeffs:
             return LaurentPoly.zero()
         if self._ints and other._ints:
+            a, b = self.coeffs, other.coeffs
+            if len(a) > len(b):
+                a, b = b, a
+            if len(a) >= _KRONECKER_MIN_LEN:
+                return sum_of_products([(1, 0, (Operand(self), Operand(other)))]).poly
             # over the integers the product of the nonzero end coefficients
             # is nonzero, so the product is canonical as it stands
-            return LaurentPoly._canonical(
-                tuple(_mul_int(self.coeffs, other.coeffs)),
-                self.min_exp + other.min_exp, True)
+            coeffs = map(a[0].__mul__, b) if len(a) == 1 else _schoolbook(a, b)
+            return LaurentPoly._canonical(tuple(coeffs), self.min_exp + other.min_exp,
+                                          True)
         return LaurentPoly(_schoolbook(self.coeffs, other.coeffs),
                            self.min_exp + other.min_exp)
 
@@ -499,7 +453,8 @@ class Operand:
     lowest when it vanishes at its odd offsets, else all of them.  An
     operand that ``sum_of_products`` returns builds its ``LaurentPoly``
     only when ``poly`` is first read.  ``LaurentPoly`` is immutable, so a
-    packing can never go stale.
+    packing can never go stale.  Besides the solvers' packed sums,
+    ``LaurentPoly.__mul__`` wraps both factors of each long integer product.
     """
 
     __slots__ = ("_poly", "coeffs", "lo", "norm", "even", "packed")
@@ -536,7 +491,8 @@ def sum_of_products(terms) -> Operand:
     and slot), each product is a big-integer product moved to its place in
     the sum by a shift, and the sum is unpacked once.  The packed sum is
     also the packing of the result at that slot, so the returned operand
-    starts out with it.
+    starts out with it.  It is the package's one Kronecker kernel:
+    ``LaurentPoly.__mul__`` makes each long integer product a one-term sum.
 
     Slot: every coefficient of the sum is bounded in absolute value by
     sum_terms prod_ops ||op||_1, so a slot of w bytes with that bound below

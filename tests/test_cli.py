@@ -278,6 +278,19 @@ class TestCache:
         assert second.exit_code == 0
         assert second.output == first.output
 
+    @pytest.mark.parametrize("failing", ["os.replace", "json.dump"])
+    def test_failed_put_leaves_no_temp_file(self, tmp_path, monkeypatch, failing):
+        def refuse(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(f"kronmot.cache.{failing}", refuse)
+        cache = Cache(tmp_path)
+        key = Cache.make_key("moduli", m=3, d=3, e=2)
+        cache.put(key, {"min_exp": 0, "coeffs": ["1"]})
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == []
+        assert cache.get(key) is None
+
     def test_entry_of_other_version_not_served(self, runner, tmp_path,
                                                monkeypatch):
         # a well-formed but wrong motive left by another release of the package

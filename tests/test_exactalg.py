@@ -10,8 +10,6 @@ from kronmot.exactalg import (
     LaurentPoly,
     Operand,
     RatFunc,
-    _conv_int,
-    _mul_int,
     _pack,
     _slot,
     quantum_integer,
@@ -118,7 +116,25 @@ wide_ints = st.one_of(
 )
 
 
+def check_product(a, b, e1=0, e2=0):
+    """poly(a, e1) * poly(b, e2) agrees with schoolbook both ways round, and
+    so does the one-term packed sum of the two (``check_sum``)."""
+    p, q = poly(a, e1), poly(b, e2)
+    want = poly(schoolbook(a, b), e1 + e2)
+    for got in (p * q, q * p):
+        assert_canonical_int(got)
+        assert (got.min_exp, got.coeffs) == (want.min_exp, want.coeffs)
+    check_sum([(1, 0, [p, q])])
+
+
 class TestConvInt:
+    """Integer products through the public ``*`` against schoolbook.
+
+    Every case also runs through ``sum_of_products`` as a one-term sum, so
+    operands shorter than ``_KRONECKER_MIN_LEN``, which ``*`` multiplies by
+    schoolbook, still reach the packed kernel.
+    """
+
     @pytest.mark.parametrize("a,b", [
         ([5], [7]),
         ([1], [-1]),
@@ -130,27 +146,28 @@ class TestConvInt:
         ([0, 0], [0, 1]),
         ([2**63, -(2**64 - 1), 2**64, -(2**64 + 1)], [2**200 - 1, 1, -(2**127)]),
         ([1, -1] * 40, [2**64 - 1] * 33),
+        # zero ends and all-zero operands at lengths that reach the packed sum
+        ([0, 0, 3, -1, 0, 5, 7, 1, 1, -2, 4, 0], [0, 2, 0, 1, 1, 1, 1, 1, 1, 1, 0]),
+        ([0] * 12, [2**64, 1, 1, 1, 1, 1, 1, 1, -(2**64)]),
     ])
     def test_edge_cases(self, a, b):
-        assert _conv_int(a, b) == schoolbook(a, b)
+        check_product(a, b)
 
     @given(st.lists(wide_ints, min_size=1, max_size=40),
-           st.lists(wide_ints, min_size=1, max_size=40))
-    def test_matches_schoolbook(self, a, b):
-        assert _conv_int(a, b) == schoolbook(a, b)
-        assert all(type(c) is int for c in _conv_int(a, b))
+           st.lists(wide_ints, min_size=1, max_size=40),
+           st.integers(-5, 5), st.integers(-5, 5))
+    def test_matches_schoolbook(self, a, b, e1, e2):
+        check_product(a, b, e1, e2)
 
     @pytest.mark.parametrize("n", [1, 15, 16, 17, 40])
     def test_conv_across_the_threshold(self, n):
         rng = random.Random(n)
         a = [rng.choice(WIDE) * rng.choice((-1, 1)) for _ in range(n)]
         b = [rng.randint(-(2**65), 2**65) for _ in range(16)]
-        assert _mul_int(a, b) == schoolbook(a, b)
-        assert _mul_int(b, a) == schoolbook(b, a)
-        p, q = poly(a, -3), poly(b, 5)
-        assert (p * q).coeffs == tuple(schoolbook(a, b))
-        assert (p * q).min_exp == 2
-
+        cut = exactalg._KRONECKER_MIN_LEN
+        # the shorter operand below, at and above the cut-off, and longer
+        for lb in (0, cut - 2, cut - 1, cut, len(b)):
+            check_product(a, b[:lb] + [1], -3, 5)
 
 
 def spread(xs):
@@ -169,7 +186,8 @@ def assert_canonical_int(p):
 
 
 class TestWordSlotKernel:
-    """Stride-2 compaction, word-sized slots and the schoolbook cut-off."""
+    """Stride-2 compaction, word-sized slots and the schoolbook cut-off of
+    integer ``*``, against schoolbook."""
 
     # one product coefficient lands exactly on each side of the largest
     # magnitude a 1, 2, 4 and 8 byte slot holds, and above 8 bytes
@@ -178,25 +196,37 @@ class TestWordSlotKernel:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_slot_width_boundaries(self, limit, delta, sign):
         c = sign * (limit + delta)
+        # operands long enough for the packed sum: the lowest product
+        # coefficient P * K lies at the limit or |P| to either side of it,
+        # and the l1 bound the slot is sized by, (|P| + 1)(K + 1), is only a
+        # little larger
+        half = limit.bit_length() // 2
+        P, K = sign * (1 << half), (limit >> half) + delta
         for a, b in [
+            ([P] + [0] * 7 + [1], [K] + [0] * 7 + [1]),
+            ([P] + [0] * 8 + [1], [K] + [0] * 7 + [-1]),
             ([c], [1, -1, 0, 1, 1, -1, 1, 0, -1]),
             ([c, 0, -c, 0, c, 0, -c], [1, 0, 1, 0, -1, 0, 1]),
             ([1] * 8, [c // 8] * 8 + [c % 8]),
             ([c, 1, -1, 2, 0, -c, c], [-1, 0, 1, 1, 1, 0, -1]),
+            # the same at lengths that reach the packed sum through *
+            ([c, 0, -c, 0, c, 0, -c, 0, c], [1, 0, 1, 0, -1, 0, 1, 0, 1]),
+            ([1] * 9, [c // 9] * 9 + [c % 9]),
+            ([c, 1, -1, 2, 0, -c, c, 1, -1], [-1, 0, 1, 1, 1, 0, -1, 1, 1]),
         ]:
-            assert _conv_int(a, b) == schoolbook(a, b)
-            assert _conv_int(b, a) == schoolbook(b, a)
-            assert _mul_int(a, b) == schoolbook(a, b)
+            check_product(a, b)
 
     @pytest.mark.parametrize("bits", [6, 7, 8, 14, 15, 16, 30, 31, 32, 62, 63, 64, 65])
     def test_sums_at_slot_width_boundaries(self, bits):
-        # n terms of size x*y reach n*x*y, the bound the slot width is sized by
+        # the slot is sized by the product of the l1 norms, 9x * 9 = 81x,
+        # which lies just below 2**bits for the first x (if it is not 0) and
+        # above it for the second
         n = 9
-        x = (1 << bits) // n
-        for xs in ([x] * n, [-x] * n, [x, -x] * 4 + [x]):
-            for ys in ([1] * n, [-1] * n, spread([1] * n)):
-                assert _conv_int(xs, ys) == schoolbook(xs, ys)
-                assert _conv_int(spread(xs), spread(ys)) == schoolbook(spread(xs), spread(ys))
+        for x in {max(1, (1 << bits) // 81), (1 << bits) // 81 + 1}:
+            for xs in ([x] * n, [-x] * n, [x, -x] * 4 + [x]):
+                for ys in ([1] * n, [-1] * n, spread([1] * n)):
+                    check_product(xs, ys)
+                    check_product(spread(xs), spread(ys))
 
     @pytest.mark.parametrize("a,b", [
         ([1, 0, 2], [3, 0, 4]),
@@ -209,50 +239,66 @@ class TestWordSlotKernel:
         (spread(list(range(1, 12))), spread(list(range(-5, 8)))),
     ])
     def test_stride_two_lengths(self, a, b):
-        assert _conv_int(a, b) == schoolbook(a, b)
-        assert _conv_int(b, a) == schoolbook(b, a)
+        check_product(a, b)
+        # behind an even prefix, to lengths that reach the packed sum
+        check_product([0, 0] + spread([1] * 5) + [0] + a, spread([-1] * 5) + [0] + b, 1, -4)
 
     @pytest.mark.parametrize("dense", [
-        [1, 1, 1, 1, 1, 1, 1, 1],
+        [1, 1, 1, 1, 1, 1, 1, 1, 1],
         [0, 3, 0, 0, 0, 0, 0],
-        [5, 0, 0, 0, 0, 0, 0, 2],
+        [5, 0, 0, 0, 0, 0, 0, 0, 0, 2],
         [-(2**40), 7, 2**40, 0, 1, 1, 1, 1, -1],
     ])
     def test_stride_two_times_dense(self, dense):
-        even = spread([3, -1, 4, 1, -5, 9, 2])
-        assert _conv_int(even, dense) == schoolbook(even, dense)
-        assert _conv_int(dense, even) == schoolbook(dense, even)
-        p, q = poly(even, -6), poly(dense, 1)
-        assert p * q == poly(schoolbook(even, dense), -5)
-        assert_canonical_int(p * q)
+        check_product(spread([3, -1, 4, 1, -5, 9, 2]), dense, -6, 1)
 
     @pytest.mark.parametrize("la", range(1, 10))
     @pytest.mark.parametrize("lb", range(1, 10))
     def test_lengths_around_the_threshold(self, la, lb):
         rng = random.Random(100 * la + lb)
         zeros_a, zeros_b = [0] * la, [0] * lb
-        assert _conv_int(zeros_a, zeros_b) == [0] * (la + lb - 1)
-        assert _mul_int(zeros_a, zeros_b) == [0] * (la + lb - 1)
         a = [rng.randint(-(2**20), 2**20) or 1 for _ in range(la)]
         b = [rng.randint(-(2**20), 2**20) or 1 for _ in range(lb)]
-        assert _conv_int(a, zeros_b) == [0] * (la + lb - 1)
-        for x, y in [(a, b), (spread(a), spread(b)), (spread(a), b)]:
-            assert _conv_int(x, y) == schoolbook(x, y)
-            assert _mul_int(x, y) == schoolbook(x, y)
-            p, q = poly(x, 2), poly(y, -3)
-            assert (p * q).coeffs == tuple(schoolbook(x, y))
-            assert (p * q).min_exp == -1
+        for x, y in [(zeros_a, zeros_b), (a, zeros_b),
+                     (a, b), (spread(a), spread(b)), (spread(a), b)]:
+            check_product(x, y, 2, -3)
 
     @given(st.lists(wide_ints, min_size=1, max_size=30),
            st.lists(wide_ints, min_size=1, max_size=30),
            st.booleans(), st.booleans())
     def test_stride_two_matches_schoolbook(self, xs, ys, pad_a, pad_b):
         # zeros at every odd index; a trailing zero gives an even length
-        a = spread(xs) + [0] * pad_a
-        b = spread(ys) + [0] * pad_b
-        assert _conv_int(a, b) == schoolbook(a, b)
-        assert all(type(c) is int for c in _conv_int(a, b))
-        assert _mul_int(a, b) == schoolbook(a, b)
+        check_product(spread(xs) + [0] * pad_a, spread(ys) + [0] * pad_b)
+
+    def test_products_take_one_packed_sum(self, monkeypatch):
+        # a long integer product is one call to the one kernel; short,
+        # length-1 and Fraction products never reach it
+        calls = []
+        kernel = exactalg.sum_of_products
+
+        def counting(terms):
+            calls.append(terms)
+            return kernel(terms)
+
+        monkeypatch.setattr(exactalg, "sum_of_products", counting)
+        cut = exactalg._KRONECKER_MIN_LEN
+        for a, b, want in [
+            (list(range(1, cut + 1)), list(range(-1, -cut - 1, -1)), 1),
+            (spread([2] * cut), [1] * cut, 1),
+            ([7], [1] * (2 * cut), 0),
+            ([1] * (cut - 1), [1] * (2 * cut), 0),
+            ([1, 0, 1], [1] * cut, 0),
+            ([Fraction(1, 2)] + [1] * cut, [1] * cut, 0),
+            ([1] * cut, [Fraction(1, 3)] + [1] * (2 * cut), 0),
+        ]:
+            for p, q in [(poly(a, 1), poly(b, -2)), (poly(b, -2), poly(a, 1))]:
+                calls.clear()
+                got = p * q
+                assert len(calls) == want
+                if want:
+                    ((sign, shift, ops),) = calls[0]
+                    assert (sign, shift, len(ops)) == (1, 0, 2)
+                assert got == poly(schoolbook(a, b), -1)
 
     @given(st.lists(st.integers(-(2**40), 2**40), max_size=12),
            st.lists(st.integers(-(2**40), 2**40), max_size=12),
