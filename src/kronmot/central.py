@@ -38,7 +38,6 @@ from operator import mul
 from .errors import ExactDivisionError, NoConvergenceError, NonPolynomialError
 from .exactalg import LaurentPoly, Operand, RatFunc, sum_of_products
 from .qseries import TruncSeries, delta_invert
-from .wallcross import MotiveTable
 
 
 def _require_central_m(m: int):
@@ -224,6 +223,8 @@ def g_series(m: int, k: int, sign: int, order: int) -> TruncSeries:
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    from .wallcross import MotiveTable
+
     vectors = [(d, k * d + sign) for d in range(1, order + 1)]
     table = MotiveTable.covering(m, vectors)
     coeffs = [RatFunc.one()] + [RatFunc.of(table.motive(D)) for D in vectors]
@@ -293,6 +294,8 @@ def verify_corident(m: int, k: int, order: int) -> list[dict]:
     """The four identities relating A^(k), F^(k) and G^(k),+-."""
     if not 1 <= k <= m - 1:
         raise ValueError("need 1 <= k <= m-1")
+    from .wallcross import MotiveTable
+
     table = MotiveTable.covering(m, [(order, order * k), (order, order * (m - k))])
     A_k = table.ray_series((1, k), order)
     A_mk = table.ray_series((1, m - k), order)

@@ -12,7 +12,6 @@ import sys
 import click
 from click.core import ParameterSource
 
-from . import central, eulerchar, selftest, tamari, wallcross
 from .cache import SCHEMA, Cache
 from .errors import (
     InsufficientBoundError,
@@ -21,7 +20,12 @@ from .errors import (
     ResourceLimitError,
 )
 from .exactalg import LaurentPoly, RatFunc
-from .qseries import TruncSeries
+# Each solver is imported where a command runs it, inside the compute step
+# of a cached command, so a cache hit loads none of them.  Submodules are
+# imported by their own path: ``from . import X`` would consult the
+# package's ``__getattr__``.
+from .tamari import (DEFAULT_MAX_PATHS, interval_count_bruteforce,
+                     interval_count_formula)
 
 EXIT_VERIFY_FAIL = 1
 EXIT_BAD_INPUT = 2
@@ -67,8 +71,9 @@ def _emit(ctx, command: str, result, lines, csv_row=()):
 @click.option("--cache-dir", type=click.Path(), default=None,
               help="Cache directory (or set KRONMOT_CACHE_DIR).")
 @click.option("--no-cache", is_flag=True, default=False)
-@click.option("--max-paths", type=int, default=tamari.DEFAULT_MAX_PATHS,
-              show_default=True, help="Ballot-path enumeration cap.")
+@click.option("--max-paths", type=click.IntRange(min=0),
+              default=DEFAULT_MAX_PATHS, show_default=True,
+              help="Ballot-path enumeration cap.")
 @click.pass_context
 def main(ctx, fmt, cache_dir, no_cache, max_paths):
     """Exact virtual motives of Kronecker quiver moduli."""
@@ -129,6 +134,8 @@ def _canonical_series(payload, order: int) -> dict:
     """Re-encode a ``TruncSeries.to_json`` payload of the given order."""
     if payload["order"] != order:  # checked first: from_json pads to order
         raise ValueError("series of the wrong order")
+    from .qseries import TruncSeries
+
     return TruncSeries.from_json(payload).to_json()
 
 
@@ -154,10 +161,18 @@ def framed(ctx, m, d, method):
 
     def by(name):
         if name == "recursion":
-            return central.framed_recursion(m, d).coeffs[d].to_laurent()
-        if name == "funceq":
-            return central.solve_functional_eq(m, d).coeffs[d].to_laurent()
-        return wallcross.framed_via_quotient(m, (1, 1), d).coeffs[d].to_laurent()
+            from .central import framed_recursion
+
+            ts = framed_recursion(m, d)
+        elif name == "funceq":
+            from .central import solve_functional_eq
+
+            ts = solve_functional_eq(m, d)
+        else:
+            from .wallcross import framed_via_quotient
+
+            ts = framed_via_quotient(m, (1, 1), d)
+        return ts.coeffs[d].to_laurent()
 
     if method == "all":
         values = {name: by(name) for name in ("recursion", "funceq", "wallcross")}
@@ -182,9 +197,14 @@ def moduli(ctx, m, d, e):
     """Virtual motive of K_{d,e}^(m) for coprime (d,e)."""
     if m < 1 or d < 0 or e < 0 or (d, e) == (0, 0):
         raise click.exceptions.Exit(_bad_input("invalid parameters"))
+
+    def compute():
+        from .wallcross import moduli_motive
+
+        return moduli_motive(m, d, e)
+
     try:
-        poly = _cached_poly(ctx, "moduli", {"m": m, "d": d, "e": e},
-                            lambda: wallcross.moduli_motive(m, d, e))
+        poly = _cached_poly(ctx, "moduli", {"m": m, "d": d, "e": e}, compute)
     except NonCoprimeError:
         click.echo(
             f"({d},{e}) is not coprime; the motive is not determined by a_D. "
@@ -205,8 +225,13 @@ def hn(ctx, m, bound):
     _reject_csv(ctx)
     if m < 1 or bound < 0:
         raise click.exceptions.Exit(_bad_input("invalid parameters"))
-    records = _cached(ctx, "hn", {"m": m, "bound": bound},
-                      lambda: wallcross.hn_extract(m, bound).export(),
+
+    def compute():
+        from .wallcross import hn_extract
+
+        return hn_extract(m, bound).export()
+
+    records = _cached(ctx, "hn", {"m": m, "bound": bound}, compute,
                       lambda p: _canonical_records(p, bound))
 
     def line(rec):
@@ -236,14 +261,18 @@ def series(ctx, which, m, k, order):
 
     def compute():
         try:
-            if which == "F":
-                ts = central.framed_recursion(m, order)
-            elif which == "G":
-                ts = central.extract_G(m, central.framed_recursion(m, order))
+            if which != "A":
+                from .central import extract_G, framed_recursion
+
+                ts = framed_recursion(m, order)
+                if which == "G":
+                    ts = extract_G(m, ts)
             else:
                 if not 1 <= k <= m - 1:
                     raise click.exceptions.Exit(_bad_input("need 1 <= k <= m-1"))
-                table = wallcross.MotiveTable.covering(m, [(order, order * k)])
+                from .wallcross import MotiveTable
+
+                table = MotiveTable.covering(m, [(order, order * k)])
                 ts = table.ray_series((1, k), order)
         except ValueError as exc:
             raise click.exceptions.Exit(_bad_input(str(exc)))
@@ -272,19 +301,25 @@ def series(ctx, which, m, k, order):
 @click.pass_context
 def euler(ctx, m, d, kind, check):
     """Euler characteristic of K_{d,d}^(m),fr or K_{d,d-1}^(m)."""
+    from .eulerchar import chi_framed_closed, chi_from_motive, chi_moduli_closed
+
     try:
         if kind == "framed":
-            value = eulerchar.chi_framed_closed(m, d)
+            value = chi_framed_closed(m, d)
         else:
-            value = eulerchar.chi_moduli_closed(m, d)
+            value = chi_moduli_closed(m, d)
     except ValueError as exc:
         raise click.exceptions.Exit(_bad_input(str(exc)))
     if check:
         if kind == "framed":
-            motive = central.framed_recursion(m, d).coeffs[d].to_laurent()
+            from .central import framed_recursion
+
+            motive = framed_recursion(m, d).coeffs[d].to_laurent()
         else:
-            motive = wallcross.moduli_motive(m, d, d - 1)
-        if eulerchar.chi_from_motive(motive) != value:
+            from .wallcross import moduli_motive
+
+            motive = moduli_motive(m, d, d - 1)
+        if chi_from_motive(motive) != value:
             click.echo("closed form and motive sum disagree", err=True)
             raise click.exceptions.Exit(EXIT_VERIFY_FAIL)
     _emit(ctx, "euler", {"m": m, "d": d, "kind": kind, "value": value},
@@ -303,18 +338,18 @@ def tamari_cmd(ctx, mprime, n, method, check):
     """Interval count of the m'-Tamari lattice of index n."""
     try:
         if check:
-            brute = tamari.interval_count_bruteforce(mprime, n,
+            brute = interval_count_bruteforce(mprime, n,
                                                      ctx.obj["max_paths"])
-            formula = tamari.interval_count_formula(mprime, n)
+            formula = interval_count_formula(mprime, n)
             if brute != formula:
                 click.echo("brute force and formula disagree", err=True)
                 raise click.exceptions.Exit(EXIT_VERIFY_FAIL)
             value = formula
         elif method == "brute":
-            value = tamari.interval_count_bruteforce(mprime, n,
+            value = interval_count_bruteforce(mprime, n,
                                                      ctx.obj["max_paths"])
         else:
-            value = tamari.interval_count_formula(mprime, n)
+            value = interval_count_formula(mprime, n)
     except ResourceLimitError as exc:
         click.echo(str(exc), err=True)
         raise click.exceptions.Exit(EXIT_RESOURCE)
@@ -327,14 +362,15 @@ def tamari_cmd(ctx, mprime, n, method, check):
 main.add_command(tamari_cmd, name="tamari")
 
 
+# identity -> the module and function that check it, imported when run
 _VERIFIERS = {
-    "maintheorem": lambda m, k, order: central.verify_main_theorem(m, order),
-    "vdifference": lambda m, k, order: central.verify_vdifference(m, order),
-    "funceq": lambda m, k, order: central.verify_funceq(m, order),
-    "eqnew": lambda m, k, order: central.verify_eqnew(m, order),
-    "corident": lambda m, k, order: central.verify_corident(m, k, order),
-    "newduality": lambda m, k, order: central.verify_newduality(m, k, order),
-    "dualities": lambda m, k, order: wallcross.verify_dualities(m, order),
+    "maintheorem": ("central", "verify_main_theorem"),
+    "vdifference": ("central", "verify_vdifference"),
+    "funceq": ("central", "verify_funceq"),
+    "eqnew": ("central", "verify_eqnew"),
+    "corident": ("central", "verify_corident"),
+    "newduality": ("central", "verify_newduality"),
+    "dualities": ("wallcross", "verify_dualities"),
 }
 
 
@@ -353,13 +389,17 @@ def verify(ctx, identity, m, k, order):
     if k is not None and not needs_k:
         raise click.exceptions.Exit(_bad_input(
             "--k applies only to --identity corident and newduality"))
+    module, name = _VERIFIERS[identity]
+    verifier = getattr(__import__(f"kronmot.{module}", fromlist=[name]), name)
     try:
-        if needs_k and k is None:
+        if not needs_k:
+            reports = verifier(m, order)
+        elif k is None:
             reports = []
             for kk in range(1, m):
-                reports += _VERIFIERS[identity](m, kk, order)
+                reports += verifier(m, kk, order)
         else:
-            reports = _VERIFIERS[identity](m, k, order)
+            reports = verifier(m, k, order)
     except ValueError as exc:
         raise click.exceptions.Exit(_bad_input(str(exc)))
 
@@ -374,9 +414,16 @@ def verify(ctx, identity, m, k, order):
 
 
 @main.command()
-def selftest_cmd():
+@click.pass_context
+def selftest_cmd(ctx):
     """Run the full acceptance suite (criteria 1-6)."""
-    if not selftest.run(echo=click.echo):
+    if ctx.obj["fmt"] != "plain":
+        raise click.exceptions.Exit(_bad_input(
+            f"--format {ctx.obj['fmt']} is not supported by `selftest`; "
+            "it prints a plain report only"))
+    from .selftest import run
+
+    if not run(echo=click.echo):
         raise click.exceptions.Exit(EXIT_VERIFY_FAIL)
 
 

@@ -5,9 +5,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from typing import TYPE_CHECKING
 
 from .errors import NonIntegerError
-from .exactalg import LaurentPoly
+
+if TYPE_CHECKING:
+    from .exactalg import LaurentPoly
 
 
 def _as_int(x: Fraction | int, what: str) -> int:

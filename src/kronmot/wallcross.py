@@ -294,23 +294,37 @@ class MotiveTable:
 
         where every c_n / c_k is a polynomial.  So F is solved over integer
         Laurent polynomials with one exact division by c_n per degree.
+
+        c_n / c_k is the product of the binomials 1 - q^i, q = v^-2, for i
+        in (k*d0, n*d0] and in (k*e0, n*e0]; each is multiplied on as one
+        shift and one subtraction, k running down from n.  The division by
+        c_n is one exact two-term division per binomial, as in ``_motive``.
         """
         d0, e0 = D0
         if gcd(d0, e0) != 1:
             raise NonCoprimeError(f"ray {tuple(D0)} is not primitive")
         num = [self._numerator(_check_vector((k * d0, k * e0)))
                for k in range(order + 1)]
-        c = [_poch(k * d0) * _poch(k * e0) for k in range(order + 1)]
+
+        def exponents(k, n):
+            """The i of the binomials 1 - q^i of c_n / c_k."""
+            return [*range(k * d0 + 1, n * d0 + 1), *range(k * e0 + 1, n * e0 + 1)]
+
         F = [LaurentPoly.one()]
         for n in range(1, order + 1):
             total = num[n].v_shift(n * e0)
-            for k in range(1, n + 1):
-                total = total - F[n - k] * num[k].v_shift(-k * e0) * c[n].divexact(c[k])
+            ratio = LaurentPoly.one()  # c_n / c_k
+            for k in range(n, 0, -1):
+                total = total - F[n - k] * num[k].v_shift(-k * e0) * ratio
+                for i in exponents(k - 1, k):
+                    ratio = ratio - ratio.v_shift(-2 * i)
             try:
-                F.append(total.divexact(c[n]))
+                for i in exponents(0, n):
+                    total = total.divexact(LaurentPoly.one() - LaurentPoly.monomial(-2 * i))
             except NonPolynomialError as exc:
                 raise ExactDivisionError(
                     f"quotient division failed at m={self.m}, n={n}") from exc
+            F.append(total)
         return TruncSeries(F, order)
 
     def export(self) -> list[dict]:

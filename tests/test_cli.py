@@ -144,6 +144,13 @@ class TestTamari:
                   "--m-prime", "1", "--n", "4", "--method", "brute")
         assert res.exit_code == 4
 
+    def test_negative_max_paths_rejected(self, runner):
+        res = run(runner, "--no-cache", "--max-paths", "-5", "tamari",
+                  "--m-prime", "1", "--n", "3", "--check")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "--max-paths" in res.stderr
+
 
 class TestVerify:
     def test_maintheorem(self, runner):
@@ -197,6 +204,20 @@ def test_csv_rejected_where_unsupported(runner, args):
     assert res.exit_code == 2
     assert f"not supported by `{args[0]}`" in res.output
     assert "framed, moduli, euler, tamari" in res.output
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_selftest_refuses_other_formats(runner, monkeypatch, fmt):
+    from kronmot import selftest
+
+    def no_run(echo):
+        raise AssertionError("ran")
+
+    monkeypatch.setattr(selftest, "run", no_run)
+    res = run(runner, "--format", fmt, "selftest")
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert f"--format {fmt} is not supported by `selftest`" in res.stderr
 
 
 class TestCache:

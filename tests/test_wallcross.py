@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kronmot import wallcross
-from kronmot.errors import InsufficientBoundError, NonCoprimeError
+from kronmot.errors import ExactDivisionError, InsufficientBoundError, NonCoprimeError
 from kronmot.exactalg import LaurentPoly, RatFunc, quantum_integer
 from kronmot.wallcross import (
     MotiveTable,
@@ -417,6 +417,15 @@ class TestFramedQuotient:
     def test_non_primitive_ray_rejected(self):
         with pytest.raises(NonCoprimeError):
             MotiveTable.covering(3, [(4, 4)]).framed_series((2, 2), 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_remainder_raises(self, n):
+        # adding 1 to num_n adds v^n - v^-n = v^n (1 - q^n) to c_n F_n, which
+        # (1 - q)^2 does not divide, while c_n = (q;q)_n^2 has that factor
+        table = MotiveTable.covering(3, [(3, 3)])
+        table._anum[(n, n)] += LaurentPoly.one()
+        with pytest.raises(ExactDivisionError, match=f"n={n}$"):
+            table.framed_series((1, 1), 3)
 
 
 class TestDualities:
