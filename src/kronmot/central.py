@@ -27,6 +27,15 @@ Both cost O(m * order^2) Laurent-polynomial products in O(m * order)
 packed sums of at most order+1 products each.  The check costs
 O(m * order^2) integer series-coefficient products, again as packed sums,
 and m series inverses.
+
+The identity verifiers compare integral series only.  Each builds one
+wall-crossing table (``MotiveTable.covering``), so one sweep, over the
+union of the vectors it reads, and reads every series off it: G^(k),+- by
+``g_series``, and the A-series cleared of their denominators by
+``MotiveTable.cleared_series``.  F is read as a ``RatFunc`` series and
+converted once.  ``RatFunc`` coefficients remain only in what the package
+returns: ``framed_recursion``, ``solve_functional_eq``, ``extract_G``, the
+``hn`` records and the ``series`` output.
 """
 
 from __future__ import annotations
@@ -179,11 +188,8 @@ def solve_functional_eq(m: int, order: int) -> TruncSeries:
 
 
 def _scaled_product(m: int, F: TruncSeries) -> TruncSeries:
-    """prod_{i=1}^{m-1} F(v^(m-2i) t)."""
-    prod = TruncSeries.one(F.order)
-    for i in range(1, m):
-        prod = prod * F.scale_arg(m - 2 * i)
-    return prod
+    """prod_{i=1}^{m-1} F(v^(m-2i) t), in the coefficient ring of F."""
+    return reduce(mul, [F.scale_arg(m - 2 * i) for i in range(1, m)])
 
 
 def extract_G(m: int, F: TruncSeries) -> TruncSeries:
@@ -213,22 +219,21 @@ class CentralSeriesPair:
 # -- series assembled from wall-crossing motives ----------------------------
 
 
-@lru_cache(maxsize=64)
-def g_series(m: int, k: int, sign: int, order: int) -> TruncSeries:
-    """G^(k),+- from moduli motives: coefficient d is [K_{d, k*d+sign}]_vir.
-
-    The verifiers ask for the same series repeatedly (``verify_corident``
-    and ``verify_newduality`` both read G^(k),- and G^(m-k),+), so results
-    are cached; ``TruncSeries`` is immutable.
-    """
+def g_series(table, k: int, sign: int, order: int) -> TruncSeries:
+    """G^(k),+- read off ``table``: coefficient d is [K_{d, k*d+sign}]_vir
+    for m = table.m, as an integral series."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    from .wallcross import MotiveTable
+    return TruncSeries.laurent(
+        [LaurentPoly.one()]
+        + [table.motive((d, k * d + sign)) for d in range(1, order + 1)], order)
 
-    vectors = [(d, k * d + sign) for d in range(1, order + 1)]
-    table = MotiveTable.covering(m, vectors)
-    coeffs = [RatFunc.one()] + [RatFunc.of(table.motive(D)) for D in vectors]
-    return TruncSeries(coeffs, order)
+
+def _integral(F: TruncSeries) -> TruncSeries:
+    """A series of Laurent-valued RatFunc coefficients, such as F from
+    ``framed_recursion`` or ``MotiveTable.framed_series``, as an integral
+    series."""
+    return TruncSeries.laurent([c.to_laurent() for c in F.coeffs], F.order)
 
 
 # -- identity verifiers -----------------------------------------------------
@@ -257,8 +262,11 @@ def verify_main_theorem(m: int, order: int) -> list[dict]:
     F comes from the recursion, G from the wall-crossing motives of
     K_{d,d-1}, so the two identities genuinely cross-check the modules.
     """
-    F = framed_recursion(m, order)
-    G = g_series(m, 1, -1, order)
+    from .wallcross import MotiveTable
+
+    F = _integral(framed_recursion(m, order))
+    table = MotiveTable.covering(m, [(order, max(order - 1, 0))])
+    G = g_series(table, 1, -1, order)
     return [
         _report("maintheorem:F=nabla^(m-1)G", m, None, order, F, G.nabla(m - 1)),
         _report("maintheorem:deltaG=t*prodF", m, None, order, G.delta(),
@@ -268,7 +276,7 @@ def verify_main_theorem(m: int, order: int) -> list[dict]:
 
 def verify_vdifference(m: int, order: int) -> list[dict]:
     """delta F = nabla^(m-1)(t * prod_i F(v^(m-2i) t))."""
-    F = framed_recursion(m, order)
+    F = _integral(framed_recursion(m, order))
     return [
         _report("vdifference", m, None, order, F.delta(),
                 _scaled_product(m, F).shift_t().nabla(m - 1)),
@@ -277,41 +285,52 @@ def verify_vdifference(m: int, order: int) -> list[dict]:
 
 def verify_funceq(m: int, order: int) -> list[dict]:
     """F from the recursion satisfies the algebraic functional equation."""
-    F = framed_recursion(m, order)
-    F = TruncSeries.laurent([c.to_laurent() for c in F.coeffs], order)
+    F = _integral(framed_recursion(m, order))
     return [_report("funceq", m, None, order, F, _functional_rhs(m, F))]
 
 
 def verify_eqnew(m: int, order: int) -> list[dict]:
     """G^(1),+ = (G^(1),- - 1)/t, i.e. [K_{d,d+1}] = [K_{d+1,d}]."""
-    gplus = g_series(m, 1, 1, order)
-    gminus = g_series(m, 1, -1, order + 1)
-    shifted = TruncSeries(list(gminus.coeffs[1:]), order)
+    from .wallcross import MotiveTable
+
+    table = MotiveTable.covering(m, [(order, order + 1), (order + 1, order)])
+    gplus = g_series(table, 1, 1, order)
+    gminus = g_series(table, 1, -1, order + 1)
+    shifted = TruncSeries.laurent(gminus.coeffs[1:], order)
     return [_report("eqnew", m, None, order, gplus, shifted)]
 
 
 def verify_corident(m: int, k: int, order: int) -> list[dict]:
-    """The four identities relating A^(k), F^(k) and G^(k),+-."""
+    """The four identities relating A^(k), F^(k) and G^(k),+-.
+
+    The A-series are compared cleared of their denominators: with
+    A^(k) = B_k / C_k (``MotiveTable.cleared_series``), A^(k) = A^(m-k)
+    is checked as B_k C_(m-k) = B_(m-k) C_k, and F = A(v^k t) / A(v^-k t)
+    as F B_k(v^-k t) = B_k(v^k t).  Both sides are multiplied by nonzero
+    constants in t, so every degree passes or fails as it would uncleared.
+    """
     if not 1 <= k <= m - 1:
         raise ValueError("need 1 <= k <= m-1")
     from .wallcross import MotiveTable
 
-    table = MotiveTable.covering(m, [(order, order * k), (order, order * (m - k))])
-    A_k = table.ray_series((1, k), order)
-    A_mk = table.ray_series((1, m - k), order)
+    table = MotiveTable.covering(
+        m, [(order, order * k), (order, order * (m - k) + 1)])
+    B_k, C_k = table.cleared_series((1, k), order)
+    B_mk, C_mk = table.cleared_series((1, m - k), order)
     # independent F^(1) exists via the recursion; other k use the quotient
     if k == 1 and m >= 3:
         F_k = framed_recursion(m, order)
     else:
         F_k = table.framed_series((1, k), order)
-    g_minus = g_series(m, k, -1, order)
-    g_plus_mk = g_series(m, m - k, 1, order)
+    F_k = _integral(F_k)
+    g_minus = g_series(table, k, -1, order)
+    g_plus_mk = g_series(table, m - k, 1, order)
     return [
-        _report("corident:A^(k)=A^(m-k)", m, k, order, A_k, A_mk),
+        _report("corident:A^(k)=A^(m-k)", m, k, order, B_k * C_mk, B_mk * C_k),
         # F = A(v^k t) / A(v^-k t) multiplied out; A has constant term 1, so
         # the first failing degree is that of the quotient itself
         _report("corident:F^(k)=A-quotient", m, k, order,
-                F_k * A_k.scale_arg(-k), A_k.scale_arg(k)),
+                F_k * B_k.scale_arg(-k), B_k.scale_arg(k)),
         _report("corident:G^(k),-=G^(m-k),+", m, k, order, g_minus, g_plus_mk),
         _report("corident:F^(k)=nabla G^(m-k),+", m, k, order, F_k,
                 g_plus_mk.nabla(m - k)),
@@ -322,12 +341,16 @@ def verify_newduality(m: int, k: int, order: int) -> list[dict]:
     """The slope duality between the G^(k),- and G^(k),+ product series."""
     if not 1 <= k <= m - 1:
         raise ValueError("need 1 <= k <= m-1")
-    g_minus = g_series(m, k, -1, order)
-    g_plus = g_series(m, k, 1, order)
-    lhs = TruncSeries.one(order)
+    from .wallcross import MotiveTable
+
+    table = MotiveTable.covering(m, [(order, order * k + 1)])
+    g_minus = g_series(table, k, -1, order)
+    g_plus = g_series(table, k, 1, order)
+    one = TruncSeries.laurent([LaurentPoly.one()], order)
+    lhs = one
     for i in range(1, m - k + 1):
         lhs = lhs * g_minus.scale_arg((m + 1 - k - 2 * i) * k).nabla(m - k)
-    rhs = TruncSeries.one(order)
+    rhs = one
     for i in range(1, k + 1):
         rhs = rhs * g_plus.scale_arg((m - k) * (k + 1 - 2 * i)).nabla(k)
     return [_report("newduality", m, k, order, lhs, rhs)]

@@ -389,6 +389,10 @@ def verify(ctx, identity, m, k, order):
     if k is not None and not needs_k:
         raise click.exceptions.Exit(_bad_input(
             "--k applies only to --identity corident and newduality"))
+    if needs_k and k is None and m < 2:
+        # the loop over 1 <= k <= m-1 below would check nothing
+        raise click.exceptions.Exit(_bad_input(
+            f"--identity {identity} needs m >= 2"))
     module, name = _VERIFIERS[identity]
     verifier = getattr(__import__(f"kronmot.{module}", fromlist=[name]), name)
     try:

@@ -261,19 +261,20 @@ def product_coeff(a, b, n: int):
 def delta_invert(b: TruncSeries) -> TruncSeries:
     """The unique G with G(0)=1 and delta(G) == b.
 
-    Divides coefficient d by [d]_v.  A Laurent coefficient that [d]_v
-    divides, as in all uses here, takes the exact Laurent division; any
-    other coefficient goes through the reducing RatFunc division.
+    Divides coefficient d by [d]_v, in either ring of ``b``; the result is
+    over RatFunc.  A Laurent coefficient that [d]_v divides, as in all uses
+    here, takes the exact Laurent division; any other coefficient goes
+    through the reducing RatFunc division.
     """
     if not b.coeffs[0].is_zero():
         raise NonZeroConstantError("delta_invert needs vanishing constant term")
     out = [RatFunc.one()]
     for d in range(1, b.order + 1):
-        c = b.coeffs[d]
+        c = _lift(b.coeffs[d])
         qd = quantum_integer(d)
         if c.is_laurent():
             try:
-                out.append(RatFunc.of(c.to_laurent().divexact(qd)))
+                out.append(RatFunc.of(c.num.divexact(qd)))
                 continue
             except NonPolynomialError:
                 pass

@@ -208,6 +208,14 @@ def _sweep(m: int, vectors) -> dict[DimVector, LaurentPoly]:
     return anum
 
 
+def _exponents(D0, k: int, n: int) -> list[int]:
+    """The i of the binomials 1 - q^i whose product is c_n / c_k, where
+    c_n = (q;q)_{n*d0} (q;q)_{n*e0} clears the t^n coefficient of the ray
+    series of D0 = (d0, e0)."""
+    d0, e0 = D0
+    return [*range(k * d0 + 1, n * d0 + 1), *range(k * e0 + 1, n * e0 + 1)]
+
+
 def _motive(D: DimVector, anum: LaurentPoly) -> LaurentPoly:
     """[K_D]_vir = (v - 1/v) * a_D from the numerator of a_D, D coprime.
 
@@ -281,6 +289,35 @@ class MotiveTable:
             [self.a((k * d0, k * e0)) for k in range(order + 1)], order
         )
 
+    def _ray_numerators(self, D0, order: int) -> list[LaurentPoly]:
+        """num_k, the numerator of a_{k*D0} over c_k, for k = 0..order."""
+        d0, e0 = D0
+        if gcd(d0, e0) != 1:
+            raise NonCoprimeError(f"ray {tuple(D0)} is not primitive")
+        return [self._numerator(_check_vector((k * d0, k * e0)))
+                for k in range(order + 1)]
+
+    def cleared_series(self, D0, order: int) -> tuple[TruncSeries, LaurentPoly]:
+        """(B, C): the ray series of D0 through degree ``order`` as an
+        integral series B over one integer Laurent polynomial C.
+
+        C = c_order and B_n = num_n * c_order / c_n, with a_{n*D0} = num_n /
+        c_n and c_n = (q;q)_{n*d0} (q;q)_{n*e0}, so A = B / C coefficient by
+        coefficient.  c_order / c_n is the product of the binomials 1 - q^i
+        for i in ``_exponents(D0, n, order)``, each multiplied on as one
+        shift and one subtraction, n running down from ``order``.
+        """
+        num = self._ray_numerators(D0, order)
+        B = [num[order]]
+        ratio = LaurentPoly.one()  # c_order / c_n
+        for n in range(order, 0, -1):
+            for i in _exponents(D0, n - 1, n):
+                ratio = ratio - ratio.v_shift(-2 * i)
+            B.append(num[n - 1] * ratio)
+        d0, e0 = D0
+        return (TruncSeries.laurent(B[::-1], order),
+                _poch(order * d0) * _poch(order * e0))
+
     def framed_series(self, D0, order: int) -> TruncSeries:
         """Framed motives along a ray, via the quotient formula.
 
@@ -300,26 +337,18 @@ class MotiveTable:
         shift and one subtraction, k running down from n.  The division by
         c_n is one exact two-term division per binomial, as in ``_motive``.
         """
-        d0, e0 = D0
-        if gcd(d0, e0) != 1:
-            raise NonCoprimeError(f"ray {tuple(D0)} is not primitive")
-        num = [self._numerator(_check_vector((k * d0, k * e0)))
-               for k in range(order + 1)]
-
-        def exponents(k, n):
-            """The i of the binomials 1 - q^i of c_n / c_k."""
-            return [*range(k * d0 + 1, n * d0 + 1), *range(k * e0 + 1, n * e0 + 1)]
-
+        num = self._ray_numerators(D0, order)
+        e0 = D0[1]
         F = [LaurentPoly.one()]
         for n in range(1, order + 1):
             total = num[n].v_shift(n * e0)
             ratio = LaurentPoly.one()  # c_n / c_k
             for k in range(n, 0, -1):
                 total = total - F[n - k] * num[k].v_shift(-k * e0) * ratio
-                for i in exponents(k - 1, k):
+                for i in _exponents(D0, k - 1, k):
                     ratio = ratio - ratio.v_shift(-2 * i)
             try:
-                for i in exponents(0, n):
+                for i in _exponents(D0, 0, n):
                     total = total.divexact(LaurentPoly.one() - LaurentPoly.monomial(-2 * i))
             except NonPolynomialError as exc:
                 raise ExactDivisionError(

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from kronmot import central, exactalg
+from kronmot import central, exactalg, wallcross
 from kronmot.central import (
     CentralSeriesPair,
     _framed_motives,
@@ -18,7 +18,7 @@ from kronmot.central import (
     verify_newduality,
     verify_vdifference,
 )
-from kronmot.errors import NonPolynomialError, NonZeroConstantError
+from kronmot.errors import InsufficientBoundError, NonPolynomialError, NonZeroConstantError
 from kronmot.eulerchar import chi_framed_closed, chi_from_motive
 from kronmot.exactalg import LaurentPoly, RatFunc, quantum_integer
 from kronmot.qseries import TruncSeries, product_coeff
@@ -331,6 +331,41 @@ class TestIdentities:
         assert check["status"] == "fail"
         assert check["first_failure_degree"] == d
 
+    @pytest.mark.parametrize("d,first", [(0, 0), (1, 1), (2, 2), (3, 3)])
+    def test_corident_k1_quotient_check_catches_a_wrong_coefficient(
+            self, monkeypatch, d, first):
+        recursion = central.framed_recursion
+
+        def perturbed(m, order):
+            coeffs = list(recursion(m, order).coeffs)
+            coeffs[d] = coeffs[d] + LaurentPoly.monomial(2 * d)
+            return TruncSeries(coeffs, order)
+
+        monkeypatch.setattr(central, "framed_recursion", perturbed)
+        report = {r["identity"]: r for r in verify_corident(3, 1, 4)}
+        check = report["corident:F^(k)=A-quotient"]
+        assert check["status"] == "fail"
+        assert check["first_failure_degree"] == first
+
+    @pytest.mark.parametrize("d,first", [(0, 0), (1, 1), (2, 2), (3, 3)])
+    def test_corident_ray_check_catches_a_wrong_coefficient(self, monkeypatch, d, first):
+        cleared_series = MotiveTable.cleared_series
+
+        def perturbed(table, D0, order):
+            B, C = cleared_series(table, D0, order)
+            if D0 != (1, 1):
+                return B, C
+            # B / C is A^(1), so this adds 1 to its t^d coefficient
+            coeffs = list(B.coeffs)
+            coeffs[d] = coeffs[d] + C
+            return TruncSeries.laurent(coeffs, order), C
+
+        monkeypatch.setattr(MotiveTable, "cleared_series", perturbed)
+        report = {r["identity"]: r for r in verify_corident(3, 1, 4)}
+        check = report["corident:A^(k)=A^(m-k)"]
+        assert check["status"] == "fail"
+        assert check["first_failure_degree"] == first
+
     def test_newduality(self):
         _all_pass(verify_newduality(3, 1, 4))
         _all_pass(verify_newduality(4, 1, 3))
@@ -346,29 +381,59 @@ class TestIdentities:
 
 class TestGSeries:
     def test_g_minus_low_terms(self):
-        g = g_series(3, 1, -1, 3)
-        assert g.coeffs[0] == RatFunc.one()
-        assert g.coeffs[1] == RatFunc.one()
-        assert step2(g.coeffs[2].to_laurent()) == [1, 1, 1]
+        g = g_series(MotiveTable.covering(3, [(3, 2)]), 1, -1, 3)
+        assert g.is_integral()
+        assert g.coeffs[0] == LaurentPoly.one()
+        assert g.coeffs[1] == LaurentPoly.one()
+        assert step2(g.coeffs[2]) == [1, 1, 1]
 
     def test_g_plus_matches_duality(self):
         # [K_{d,d+1}] = [K_{d+1,d}]
-        gp = g_series(3, 1, 1, 3)
-        gm = g_series(3, 1, -1, 4)
+        table = MotiveTable.covering(3, [(3, 4), (4, 3)])
+        gp = g_series(table, 1, 1, 3)
+        gm = g_series(table, 1, -1, 4)
         assert list(gp.coeffs) == list(gm.coeffs[1:])
 
-    def test_repeat_served_from_cache(self):
-        first = g_series(4, 3, -1, 4)
-        before = g_series.cache_info()
-        assert g_series(4, 3, -1, 4) is first
-        after = g_series.cache_info()
-        assert after.hits == before.hits + 1
-        assert after.misses == before.misses
+    def test_reads_only_the_table(self):
+        table = MotiveTable.covering(3, [(2, 3)])
+        with pytest.raises(InsufficientBoundError):
+            g_series(table, 1, 1, 3)
+        with pytest.raises(ValueError):
+            g_series(table, 1, 0, 2)
 
-    def test_verifiers_reuse_the_series(self):
-        # at m = 2k, corident and newduality both read G^(k),- and G^(k),+
-        g_series.cache_clear()
-        verify_corident(4, 2, 3)
-        verify_newduality(4, 2, 3)
-        info = g_series.cache_info()
-        assert (info.misses, info.hits) == (2, 2)
+
+@pytest.mark.parametrize("verifier,args", [
+    (verify_main_theorem, (3, 4)),
+    (verify_eqnew, (4, 3)),
+    (verify_corident, (3, 1, 4)),
+    (verify_corident, (4, 2, 3)),
+    (verify_newduality, (4, 2, 3)),
+], ids=["maintheorem", "eqnew", "corident-k1", "corident-k2", "newduality"])
+def test_each_verifier_sweeps_once(monkeypatch, verifier, args):
+    calls = []
+    sweep = wallcross._sweep
+
+    def counting(m, vectors):
+        calls.append(m)
+        return sweep(m, vectors)
+
+    monkeypatch.setattr(wallcross, "_sweep", counting)
+    _all_pass(verifier(*args))
+    assert len(calls) == 1
+
+
+def test_no_verifier_reduces_a_ratfunc(monkeypatch):
+    def no_gcd(a, b):
+        raise AssertionError("a RatFunc was reduced")
+
+    monkeypatch.setattr(exactalg, "_poly_gcd_int", no_gcd)
+    for m in (3, 4):
+        _all_pass(verify_main_theorem(m, 4))
+        _all_pass(verify_vdifference(m, 4))
+        _all_pass(verify_funceq(m, 4))
+        _all_pass(verify_eqnew(m, 4))
+        for k in range(1, m):
+            _all_pass(verify_corident(m, k, 4))
+            _all_pass(verify_newduality(m, k, 4))
+        report = wallcross.verify_dualities(m, 4)
+        assert report and all(r["status"] == "pass" for r in report)

@@ -186,6 +186,17 @@ class TestVerify:
         assert res.stdout == ""
         assert "--k applies only to" in res.stderr
 
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    @pytest.mark.parametrize("identity", ["corident", "newduality"])
+    @pytest.mark.parametrize("m", [1, 0, -3])
+    def test_no_k_to_check_rejected(self, runner, fmt, identity, m):
+        # 1 <= k <= m-1 is empty, so looping over k would check nothing
+        res = run(runner, "--no-cache", "--format", fmt, "verify",
+                  "--identity", identity, "--m", str(m), "--order", "2")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert f"--identity {identity} needs m >= 2" in res.stderr
+
     def test_order_below_one_rejected(self, runner):
         res = run(runner, "--no-cache", "verify", "--identity", "dualities",
                   "--m", "3", "--order", "0")

@@ -163,6 +163,20 @@ def test_delta_invert_divisions_agree():
     assert out.coeffs[2].is_laurent() and not out.coeffs[3].is_laurent()
 
 
+def test_delta_invert_integral_series():
+    # the integral ring divides like its lift: exactly where [d]_v divides
+    polys = [LaurentPoly.zero(), V + VINV, quantum_integer(2) * (V - 3),
+             LaurentPoly([1, 0, 3], -1)]
+    out = delta_invert(TruncSeries.laurent(polys, 3))
+    lifted = delta_invert(TruncSeries(polys, 3))
+    assert out == lifted
+    assert [c.to_json() for c in out.coeffs] == [c.to_json() for c in lifted.coeffs]
+    assert all(type(c) is RatFunc for c in out.coeffs)
+    assert out.coeffs[2].is_laurent() and not out.coeffs[3].is_laurent()
+    with pytest.raises(NonZeroConstantError):
+        delta_invert(TruncSeries.laurent([LaurentPoly.one()], 2))
+
+
 def test_json_round_trip():
     a = TruncSeries([RatFunc.one(), RatFunc(LaurentPoly.one(), V - VINV)], 1)
     assert TruncSeries.from_json(a.to_json()) == a

@@ -385,10 +385,24 @@ class TestRaySeries:
         table = hn_extract(3, 12)
         assert table.ray_series((1, 1), 4) == table.ray_series((1, 2), 4)
 
+    @pytest.mark.parametrize("ray", [(1, 1), (1, 2), (2, 1), (0, 1), (1, 0)])
+    def test_cleared_series_over_its_denominator(self, ray):
+        d0, e0 = ray
+        table = MotiveTable.covering(4, [(5 * d0, 5 * e0)])
+        for order in range(6):
+            B, C = table.cleared_series(ray, order)
+            assert B.is_integral()
+            assert [RatFunc(b, C) for b in B.coeffs] == list(
+                table.ray_series(ray, order).coeffs), order
+
     def test_bound_checked(self):
         table = hn_extract(3, 4)
         with pytest.raises(InsufficientBoundError):
             table.ray_series((1, 1), 3)
+        with pytest.raises(InsufficientBoundError):
+            table.cleared_series((1, 1), 3)
+        with pytest.raises(NonCoprimeError):
+            table.cleared_series((2, 2), 1)
         with pytest.raises(NonCoprimeError):
             table.ray_series((2, 2), 1)
 
