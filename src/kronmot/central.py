@@ -33,9 +33,10 @@ wall-crossing table (``MotiveTable.covering``), so one sweep, over the
 union of the vectors it reads, and reads every series off it: G^(k),+- by
 ``g_series``, and the A-series cleared of their denominators by
 ``MotiveTable.cleared_series``.  F is read as a ``RatFunc`` series and
-converted once.  ``RatFunc`` coefficients remain only in what the package
-returns: ``framed_recursion``, ``solve_functional_eq``, ``extract_G``, the
-``hn`` records and the ``series`` output.
+converted once, as in ``extract_G``, whose G is integral.  ``RatFunc``
+coefficients remain, with no arithmetic on them, only in
+``framed_recursion``, ``solve_functional_eq``, the ``hn`` records and the
+``series`` output.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from functools import lru_cache, reduce
 from operator import mul
 
 from .errors import ExactDivisionError, NoConvergenceError, NonPolynomialError
-from .exactalg import LaurentPoly, Operand, RatFunc, sum_of_products
+from .exactalg import LaurentPoly, Operand, sum_of_products
 from .qseries import TruncSeries, delta_invert
 
 
@@ -193,16 +194,22 @@ def _scaled_product(m: int, F: TruncSeries) -> TruncSeries:
 
 
 def extract_G(m: int, F: TruncSeries) -> TruncSeries:
-    """G(t) with delta(G) = t * prod_i F(v^(m-2i) t) and G(0)=1."""
+    """G(t) with delta(G) = t * prod_i F(v^(m-2i) t) and G(0)=1, integral.
+
+    F, in either ring, must have integer Laurent coefficients; any other
+    coefficient, or a remainder on division by [d]_v, raises
+    ``NonPolynomialError`` or ``TypeError``.
+    """
     _require_central_m(m)
-    if F.coeffs[0] != RatFunc.one():
+    F = _integral(F)
+    if F.coeffs[0] != 1:
         raise ValueError("F must have constant term 1")
     return delta_invert(_scaled_product(m, F).shift_t())
 
 
 @dataclass(frozen=True)
 class CentralSeriesPair:
-    """The pair (F, G) at central slope, with F = nabla^(m-1) G."""
+    """The integral pair (F, G) at central slope, with F = nabla^(m-1) G."""
 
     m: int
     order: int
@@ -211,7 +218,7 @@ class CentralSeriesPair:
 
     @classmethod
     def compute(cls, m: int, order: int) -> "CentralSeriesPair":
-        F = framed_recursion(m, order)
+        F = _integral(framed_recursion(m, order))
         G = extract_G(m, F)
         return cls(m=m, order=order, F=F, G=G)
 
@@ -230,9 +237,11 @@ def g_series(table, k: int, sign: int, order: int) -> TruncSeries:
 
 
 def _integral(F: TruncSeries) -> TruncSeries:
-    """A series of Laurent-valued RatFunc coefficients, such as F from
-    ``framed_recursion`` or ``MotiveTable.framed_series``, as an integral
-    series."""
+    """F as an integral series; F may have Laurent-valued RatFunc
+    coefficients, such as F from ``framed_recursion`` or
+    ``MotiveTable.framed_series``."""
+    if F.is_integral():
+        return F
     return TruncSeries.laurent([c.to_laurent() for c in F.coeffs], F.order)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import sys
+from math import gcd
 
 import click
 from click.core import ParameterSource
@@ -106,37 +107,60 @@ def _cached(ctx, command: str, params: dict, compute, canonical):
     return payload
 
 
+def _integer(*polys: LaurentPoly) -> bool:
+    """True iff every coefficient of ``polys`` is an integer."""
+    return all(type(c) is int for p in polys for c in p.coeffs)
+
+
+def _motive(obj) -> LaurentPoly:
+    """Decode a motive, which has integer coefficients."""
+    p = LaurentPoly.from_json(obj)
+    if not _integer(p):
+        raise ValueError("a motive must have integer coefficients")
+    return p
+
+
 def _cached_poly(ctx, command: str, params: dict, compute) -> LaurentPoly:
     payload = _cached(ctx, command, params, lambda: compute().to_json(),
-                      lambda p: LaurentPoly.from_json(p).to_json())
+                      lambda p: _motive(p).to_json())
     return LaurentPoly.from_json(payload)
 
 
 def _canonical_records(records, bound: int) -> list[dict]:
-    """Re-encode the records of ``MotiveTable.export`` for d+e <= bound."""
+    """Re-encode the records of ``MotiveTable.export`` for d+e <= bound.
+
+    Every a_D is a quotient of integer Laurent polynomials, and the motive
+    is null exactly where gcd(d, e) > 1, as ``export`` writes it."""
     # export lists every (d,e) with d+e <= bound, ordered by (d+e, d)
     vectors = [(d, s - d) for s in range(bound + 1) for d in range(s + 1)]
     if len(records) != len(vectors):
         raise ValueError("wrong number of records")
-    return [
-        {
-            "d": d,
-            "e": e,
-            "a": RatFunc.from_json(rec["a"]).to_json(),
-            "motive": (None if rec["motive"] is None
-                       else LaurentPoly.from_json(rec["motive"]).to_json()),
-        }
-        for (d, e), rec in zip(vectors, records)
-    ]
+    out = []
+    for (d, e), rec in zip(vectors, records):
+        a, motive = RatFunc.from_json(rec["a"]), rec["motive"]
+        if not _integer(a.num, a.den):
+            raise ValueError(f"a_({d},{e}) has a non-integer coefficient")
+        if (motive is None) != (gcd(d, e) > 1):
+            raise ValueError(f"({d},{e}): the motive is null iff gcd(d, e) > 1")
+        out.append({"d": d, "e": e, "a": a.to_json(),
+                    "motive": None if motive is None else _motive(motive).to_json()})
+    return out
 
 
-def _canonical_series(payload, order: int) -> dict:
-    """Re-encode a ``TruncSeries.to_json`` payload of the given order."""
-    if payload["order"] != order:  # checked first: from_json pads to order
+def _canonical_series(payload, which: str, order: int) -> dict:
+    """Re-encode a ``TruncSeries.to_json`` payload of the given order.
+
+    Each coefficient of A^(k) is a quotient of integer Laurent polynomials,
+    and each of F and G an integer Laurent polynomial."""
+    if payload["order"] != order:
         raise ValueError("series of the wrong order")
     from .qseries import TruncSeries
 
-    return TruncSeries.from_json(payload).to_json()
+    ts = TruncSeries.from_json(payload)
+    if not all(_integer(c.num, c.den) and (which == "A" or c.is_laurent())
+               for c in ts.coeffs):
+        raise ValueError(f"a coefficient of {which} has the wrong form")
+    return ts.to_json()
 
 
 def _reject_csv(ctx):
@@ -279,7 +303,7 @@ def series(ctx, which, m, k, order):
         return ts.to_json()
 
     payload = _cached(ctx, "series", {"which": which, "m": m, "k": k, "order": order},
-                      compute, lambda p: _canonical_series(p, order))
+                      compute, lambda p: _canonical_series(p, which, order))
 
     def line(dd, coeff):
         num = ",".join(_coeff_list(LaurentPoly.from_json(coeff["num"])))

@@ -418,10 +418,21 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LaurentPoly":
-        if type(obj["min_exp"]) is not int:
+        """Inverse of ``to_json``: an int ``min_exp`` and a list of numeral
+        strings, each written as ``str`` writes its value, with nonzero
+        ends.  Anything else raises ``TypeError`` or ``ValueError``."""
+        min_exp, strings = obj["min_exp"], obj["coeffs"]
+        if type(min_exp) is not int:
             raise TypeError("min_exp must be an int")
-        coeffs = [Fraction(s) for s in obj["coeffs"]]
-        return cls(coeffs, obj["min_exp"])
+        if type(strings) is not list or not all(type(s) is str for s in strings):
+            raise TypeError("coeffs must be a list of strings")
+        try:
+            p = cls([Fraction(s) for s in strings], min_exp)
+        except ZeroDivisionError as exc:
+            raise ValueError("a coefficient has denominator 0") from exc
+        if p.to_json() != {"min_exp": min_exp, "coeffs": strings}:
+            raise ValueError("not as to_json writes it")
+        return p
 
     def __repr__(self):
         if not self.coeffs:

@@ -1,16 +1,17 @@
 """Truncated power series in t over one of two coefficient rings.
 
-- ``TruncSeries(coeffs, order)`` lifts every coefficient to ``RatFunc``;
-  this is the ring of every series the package returns.
+- ``TruncSeries(coeffs, order)`` lifts every coefficient to ``RatFunc``:
+  the ring of returned and serialised series and the tests' reference
+  ring; no library path computes in it.
 - ``TruncSeries.laurent(polys, order)`` keeps integer ``LaurentPoly``
-  coefficients.  ``+``, ``-``, ``*``, ``scale_arg``, ``shift_t``, ``delta``
-  and ``nabla`` of integral series stay integral, and so does the inverse
-  of an integral series with constant term 1, which needs no division.  A
-  ``RatFunc`` operand or scalar lifts the result to ``RatFunc``; so does
-  inverting an integral series with any other constant term.  Each
-  coefficient of an integral product or inverse is one packed sum of
-  products (``exactalg.sum_of_products``) over coefficients wrapped once
-  as ``exactalg.Operand``.
+  coefficients.  ``+``, ``-``, ``*``, ``scale_arg``, ``shift_t``, ``delta``,
+  ``nabla`` and ``delta_invert`` of integral series stay integral, and so
+  does the inverse of an integral series with constant term 1, which needs
+  no division.  A ``RatFunc`` operand or scalar lifts the result to
+  ``RatFunc``; so does inverting an integral series with any other constant
+  term.  Each coefficient of an integral product or inverse is one packed
+  sum of products (``exactalg.sum_of_products``) over coefficients wrapped
+  once as ``exactalg.Operand``.
 
 The two rings compare equal and hash alike coefficient by coefficient, so a
 series equals its lift.  Carries the argument rescaling t -> v^p t and the
@@ -23,19 +24,11 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, neg
 
-from .errors import NonPolynomialError, NonZeroConstantError, NotInvertibleError
+from .errors import NonZeroConstantError, NotInvertibleError
 from .exactalg import LaurentPoly, Operand, RatFunc, quantum_integer, sum_of_products
 
 _ZERO = LaurentPoly.zero()
 _ONE = LaurentPoly.one()
-
-
-def _lift(x) -> RatFunc:
-    if isinstance(x, (int, Fraction, LaurentPoly)):
-        return RatFunc.of(x)
-    if isinstance(x, RatFunc):
-        return x
-    raise TypeError(f"cannot use {x!r} as a series coefficient")
 
 
 def _integral(x) -> bool:
@@ -52,7 +45,7 @@ def _scalar(x, integral: bool):
             return LaurentPoly((x,))
         if _integral(x):
             return x
-    return _lift(x)
+    return RatFunc.of(x)
 
 
 class TruncSeries:
@@ -67,7 +60,7 @@ class TruncSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, coeffs, order: int | None = None):
-        coeffs = [_lift(c) for c in coeffs]
+        coeffs = [RatFunc.of(c) for c in coeffs]
         if order is None:
             order = len(coeffs) - 1
         if order < 0:
@@ -237,7 +230,15 @@ class TruncSeries:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TruncSeries":
-        return cls([RatFunc.from_json(c) for c in obj["coeffs"]], obj["order"])
+        """Inverse of ``to_json``, over RatFunc: an int ``order`` >= 0 and a
+        list of exactly order+1 coefficients, else ``TypeError`` or
+        ``ValueError``."""
+        order, coeffs = obj["order"], obj["coeffs"]
+        if type(order) is not int or type(coeffs) is not list:
+            raise TypeError("order must be an int and coeffs a list")
+        if order < 0 or len(coeffs) != order + 1:
+            raise ValueError("a series of order n has n+1 coefficients")
+        return cls._make([RatFunc.from_json(c) for c in coeffs], order)
 
     def __repr__(self):
         return f"TruncSeries(order={self.order}, coeffs={list(self.coeffs)!r})"
@@ -259,24 +260,18 @@ def product_coeff(a, b, n: int):
 
 
 def delta_invert(b: TruncSeries) -> TruncSeries:
-    """The unique G with G(0)=1 and delta(G) == b.
+    """The unique G with G(0)=1 and delta(G) == b, in the ring of ``b``.
 
-    Divides coefficient d by [d]_v, in either ring of ``b``; the result is
-    over RatFunc.  A Laurent coefficient that [d]_v divides, as in all uses
-    here, takes the exact Laurent division; any other coefficient goes
-    through the reducing RatFunc division.
+    Coefficient d is divided by [d]_v: exactly (``LaurentPoly.divexact``)
+    for an integral series, where a remainder raises ``NonPolynomialError``,
+    and by ``RatFunc`` division otherwise.
     """
     if not b.coeffs[0].is_zero():
         raise NonZeroConstantError("delta_invert needs vanishing constant term")
-    out = [RatFunc.one()]
-    for d in range(1, b.order + 1):
-        c = _lift(b.coeffs[d])
-        qd = quantum_integer(d)
-        if c.is_laurent():
-            try:
-                out.append(RatFunc.of(c.num.divexact(qd)))
-                continue
-            except NonPolynomialError:
-                pass
-        out.append(c / RatFunc.of(qd))
-    return TruncSeries(out, b.order)
+    if b.is_integral():
+        out = [_ONE] + [c.divexact(quantum_integer(d))
+                        for d, c in enumerate(b.coeffs) if d]
+    else:
+        out = [RatFunc.one()] + [c / quantum_integer(d)
+                                 for d, c in enumerate(b.coeffs) if d]
+    return TruncSeries._make(out, b.order)

@@ -44,10 +44,10 @@ def test_criterion_1_table_reproduction():
     start = time.monotonic()
     pair = central.CentralSeriesPair.compute(3, 5)
     ok = all(
-        _step2(pair.F.coeffs[d].to_laurent()) == FRAMED_M3[d - 1]
+        _step2(pair.F.coeffs[d]) == FRAMED_M3[d - 1]
         for d in range(1, 5)
     ) and all(
-        _step2(pair.G.coeffs[d].to_laurent()) == MODULI_M3[d - 1]
+        _step2(pair.G.coeffs[d]) == MODULI_M3[d - 1]
         for d in range(1, 6)
     )
     ok = ok and time.monotonic() - start < 10
@@ -89,7 +89,7 @@ def test_criterion_4_euler_tamari_chain():
                               (4, 4, [1, 6, 58, 703])):
         G = central.extract_G(m, central.framed_recursion(m, dmax))
         for d in range(1, dmax + 1):
-            chi = eulerchar.chi_from_motive(G.coeffs[d].to_laurent())
+            chi = eulerchar.chi_from_motive(G.coeffs[d])
             closed = eulerchar.chi_moduli_closed(m, d)
             brute = tamari.interval_count_bruteforce(m - 2, d)
             ok = ok and chi == closed == brute == expected[d - 1]
@@ -135,7 +135,7 @@ def test_criterion_6_structural_invariants():
             for d in range(7):
                 ok = ok and shape_ok(F.coeffs[d].to_laurent(),
                                      (m - 2) * d * d + d)
-                ok = ok and G.coeffs[d].to_laurent() is not None
+                ok = ok and G.coeffs[d] is not None
     except Exception:
         ok = False
     _report(6, "structural invariants", ok)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -254,9 +256,9 @@ class TestFunctionalRhs:
 class TestExtractG:
     def test_paper_tables(self):
         G = extract_G(3, framed_recursion(3, 5))
-        assert G.coeffs[1].to_laurent() == 1
-        assert step2(G.coeffs[2].to_laurent()) == [1, 1, 1]
-        assert step2(G.coeffs[5].to_laurent()) == [
+        assert G.coeffs[1] == 1
+        assert step2(G.coeffs[2]) == [1, 1, 1]
+        assert step2(G.coeffs[5]) == [
             1, 1, 3, 5, 10, 14, 23, 30, 41, 46, 51, 46, 41, 30, 23, 14, 10,
             5, 3, 1, 1,
         ]
@@ -264,6 +266,25 @@ class TestExtractG:
     def test_requires_unit_constant_term(self):
         with pytest.raises(ValueError):
             extract_G(3, TruncSeries([2, 1], 1))
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_matches_wallcross_motives(self, m):
+        # g_d = [K_{d,d-1}], read off an independent wall-crossing sweep
+        for n in range(7):
+            G = extract_G(m, framed_recursion(m, n))
+            table = MotiveTable.covering(m, [(n, max(n - 1, 0))])
+            assert G.is_integral()
+            assert G == g_series(table, 1, -1, n), (m, n)
+
+    def test_integral_and_rejects_non_laurent_f(self):
+        F = framed_recursion(4, 5)
+        G = extract_G(4, F)
+        assert G.is_integral() and G == extract_G(4, central._integral(F))
+        v = LaurentPoly.monomial(1)
+        with pytest.raises(NonPolynomialError):
+            extract_G(3, TruncSeries([1, RatFunc(v, v + 2)], 1))
+        with pytest.raises(TypeError):
+            extract_G(3, TruncSeries([1, LaurentPoly([Fraction(1, 2)])], 1))
 
     def test_pair_relation(self):
         # m_d = [(m-1)d+1]_v * g_d

@@ -289,6 +289,52 @@ class TestCache:
         assert planted.exit_code == fresh.exit_code == 0
         assert planted.output == fresh.output
 
+    HN = ("hn", {"m": 3, "bound": 3}, ("hn", "--m", "3", "--bound", "3"))
+
+    @pytest.mark.parametrize("command,params,args,edits", [
+        ("moduli", {"m": 3, "d": 3, "e": 2},
+         ("moduli", "--m", "3", "--d", "3", "--e", "2"),
+         {("coeffs", 0): "1/2", ("coeffs", -1): "1/2"}),
+        ("framed", {"m": 3, "d": 2, "method": "recursion"},
+         ("framed", "--m", "3", "--d", "2"), {("coeffs", 0): "1/2"}),
+        ("series", {"which": "G", "m": 3, "k": 1, "order": 3},
+         ("series", "--which", "G", "--m", "3", "--order", "3"),
+         {("coeffs", 2, "num", "coeffs", 0): "1/2"}),
+        ("series", {"which": "A", "m": 3, "k": 1, "order": 2},
+         ("series", "--which", "A", "--m", "3", "--order", "2"),
+         {("coeffs", 1, "num", "coeffs", 0): "1/2"}),
+        # 1 / (1 + v) is a canonical RatFunc, but no coefficient of F
+        ("series", {"which": "F", "m": 3, "k": 1, "order": 2},
+         ("series", "--which", "F", "--m", "3", "--order", "2"),
+         {("coeffs", 1): {"num": {"min_exp": 0, "coeffs": ["1"]},
+                          "den": {"min_exp": 0, "coeffs": ["1", "1"]}}}),
+        # record 4 is the coprime (1,1), record 3 the non-coprime (0,2)
+        (*HN, {(4, "motive", "coeffs", 0): "1/2"}),
+        (*HN, {(4, "a", "num", "coeffs", 0): "1/2"}),
+        (*HN, {(4, "motive"): None}),
+        (*HN, {(3, "motive"): {"min_exp": 0, "coeffs": ["1"]}}),
+    ])
+    def test_non_integer_entry_discarded(self, runner, tmp_path, command,
+                                         params, args, edits):
+        key = Cache.make_key(command, **params)
+        assert run(runner, "--cache-dir", str(tmp_path), *args).exit_code == 0
+        good = Cache(tmp_path).get(key)
+        bad = json.loads(json.dumps(good))
+        for path, value in edits.items():
+            target = bad
+            for step in path[:-1]:
+                target = target[step]
+            target[path[-1]] = value
+        assert bad != good
+        for fmt in ("plain", "json"):
+            Cache(tmp_path).put(key, bad)
+            planted = run(runner, "--cache-dir", str(tmp_path), "--format", fmt, *args)
+            fresh = run(runner, "--no-cache", "--format", fmt, *args)
+            assert planted.exit_code == fresh.exit_code == 0
+            assert planted.output == fresh.output
+            # the bad entry was discarded and the recomputed one stored
+            assert Cache(tmp_path).get(key) == good
+
     @pytest.mark.parametrize("text", ["[1, 2]", "[" * 100000])
     def test_non_object_entry_ignored(self, runner, tmp_path, text):
         args = ["--cache-dir", str(tmp_path), "moduli", "--m", "3", "--d", "2",

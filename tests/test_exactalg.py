@@ -99,6 +99,29 @@ class TestLaurentPoly:
         assert p.to_json()["coeffs"] == ["1/3", "2", "-5"]
         assert LaurentPoly.from_json(LaurentPoly.zero().to_json()).is_zero()
 
+    @pytest.mark.parametrize("min_exp,coeffs,error", [
+        (0, "123", TypeError),          # a string is no list of numerals
+        (0, {"0": "1"}, TypeError),
+        (0, ("1", "2"), TypeError),
+        (0, [1, 2], TypeError),         # numbers, not numeral strings
+        (0, ["1", None], TypeError),
+        (0, ["1e3"], ValueError),       # numerals str would not write
+        (0, ["2/4"], ValueError),
+        (0, ["4/2"], ValueError),
+        (0, [" 3"], ValueError),
+        (0, ["+3"], ValueError),
+        (0, ["0.5"], ValueError),
+        (0, ["x"], ValueError),
+        (0, ["1/0"], ValueError),
+        (0, ["0", "1"], ValueError),    # zero ends are trimmed by to_json
+        (0, ["1", "0"], ValueError),
+        (3, [], ValueError),            # zero is written with min_exp 0
+    ])
+    def test_json_rejects_what_to_json_never_writes(self, min_exp, coeffs,
+                                                     error):
+        with pytest.raises(error):
+            LaurentPoly.from_json({"min_exp": min_exp, "coeffs": coeffs})
+
 
 def schoolbook(a, b):
     out = [0] * (len(a) + len(b) - 1)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kronmot import exactalg
-from kronmot.errors import NonZeroConstantError, NotInvertibleError
+from kronmot.errors import NonPolynomialError, NonZeroConstantError, NotInvertibleError
 from kronmot.exactalg import LaurentPoly, RatFunc, quantum_integer
 from kronmot.qseries import TruncSeries, delta_invert
 
@@ -164,15 +164,17 @@ def test_delta_invert_divisions_agree():
 
 
 def test_delta_invert_integral_series():
-    # the integral ring divides like its lift: exactly where [d]_v divides
+    # the integral ring divides exactly, as its lift does, and keeps its ring
     polys = [LaurentPoly.zero(), V + VINV, quantum_integer(2) * (V - 3),
-             LaurentPoly([1, 0, 3], -1)]
+             quantum_integer(3) * LaurentPoly([1, 0, 3], -1)]
     out = delta_invert(TruncSeries.laurent(polys, 3))
     lifted = delta_invert(TruncSeries(polys, 3))
+    assert all(type(c) is LaurentPoly for c in out.coeffs)
     assert out == lifted
-    assert [c.to_json() for c in out.coeffs] == [c.to_json() for c in lifted.coeffs]
-    assert all(type(c) is RatFunc for c in out.coeffs)
-    assert out.coeffs[2].is_laurent() and not out.coeffs[3].is_laurent()
+    assert out.to_json() == lifted.to_json()
+    # a coefficient [d]_v does not divide leaves a remainder
+    with pytest.raises(NonPolynomialError):
+        delta_invert(TruncSeries.laurent(polys[:3] + [LaurentPoly([1, 0, 3], -1)], 3))
     with pytest.raises(NonZeroConstantError):
         delta_invert(TruncSeries.laurent([LaurentPoly.one()], 2))
 
@@ -180,6 +182,21 @@ def test_delta_invert_integral_series():
 def test_json_round_trip():
     a = TruncSeries([RatFunc.one(), RatFunc(LaurentPoly.one(), V - VINV)], 1)
     assert TruncSeries.from_json(a.to_json()) == a
+
+
+@pytest.mark.parametrize("edit,error", [
+    ({"order": 2}, ValueError),     # a short list is not padded
+    ({"order": 0}, ValueError),     # nor a long one cut
+    ({"order": -1}, ValueError),
+    ({"order": 1.0}, TypeError),
+    ({"order": True}, TypeError),
+    ({"order": "1"}, TypeError),
+    ({"coeffs": "ab"}, TypeError),
+])
+def test_json_rejects_what_to_json_never_writes(edit, error):
+    obj = TruncSeries([1, V], 1).to_json()
+    with pytest.raises(error):
+        TruncSeries.from_json({**obj, **edit})
 
 
 # -- the integral ring ---------------------------------------------------------
