@@ -13,8 +13,9 @@ over integer Laurent polynomials:
   extended by one coefficient per degree.  Each partial-product
   coefficient is one packed sum of products (``exactalg.sum_of_products``)
   over the motives, each wrapped once as an ``exactalg.Operand``; the
-  prefactor takes its binomial form (``_quantum_ratio``), linear in the
-  length of the coefficient.
+  prefactor takes its binomial form (``exactalg.quantum_ratio``, where the
+  package's q-Pochhammer and quantum-integer arithmetic lives), linear in
+  the length of the coefficient.
 - ``solve_functional_eq``: one online pass over
   F * prod_{i=1}^m (1 - v^(2i-m-1) t prod_{j=1}^{m-2} F(v^(2i-2j-2) t)) = 1,
   each partial-product coefficient one packed sum like the recursion's,
@@ -46,7 +47,7 @@ from functools import lru_cache, reduce
 from operator import mul
 
 from .errors import ExactDivisionError, NoConvergenceError, NonPolynomialError
-from .exactalg import LaurentPoly, Operand, sum_of_products
+from .exactalg import LaurentPoly, Operand, quantum_ratio, sum_of_products
 from .qseries import TruncSeries, delta_invert
 
 
@@ -54,19 +55,6 @@ def _require_central_m(m: int):
     # the inner product over m-2 factors degenerates below m=3
     if m < 3:
         raise ValueError("central-slope series need m >= 3")
-
-
-def _quantum_ratio(c: LaurentPoly, a: int, d: int) -> LaurentPoly:
-    """c * [a]_v / [d]_v for a, d >= 1, as an exact Laurent polynomial.
-
-    [a]_v / [d]_v = v^(a-d) (1 - v^(-2a)) / (1 - v^(-2d)), so this is one
-    subtraction and one division by a two-term divisor, each linear in the
-    length of c.  Both sides are the same rational function, so this raises
-    ``NonPolynomialError`` exactly when c * [a]_v leaves a remainder on
-    division by [d]_v.
-    """
-    binom = LaurentPoly.one() - LaurentPoly.monomial(-2 * d)
-    return (c - c.v_shift(-2 * a)).divexact(binom).v_shift(a - d)
 
 
 @lru_cache(maxsize=None)
@@ -89,7 +77,7 @@ def _framed_motives(m: int, order: int) -> tuple[LaurentPoly, ...]:
                  for j in range(n + 1)])))
         c = partial[-1][n][1].poly  # m >= 3, so partial[-1] has shift 0
         try:
-            motives.append(_quantum_ratio(c, (m - 1) * d + 1, d))
+            motives.append(quantum_ratio(c, (m - 1) * d + 1, d))
         except NonPolynomialError as exc:
             raise ExactDivisionError(
                 f"prefactor division failed at m={m}, d={d}"
@@ -110,9 +98,10 @@ def framed_recursion(m: int, order: int) -> TruncSeries:
     (``exactalg.sum_of_products``) whose terms carry the v-shifts of the
     rescaled factor, so the m-1 rescaled copies of F are never formed.  The
     prefactor is applied as v^(a-d) (1 - v^(-2a)) / (1 - v^(-2d)),
-    a = (m-1)d+1: one subtraction and one exact division by a two-term
-    divisor, where a product by [a]_v and a division by [d]_v would cost
-    O(d) per coefficient.  The motives are cached per (m, order).
+    a = (m-1)d+1 (``exactalg.quantum_ratio``): one subtraction and one
+    exact division by a two-term divisor, where a product by [a]_v and a
+    division by [d]_v would cost O(d) per coefficient.  The motives are
+    cached per (m, order).
     """
     return TruncSeries(list(_framed_motives(m, order)), order)
 

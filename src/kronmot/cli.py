@@ -14,12 +14,7 @@ import click
 from click.core import ParameterSource
 
 from .cache import SCHEMA, Cache
-from .errors import (
-    InsufficientBoundError,
-    KronmotError,
-    NonCoprimeError,
-    ResourceLimitError,
-)
+from .errors import InsufficientBoundError, KronmotError, ResourceLimitError
 from .exactalg import LaurentPoly, RatFunc
 # Each solver is imported where a command runs it, inside the compute step
 # of a cached command, so a cache hit loads none of them.  Submodules are
@@ -221,21 +216,17 @@ def moduli(ctx, m, d, e):
     """Virtual motive of K_{d,e}^(m) for coprime (d,e)."""
     if m < 1 or d < 0 or e < 0 or (d, e) == (0, 0):
         raise click.exceptions.Exit(_bad_input("invalid parameters"))
+    if gcd(d, e) != 1:
+        raise click.exceptions.Exit(_bad_input(
+            f"({d},{e}) is not coprime; the motive is not determined by a_D. "
+            "Use the `hn` subcommand for the raw wall-crossing table."))
 
     def compute():
         from .wallcross import moduli_motive
 
         return moduli_motive(m, d, e)
 
-    try:
-        poly = _cached_poly(ctx, "moduli", {"m": m, "d": d, "e": e}, compute)
-    except NonCoprimeError:
-        click.echo(
-            f"({d},{e}) is not coprime; the motive is not determined by a_D. "
-            "Use the `hn` subcommand for the raw wall-crossing table.",
-            err=True,
-        )
-        raise click.exceptions.Exit(EXIT_BAD_INPUT)
+    poly = _cached_poly(ctx, "moduli", {"m": m, "d": d, "e": e}, compute)
     _emit(ctx, "moduli", {"m": m, "d": d, "e": e, "motive": poly.to_json()},
           _poly_lines(poly), [m, d, e, poly.min_exp, *_coeff_list(poly)])
 
@@ -282,24 +273,24 @@ def series(ctx, which, m, k, order):
     # the default k=1 stays in the cache key of F and G; an explicit --k is refused
     if which != "A" and ctx.get_parameter_source("k") is not ParameterSource.DEFAULT:
         raise click.exceptions.Exit(_bad_input("--k applies only to --which A"))
+    # every check that exits 2 runs before the cache is read
+    if which != "A" and m < 3:
+        raise click.exceptions.Exit(_bad_input("central-slope series need m >= 3"))
+    if which == "A" and not 1 <= k <= m - 1:
+        raise click.exceptions.Exit(_bad_input("need 1 <= k <= m-1"))
 
     def compute():
-        try:
-            if which != "A":
-                from .central import extract_G, framed_recursion
+        if which != "A":
+            from .central import extract_G, framed_recursion
 
-                ts = framed_recursion(m, order)
-                if which == "G":
-                    ts = extract_G(m, ts)
-            else:
-                if not 1 <= k <= m - 1:
-                    raise click.exceptions.Exit(_bad_input("need 1 <= k <= m-1"))
-                from .wallcross import MotiveTable
+            ts = framed_recursion(m, order)
+            if which == "G":
+                ts = extract_G(m, ts)
+        else:
+            from .wallcross import MotiveTable
 
-                table = MotiveTable.covering(m, [(order, order * k)])
-                ts = table.ray_series((1, k), order)
-        except ValueError as exc:
-            raise click.exceptions.Exit(_bad_input(str(exc)))
+            table = MotiveTable.covering(m, [(order, order * k)])
+            ts = table.ray_series((1, k), order)
         return ts.to_json()
 
     payload = _cached(ctx, "series", {"which": which, "m": m, "k": k, "order": order},

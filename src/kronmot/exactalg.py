@@ -34,10 +34,13 @@ is an integer Laurent polynomial:
   class mod s, run as one strided ``itertools.accumulate`` per class, so
   it costs a C-level pass instead of a Python long division.  A remainder
   raises ``NonPolynomialError`` as on the general path.
+- Every product and exact quotient by q-Pochhammer binomials 1 - q^i,
+  q = v^(-2), is ``qpoch_mul`` or ``qpoch_divexact`` (one shift and
+  subtraction, or one two-term division, per binomial), and every c [a]_v
+  / [d]_v is ``quantum_ratio``, one of each.
 - A ``RatFunc`` whose denominator is the constant 1 is already in canonical
   form when its numerator has integer coefficients, so constructing it skips
-  the gcd and ``Fraction`` work, and ``+``, ``-`` and ``*`` of two such
-  values are plain ``LaurentPoly`` arithmetic on the numerators.
+  the gcd and ``Fraction`` work.
 """
 
 from __future__ import annotations
@@ -452,6 +455,7 @@ class LaurentPoly:
 
 
 _ZERO = LaurentPoly(())
+_ONE = LaurentPoly((1,))
 
 
 class Operand:
@@ -595,6 +599,33 @@ def quantum_integer(n: int) -> LaurentPoly:
     return LaurentPoly(coeffs, 1 - n)
 
 
+def qpoch_mul(p: LaurentPoly, exps) -> LaurentPoly:
+    """p * prod_{i in exps} (1 - q^i), q = v^(-2): one shift and one
+    subtraction per factor."""
+    for i in exps:
+        p = p - p.v_shift(-2 * i)
+    return p
+
+
+def qpoch_divexact(p: LaurentPoly, exps) -> LaurentPoly:
+    """The exact quotient p / prod_{i in exps} (1 - q^i), q = v^(-2): one
+    two-term ``divexact`` per factor (a divisor of an exact quotient
+    divides exactly), so a remainder raises ``NonPolynomialError``."""
+    for i in exps:
+        p = p.divexact(_ONE - LaurentPoly.monomial(-2 * i))
+    return p
+
+
+def quantum_ratio(c: LaurentPoly, a: int, d: int) -> LaurentPoly:
+    """c * [a]_v / [d]_v for a, d >= 1, as an exact Laurent polynomial.
+
+    [a]_v / [d]_v = v^(a-d) (1 - q^a) / (1 - q^d), so this is linear in the
+    length of c, and raises ``NonPolynomialError`` exactly when c * [a]_v
+    leaves a remainder on division by [d]_v.
+    """
+    return qpoch_divexact(qpoch_mul(c, (a,)), (d,)).v_shift(a - d)
+
+
 # -- ordinary-polynomial gcd helpers (dense lists, low degree first) --------
 
 
@@ -650,26 +681,6 @@ def _poly_gcd_int(a: list[int], b: list[int]) -> list[int]:
     return _primitive(a)
 
 
-def _div_exact_int(a: list[int], b: list[int]) -> list:
-    """Exact quotient of dense polynomial lists; divisor constant term nonzero."""
-    b0 = b[0]
-    out = [0] * (len(a) - len(b) + 1)
-    rem = list(a)
-    for i in range(len(out)):
-        c = rem[i]
-        if c == 0:
-            continue
-        q, r = divmod(c, b0)
-        if r:
-            raise NonPolynomialError("inexact division while reducing")
-        out[i] = q
-        for j, dv in enumerate(b):
-            rem[i + j] -= q * dv
-    if any(rem):
-        raise NonPolynomialError("inexact division while reducing")
-    return out
-
-
 def _to_int_list(coeffs) -> tuple[list[int], Fraction]:
     """Scale a rational coefficient list to a primitive integer list.
 
@@ -686,9 +697,6 @@ def _to_int_list(coeffs) -> tuple[list[int], Fraction]:
     if g != 1:
         ints = [c // g for c in ints]
     return ints, Fraction(g, denom)
-
-
-_ONE = LaurentPoly((1,))
 
 
 class RatFunc:
@@ -721,8 +729,9 @@ class RatFunc:
         if len(n_int) > 1 and len(d_int) > 1:
             g = _poly_gcd_int(n_int, d_int)
             if len(g) > 1:
-                n_int = _div_exact_int(n_int, g) if g[0] != 0 else n_int
-                d_int = _div_exact_int(d_int, g)
+                g = LaurentPoly(g)
+                n_int = LaurentPoly(n_int).divexact(g).coeffs
+                d_int = LaurentPoly(d_int).divexact(g).coeffs
         scale = n_cont / (d_cont * d_int[0])
         den_coeffs = [Fraction(c, d_int[0]) for c in d_int]
         num_coeffs = [c * scale for c in n_int]
@@ -782,8 +791,6 @@ class RatFunc:
             if not isinstance(other, (int, Fraction, LaurentPoly)):
                 return NotImplemented
             other = RatFunc.of(other)
-        if self.is_laurent() and other.is_laurent():
-            return RatFunc._canonical(self.num + other.num, _ONE)
         return RatFunc(self.num * other.den + other.num * self.den,
                        self.den * other.den)
 
@@ -808,8 +815,6 @@ class RatFunc:
             if not isinstance(other, (int, Fraction, LaurentPoly)):
                 return NotImplemented
             other = RatFunc.of(other)
-        if self.is_laurent() and other.is_laurent():
-            return RatFunc._canonical(self.num * other.num, _ONE)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

@@ -25,7 +25,8 @@ from fractions import Fraction
 from operator import add, neg
 
 from .errors import NonZeroConstantError, NotInvertibleError
-from .exactalg import LaurentPoly, Operand, RatFunc, quantum_integer, sum_of_products
+from .exactalg import (LaurentPoly, Operand, RatFunc, quantum_integer, quantum_ratio,
+                       sum_of_products)
 
 _ZERO = LaurentPoly.zero()
 _ONE = LaurentPoly.one()
@@ -262,14 +263,15 @@ def product_coeff(a, b, n: int):
 def delta_invert(b: TruncSeries) -> TruncSeries:
     """The unique G with G(0)=1 and delta(G) == b, in the ring of ``b``.
 
-    Coefficient d is divided by [d]_v: exactly (``LaurentPoly.divexact``)
-    for an integral series, where a remainder raises ``NonPolynomialError``,
-    and by ``RatFunc`` division otherwise.
+    Coefficient d is divided by [d]_v: exactly for an integral series, as
+    ``exactalg.quantum_ratio(c, 1, d)`` = c (1 - q) v^(1-d) / (1 - q^d),
+    linear in the length of c, where a remainder raises
+    ``NonPolynomialError``; by ``RatFunc`` division otherwise.
     """
     if not b.coeffs[0].is_zero():
         raise NonZeroConstantError("delta_invert needs vanishing constant term")
     if b.is_integral():
-        out = [_ONE] + [c.divexact(quantum_integer(d))
+        out = [_ONE] + [quantum_ratio(c, 1, d)
                         for d, c in enumerate(b.coeffs) if d]
     else:
         out = [RatFunc.one()] + [c / quantum_integer(d)

@@ -45,7 +45,9 @@ norms prove wide enough, the products are summed as big integers and the
 result is unpacked once.  Each operand keeps its packings for as long as
 it is in use, so a numerator, an a_k or a q-binomial is packed at most
 once per slot width, and an updated P[D] starts out with the packing its
-own sum produced.
+own sum produced.  The framed motives of ``MotiveTable.framed_series``
+solve an equation of the same shape over the same Pascal rows of Gaussian
+binomials (``_qbinom_rows``), one packed sum per degree.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ from typing import NamedTuple
 
 from .errors import (ExactDivisionError, InsufficientBoundError, NonCoprimeError,
                      NonPolynomialError)
-from .exactalg import LaurentPoly, Operand, RatFunc, sum_of_products
+from .exactalg import (LaurentPoly, Operand, RatFunc, qpoch_divexact, qpoch_mul,
+                       sum_of_products)
 from .qseries import TruncSeries
 
 
@@ -93,18 +96,21 @@ def slope_less(a, b) -> bool:
 @lru_cache(maxsize=None)
 def _poch(n: int) -> LaurentPoly:
     """(q;q)_n = prod_{i=1}^n (1 - v^(-2i)), the [G]_vir-style denominator."""
-    if n == 0:
-        return LaurentPoly.one()
-    return _poch(n - 1) * (LaurentPoly.one() - LaurentPoly.monomial(-2 * n))
+    return qpoch_mul(LaurentPoly.one(), range(1, n + 1))
 
 
-def _qbinom_row(prev: list[LaurentPoly]) -> list[LaurentPoly]:
-    """Gaussian binomials [n choose k] in q = v^(-2), k = 0..n, from the
-    row for n-1 by the Pascal recursion [n, k] = [n-1, k-1] + q^k [n-1, k]."""
-    n = len(prev)
-    return ([LaurentPoly.one()]
-            + [prev[k - 1] + prev[k].v_shift(-2 * k) for k in range(1, n)]
-            + [LaurentPoly.one()])
+def _qbinom_rows(top: int) -> list[list[Operand]]:
+    """Gaussian binomials in q = v^(-2), each wrapped once: row n holds the
+    operand of [n choose k] for k = 0..n, n = 0..top, each row built from
+    the one before by the Pascal recursion [n, k] = [n-1, k-1] + q^k [n-1, k]."""
+    one = LaurentPoly.one()
+    row = [one]
+    rows = [[Operand(one)]]
+    for n in range(1, top + 1):
+        row = ([one] + [row[k - 1] + row[k].v_shift(-2 * k) for k in range(1, n)]
+               + [one])
+        rows.append([Operand(c) for c in row])
+    return rows
 
 
 def a_coeff(m: int, D) -> RatFunc:
@@ -158,13 +164,8 @@ def _sweep(m: int, vectors) -> dict[DimVector, LaurentPoly]:
         emax[d] = max(emax[d], e)
     P = [[Operand(LaurentPoly.monomial(-euler_form(m, (d, e), (d, e))))
           for e in range(top + 1)] for d, top in enumerate(emax)]
-    # Pascal rows of Gaussian binomials, wrapped once: qbin[n][j] is the
-    # operand of [n choose j] in q, for every n a q-binomial is taken of
-    row = [LaurentPoly.one()]
-    qbin = [[Operand(row[0])]]
-    while len(qbin) <= max(len(emax) - 1, emax[0]):
-        row = _qbinom_row(row)
-        qbin.append([Operand(c) for c in row])
+    # qbin[n][j]: [n choose j] in q, for every n a q-binomial is taken of
+    qbin = _qbinom_rows(max(len(emax) - 1, emax[0]))
     anum = {DimVector(0, 0): LaurentPoly.one()}
     rays = sorted(((d, e) for d, top in enumerate(emax)
                    for e in range(top + 1) if gcd(d, e) == 1), key=slope_key)
@@ -222,14 +223,10 @@ def _motive(D: DimVector, anum: LaurentPoly) -> LaurentPoly:
     a_D = anum / ((q;q)_d (q;q)_e) and v - 1/v = v (1 - q), while
     (q;q)_n = (1 - q)(1 - q^2)...(1 - q^n).  So [K_D]_vir is v * anum
     divided by the binomials 1 - q^i of (q;q)_d and (q;q)_e, one factor
-    1 - q dropped, one exact two-term division at a time (a divisor of an
-    exact quotient divides exactly).
+    1 - q dropped (``exactalg.qpoch_divexact``).
     """
     d, e = sorted(D)
-    motive = anum.v_shift(1)
-    for i in [*range(2, e + 1), *range(1, d + 1)]:
-        motive = motive.divexact(LaurentPoly.one() - LaurentPoly.monomial(-2 * i))
-    return motive
+    return qpoch_divexact(anum.v_shift(1), [*range(2, e + 1), *range(1, d + 1)])
 
 
 class MotiveTable:
@@ -304,15 +301,14 @@ class MotiveTable:
         C = c_order and B_n = num_n * c_order / c_n, with a_{n*D0} = num_n /
         c_n and c_n = (q;q)_{n*d0} (q;q)_{n*e0}, so A = B / C coefficient by
         coefficient.  c_order / c_n is the product of the binomials 1 - q^i
-        for i in ``_exponents(D0, n, order)``, each multiplied on as one
-        shift and one subtraction, n running down from ``order``.
+        for i in ``_exponents(D0, n, order)``, multiplied on by
+        ``exactalg.qpoch_mul`` as n runs down from ``order``.
         """
         num = self._ray_numerators(D0, order)
         B = [num[order]]
         ratio = LaurentPoly.one()  # c_order / c_n
         for n in range(order, 0, -1):
-            for i in _exponents(D0, n - 1, n):
-                ratio = ratio - ratio.v_shift(-2 * i)
+            ratio = qpoch_mul(ratio, _exponents(D0, n - 1, n))
             B.append(num[n - 1] * ratio)
         d0, e0 = D0
         return (TruncSeries.laurent(B[::-1], order),
@@ -324,36 +320,35 @@ class MotiveTable:
         Coefficient of t^n is [K_{n*d0,n*e0}^(m),fr]_vir, the t^n coefficient
         of F = A(v^e0 t) * A(v^-e0 t)^(-1) for the ray series A; framing at
         the sink makes the substitution exponent the e-component of the ray.
-        With a_n = num_n / c_n, c_n = (q;q)_{n*d0} (q;q)_{n*e0}, the t^n
-        coefficient of F * A(v^-e0 t) = A(v^e0 t) multiplied by c_n reads
+        With a_n = num_n / c_n, c_n = (q;q)_{n*d0} (q;q)_{n*e0}, and
+        c_n / (c_k c_(n-k)) = [n*d0, k*d0]_q [n*e0, k*e0]_q, Gaussian
+        binomials in q = v^-2, the t^n coefficient of F * A(v^-e0 t) =
+        A(v^e0 t) multiplied by c_n reads
 
-            c_n F_n = v^(n*e0) num_n - sum_{k=1..n} F_(n-k) v^(-k*e0) num_k (c_n / c_k),
+            c_n F_n = v^(n*e0) num_n - sum_{k=1..n} (c_(n-k) F_(n-k))
+                          v^(-k*e0) num_k [n*d0, k*d0]_q [n*e0, k*e0]_q,
 
-        where every c_n / c_k is a polynomial.  So F is solved over integer
-        Laurent polynomials with one exact division by c_n per degree.
-
-        c_n / c_k is the product of the binomials 1 - q^i, q = v^-2, for i
-        in (k*d0, n*d0] and in (k*e0, n*e0]; each is multiplied on as one
-        shift and one subtraction, k running down from n.  The division by
-        c_n is one exact two-term division per binomial, as in ``_motive``.
+        the shape of the sweep's update.  So each cleared c_n F_n is one
+        packed sum (``exactalg.sum_of_products``) over integer Laurent
+        polynomials wrapped once, and F_n is c_n F_n divided exactly by the
+        binomials 1 - q^i of c_n (``exactalg.qpoch_divexact``).
         """
-        num = self._ray_numerators(D0, order)
-        e0 = D0[1]
+        num = [Operand(p) for p in self._ray_numerators(D0, order)]
+        d0, e0 = D0
+        qbin = _qbinom_rows(order * max(d0, e0))
+        cleared = [num[0]]  # cleared[n] wraps c_n F_n
         F = [LaurentPoly.one()]
         for n in range(1, order + 1):
-            total = num[n].v_shift(n * e0)
-            ratio = LaurentPoly.one()  # c_n / c_k
-            for k in range(n, 0, -1):
-                total = total - F[n - k] * num[k].v_shift(-k * e0) * ratio
-                for i in _exponents(D0, k - 1, k):
-                    ratio = ratio - ratio.v_shift(-2 * i)
+            qd, qe = qbin[n * d0], qbin[n * e0]
+            cleared.append(sum_of_products(
+                [(1, n * e0, (num[n],))]
+                + [(-1, -k * e0, (cleared[n - k], num[k], qd[k * d0], qe[k * e0]))
+                   for k in range(1, n + 1)]))
             try:
-                for i in _exponents(D0, 0, n):
-                    total = total.divexact(LaurentPoly.one() - LaurentPoly.monomial(-2 * i))
+                F.append(qpoch_divexact(cleared[n].poly, _exponents(D0, 0, n)))
             except NonPolynomialError as exc:
                 raise ExactDivisionError(
                     f"quotient division failed at m={self.m}, n={n}") from exc
-            F.append(total)
         return TruncSeries(F, order)
 
     def export(self) -> list[dict]:

@@ -8,7 +8,6 @@ from kronmot.central import (
     CentralSeriesPair,
     _framed_motives,
     _functional_rhs,
-    _quantum_ratio,
     extract_G,
     framed_recursion,
     g_series,
@@ -23,6 +22,7 @@ from kronmot.central import (
 from kronmot.errors import InsufficientBoundError, NonPolynomialError, NonZeroConstantError
 from kronmot.eulerchar import chi_framed_closed, chi_from_motive
 from kronmot.exactalg import LaurentPoly, RatFunc, quantum_integer
+from kronmot.exactalg import quantum_ratio as _quantum_ratio
 from kronmot.qseries import TruncSeries, product_coeff
 from kronmot.wallcross import MotiveTable, framed_via_quotient
 

@@ -383,3 +383,30 @@ class TestCache:
         assert res.output.splitlines()[-1] == "1,1,3,3,3,1,1"
         assert "0: 7" not in res.output
         assert Cache(tmp_path).get(stale_key) == {"min_exp": 0, "coeffs": ["7"]}
+
+    # a well-formed entry planted under the key of a request that exits 2
+    ONE_SERIES = {"order": 1, "coeffs": [
+        {"num": {"min_exp": 0, "coeffs": ["1"]},
+         "den": {"min_exp": 0, "coeffs": ["1"]}}] * 2}
+
+    @pytest.mark.parametrize("command,params,args,payload", [
+        ("moduli", {"m": 3, "d": 2, "e": 2},
+         ("moduli", "--m", "3", "--d", "2", "--e", "2"),
+         {"min_exp": 0, "coeffs": ["7"]}),
+        ("series", {"which": "F", "m": 2, "k": 1, "order": 1},
+         ("series", "--which", "F", "--m", "2", "--order", "1"), ONE_SERIES),
+        ("series", {"which": "G", "m": 2, "k": 1, "order": 1},
+         ("series", "--which", "G", "--m", "2", "--order", "1"), ONE_SERIES),
+        ("series", {"which": "A", "m": 1, "k": 1, "order": 1},
+         ("series", "--which", "A", "--m", "1", "--k", "1", "--order", "1"),
+         ONE_SERIES),
+    ])
+    def test_invalid_request_not_served_from_cache(self, runner, tmp_path,
+                                                   command, params, args, payload):
+        Cache(tmp_path).put(Cache.make_key(command, **params), payload)
+        for fmt in ("plain", "json"):
+            planted = run(runner, "--cache-dir", str(tmp_path), "--format", fmt, *args)
+            fresh = run(runner, "--no-cache", "--format", fmt, *args)
+            assert planted.exit_code == fresh.exit_code == 2
+            assert planted.stdout == fresh.stdout == ""
+            assert planted.stderr == fresh.stderr != ""

@@ -12,7 +12,10 @@ from kronmot.exactalg import (
     RatFunc,
     _pack,
     _slot,
+    qpoch_divexact,
+    qpoch_mul,
     quantum_integer,
+    quantum_ratio,
     sum_of_products,
 )
 
@@ -708,6 +711,54 @@ class TestQuantumInteger:
         lhs = quantum_integer(n) * (V - VINV)
         assert lhs == LaurentPoly.monomial(n) - LaurentPoly.monomial(-n)
         assert quantum_integer(n).eval_at_one() == n
+
+
+int_polys = st.builds(LaurentPoly, st.lists(st.integers(-5, 5), max_size=8),
+                      st.integers(-4, 4))
+exponent_lists = st.lists(st.integers(1, 6), max_size=4)
+
+
+def binomial_product(exps):
+    """prod (1 - q^i), q = v^-2, each binomial built and multiplied by ``*``."""
+    out = LaurentPoly.one()
+    for i in exps:
+        out = out * (LaurentPoly.one() - LaurentPoly.monomial(-2 * i))
+    return out
+
+
+def _outcome(f):
+    try:
+        return f()
+    except NonPolynomialError:
+        return NonPolynomialError
+
+
+class TestQPochhammer:
+    @given(int_polys, exponent_lists)
+    def test_qpoch_mul_is_the_product(self, p, exps):
+        got = qpoch_mul(p, exps)
+        assert got == p * binomial_product(exps)
+        assert_canonical_int(got)
+
+    @given(int_polys, exponent_lists)
+    def test_qpoch_divexact_undoes_qpoch_mul(self, p, exps):
+        got = qpoch_divexact(qpoch_mul(p, exps), exps)
+        assert got == p
+        assert_canonical_int(got)
+
+    @given(int_polys, st.lists(st.integers(1, 6), min_size=1, max_size=4),
+           st.integers(-30, 30))
+    def test_qpoch_divexact_refuses_a_non_multiple(self, p, exps, j):
+        # a monomial vanishes at no root of unity, so 1 - q^i never divides it
+        with pytest.raises(NonPolynomialError):
+            qpoch_divexact(qpoch_mul(p, exps) + LaurentPoly.monomial(j), exps)
+
+    @given(int_polys, st.integers(1, 6), st.integers(1, 6), st.booleans())
+    def test_quantum_ratio_is_product_then_division(self, c, a, d, multiple):
+        if multiple:
+            c = c * quantum_integer(d)
+        want = _outcome(lambda: (c * quantum_integer(a)).divexact(quantum_integer(d)))
+        assert _outcome(lambda: quantum_ratio(c, a, d)) == want
 
 
 @st.composite

@@ -179,6 +179,19 @@ def test_delta_invert_integral_series():
         delta_invert(TruncSeries.laurent([LaurentPoly.one()], 2))
 
 
+@given(polys(), st.integers(2, 4), st.integers(-8, 8))
+def test_delta_invert_refuses_a_non_multiple(ps, d, j):
+    # coefficient n is p_n [n]_v, so G_n = p_n; adding a monomial to one
+    # coefficient leaves a remainder on division by its [d]_v, d >= 2
+    coeffs = [LaurentPoly.zero()] + [p * quantum_integer(n)
+                                     for n, p in enumerate(ps) if n]
+    assert delta_invert(TruncSeries.laurent(coeffs, 4)) == \
+        TruncSeries.laurent([LaurentPoly.one()] + ps[1:], 4)
+    coeffs[d] = coeffs[d] + LaurentPoly.monomial(j)
+    with pytest.raises(NonPolynomialError):
+        delta_invert(TruncSeries.laurent(coeffs, 4))
+
+
 def test_json_round_trip():
     a = TruncSeries([RatFunc.one(), RatFunc(LaurentPoly.one(), V - VINV)], 1)
     assert TruncSeries.from_json(a.to_json()) == a
