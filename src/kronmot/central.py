@@ -29,15 +29,16 @@ packed sums of at most order+1 products each.  The check costs
 O(m * order^2) integer series-coefficient products, again as packed sums,
 and m series inverses.
 
-The identity verifiers compare integral series only.  Each builds one
+The identity verifiers compare integral series only.  Each call builds one
 wall-crossing table (``MotiveTable.covering``), so one sweep, over the
 union of the vectors it reads, and reads every series off it: G^(k),+- by
 ``g_series``, and the A-series cleared of their denominators by
-``MotiveTable.cleared_series``.  F is read as a ``RatFunc`` series and
-converted once, as in ``extract_G``, whose G is integral.  ``RatFunc``
-coefficients remain, with no arithmetic on them, only in
-``framed_recursion``, ``solve_functional_eq``, the ``hn`` records and the
-``series`` output.
+``MotiveTable.cleared_series``.  With ``k=None``, ``verify_corident`` and
+``verify_newduality`` check every 1 <= k <= m-1 off that one table.  F is
+read as a ``RatFunc`` series and converted once, as in ``extract_G``, whose
+G is integral.  ``RatFunc`` coefficients remain, with no arithmetic on
+them, only in ``framed_recursion``, ``solve_functional_eq``, the ``hn``
+records and the ``series`` output.
 """
 
 from __future__ import annotations
@@ -298,57 +299,75 @@ def verify_eqnew(m: int, order: int) -> list[dict]:
     return [_report("eqnew", m, None, order, gplus, shifted)]
 
 
-def verify_corident(m: int, k: int, order: int) -> list[dict]:
+def _slopes(m: int, k) -> range:
+    """The slopes to check: k itself, or every 1 <= k <= m-1 for ``None``."""
+    ks = range(1, m) if k is None else range(k, k + 1)
+    if not ks or not 1 <= ks[0] <= ks[-1] <= m - 1:
+        raise ValueError("need 1 <= k <= m-1")
+    return ks
+
+
+def verify_corident(m: int, k, order: int) -> list[dict]:
     """The four identities relating A^(k), F^(k) and G^(k),+-.
 
-    The A-series are compared cleared of their denominators: with
-    A^(k) = B_k / C_k (``MotiveTable.cleared_series``), A^(k) = A^(m-k)
-    is checked as B_k C_(m-k) = B_(m-k) C_k, and F = A(v^k t) / A(v^-k t)
-    as F B_k(v^-k t) = B_k(v^k t).  Both sides are multiplied by nonzero
+    ``k=None`` checks every 1 <= k <= m-1, in increasing k, off one table
+    covering the vectors of every k.  The A-series are compared cleared of
+    their denominators: with A^(k) = B_k / C_k
+    (``MotiveTable.cleared_series``), A^(k) = A^(m-k) is checked as
+    B_k C_(m-k) = B_(m-k) C_k, and F = A(v^k t) / A(v^-k t) as
+    F B_k(v^-k t) = B_k(v^k t).  Both sides are multiplied by nonzero
     constants in t, so every degree passes or fails as it would uncleared.
     """
-    if not 1 <= k <= m - 1:
-        raise ValueError("need 1 <= k <= m-1")
+    ks = _slopes(m, k)
     from .wallcross import MotiveTable
 
     table = MotiveTable.covering(
-        m, [(order, order * k), (order, order * (m - k) + 1)])
-    B_k, C_k = table.cleared_series((1, k), order)
-    B_mk, C_mk = table.cleared_series((1, m - k), order)
-    # independent F^(1) exists via the recursion; other k use the quotient
-    if k == 1 and m >= 3:
-        F_k = framed_recursion(m, order)
-    else:
-        F_k = table.framed_series((1, k), order)
-    F_k = _integral(F_k)
-    g_minus = g_series(table, k, -1, order)
-    g_plus_mk = g_series(table, m - k, 1, order)
-    return [
-        _report("corident:A^(k)=A^(m-k)", m, k, order, B_k * C_mk, B_mk * C_k),
-        # F = A(v^k t) / A(v^-k t) multiplied out; A has constant term 1, so
-        # the first failing degree is that of the quotient itself
-        _report("corident:F^(k)=A-quotient", m, k, order,
-                F_k * B_k.scale_arg(-k), B_k.scale_arg(k)),
-        _report("corident:G^(k),-=G^(m-k),+", m, k, order, g_minus, g_plus_mk),
-        _report("corident:F^(k)=nabla G^(m-k),+", m, k, order, F_k,
-                g_plus_mk.nabla(m - k)),
-    ]
+        m, [D for k in ks for D in ((order, order * k), (order, order * (m - k) + 1))])
+    reports = []
+    for k in ks:
+        B_k, C_k = table.cleared_series((1, k), order)
+        B_mk, C_mk = table.cleared_series((1, m - k), order)
+        # independent F^(1) exists via the recursion; other k use the quotient
+        if k == 1 and m >= 3:
+            F_k = framed_recursion(m, order)
+        else:
+            F_k = table.framed_series((1, k), order)
+        F_k = _integral(F_k)
+        g_minus = g_series(table, k, -1, order)
+        g_plus_mk = g_series(table, m - k, 1, order)
+        reports += [
+            _report("corident:A^(k)=A^(m-k)", m, k, order, B_k * C_mk, B_mk * C_k),
+            # F = A(v^k t) / A(v^-k t) multiplied out; A has constant term 1,
+            # so the first failing degree is that of the quotient itself
+            _report("corident:F^(k)=A-quotient", m, k, order,
+                    F_k * B_k.scale_arg(-k), B_k.scale_arg(k)),
+            _report("corident:G^(k),-=G^(m-k),+", m, k, order, g_minus, g_plus_mk),
+            _report("corident:F^(k)=nabla G^(m-k),+", m, k, order, F_k,
+                    g_plus_mk.nabla(m - k)),
+        ]
+    return reports
 
 
-def verify_newduality(m: int, k: int, order: int) -> list[dict]:
-    """The slope duality between the G^(k),- and G^(k),+ product series."""
-    if not 1 <= k <= m - 1:
-        raise ValueError("need 1 <= k <= m-1")
+def verify_newduality(m: int, k, order: int) -> list[dict]:
+    """The slope duality between the G^(k),- and G^(k),+ product series.
+
+    ``k=None`` checks every 1 <= k <= m-1, in increasing k, off one table
+    covering the vectors of every k.
+    """
+    ks = _slopes(m, k)
     from .wallcross import MotiveTable
 
-    table = MotiveTable.covering(m, [(order, order * k + 1)])
-    g_minus = g_series(table, k, -1, order)
-    g_plus = g_series(table, k, 1, order)
+    table = MotiveTable.covering(m, [(order, order * k + 1) for k in ks])
     one = TruncSeries.laurent([LaurentPoly.one()], order)
-    lhs = one
-    for i in range(1, m - k + 1):
-        lhs = lhs * g_minus.scale_arg((m + 1 - k - 2 * i) * k).nabla(m - k)
-    rhs = one
-    for i in range(1, k + 1):
-        rhs = rhs * g_plus.scale_arg((m - k) * (k + 1 - 2 * i)).nabla(k)
-    return [_report("newduality", m, k, order, lhs, rhs)]
+    reports = []
+    for k in ks:
+        g_minus = g_series(table, k, -1, order)
+        g_plus = g_series(table, k, 1, order)
+        lhs = one
+        for i in range(1, m - k + 1):
+            lhs = lhs * g_minus.scale_arg((m + 1 - k - 2 * i) * k).nabla(m - k)
+        rhs = one
+        for i in range(1, k + 1):
+            rhs = rhs * g_plus.scale_arg((m - k) * (k + 1 - 2 * i)).nabla(k)
+        reports.append(_report("newduality", m, k, order, lhs, rhs))
+    return reports

@@ -1,7 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 internal inconsistency (methods disagree), 4 resource limit.
+3 internal inconsistency (methods disagree), 4 resource limit.  ``_Group``
+maps every error a command raises to 2, 3 or 4, so ``main`` run in process
+exits as the console script does.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import click
 from click.core import ParameterSource
 
 from .cache import SCHEMA, Cache
-from .errors import InsufficientBoundError, KronmotError, ResourceLimitError
+from .errors import KronmotError, ResourceLimitError
 from .exactalg import LaurentPoly, RatFunc
 # Each solver is imported where a command runs it, inside the compute step
 # of a cached command, so a cache hit loads none of them.  Submodules are
@@ -61,7 +63,23 @@ def _emit(ctx, command: str, result, lines, csv_row=()):
             click.echo(line)
 
 
-@click.group()
+class _Group(click.Group):
+    """Ends every error a command raises in its exit code, with the message
+    on stderr: ``ValueError`` 2, ``ResourceLimitError`` 4, any other
+    ``KronmotError`` 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, KronmotError) as exc:
+            click.echo(str(exc), err=True)
+            code = (EXIT_BAD_INPUT if isinstance(exc, ValueError)
+                    else EXIT_RESOURCE if isinstance(exc, ResourceLimitError)
+                    else EXIT_INCONSISTENT)
+            raise click.exceptions.Exit(code) from None
+
+
+@click.group(cls=_Group)
 @click.option("--format", "fmt", type=click.Choice(["plain", "json", "csv"]),
               default="plain", show_default=True)
 @click.option("--cache-dir", type=click.Path(), default=None,
@@ -159,11 +177,10 @@ def _canonical_series(payload, which: str, order: int) -> dict:
 
 
 def _reject_csv(ctx):
-    """Exit 2 when --format csv was asked of a command that has no csv form."""
+    """Refuse --format csv for a command that has no csv form."""
     if ctx.obj["fmt"] == "csv":
-        raise click.exceptions.Exit(_bad_input(
-            f"--format csv is not supported by `{ctx.info_name}`; "
-            f"it is supported by: {', '.join(CSV_COMMANDS)}"))
+        raise ValueError(f"--format csv is not supported by `{ctx.info_name}`; "
+                         f"it is supported by: {', '.join(CSV_COMMANDS)}")
 
 
 @main.command()
@@ -176,7 +193,7 @@ def _reject_csv(ctx):
 def framed(ctx, m, d, method):
     """Virtual motive of the framed moduli space K_{d,d}^(m),fr."""
     if m < 3 or d < 0:
-        raise click.exceptions.Exit(_bad_input("need m >= 3 and d >= 0"))
+        raise ValueError("need m >= 3 and d >= 0")
 
     def by(name):
         if name == "recursion":
@@ -197,8 +214,7 @@ def framed(ctx, m, d, method):
         values = {name: by(name) for name in ("recursion", "funceq", "wallcross")}
         first = values["recursion"]
         if any(v != first for v in values.values()):
-            click.echo("methods disagree", err=True)
-            raise click.exceptions.Exit(EXIT_INCONSISTENT)
+            raise KronmotError("methods disagree")
         poly = first
     else:
         poly = _cached_poly(ctx, "framed", {"m": m, "d": d, "method": method},
@@ -215,11 +231,11 @@ def framed(ctx, m, d, method):
 def moduli(ctx, m, d, e):
     """Virtual motive of K_{d,e}^(m) for coprime (d,e)."""
     if m < 1 or d < 0 or e < 0 or (d, e) == (0, 0):
-        raise click.exceptions.Exit(_bad_input("invalid parameters"))
+        raise ValueError("invalid parameters")
     if gcd(d, e) != 1:
-        raise click.exceptions.Exit(_bad_input(
+        raise ValueError(
             f"({d},{e}) is not coprime; the motive is not determined by a_D. "
-            "Use the `hn` subcommand for the raw wall-crossing table."))
+            "Use the `hn` subcommand for the raw wall-crossing table.")
 
     def compute():
         from .wallcross import moduli_motive
@@ -239,7 +255,7 @@ def hn(ctx, m, bound):
     """Raw wall-crossing coefficient table a_D for d+e <= bound."""
     _reject_csv(ctx)
     if m < 1 or bound < 0:
-        raise click.exceptions.Exit(_bad_input("invalid parameters"))
+        raise ValueError("invalid parameters")
 
     def compute():
         from .wallcross import hn_extract
@@ -269,15 +285,15 @@ def series(ctx, which, m, k, order):
     """Truncated generating series F, G, or A^(k)."""
     _reject_csv(ctx)
     if order < 0:
-        raise click.exceptions.Exit(_bad_input("order must be >= 0"))
+        raise ValueError("order must be >= 0")
     # the default k=1 stays in the cache key of F and G; an explicit --k is refused
     if which != "A" and ctx.get_parameter_source("k") is not ParameterSource.DEFAULT:
-        raise click.exceptions.Exit(_bad_input("--k applies only to --which A"))
+        raise ValueError("--k applies only to --which A")
     # every check that exits 2 runs before the cache is read
     if which != "A" and m < 3:
-        raise click.exceptions.Exit(_bad_input("central-slope series need m >= 3"))
+        raise ValueError("central-slope series need m >= 3")
     if which == "A" and not 1 <= k <= m - 1:
-        raise click.exceptions.Exit(_bad_input("need 1 <= k <= m-1"))
+        raise ValueError("need 1 <= k <= m-1")
 
     def compute():
         if which != "A":
@@ -318,13 +334,10 @@ def euler(ctx, m, d, kind, check):
     """Euler characteristic of K_{d,d}^(m),fr or K_{d,d-1}^(m)."""
     from .eulerchar import chi_framed_closed, chi_from_motive, chi_moduli_closed
 
-    try:
-        if kind == "framed":
-            value = chi_framed_closed(m, d)
-        else:
-            value = chi_moduli_closed(m, d)
-    except ValueError as exc:
-        raise click.exceptions.Exit(_bad_input(str(exc)))
+    if kind == "framed":
+        value = chi_framed_closed(m, d)
+    else:
+        value = chi_moduli_closed(m, d)
     if check:
         if kind == "framed":
             from .central import framed_recursion
@@ -351,25 +364,17 @@ def euler(ctx, m, d, kind, check):
 @click.pass_context
 def tamari_cmd(ctx, mprime, n, method, check):
     """Interval count of the m'-Tamari lattice of index n."""
-    try:
-        if check:
-            brute = interval_count_bruteforce(mprime, n,
-                                                     ctx.obj["max_paths"])
-            formula = interval_count_formula(mprime, n)
-            if brute != formula:
-                click.echo("brute force and formula disagree", err=True)
-                raise click.exceptions.Exit(EXIT_VERIFY_FAIL)
-            value = formula
-        elif method == "brute":
-            value = interval_count_bruteforce(mprime, n,
-                                                     ctx.obj["max_paths"])
-        else:
-            value = interval_count_formula(mprime, n)
-    except ResourceLimitError as exc:
-        click.echo(str(exc), err=True)
-        raise click.exceptions.Exit(EXIT_RESOURCE)
-    except ValueError as exc:
-        raise click.exceptions.Exit(_bad_input(str(exc)))
+    if check:
+        brute = interval_count_bruteforce(mprime, n, ctx.obj["max_paths"])
+        formula = interval_count_formula(mprime, n)
+        if brute != formula:
+            click.echo("brute force and formula disagree", err=True)
+            raise click.exceptions.Exit(EXIT_VERIFY_FAIL)
+        value = formula
+    elif method == "brute":
+        value = interval_count_bruteforce(mprime, n, ctx.obj["max_paths"])
+    else:
+        value = interval_count_formula(mprime, n)
     _emit(ctx, "tamari", {"m_prime": mprime, "n": n, "value": value},
           [str(value)], [mprime, n, value])
 
@@ -399,28 +404,16 @@ def verify(ctx, identity, m, k, order):
     """Check a series identity exactly; exit 0 iff everything passes."""
     _reject_csv(ctx)
     if order < 1:
-        raise click.exceptions.Exit(_bad_input("order must be >= 1"))
+        raise ValueError("order must be >= 1")
     needs_k = identity in ("corident", "newduality")
     if k is not None and not needs_k:
-        raise click.exceptions.Exit(_bad_input(
-            "--k applies only to --identity corident and newduality"))
+        raise ValueError("--k applies only to --identity corident and newduality")
     if needs_k and k is None and m < 2:
-        # the loop over 1 <= k <= m-1 below would check nothing
-        raise click.exceptions.Exit(_bad_input(
-            f"--identity {identity} needs m >= 2"))
+        # no 1 <= k <= m-1 to check
+        raise ValueError(f"--identity {identity} needs m >= 2")
     module, name = _VERIFIERS[identity]
     verifier = getattr(__import__(f"kronmot.{module}", fromlist=[name]), name)
-    try:
-        if not needs_k:
-            reports = verifier(m, order)
-        elif k is None:
-            reports = []
-            for kk in range(1, m):
-                reports += verifier(m, kk, order)
-        else:
-            reports = verifier(m, k, order)
-    except ValueError as exc:
-        raise click.exceptions.Exit(_bad_input(str(exc)))
+    reports = verifier(m, k, order) if needs_k else verifier(m, order)
 
     def line(r):
         tail = "".join(f" {key}={r[key]}" for key in ("k", "order", "pair")
@@ -437,9 +430,8 @@ def verify(ctx, identity, m, k, order):
 def selftest_cmd(ctx):
     """Run the full acceptance suite (criteria 1-6)."""
     if ctx.obj["fmt"] != "plain":
-        raise click.exceptions.Exit(_bad_input(
-            f"--format {ctx.obj['fmt']} is not supported by `selftest`; "
-            "it prints a plain report only"))
+        raise ValueError(f"--format {ctx.obj['fmt']} is not supported by "
+                         "`selftest`; it prints a plain report only")
     from .selftest import run
 
     if not run(echo=click.echo):
@@ -449,12 +441,8 @@ def selftest_cmd(ctx):
 main.add_command(selftest_cmd, name="selftest")
 
 
-def _bad_input(message: str) -> int:
-    click.echo(message, err=True)
-    return EXIT_BAD_INPUT
-
-
 def _entry():
+    """The console script: ``main``, with click's own errors exiting 2."""
     try:
         rv = main(standalone_mode=False)
         sys.exit(rv if isinstance(rv, int) else 0)
@@ -465,15 +453,6 @@ def _entry():
         sys.exit(EXIT_BAD_INPUT)
     except click.Abort:
         sys.exit(EXIT_BAD_INPUT)
-    except InsufficientBoundError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_BAD_INPUT)
-    except ResourceLimitError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_RESOURCE)
-    except KronmotError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_INCONSISTENT)
 
 
 if __name__ == "__main__":

@@ -430,7 +430,8 @@ class LaurentPoly:
         if type(strings) is not list or not all(type(s) is str for s in strings):
             raise TypeError("coeffs must be a list of strings")
         try:
-            p = cls([Fraction(s) for s in strings], min_exp)
+            p = cls([Fraction(s) if "/" in s else int(s) for s in strings],
+                    min_exp)
         except ZeroDivisionError as exc:
             raise ValueError("a coefficient has denominator 0") from exc
         if p.to_json() != {"min_exp": min_exp, "coeffs": strings}:

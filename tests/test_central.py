@@ -398,6 +398,18 @@ class TestIdentities:
             verify_corident(3, 3, 2)
         with pytest.raises(ValueError):
             verify_newduality(3, 0, 2)
+        # k=None with m = 1 leaves no 1 <= k <= m-1 to check
+        with pytest.raises(ValueError):
+            verify_corident(1, None, 2)
+        with pytest.raises(ValueError):
+            verify_newduality(1, None, 2)
+
+    @pytest.mark.parametrize("verifier", [verify_corident, verify_newduality])
+    def test_k_none_checks_every_k(self, verifier):
+        for m in range(2, 6):
+            for order in range(5):
+                assert verifier(m, None, order) == [
+                    r for k in range(1, m) for r in verifier(m, k, order)]
 
 
 class TestGSeries:
@@ -429,7 +441,11 @@ class TestGSeries:
     (verify_corident, (3, 1, 4)),
     (verify_corident, (4, 2, 3)),
     (verify_newduality, (4, 2, 3)),
-], ids=["maintheorem", "eqnew", "corident-k1", "corident-k2", "newduality"])
+    (verify_corident, (3, None, 4)),
+    (verify_corident, (5, None, 3)),
+    (verify_newduality, (4, None, 3)),
+], ids=["maintheorem", "eqnew", "corident-k1", "corident-k2", "newduality",
+        "corident-m3-every-k", "corident-m5-every-k", "newduality-every-k"])
 def test_each_verifier_sweeps_once(monkeypatch, verifier, args):
     calls = []
     sweep = wallcross._sweep

@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import kronmot
 from kronmot import central, wallcross
 from kronmot.cache import Cache
 from kronmot.cli import main
+from kronmot.errors import ExactDivisionError, ResourceLimitError
 
 
 @pytest.fixture
@@ -197,12 +203,68 @@ class TestVerify:
         assert res.stdout == ""
         assert f"--identity {identity} needs m >= 2" in res.stderr
 
+    def test_every_k_sweeps_once(self, runner, monkeypatch):
+        calls = []
+        sweep = wallcross._sweep
+
+        def counting(m, vectors):
+            calls.append(m)
+            return sweep(m, vectors)
+
+        monkeypatch.setattr(wallcross, "_sweep", counting)
+        res = run(runner, "--no-cache", "verify", "--identity", "corident",
+                  "--m", "4", "--order", "3")
+        assert res.exit_code == 0
+        assert len(calls) == 1
+
     def test_order_below_one_rejected(self, runner):
         res = run(runner, "--no-cache", "verify", "--identity", "dualities",
                   "--m", "3", "--order", "0")
         assert res.exit_code == 2
         assert "order must be >= 1" in res.output
         assert "max()" not in res.output
+
+
+# runs `python -m kronmot.cli <args>` with a framed_recursion that raises
+_FAILING_RECURSION = """
+import runpy
+import kronmot.central
+from kronmot.errors import ExactDivisionError
+
+def failing(*args):
+    raise ExactDivisionError("planted failure")
+
+kronmot.central.framed_recursion = failing
+runpy.run_module("kronmot.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+class TestExitCodes:
+    """A command's error ends in its documented exit code, in process too."""
+
+    @pytest.mark.parametrize("error,code", [
+        (ValueError, 2), (ExactDivisionError, 3), (ResourceLimitError, 4)])
+    def test_solver_error(self, runner, monkeypatch, error, code):
+        def failing(*args):
+            raise error("planted failure")
+
+        monkeypatch.setattr(central, "framed_recursion", failing)
+        res = run(runner, "--no-cache", "framed", "--m", "3", "--d", "2")
+        assert res.exit_code == code
+        assert res.stdout == ""
+        assert res.stderr == "planted failure\n"
+
+    def test_console_module_exits_alike(self):
+        src = str(Path(kronmot.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run(
+            [sys.executable, "-c", _FAILING_RECURSION, "--no-cache", "framed",
+             "--m", "3", "--d", "2"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3, "", "planted failure\n")
 
 
 @pytest.mark.parametrize("args", [
