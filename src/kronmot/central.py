@@ -20,14 +20,15 @@ over integer Laurent polynomials:
   F * prod_{i=1}^m (1 - v^(2i-m-1) t prod_{j=1}^{m-2} F(v^(2i-2j-2) t)) = 1,
   each partial-product coefficient one packed sum like the recursion's,
   then a check of F against the right-hand side evaluated directly.  The
-  check runs over integer series (``TruncSeries.laurent``): every series
-  it inverts has constant term 1, so it needs no division, and F is lifted
-  to ``RatFunc`` coefficients only once it has passed.
+  check runs over integer series (``TruncSeries.laurent``): the product of
+  the m factors has constant term 1, so its one inverse needs no division,
+  and F is lifted to ``RatFunc`` coefficients only once it has passed.
 
 Both cost O(m * order^2) Laurent-polynomial products in O(m * order)
-packed sums of at most order+1 products each.  The check costs
-O(m * order^2) integer series-coefficient products, again as packed sums,
-and m series inverses.
+packed sums of at most order+1 products each.  The check forms its two
+products of rescaled copies by doubling (``qseries.rescaled_product``):
+O(log m) integer series products, each O(order^2) coefficient products as
+packed sums, and one series inverse.
 
 The identity verifiers compare integral series only.  Each call builds one
 wall-crossing table (``MotiveTable.covering``), so one sweep, over the
@@ -44,12 +45,11 @@ records and the ``series`` output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import mul
+from functools import lru_cache
 
 from .errors import ExactDivisionError, NoConvergenceError, NonPolynomialError
 from .exactalg import LaurentPoly, Operand, quantum_ratio, sum_of_products
-from .qseries import TruncSeries, delta_invert
+from .qseries import TruncSeries, delta_invert, rescaled_product
 
 
 def _require_central_m(m: int):
@@ -111,21 +111,17 @@ def _functional_rhs(m: int, F: TruncSeries) -> TruncSeries:
     """Right-hand side of the algebraic functional equation, evaluated at F.
 
     inner_i(t) = prod_{j=1}^{m-2} F(v^(2i-2j-2) t) is H(v^(2i-2) t) for
-    H(t) = prod_{j=1}^{m-2} F(v^(-2j) t), so H is built once and rescaled.
-    F must be an integral series (``TruncSeries.laurent``); every factor
-    1 - v^(2i-m-1) t H(v^(2i-2) t) has constant term 1, so H, the factors,
-    their inverses and the result all stay integral.
+    H(t) = prod_{j=1}^{m-2} F(v^(-2j) t), so factor i is E(v^(2i-2) t) for
+    E = 1 - v^(1-m) t H, and the product of the m inverses is the inverse
+    of prod_{i=0}^{m-1} E(v^(2i) t).  H and that product are each formed by
+    doubling (``qseries.rescaled_product``), in O(log m) series products,
+    and the whole side costs one series inverse.  F must be an integral
+    series (``TruncSeries.laurent``); E has constant term 1, so H, E, the
+    product, its inverse and the result all stay integral.
     """
-    one = TruncSeries.laurent([LaurentPoly.one()], F.order)
-    H = F.scale_arg(-2)  # m >= 3, so H has at least one factor
-    for j in range(2, m - 1):
-        H = H * F.scale_arg(-2 * j)
-    inverses = [
-        (one - H.scale_arg(2 * i - 2).shift_t(LaurentPoly.monomial(2 * i - m - 1)))
-        .inverse()
-        for i in range(1, m + 1)
-    ]
-    return reduce(mul, inverses)
+    H = rescaled_product(F.scale_arg(-2), -2, m - 2)
+    E = 1 - H.shift_t(LaurentPoly.monomial(1 - m))
+    return rescaled_product(E, 2, m).inverse()
 
 
 def solve_functional_eq(m: int, order: int) -> TruncSeries:
@@ -141,9 +137,11 @@ def solve_functional_eq(m: int, order: int) -> TruncSeries:
     of products (``exactalg.sum_of_products``) over the coefficients, each
     wrapped once as an ``exactalg.Operand``, whose terms carry the v-shifts
     of the rescaled factors, so no rescaled copy of F or H is formed.  That
-    is O(m * order^2) products in O(m * order) sums; the solution is then
-    checked against the right-hand side evaluated directly over integer
-    series, and lifted to RatFunc coefficients once it passes.
+    is O(m * order^2) products in O(m * order) sums.  The solution is then
+    checked, coefficient by coefficient, against the right-hand side
+    evaluated directly over integer series (``_functional_rhs``: O(log m)
+    series products and one series inverse), and lifted to RatFunc
+    coefficients once it passes.
     """
     _require_central_m(m)
     F = [Operand(LaurentPoly.one())]
@@ -179,8 +177,9 @@ def solve_functional_eq(m: int, order: int) -> TruncSeries:
 
 
 def _scaled_product(m: int, F: TruncSeries) -> TruncSeries:
-    """prod_{i=1}^{m-1} F(v^(m-2i) t), in the coefficient ring of F."""
-    return reduce(mul, [F.scale_arg(m - 2 * i) for i in range(1, m)])
+    """prod_{i=1}^{m-1} F(v^(m-2i) t), in the coefficient ring of F, by
+    doubling (``qseries.rescaled_product``) in O(log m) series products."""
+    return rescaled_product(F.scale_arg(m - 2), -2, m - 1)
 
 
 def extract_G(m: int, F: TruncSeries) -> TruncSeries:
@@ -358,16 +357,16 @@ def verify_newduality(m: int, k, order: int) -> list[dict]:
     from .wallcross import MotiveTable
 
     table = MotiveTable.covering(m, [(order, order * k + 1) for k in ks])
-    one = TruncSeries.laurent([LaurentPoly.one()], order)
     reports = []
     for k in ks:
         g_minus = g_series(table, k, -1, order)
         g_plus = g_series(table, k, 1, order)
-        lhs = one
-        for i in range(1, m - k + 1):
-            lhs = lhs * g_minus.scale_arg((m + 1 - k - 2 * i) * k).nabla(m - k)
-        rhs = one
-        for i in range(1, k + 1):
-            rhs = rhs * g_plus.scale_arg((m - k) * (k + 1 - 2 * i)).nabla(k)
+        # prod_{i=1}^{m-k} nabla^(m-k) G^(k),-(v^((m+1-k-2i)k) t) and
+        # prod_{i=1}^{k} nabla^k G^(k),+(v^((m-k)(k+1-2i)) t); nabla and
+        # scale_arg both scale each degree, so they commute
+        lhs = rescaled_product(
+            g_minus.nabla(m - k).scale_arg((m - k - 1) * k), -2 * k, m - k)
+        rhs = rescaled_product(
+            g_plus.nabla(k).scale_arg((m - k) * (k - 1)), -2 * (m - k), k)
         reports.append(_report("newduality", m, k, order, lhs, rhs))
     return reports

@@ -13,6 +13,11 @@
   sum of products (``exactalg.sum_of_products``) over coefficients wrapped
   once as ``exactalg.Operand``.
 
+``rescaled_product(x, p, r)`` is the product of the r rescaled copies
+x(v^(p*i) t), i < r, formed by doubling in O(log r) series products; the
+central-slope products of rescaled copies of F and of one factor series
+all take this shape.
+
 The two rings compare equal and hash alike coefficient by coefficient, so a
 series equals its lift.  Carries the argument rescaling t -> v^p t and the
 coefficientwise q-difference operators used throughout the central-slope
@@ -258,6 +263,25 @@ def product_coeff(a, b, n: int):
     for j in range(1, n + 1):
         total = total + a[n - j] * b[j]
     return total
+
+
+def rescaled_product(x: TruncSeries, p: int, r: int) -> TruncSeries:
+    """prod_{i=0}^{r-1} x(v^(p*i) t), in the ring of ``x``; 1 for r = 0.
+
+    P_a = prod_{i<a} x(v^(p*i) t) is built by doubling on
+    P_(a+b)(t) = P_a(t) * P_b(v^(p*a) t), reading r from its top bit down:
+    floor(log2 r) + popcount(r) - 1 series products instead of r - 1.
+    """
+    if r < 0:
+        raise ValueError("rescaled_product needs r >= 0")
+    if r == 0:
+        return x._constant_like(1)
+    out, a = x, 1
+    for bit in bin(r)[3:]:
+        out, a = out * out.scale_arg(p * a), 2 * a
+        if bit == "1":
+            out, a = out * x.scale_arg(p * a), a + 1
+    return out
 
 
 def delta_invert(b: TruncSeries) -> TruncSeries:

@@ -253,6 +253,31 @@ class TestFunctionalRhs:
             assert report["first_failure_degree"] == d
 
 
+def _doubling_products(r):
+    """Series products of ``rescaled_product`` with r factors."""
+    return r.bit_length() + bin(r).count("1") - 2
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_functional_check_inverts_once_and_multiplies_by_doubling(monkeypatch, m):
+    calls = {"inverse": 0, "mul": 0}
+    inverse, product = TruncSeries.inverse, TruncSeries.__mul__
+
+    def counting_inverse(a):
+        calls["inverse"] += 1
+        return inverse(a)
+
+    def counting_mul(a, b):
+        calls["mul"] += 1
+        return product(a, b)
+
+    monkeypatch.setattr(TruncSeries, "inverse", counting_inverse)
+    monkeypatch.setattr(TruncSeries, "__mul__", counting_mul)
+    solve_functional_eq(m, 6)
+    assert calls == {"inverse": 1,
+                     "mul": _doubling_products(m - 2) + _doubling_products(m)}
+
+
 class TestExtractG:
     def test_paper_tables(self):
         G = extract_G(3, framed_recursion(3, 5))
@@ -410,6 +435,48 @@ class TestIdentities:
             for order in range(5):
                 assert verifier(m, None, order) == [
                     r for k in range(1, m) for r in verifier(m, k, order)]
+
+
+def newduality_by_definition(m, k, order):
+    """The newduality report for one k, both products term by term as
+    written, over RatFunc series from the public constructor, reading the
+    G-series through ``central.g_series``."""
+    table = MotiveTable.covering(m, [(order, order * k + 1)])
+    g_minus = TruncSeries(central.g_series(table, k, -1, order).coeffs, order)
+    g_plus = TruncSeries(central.g_series(table, k, 1, order).coeffs, order)
+    lhs = rhs = TruncSeries.one(order)
+    for i in range(1, m - k + 1):
+        lhs = lhs * g_minus.scale_arg((m + 1 - k - 2 * i) * k).nabla(m - k)
+    for i in range(1, k + 1):
+        rhs = rhs * g_plus.scale_arg((m - k) * (k + 1 - 2 * i)).nabla(k)
+    fails = [d for d in range(order + 1) if lhs.coeffs[d] != rhs.coeffs[d]]
+    return {"identity": "newduality", "m": m, "k": k, "order": order,
+            "status": "fail" if fails else "pass",
+            "first_failure_degree": fails[0] if fails else None}
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_newduality_matches_the_products_by_definition(monkeypatch, m):
+    for order in range(6):
+        want = [newduality_by_definition(m, k, order) for k in range(1, m)]
+        assert verify_newduality(m, None, order) == want
+        assert all(r["status"] == "pass" for r in want)
+    # a wrong coefficient of G^(k),- at degree 1 shows on the left only
+    read = central.g_series
+
+    def perturbed(table, k, sign, order):
+        g = read(table, k, sign, order)
+        if sign > 0 or order < 1:
+            return g
+        coeffs = list(g.coeffs)
+        coeffs[1] = coeffs[1] + LaurentPoly.monomial(k)
+        return TruncSeries.laurent(coeffs, order)
+
+    monkeypatch.setattr(central, "g_series", perturbed)
+    for order in range(1, 6):
+        want = [newduality_by_definition(m, k, order) for k in range(1, m)]
+        assert verify_newduality(m, None, order) == want
+        assert all(r["first_failure_degree"] == 1 for r in want)
 
 
 class TestGSeries:

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from kronmot import exactalg
 from kronmot.errors import NonPolynomialError, NonZeroConstantError, NotInvertibleError
 from kronmot.exactalg import LaurentPoly, RatFunc, quantum_integer
-from kronmot.qseries import TruncSeries, delta_invert
+from kronmot.qseries import TruncSeries, delta_invert, rescaled_product
 
 V = LaurentPoly.monomial(1)
 VINV = LaurentPoly.monomial(-1)
@@ -35,6 +37,11 @@ def series(draw, order=4):
 @st.composite
 def integral_series(draw, order=4):
     return TruncSeries.laurent(draw(polys(order)), order)
+
+
+@st.composite
+def integral_series_any_order(draw, max_order=6):
+    return draw(integral_series(order=draw(st.integers(0, max_order))))
 
 
 def lift(a):
@@ -314,3 +321,42 @@ def test_equality_and_hash_agree_across_rings(a):
     assert a == b and b == a
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+class TestRescaledProduct:
+    @staticmethod
+    def by_definition(x, p, r):
+        """prod_{i<r} x(v^(p*i) t), one factor at a time over RatFunc."""
+        x = lift(x)
+        return reduce(mul, [x.scale_arg(p * i) for i in range(r)],
+                      TruncSeries.one(x.order))
+
+    @given(integral_series_any_order(), st.integers(-6, 6), st.integers(0, 9))
+    def test_is_the_product_of_the_rescaled_copies(self, x, p, r):
+        want = self.by_definition(x, p, r)
+        got = rescaled_product(x, p, r)
+        assert got.is_integral()
+        assert got == want
+        assert got.to_json() == want.to_json()
+        lifted = rescaled_product(lift(x), p, r)
+        assert all(isinstance(c, RatFunc) for c in lifted.coeffs)
+        assert lifted == want
+
+    @pytest.mark.parametrize("r", range(1, 18))
+    def test_doubling_cost(self, monkeypatch, r):
+        calls = []
+        product = TruncSeries.__mul__
+
+        def counting(a, b):
+            calls.append(r)
+            return product(a, b)
+
+        monkeypatch.setattr(TruncSeries, "__mul__", counting)
+        x = TruncSeries.laurent([LaurentPoly.one(), V, VINV - 2], 2)
+        rescaled_product(x, -2, r)
+        assert len(calls) == r.bit_length() + bin(r).count("1") - 2
+
+    @pytest.mark.parametrize("r", [-1, -4])
+    def test_negative_count_refused(self, r):
+        with pytest.raises(ValueError):
+            rescaled_product(TruncSeries.laurent([LaurentPoly.one()], 2), 1, r)
