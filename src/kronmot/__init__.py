@@ -83,29 +83,4 @@ def __dir__():
     return sorted({*globals(), *_LAZY, *_EXPORTERS})
 
 
-__all__ = [
-    "LaurentPoly",
-    "RatFunc",
-    "quantum_integer",
-    "TruncSeries",
-    "delta_invert",
-    "DimVector",
-    "MotiveTable",
-    "euler_form",
-    "sym_form",
-    "hn_extract",
-    "moduli_motive",
-    "framed_via_quotient",
-    "CentralSeriesPair",
-    "framed_recursion",
-    "solve_functional_eq",
-    "extract_G",
-    "chi_from_motive",
-    "chi_moduli_closed",
-    "chi_framed_closed",
-    "chi_framed_pow_closed",
-    "TamariPoset",
-    "generate_paths",
-    "interval_count_bruteforce",
-    "interval_count_formula",
-]
+__all__ = ["LaurentPoly", "RatFunc", "quantum_integer", *_LAZY]

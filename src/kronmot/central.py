@@ -9,26 +9,25 @@ The two solvers for F are independent; each implements its own equation
 over integer Laurent polynomials:
 
 - ``framed_recursion``: m_d = [(m-1)d+1]_v / [d]_v times the t^(d-1)
-  coefficient of prod_{i=1}^{m-1} F(v^(m-2i) t), the partial products
-  extended by one coefficient per degree.  Each partial-product
-  coefficient is one packed sum of products (``exactalg.sum_of_products``)
-  over the motives, each wrapped once as an ``exactalg.Operand``; the
-  prefactor takes its binomial form (``exactalg.quantum_ratio``, where the
-  package's q-Pochhammer and quantum-integer arithmetic lives), linear in
-  the length of the coefficient.
+  coefficient of prod_{i=1}^{m-1} F(v^(m-2i) t).  The prefactor takes its
+  binomial form (``exactalg.quantum_ratio``, where the package's
+  q-Pochhammer and quantum-integer arithmetic lives), linear in the length
+  of the coefficient.
 - ``solve_functional_eq``: one online pass over
   F * prod_{i=1}^m (1 - v^(2i-m-1) t prod_{j=1}^{m-2} F(v^(2i-2j-2) t)) = 1,
-  each partial-product coefficient one packed sum like the recursion's,
   then a check of F against the right-hand side evaluated directly.  The
   check runs over integer series (``TruncSeries.laurent``): the product of
   the m factors has constant term 1, so its one inverse needs no division,
   and F is lifted to ``RatFunc`` coefficients only once it has passed.
 
-Both cost O(m * order^2) Laurent-polynomial products in O(m * order)
-packed sums of at most order+1 products each.  The check forms its two
-products of rescaled copies by doubling (``qseries.rescaled_product``):
-O(log m) integer series products, each O(order^2) coefficient products as
-packed sums, and one series inverse.
+Both solvers extend their products of rescaled copies one coefficient per
+degree through ``qseries.OnlineRescaledProduct``, each coefficient one
+packed sum of products (``exactalg.sum_of_products``) over operands wrapped
+once.  Both cost O(m * order^2) Laurent-polynomial products in
+O(m * order) packed sums of at most order+1 products each.  The check
+forms its two products of rescaled copies by doubling
+(``qseries.rescaled_product``): O(log m) integer series products, each
+O(order^2) coefficient products as packed sums, and one series inverse.
 
 The identity verifiers compare integral series only.  Each call builds one
 wall-crossing table (``MotiveTable.covering``), so one sweep, over the
@@ -49,7 +48,8 @@ from functools import lru_cache
 
 from .errors import ExactDivisionError, NoConvergenceError, NonPolynomialError
 from .exactalg import LaurentPoly, Operand, quantum_ratio, sum_of_products
-from .qseries import TruncSeries, delta_invert, rescaled_product
+from .qseries import (OnlineRescaledProduct, TruncSeries, delta_invert,
+                      rescaled_product)
 
 
 def _require_central_m(m: int):
@@ -60,25 +60,16 @@ def _require_central_m(m: int):
 
 @lru_cache(maxsize=None)
 def _framed_motives(m: int, order: int) -> tuple[LaurentPoly, ...]:
+    """m_0..m_order; m_d reads c_(d-1) off the online product
+    prod_{i=1}^{m-1} F(v^(m-2i) t) (``qseries.OnlineRescaledProduct``)."""
     _require_central_m(m)
     motives = [LaurentPoly.one()]
     ops = [Operand(motives[0])]  # ops[j] wraps motives[j]
-    # partial[k][n] = (shift, operand): the t^n coefficient of
-    # prod_{i=1}^{k+1} F(v^(m-2i) t) is v^shift times the operand; the first
-    # factor is F(v^(m-2) t) itself, whose t^n coefficient is m_n v^((m-2)n)
-    partial = [[] for _ in range(m - 1)]
+    product = OnlineRescaledProduct(m - 2, -2, m - 1)
     for d in range(1, order + 1):
-        n = d - 1
-        partial[0].append(((m - 2) * n, ops[n]))
-        for k in range(1, m - 1):
-            s = m - 2 * k - 2
-            prev = partial[k - 1]
-            partial[k].append((0, sum_of_products(
-                [(1, prev[n - j][0] + s * j, (prev[n - j][1], ops[j]))
-                 for j in range(n + 1)])))
-        c = partial[-1][n][1].poly  # m >= 3, so partial[-1] has shift 0
+        _, c = product.push(ops[d - 1])  # m >= 3: two or more copies, shift 0
         try:
-            motives.append(quantum_ratio(c, (m - 1) * d + 1, d))
+            motives.append(quantum_ratio(c.poly, (m - 1) * d + 1, d))
         except NonPolynomialError as exc:
             raise ExactDivisionError(
                 f"prefactor division failed at m={m}, d={d}"
@@ -92,17 +83,15 @@ def framed_recursion(m: int, order: int) -> TruncSeries:
 
     m_0 = 1 and m_d = [(m-1)d+1]_v / [d]_v * c_(d-1), where c_(d-1) is the
     t^(d-1) coefficient of prod_{i=1}^{m-1} F(v^(m-2i) t).  That coefficient
-    needs m_0..m_(d-1) only, so the m-2 partial products are extended by one
-    coefficient per degree: O(m * order^2) products of integer Laurent
-    polynomials instead of a sum over all C(d+m-3, m-2) compositions of d-1.
-    Each new coefficient of a partial product is one packed Kronecker sum
-    (``exactalg.sum_of_products``) whose terms carry the v-shifts of the
-    rescaled factor, so the m-1 rescaled copies of F are never formed.  The
-    prefactor is applied as v^(a-d) (1 - v^(-2a)) / (1 - v^(-2d)),
-    a = (m-1)d+1 (``exactalg.quantum_ratio``): one subtraction and one
-    exact division by a two-term divisor, where a product by [a]_v and a
-    division by [d]_v would cost O(d) per coefficient.  The motives are
-    cached per (m, order).
+    needs m_0..m_(d-1) only, so the product is extended by one coefficient
+    per degree (``qseries.OnlineRescaledProduct``): O(m * order^2) products
+    of integer Laurent polynomials instead of a sum over all
+    C(d+m-3, m-2) compositions of d-1.  The prefactor is applied as
+    v^(a-d) (1 - v^(-2a)) / (1 - v^(-2d)), a = (m-1)d+1
+    (``exactalg.quantum_ratio``): one subtraction and one exact division by
+    a two-term divisor, where a product by [a]_v and a division by [d]_v
+    would cost O(d) per coefficient.  The motives are cached per
+    (m, order).
     """
     return TruncSeries(list(_framed_motives(m, order)), order)
 
@@ -128,16 +117,14 @@ def solve_functional_eq(m: int, order: int) -> TruncSeries:
     """F(t) solving F = prod_{i=1}^m (1 - v^(2i-m-1) t inner_i(t))^(-1).
 
     Here inner_i(t) = prod_{j=1}^{m-2} F(v^(2i-2j-2) t) = H(v^(2i-2) t) with
-    H(t) = prod_{j=1}^{m-2} F(v^(-2j) t).  Every F on the right is multiplied
-    by t, so the t^n coefficient of the denominator D = prod_i (1 - ...)
-    needs F only up to degree n-1.  One online pass (a relaxed solve) over
-    integer Laurent polynomials therefore extends the partial products of H
-    and D by one coefficient per degree and reads F_n off F * D = 1:
-    F_n = -sum_{k=1}^n D_k F_(n-k).  Each new coefficient is one packed sum
-    of products (``exactalg.sum_of_products``) over the coefficients, each
-    wrapped once as an ``exactalg.Operand``, whose terms carry the v-shifts
-    of the rescaled factors, so no rescaled copy of F or H is formed.  That
-    is O(m * order^2) products in O(m * order) sums.  The solution is then
+    H(t) = prod_{j=1}^{m-2} F(v^(-2j) t), so the denominator is
+    D = prod_{l=0}^{m-1} E(v^(2l) t) with E = 1 - v^(1-m) t H.  Every F on
+    the right is multiplied by t, so D_n needs F only up to degree n-1.
+    One online pass (a relaxed solve) over integer Laurent polynomials
+    therefore extends H and D by one coefficient per degree, each a
+    ``qseries.OnlineRescaledProduct``, and reads F_n off F * D = 1:
+    F_n = -sum_{k=1}^n D_k F_(n-k), one packed sum.  That is
+    O(m * order^2) products in O(m * order) sums.  The solution is then
     checked, coefficient by coefficient, against the right-hand side
     evaluated directly over integer series (``_functional_rhs``: O(log m)
     series products and one series inverse), and lifted to RatFunc
@@ -145,31 +132,15 @@ def solve_functional_eq(m: int, order: int) -> TruncSeries:
     """
     _require_central_m(m)
     F = [Operand(LaurentPoly.one())]
-    # inner[j][a] = (shift, operand): the t^a coefficient of
-    # prod_{l=1}^{j+1} F(v^(-2l) t) is v^shift times the operand, so
-    # inner[-1] holds H; denom[i][n]: the t^n coefficient of
-    # prod_{l=0}^{i} (1 - v^(2l-m+1) t H(v^(2l) t)), so denom[-1] holds D
-    inner = [[] for _ in range(m - 2)]
-    denom = [[F[0]] for _ in range(m)]
+    H = OnlineRescaledProduct(-2, -2, m - 2)
+    D = OnlineRescaledProduct(0, 2, m)
+    Dk = [D.push(F[0])[1]]  # Dk[k] is D_k; E_0 = 1, and m >= 3 copies give shift 0
     for n in range(1, order + 1):
-        a = n - 1
-        inner[0].append((-2 * a, F[a]))
-        for j in range(1, m - 2):
-            inner[j].append((0, sum_of_products(
-                [(1, shift - 2 * (j + 1) * b, (op, F[b]))
-                 for b, (shift, op) in enumerate(inner[j - 1][a::-1])])))
-        H = inner[-1]
-        # factor l has t^k coefficient -v^(2lk-m+1) H_(k-1) for k >= 1
-        denom[0].append(sum_of_products([(-1, H[a][0] + 1 - m, (H[a][1],))]))
-        for i in range(1, m):
-            prev = denom[i - 1]
-            denom[i].append(sum_of_products(
-                [(1, 0, (prev[n],))]
-                + [(-1, H[k - 1][0] + 2 * i * k - m + 1, (prev[n - k], H[k - 1][1]))
-                   for k in range(1, n + 1)]))
-        D = denom[-1]
+        shift, h = H.push(F[n - 1])
+        E = sum_of_products([(-1, shift + 1 - m, (h,))])  # E_n = -v^(1-m) H_(n-1)
+        Dk.append(D.push(E)[1])
         F.append(sum_of_products(
-            [(-1, 0, (D[k], F[n - k])) for k in range(1, n + 1)]))
+            [(-1, 0, (Dk[k], F[n - k])) for k in range(1, n + 1)]))
     F = TruncSeries.laurent([op.poly for op in F], order)
     if _functional_rhs(m, F) != F:
         raise NoConvergenceError(f"fixed point did not stabilize at m={m}")

@@ -139,25 +139,35 @@ def _cached_poly(ctx, command: str, params: dict, compute) -> LaurentPoly:
     return LaurentPoly.from_json(payload)
 
 
-def _canonical_records(records, bound: int) -> list[dict]:
-    """Re-encode the records of ``MotiveTable.export`` for d+e <= bound.
+def _hn_vectors(bound: int) -> list[tuple[int, int]]:
+    """Every (d, e) with d+e <= bound, in the order of the ``hn`` records:
+    by d+e, then by d."""
+    return [(d, s - d) for s in range(bound + 1) for d in range(s + 1)]
 
-    Every a_D is a quotient of integer Laurent polynomials, and the motive
-    is null exactly where gcd(d, e) > 1, as ``export`` writes it."""
-    # export lists every (d,e) with d+e <= bound, ordered by (d+e, d)
-    vectors = [(d, s - d) for s in range(bound + 1) for d in range(s + 1)]
+
+def _hn_record(d: int, e: int, a: RatFunc, motive) -> dict:
+    """The ``hn`` record of (d, e): a_D, a quotient of integer Laurent
+    polynomials, and the motive, an integer Laurent polynomial, or None
+    exactly where gcd(d, e) > 1."""
+    if not _integer(a.num, a.den):
+        raise ValueError(f"a_({d},{e}) has a non-integer coefficient")
+    if (motive is None) != (gcd(d, e) > 1):
+        raise ValueError(f"({d},{e}): the motive is null iff gcd(d, e) > 1")
+    if motive is not None and not _integer(motive):
+        raise ValueError(f"the motive of ({d},{e}) has a non-integer coefficient")
+    return {"d": d, "e": e, "a": a.to_json(),
+            "motive": None if motive is None else motive.to_json()}
+
+
+def _canonical_records(records, bound: int) -> list[dict]:
+    """Re-encode cached ``hn`` records for d+e <= bound (``_hn_record``)."""
+    vectors = _hn_vectors(bound)
     if len(records) != len(vectors):
         raise ValueError("wrong number of records")
-    out = []
-    for (d, e), rec in zip(vectors, records):
-        a, motive = RatFunc.from_json(rec["a"]), rec["motive"]
-        if not _integer(a.num, a.den):
-            raise ValueError(f"a_({d},{e}) has a non-integer coefficient")
-        if (motive is None) != (gcd(d, e) > 1):
-            raise ValueError(f"({d},{e}): the motive is null iff gcd(d, e) > 1")
-        out.append({"d": d, "e": e, "a": a.to_json(),
-                    "motive": None if motive is None else _motive(motive).to_json()})
-    return out
+    return [_hn_record(d, e, RatFunc.from_json(rec["a"]),
+                       None if rec["motive"] is None
+                       else LaurentPoly.from_json(rec["motive"]))
+            for (d, e), rec in zip(vectors, records)]
 
 
 def _canonical_series(payload, which: str, order: int) -> dict:
@@ -260,7 +270,11 @@ def hn(ctx, m, bound):
     def compute():
         from .wallcross import hn_extract
 
-        return hn_extract(m, bound).export()
+        table = hn_extract(m, bound)
+        return [_hn_record(d, e, table.a((d, e)),
+                           LaurentPoly.one() if d == e == 0
+                           else table.motive((d, e)) if gcd(d, e) == 1 else None)
+                for d, e in _hn_vectors(bound)]
 
     records = _cached(ctx, "hn", {"m": m, "bound": bound}, compute,
                       lambda p: _canonical_records(p, bound))

@@ -14,9 +14,11 @@
   once as ``exactalg.Operand``.
 
 ``rescaled_product(x, p, r)`` is the product of the r rescaled copies
-x(v^(p*i) t), i < r, formed by doubling in O(log r) series products; the
-central-slope products of rescaled copies of F and of one factor series
-all take this shape.
+x(v^(p*i) t), i < r, formed by doubling in O(log r) series products.
+``OnlineRescaledProduct(s, p, r)`` is the product of the copies
+x(v^(s+p*i) t) built online, one coefficient of x at a time, for solvers
+that learn x as they go.  The central-slope products of rescaled copies of
+F and of one factor series all take one of these two shapes.
 
 The two rings compare equal and hash alike coefficient by coefficient, so a
 series equals its lift.  Carries the argument rescaling t -> v^p t and the
@@ -282,6 +284,44 @@ def rescaled_product(x: TruncSeries, p: int, r: int) -> TruncSeries:
         if bit == "1":
             out, a = out * x.scale_arg(p * a), a + 1
     return out
+
+
+class OnlineRescaledProduct:
+    """prod_{i=0}^{r-1} x(v^(s+p*i) t), r >= 1, extended one coefficient
+    of x at a time: the online form of ``rescaled_product``.
+
+    ``push(x_n)`` takes the next coefficient of x as an
+    ``exactalg.Operand`` and returns the t^n coefficient of the product as
+    (shift, operand), meaning v^shift times the operand.  That coefficient
+    needs x_0..x_n only.  Level k holds the product of the first k+1
+    copies, so level 0 is x(v^s t), whose t^n coefficient is x_n with shift
+    s*n.  Each new coefficient of a higher level is one packed sum of
+    products (``exactalg.sum_of_products``) over the level below and the
+    x_j, whose terms carry the v-shifts of that copy, so no rescaled copy
+    is formed.  With r >= 2 the shift returned is 0.
+    """
+
+    __slots__ = ("_s", "_p", "_xs", "_levels")
+
+    def __init__(self, s: int, p: int, r: int):
+        if r < 1:
+            raise ValueError("OnlineRescaledProduct needs r >= 1")
+        self._s, self._p = s, p
+        self._xs = []
+        self._levels = [[] for _ in range(r)]
+
+    def push(self, x: Operand) -> tuple[int, Operand]:
+        xs, levels = self._xs, self._levels
+        n = len(xs)
+        xs.append(x)
+        levels[0].append((self._s * n, x))
+        for k in range(1, len(levels)):
+            c = self._s + self._p * k  # copy k is x(v^c t)
+            prev = levels[k - 1]
+            levels[k].append((0, sum_of_products(
+                [(1, prev[n - j][0] + c * j, (prev[n - j][1], xs[j]))
+                 for j in range(n + 1)])))
+        return levels[-1][n]
 
 
 def delta_invert(b: TruncSeries) -> TruncSeries:

@@ -1,12 +1,14 @@
 """The acceptance suite, runnable from the CLI.
 
 Each criterion returns (name, passed); the CLI prints one line per
-criterion.  The pytest suite runs the same checks with frozen oracle
-values; this module exists so `kronmot selftest` works without pytest.
+criterion on stdout, the same on every run, and its wall time on stderr.
+The pytest suite runs the same checks with frozen oracle values; this
+module exists so `kronmot selftest` works without pytest.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from math import gcd
 
@@ -158,6 +160,7 @@ def run(echo=print) -> bool:
             ok = False
             echo(f"ERROR {name}: {exc}")
         elapsed = time.monotonic() - start
-        echo(f"{'PASS' if ok else 'FAIL'} {name} ({elapsed:.1f}s)")
+        echo(f"{'PASS' if ok else 'FAIL'} {name}")
+        print(f"{name}: {elapsed:.1f}s", file=sys.stderr)
         all_ok = all_ok and ok
     return all_ok

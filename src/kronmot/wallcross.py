@@ -54,6 +54,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd
 from typing import NamedTuple
 
@@ -99,17 +100,16 @@ def _poch(n: int) -> LaurentPoly:
     return qpoch_mul(LaurentPoly.one(), range(1, n + 1))
 
 
-def _qbinom_rows(top: int) -> list[list[Operand]]:
-    """Gaussian binomials in q = v^(-2), each wrapped once: row n holds the
-    operand of [n choose k] for k = 0..n, n = 0..top, each row built from
-    the one before by the Pascal recursion [n, k] = [n-1, k-1] + q^k [n-1, k]."""
+def _qbinom_rows(top: int) -> list[list[LaurentPoly]]:
+    """Gaussian binomials in q = v^(-2): row n holds [n choose k] for
+    k = 0..n, n = 0..top, each row built from the one before by the Pascal
+    recursion [n, k] = [n-1, k-1] + q^k [n-1, k]."""
     one = LaurentPoly.one()
-    row = [one]
-    rows = [[Operand(one)]]
+    rows = [[one]]
     for n in range(1, top + 1):
-        row = ([one] + [row[k - 1] + row[k].v_shift(-2 * k) for k in range(1, n)]
-               + [one])
-        rows.append([Operand(c) for c in row])
+        row = rows[-1]
+        rows.append([one] + [row[k - 1] + row[k].v_shift(-2 * k) for k in range(1, n)]
+                    + [one])
     return rows
 
 
@@ -127,45 +127,42 @@ def _check_vector(D) -> DimVector:
     return D
 
 
-def _down_closure(vectors) -> list[DimVector]:
-    """(0,0) and every D' <= D for D in ``vectors``, component by component."""
-    reach = {}  # reach[d]: the largest e of a vector with first component d
-    for D in map(_check_vector, vectors):
-        reach[D.d] = max(reach.get(D.d, 0), D.e)
-    closure, e_max = [], 0
-    for d in range(max(reach, default=0), -1, -1):
-        e_max = max(e_max, reach.get(d, 0))
-        closure.extend(DimVector(d, e) for e in range(e_max + 1))
-    return closure
+def _staircase(vectors) -> list[int]:
+    """The down-closure of ``vectors`` and (0,0) (every D' <= D, component
+    by component) as a staircase: row d holds e = 0..emax[d], for d up to
+    the largest first component."""
+    reach = [0]  # reach[d]: the largest e of a vector with first component d
+    for d, e in map(_check_vector, vectors):
+        reach.extend([0] * (d + 1 - len(reach)))
+        reach[d] = max(reach[d], e)
+    return list(accumulate(reversed(reach), max))[::-1]
 
 
-def _sweep(m: int, vectors) -> dict[DimVector, LaurentPoly]:
-    """Numerators of a_D over (q;q)_d (q;q)_e for every D in ``vectors``.
+def _sweep(m: int, emax) -> dict[DimVector, LaurentPoly]:
+    """Numerators of a_D over (q;q)_d (q;q)_e for every D in the staircase
+    ``emax``: row d holds e = 0..emax[d], and emax does not increase with d.
 
-    ``vectors`` must be down-closed (with D it holds every D' <= D, compared
+    A staircase is down-closed (with D it holds every D' <= D, compared
     component by component); the factorisation then truncates to it
     exactly, as the module docstring explains.  The final residue check
     covers the whole set.
 
-    A down-closed set is a staircase: row d holds e = 0..emax[d], and emax
-    does not increase with d.  P[d][e] is the numerator at (d, e), held as
-    an ``exactalg.Operand``, and each update is one ``sum_of_products``; a
-    new operand replaces P[d][e], so no packing outlives the value it was
-    made from.  The ray of D0 = (d0, e0) visits d >= d0, then
-    e0 <= e <= emax[d] in increasing order, so P[D - k*D0] is updated
-    before D.  Its twist is sym_form(m, k*D0, D - k*D0) = k * c with
-    c = m(d*e0 - d0*e), one constant per D.  When c > 0, D and every
-    D - k*D0 lie below the ray's slope, where the earlier rays have
-    already left P zero, so those D are skipped.
+    P[d][e] is the numerator at (d, e), held as an ``exactalg.Operand``,
+    and each update is one ``sum_of_products``; a new operand replaces
+    P[d][e], so no packing outlives the value it was made from.  The ray
+    of D0 = (d0, e0) visits d >= d0, then e0 <= e <= emax[d] in increasing
+    order, so P[D - k*D0] is updated before D.  Its twist is
+    sym_form(m, k*D0, D - k*D0) = k * c with c = m(d*e0 - d0*e), one
+    constant per D.  When c > 0, D and every D - k*D0 lie below the ray's
+    slope, where the earlier rays have already left P zero, so those D are
+    skipped.
     """
-    emax = []  # emax[d]: the largest e of a vector in row d
-    for d, e in vectors:
-        emax.extend([-1] * (d + 1 - len(emax)))
-        emax[d] = max(emax[d], e)
     P = [[Operand(LaurentPoly.monomial(-euler_form(m, (d, e), (d, e))))
           for e in range(top + 1)] for d, top in enumerate(emax)]
-    # qbin[n][j]: [n choose j] in q, for every n a q-binomial is taken of
-    qbin = _qbinom_rows(max(len(emax) - 1, emax[0]))
+    # qbin[n][j]: [n choose j] in q, wrapped once, for every n a q-binomial
+    # is taken of
+    qbin = [[Operand(c) for c in row]
+            for row in _qbinom_rows(max(len(emax) - 1, emax[0]))]
     anum = {DimVector(0, 0): LaurentPoly.one()}
     rays = sorted(((d, e) for d, top in enumerate(emax)
                    for e in range(top + 1) if gcd(d, e) == 1), key=slope_key)
@@ -240,21 +237,21 @@ class MotiveTable:
     def __init__(self, m: int, bound: int):
         if bound < 0:
             raise ValueError("need bound >= 0")
-        self._fill(m, [(d, bound - d) for d in range(bound + 1)])
+        self._fill(m, range(bound, -1, -1))
 
     @classmethod
     def covering(cls, m: int, vectors) -> "MotiveTable":
         """The table over every D' <= D for D in ``vectors``."""
         table = cls.__new__(cls)
-        table._fill(m, vectors)
+        table._fill(m, _staircase(vectors))
         return table
 
-    def _fill(self, m: int, vectors):
+    def _fill(self, m: int, emax):
         if m < 1:
             raise ValueError("need m >= 1")
         self.m = m
         # numerator of a_D over _poch(d)*_poch(e)
-        self._anum: dict[DimVector, LaurentPoly] = _sweep(m, _down_closure(vectors))
+        self._anum: dict[DimVector, LaurentPoly] = _sweep(m, emax)
 
     # -- queries -----------------------------------------------------------
 
@@ -342,7 +339,8 @@ class MotiveTable:
             qd, qe = qbin[n * d0], qbin[n * e0]
             cleared.append(sum_of_products(
                 [(1, n * e0, (num[n],))]
-                + [(-1, -k * e0, (cleared[n - k], num[k], qd[k * d0], qe[k * e0]))
+                + [(-1, -k * e0, (cleared[n - k], num[k], Operand(qd[k * d0]),
+                                  Operand(qe[k * e0])))
                    for k in range(1, n + 1)]))
             try:
                 F.append(qpoch_divexact(cleared[n].poly, _exponents(D0, 0, n)))
@@ -350,26 +348,6 @@ class MotiveTable:
                 raise ExactDivisionError(
                     f"quotient division failed at m={self.m}, n={n}") from exc
         return TruncSeries(F, order)
-
-    def export(self) -> list[dict]:
-        """Table records for serialization; motive is null for non-coprime D."""
-        records = []
-        for D in sorted(self._anum, key=lambda D: (D.d + D.e, D.d)):
-            if D == (0, 0):
-                motive = LaurentPoly.one()
-            elif gcd(D.d, D.e) == 1:
-                motive = self.motive(D)
-            else:
-                motive = None
-            records.append(
-                {
-                    "d": D.d,
-                    "e": D.e,
-                    "a": self.a(D).to_json(),
-                    "motive": motive.to_json() if motive is not None else None,
-                }
-            )
-        return records
 
 
 def hn_extract(m: int, bound: int) -> MotiveTable:

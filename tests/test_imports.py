@@ -64,6 +64,16 @@ class TestCliFootprint:
         assert "kronmot.cache" in hit
         assert hit.isdisjoint({"kronmot.wallcross", "kronmot.central"})
 
+    def test_hn_cache_hit_loads_no_solver(self, tmp_path):
+        # the records are checked and rebuilt by the CLI alone
+        args = ["--cache-dir", str(tmp_path / "cache"), "hn", "--m", "3", "--bound", "4"]
+        code, miss_out, miss = _cli_modules(tmp_path, *args)
+        assert code == 0 and "kronmot.wallcross" in miss
+        code, hit_out, hit = _cli_modules(tmp_path, *args)
+        assert (code, hit_out) == (0, miss_out)
+        assert "kronmot.cache" in hit
+        assert hit.isdisjoint(SOLVERS)
+
     def test_framed_recursion_loads_no_wallcross(self, tmp_path):
         code, stdout, modules = _cli_modules(
             tmp_path, "--no-cache", "framed", "--m", "3", "--d", "2")

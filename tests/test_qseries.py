@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from kronmot import exactalg
 from kronmot.errors import NonPolynomialError, NonZeroConstantError, NotInvertibleError
-from kronmot.exactalg import LaurentPoly, RatFunc, quantum_integer
-from kronmot.qseries import TruncSeries, delta_invert, rescaled_product
+from kronmot.exactalg import LaurentPoly, Operand, RatFunc, quantum_integer
+from kronmot.qseries import (OnlineRescaledProduct, TruncSeries, delta_invert,
+                             rescaled_product)
 
 V = LaurentPoly.monomial(1)
 VINV = LaurentPoly.monomial(-1)
@@ -360,3 +361,39 @@ class TestRescaledProduct:
     def test_negative_count_refused(self, r):
         with pytest.raises(ValueError):
             rescaled_product(TruncSeries.laurent([LaurentPoly.one()], 2), 1, r)
+
+
+@st.composite
+def mixed_series(draw, max_order=6):
+    """An integral series whose coefficients are zero, vanish at every odd
+    offset (the packed sums' stride 2), or have odd-offset terms (stride 1)."""
+    order = draw(st.integers(0, max_order))
+    coeffs = []
+    for _ in range(order + 1):
+        kind = draw(st.sampled_from(["zero", "even", "odd"]))
+        cs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+        if kind == "zero":
+            coeffs.append(LaurentPoly.zero())
+            continue
+        if kind == "even":
+            cs = [c for x in cs for c in (x, 0)]
+        else:
+            cs = [*cs, 1, 1]  # two adjacent nonzero terms
+        coeffs.append(LaurentPoly(cs, draw(st.integers(-3, 3))))
+    return TruncSeries.laurent(coeffs, order)
+
+
+class TestOnlineRescaledProduct:
+    @given(mixed_series(), st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 6))
+    def test_each_push_reads_the_offline_product(self, x, s, p, r):
+        want = rescaled_product(x.scale_arg(s), p, r)
+        product = OnlineRescaledProduct(s, p, r)
+        for n, c in enumerate(x.coeffs):
+            shift, op = product.push(Operand(c))
+            assert op.poly.v_shift(shift) == want.coeffs[n], n
+            assert shift == (s * n if r == 1 else 0)
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_no_copies_refused(self, r):
+        with pytest.raises(ValueError):
+            OnlineRescaledProduct(-2, -2, r)

@@ -273,6 +273,14 @@ def per_term_sweep(m, vectors):
     return anum
 
 
+def down_closure(vectors):
+    """(0,0) and every D' <= D for D in ``vectors``, by enumeration, sorted."""
+    from kronmot.wallcross import DimVector
+
+    return sorted({DimVector(a, b) for d, e in [(0, 0), *vectors]
+                   for a in range(d + 1) for b in range(e + 1)})
+
+
 ORACLE_BOUND = 12
 
 
@@ -288,14 +296,16 @@ class TestSweepOracle:
     @pytest.mark.parametrize("m", range(1, 6))
     def test_matches_per_term_sweep(self, m):
         triangle = [(d, ORACLE_BOUND - d) for d in range(ORACLE_BOUND + 1)]
-        want = per_term_sweep(m, wallcross._down_closure(triangle))
+        want = per_term_sweep(m, down_closure(triangle))
+        # the staircase MotiveTable(m, bound) sweeps
+        assert wallcross._sweep(m, range(ORACLE_BOUND, -1, -1)) == want
         sets = [[(d, e)] for d in range(ORACLE_BOUND + 1)
                 for e in range(ORACLE_BOUND + 1 - d)]
         sets += [[(d, b - d) for d in range(b + 1)] for b in range(ORACLE_BOUND + 1)]
         for vectors in sets:
-            closure = wallcross._down_closure(vectors)
-            got = wallcross._sweep(m, closure)
-            assert sorted(got) == sorted(closure)
+            closure = down_closure(vectors)
+            got = wallcross._sweep(m, wallcross._staircase(vectors))
+            assert sorted(got) == closure
             for D in closure:
                 assert got[D] == want[D], (m, vectors, D)
 
@@ -310,10 +320,10 @@ class TestSweepOracle:
                lambda s: st.integers(0, s).map(lambda d: (d, s - d))),
                min_size=1, max_size=2))
     def test_staircases_match_per_term_sweep(self, m, axis, others):
-        closure = wallcross._down_closure([axis] + others)
-        got = wallcross._sweep(m, closure)
+        closure = down_closure([axis] + others)
+        got = wallcross._sweep(m, wallcross._staircase([axis] + others))
         assert got == per_term_sweep(m, closure)
-        assert sorted(got) == sorted(closure)
+        assert sorted(got) == closure
 
     def test_sweep_retains_nothing(self):
         # the q-binomials a sweep needs live as long as the sweep, so a
@@ -336,8 +346,8 @@ class TestSweepOracle:
     def test_wide_slots_match_per_term_sweep(self):
         # some sums of this box need 8 byte slots; the sets with d+e <= 12
         # and m <= 5 above need at most 4
-        closure = wallcross._down_closure([(10, 11)])
-        assert wallcross._sweep(8, closure) == per_term_sweep(8, closure)
+        got = wallcross._sweep(8, wallcross._staircase([(10, 11)]))
+        assert got == per_term_sweep(8, down_closure([(10, 11)]))
 
 
 class TestSmallQuivers:
