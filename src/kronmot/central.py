@@ -11,8 +11,8 @@ over integer Laurent polynomials:
 - ``framed_recursion``: m_d = [(m-1)d+1]_v / [d]_v times the t^(d-1)
   coefficient of prod_{i=1}^{m-1} F(v^(m-2i) t).  The prefactor takes its
   binomial form (``exactalg.quantum_ratio``, where the package's
-  q-Pochhammer and quantum-integer arithmetic lives), linear in the length
-  of the coefficient.
+  q-Pochhammer and quantum-integer arithmetic lives), one pass over the
+  coefficient list.
 - ``solve_functional_eq``: one online pass over
   F * prod_{i=1}^m (1 - v^(2i-m-1) t prod_{j=1}^{m-2} F(v^(2i-2j-2) t)) = 1,
   then a check of F against the right-hand side evaluated directly.  The
@@ -21,10 +21,11 @@ over integer Laurent polynomials:
   and F is lifted to ``RatFunc`` coefficients only once it has passed.
 
 Both solvers extend their products of rescaled copies one coefficient per
-degree through ``qseries.OnlineRescaledProduct``, each coefficient one
-packed sum of products (``exactalg.sum_of_products``) over operands wrapped
-once.  Both cost O(m * order^2) Laurent-polynomial products in
-O(m * order) packed sums of at most order+1 products each.  The check
+degree through ``qseries.OnlineRescaledProduct``, which builds them by
+doubling, each coefficient one packed sum of products
+(``exactalg.sum_of_products``) over operands wrapped once.  Both cost
+O(log m * order^2) Laurent-polynomial products in O(log m * order) packed
+sums of at most order+1 products each.  The check
 forms its two products of rescaled copies by doubling
 (``qseries.rescaled_product``): O(log m) integer series products, each
 O(order^2) coefficient products as packed sums, and one series inverse.
@@ -84,14 +85,15 @@ def framed_recursion(m: int, order: int) -> TruncSeries:
     m_0 = 1 and m_d = [(m-1)d+1]_v / [d]_v * c_(d-1), where c_(d-1) is the
     t^(d-1) coefficient of prod_{i=1}^{m-1} F(v^(m-2i) t).  That coefficient
     needs m_0..m_(d-1) only, so the product is extended by one coefficient
-    per degree (``qseries.OnlineRescaledProduct``): O(m * order^2) products
-    of integer Laurent polynomials instead of a sum over all
-    C(d+m-3, m-2) compositions of d-1.  The prefactor is applied as
-    v^(a-d) (1 - v^(-2a)) / (1 - v^(-2d)), a = (m-1)d+1
-    (``exactalg.quantum_ratio``): one subtraction and one exact division by
-    a two-term divisor, where a product by [a]_v and a division by [d]_v
-    would cost O(d) per coefficient.  The motives are cached per
-    (m, order).
+    per degree, by doubling (``qseries.OnlineRescaledProduct``):
+    floor(log2(m-1)) + popcount(m-1) - 1 packed sums per degree, and
+    O(log m * order^2) products of integer Laurent polynomials instead of a
+    sum over all C(d+m-3, m-2) compositions of d-1.  The prefactor is
+    applied as v^(a-d) (1 - v^(-2a)) / (1 - v^(-2d)), a = (m-1)d+1
+    (``exactalg.quantum_ratio``): one list subtraction and one two-term
+    division over the coefficients at stride 2, where a product by [a]_v
+    and a division by [d]_v would cost O(d) per coefficient.  The motives
+    are cached per (m, order).
     """
     return TruncSeries(list(_framed_motives(m, order)), order)
 
@@ -123,8 +125,9 @@ def solve_functional_eq(m: int, order: int) -> TruncSeries:
     One online pass (a relaxed solve) over integer Laurent polynomials
     therefore extends H and D by one coefficient per degree, each a
     ``qseries.OnlineRescaledProduct``, and reads F_n off F * D = 1:
-    F_n = -sum_{k=1}^n D_k F_(n-k), one packed sum.  That is
-    O(m * order^2) products in O(m * order) sums.  The solution is then
+    F_n = -sum_{k=1}^n D_k F_(n-k), one packed sum.  Both products are
+    built by doubling, so that is O(log m * order^2) products in
+    O(log m * order) sums.  The solution is then
     checked, coefficient by coefficient, against the right-hand side
     evaluated directly over integer series (``_functional_rhs``: O(log m)
     series products and one series inverse), and lifted to RatFunc

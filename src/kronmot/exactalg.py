@@ -35,9 +35,11 @@ is an integer Laurent polynomial:
   it costs a C-level pass instead of a Python long division.  A remainder
   raises ``NonPolynomialError`` as on the general path.
 - Every product and exact quotient by q-Pochhammer binomials 1 - q^i,
-  q = v^(-2), is ``qpoch_mul`` or ``qpoch_divexact`` (one shift and
-  subtraction, or one two-term division, per binomial), and every c [a]_v
-  / [d]_v is ``quantum_ratio``, one of each.
+  q = v^(-2), is ``qpoch_mul`` or ``qpoch_divexact``, and every c [a]_v
+  / [d]_v is ``quantum_ratio``, one of each.  All three are one pass over
+  the coefficient list (``_qpoch``), at stride 2 when it vanishes at its
+  odd offsets: one list subtraction, or one two-term division, per
+  binomial, and no intermediate ``LaurentPoly``.
 - A ``RatFunc`` whose denominator is the constant 1 is already in canonical
   form when its numerator has integer coefficients, so constructing it skips
   the gcd and ``Fraction`` work.
@@ -50,7 +52,7 @@ from array import array
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd as int_gcd
-from operator import add, neg
+from operator import add, neg, sub
 
 from .errors import NonPolynomialError
 
@@ -145,7 +147,7 @@ def _schoolbook(a, b):
     return out
 
 
-def _divexact_binomial(rem: list[int], div: tuple, qlen: int) -> tuple:
+def _divexact_binomial(rem: list, d0: int, d1: int, s: int, qlen: int) -> list:
     """The qlen coefficients of rem / div for div = d0 + d1 v^s, d0 and d1
     each +1 or -1, so div = d0 (1 + c v^s) with c = d0 * d1.
 
@@ -154,10 +156,10 @@ def _divexact_binomial(rem: list[int], div: tuple, qlen: int) -> tuple:
     (c = -1) or a running sum of alternating signs (c = +1); each class is
     one strided ``itertools.accumulate``.  Run over the whole of rem, the
     recurrence leaves q_i = 0 for every i >= qlen exactly when there is no
-    remainder, and raises NonPolynomialError otherwise.
+    remainder, and raises NonPolynomialError otherwise.  rem may be
+    overwritten.
     """
-    d0, s = div[0], len(div) - 1
-    c = d0 * div[-1]
+    c = d0 * d1
     if d0 < 0:
         rem = list(map(neg, rem))
     for r in range(min(s, len(rem))):
@@ -171,7 +173,7 @@ def _divexact_binomial(rem: list[int], div: tuple, qlen: int) -> tuple:
             rem[r::s] = accumulate(xs)
     if any(rem[qlen:]):
         raise NonPolynomialError("Laurent division left a remainder")
-    return tuple(rem[:qlen])
+    return rem[:qlen]
 
 
 def _store(poly, coeffs, min_exp: int, ints: bool):
@@ -383,8 +385,9 @@ class LaurentPoly:
             raise NonPolynomialError("degree of divisor exceeds dividend")
         if (len(div) > 1 and d0 in (1, -1) and div[-1] in (1, -1)
                 and self._ints and other._ints and not any(div[1:-1])):
-            return LaurentPoly._canonical(_divexact_binomial(rem, div, qlen),
-                                          self.min_exp - other.min_exp, True)
+            return LaurentPoly._canonical(
+                tuple(_divexact_binomial(rem, d0, div[-1], len(div) - 1, qlen)),
+                self.min_exp - other.min_exp, True)
         quot = [0] * qlen
         int_path = d0 in (1, -1) and self._ints and other._ints
         # quantum integers are half zeros; only the nonzero terms do work
@@ -600,31 +603,73 @@ def quantum_integer(n: int) -> LaurentPoly:
     return LaurentPoly(coeffs, 1 - n)
 
 
+def _qpoch(p: LaurentPoly, muls, divs, shift: int = 0) -> LaurentPoly:
+    """v^shift * p * prod_{i in muls} (1 - q^i) / prod_{i in divs} (1 - q^i),
+    q = v^(-2), each i >= 1, in one pass over the coefficient list of p.
+
+    Each factor is 1 - q^i = -v^(-2i) (1 - v^(2i)).  The list is taken at
+    stride 2 when p vanishes at its odd offsets, as every motive does, so
+    1 - v^(2i) steps i entries, and at stride 1 (2i entries) otherwise.  A
+    product by 1 - v^(2i) is one list subtraction, and a quotient one
+    ``_divexact_binomial`` at that step (a divisor of an exact quotient
+    divides exactly), so a remainder raises ``NonPolynomialError``.  Both
+    keep the end coefficients nonzero.  The signs and powers of v are
+    applied once, where the list is spread back.
+    """
+    if not p.coeffs:
+        return p
+    stride = 1 if any(p.coeffs[1::2]) else 2
+    xs = list(p.coeffs[::stride])
+    lo = p.min_exp + shift
+    sign = 1
+    for i in muls:
+        if i < 1:
+            raise ValueError("q-Pochhammer exponents must be >= 1")
+        step = 2 * i // stride
+        out = xs + [0] * step
+        out[step:] = map(sub, out[step:], xs)
+        xs, lo, sign = out, lo - 2 * i, -sign
+    for i in divs:
+        if i < 1:
+            raise ValueError("q-Pochhammer exponents must be >= 1")
+        step = 2 * i // stride
+        if len(xs) <= step:
+            raise NonPolynomialError("degree of divisor exceeds dividend")
+        xs = _divexact_binomial(xs, 1, -1, step, len(xs) - step)
+        lo, sign = lo + 2 * i, -sign
+    if sign < 0:
+        xs = list(map(neg, xs))
+    if stride == 2:
+        spread = [0] * (2 * len(xs) - 1)
+        spread[::2] = xs
+        xs = spread
+    if p._ints:
+        return LaurentPoly._canonical(tuple(xs), lo, True)
+    return LaurentPoly(xs, lo)
+
+
 def qpoch_mul(p: LaurentPoly, exps) -> LaurentPoly:
-    """p * prod_{i in exps} (1 - q^i), q = v^(-2): one shift and one
-    subtraction per factor."""
-    for i in exps:
-        p = p - p.v_shift(-2 * i)
-    return p
+    """p * prod_{i in exps} (1 - q^i), q = v^(-2), each i >= 1: one list
+    subtraction per factor (``_qpoch``)."""
+    return _qpoch(p, exps, ())
 
 
 def qpoch_divexact(p: LaurentPoly, exps) -> LaurentPoly:
-    """The exact quotient p / prod_{i in exps} (1 - q^i), q = v^(-2): one
-    two-term ``divexact`` per factor (a divisor of an exact quotient
-    divides exactly), so a remainder raises ``NonPolynomialError``."""
-    for i in exps:
-        p = p.divexact(_ONE - LaurentPoly.monomial(-2 * i))
-    return p
+    """The exact quotient p / prod_{i in exps} (1 - q^i), q = v^(-2), each
+    i >= 1: one two-term division per factor (``_qpoch``), so a remainder
+    raises ``NonPolynomialError``."""
+    return _qpoch(p, (), exps)
 
 
 def quantum_ratio(c: LaurentPoly, a: int, d: int) -> LaurentPoly:
     """c * [a]_v / [d]_v for a, d >= 1, as an exact Laurent polynomial.
 
-    [a]_v / [d]_v = v^(a-d) (1 - q^a) / (1 - q^d), so this is linear in the
-    length of c, and raises ``NonPolynomialError`` exactly when c * [a]_v
-    leaves a remainder on division by [d]_v.
+    [a]_v / [d]_v = v^(a-d) (1 - q^a) / (1 - q^d), so this is one list
+    subtraction and one two-term division (``_qpoch``), linear in the length
+    of c, and raises ``NonPolynomialError`` exactly when c * [a]_v leaves a
+    remainder on division by [d]_v.
     """
-    return qpoch_divexact(qpoch_mul(c, (a,)), (d,)).v_shift(a - d)
+    return _qpoch(c, (a,), (d,), a - d)
 
 
 # -- ordinary-polynomial gcd helpers (dense lists, low degree first) --------

@@ -17,8 +17,10 @@
 x(v^(p*i) t), i < r, formed by doubling in O(log r) series products.
 ``OnlineRescaledProduct(s, p, r)`` is the product of the copies
 x(v^(s+p*i) t) built online, one coefficient of x at a time, for solvers
-that learn x as they go.  The central-slope products of rescaled copies of
-F and of one factor series all take one of these two shapes.
+that learn x as they go; it doubles too, over O(log r) nodes, each
+extended by one packed sum per coefficient.  The central-slope products of
+rescaled copies of F and of one factor series all take one of these two
+shapes.
 
 The two rings compare equal and hash alike coefficient by coefficient, so a
 series equals its lift.  Carries the argument rescaling t -> v^p t and the
@@ -288,40 +290,53 @@ def rescaled_product(x: TruncSeries, p: int, r: int) -> TruncSeries:
 
 class OnlineRescaledProduct:
     """prod_{i=0}^{r-1} x(v^(s+p*i) t), r >= 1, extended one coefficient
-    of x at a time: the online form of ``rescaled_product``.
+    of x at a time: the online form of ``rescaled_product``, built by the
+    same doubling.
 
     ``push(x_n)`` takes the next coefficient of x as an
     ``exactalg.Operand`` and returns the t^n coefficient of the product as
     (shift, operand), meaning v^shift times the operand.  That coefficient
-    needs x_0..x_n only.  Level k holds the product of the first k+1
-    copies, so level 0 is x(v^s t), whose t^n coefficient is x_n with shift
-    s*n.  Each new coefficient of a higher level is one packed sum of
-    products (``exactalg.sum_of_products``) over the level below and the
-    x_j, whose terms carry the v-shifts of that copy, so no rescaled copy
-    is formed.  With r >= 2 the shift returned is 0.
+    needs x_0..x_n only.  With P_a = prod_{i<a} x(v^(s+p*i) t), the first
+    node is P_1 = x(v^s t), whose t^n coefficient is x_n with shift s*n.
+    Reading r from its top bit down, each further node multiplies the node
+    before it, P_a, by a rescaled copy Q(v^(p*a) t): Q = P_a doubles it to
+    P_2a, and for a set bit Q = x(v^s t) extends it to P_(a+1).  Every node
+    keeps its own coefficients, and each push extends each node by one
+    packed sum of at most n+1 products (``exactalg.sum_of_products``) whose
+    terms carry the v-shifts, so no rescaled copy is formed:
+    floor(log2 r) + popcount(r) - 1 sums per push instead of r - 1.  With
+    r >= 2 the shift returned is 0.
     """
 
-    __slots__ = ("_s", "_p", "_xs", "_levels")
+    __slots__ = ("_s", "_base", "_nodes", "_last")
 
     def __init__(self, s: int, p: int, r: int):
         if r < 1:
             raise ValueError("OnlineRescaledProduct needs r >= 1")
-        self._s, self._p = s, p
-        self._xs = []
-        self._levels = [[] for _ in range(r)]
+        self._s = s
+        # node: (its coefficients, P_a's, Q's, p*a); coefficients are
+        # (shift, operand) pairs
+        self._base = last = []
+        self._nodes = []
+        a = 1
+        for bit in bin(r)[3:]:
+            node = []
+            self._nodes.append((node, last, last, p * a))
+            last, a = node, 2 * a
+            if bit == "1":
+                node = []
+                self._nodes.append((node, last, self._base, p * a))
+                last, a = node, a + 1
+        self._last = last
 
     def push(self, x: Operand) -> tuple[int, Operand]:
-        xs, levels = self._xs, self._levels
-        n = len(xs)
-        xs.append(x)
-        levels[0].append((self._s * n, x))
-        for k in range(1, len(levels)):
-            c = self._s + self._p * k  # copy k is x(v^c t)
-            prev = levels[k - 1]
-            levels[k].append((0, sum_of_products(
-                [(1, prev[n - j][0] + c * j, (prev[n - j][1], xs[j]))
-                 for j in range(n + 1)])))
-        return levels[-1][n]
+        n = len(self._base)
+        self._base.append((self._s * n, x))
+        for node, first, second, c in self._nodes:
+            node.append((0, sum_of_products(
+                [(1, first[n - j][0] + second[j][0] + c * j,
+                  (first[n - j][1], second[j][1])) for j in range(n + 1)])))
+        return self._last[n]
 
 
 def delta_invert(b: TruncSeries) -> TruncSeries:

@@ -713,8 +713,18 @@ class TestQuantumInteger:
         assert quantum_integer(n).eval_at_one() == n
 
 
-int_polys = st.builds(LaurentPoly, st.lists(st.integers(-5, 5), max_size=8),
-                      st.integers(-4, 4))
+@st.composite
+def int_polys(draw):
+    """An integer LaurentPoly: half the time a polynomial in q = v^-2 times
+    v^k, the shape of every motive (zero at every odd offset), else with
+    coefficients at any offset, so the q-Pochhammer pass runs at stride 2
+    and at stride 1."""
+    coeffs = draw(st.lists(st.integers(-5, 5), max_size=8))
+    if draw(st.booleans()):
+        coeffs = [c for x in coeffs for c in (x, 0)]
+    return LaurentPoly(coeffs, draw(st.integers(-4, 4)))
+
+
 exponent_lists = st.lists(st.integers(1, 6), max_size=4)
 
 
@@ -734,31 +744,61 @@ def _outcome(f):
 
 
 class TestQPochhammer:
-    @given(int_polys, exponent_lists)
+    @given(int_polys(), exponent_lists)
     def test_qpoch_mul_is_the_product(self, p, exps):
         got = qpoch_mul(p, exps)
         assert got == p * binomial_product(exps)
         assert_canonical_int(got)
 
-    @given(int_polys, exponent_lists)
+    @given(int_polys(), exponent_lists)
     def test_qpoch_divexact_undoes_qpoch_mul(self, p, exps):
         got = qpoch_divexact(qpoch_mul(p, exps), exps)
         assert got == p
         assert_canonical_int(got)
 
-    @given(int_polys, st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    @given(int_polys(), exponent_lists, st.booleans())
+    def test_qpoch_divexact_is_the_long_division(self, p, exps, multiple):
+        if multiple:
+            p = p * binomial_product(exps)
+        want = _outcome(lambda: p.divexact(binomial_product(exps)))
+        got = _outcome(lambda: qpoch_divexact(p, exps))
+        assert got == want
+        if got is not NonPolynomialError:
+            assert_canonical_int(got)
+
+    @given(int_polys(), st.lists(st.integers(1, 6), min_size=1, max_size=4),
            st.integers(-30, 30))
     def test_qpoch_divexact_refuses_a_non_multiple(self, p, exps, j):
         # a monomial vanishes at no root of unity, so 1 - q^i never divides it
         with pytest.raises(NonPolynomialError):
             qpoch_divexact(qpoch_mul(p, exps) + LaurentPoly.monomial(j), exps)
 
-    @given(int_polys, st.integers(1, 6), st.integers(1, 6), st.booleans())
-    def test_quantum_ratio_is_product_then_division(self, c, a, d, multiple):
-        if multiple:
-            c = c * quantum_integer(d)
+    @given(int_polys(), st.sampled_from(["a<d", "a=d", "a>d"]), st.integers(1, 8),
+           st.integers(1, 8), st.integers(0, 10))
+    def test_quantum_ratio_is_product_then_division(self, c, relation, low, gap, k):
+        a, d = {"a<d": (low, low + gap), "a=d": (low, low),
+                "a>d": (low + gap, low)}[relation]
+        if k:  # c [a]_v / [d]_v is a polynomial for k = d, and often else
+            c = c * quantum_integer(k)
         want = _outcome(lambda: (c * quantum_integer(a)).divexact(quantum_integer(d)))
-        assert _outcome(lambda: quantum_ratio(c, a, d)) == want
+        got = _outcome(lambda: quantum_ratio(c, a, d))
+        assert got == want
+        if got is not NonPolynomialError:
+            assert_canonical_int(got)
+
+    @pytest.mark.parametrize("c", [LaurentPoly.one(), poly([2, 0, -1], 3), poly([1, 1], -1)])
+    def test_dividend_shorter_than_the_step(self, c):
+        # c (1 - q) spans fewer entries than 1 - q^12 steps, at either stride
+        assert _outcome(lambda: (c * quantum_integer(1)).divexact(quantum_integer(12))) \
+            is NonPolynomialError
+        assert _outcome(lambda: quantum_ratio(c, 1, 12)) is NonPolynomialError
+        assert _outcome(lambda: qpoch_divexact(c, [12])) is NonPolynomialError
+
+    @pytest.mark.parametrize("exps", [[0], [-3]])
+    def test_exponents_below_one_refused(self, exps):
+        for f in (qpoch_mul, qpoch_divexact):
+            with pytest.raises(ValueError):
+                f(LaurentPoly([1, 0, 1]), exps)
 
 
 @st.composite

@@ -5,7 +5,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kronmot import exactalg
+from kronmot import exactalg, qseries
 from kronmot.errors import NonPolynomialError, NonZeroConstantError, NotInvertibleError
 from kronmot.exactalg import LaurentPoly, Operand, RatFunc, quantum_integer
 from kronmot.qseries import (OnlineRescaledProduct, TruncSeries, delta_invert,
@@ -384,7 +384,8 @@ def mixed_series(draw, max_order=6):
 
 
 class TestOnlineRescaledProduct:
-    @given(mixed_series(), st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 6))
+    # r up to 17 reaches every bit pattern of up to four bits plus 16 and 17
+    @given(mixed_series(), st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 17))
     def test_each_push_reads_the_offline_product(self, x, s, p, r):
         want = rescaled_product(x.scale_arg(s), p, r)
         product = OnlineRescaledProduct(s, p, r)
@@ -392,6 +393,23 @@ class TestOnlineRescaledProduct:
             shift, op = product.push(Operand(c))
             assert op.poly.v_shift(shift) == want.coeffs[n], n
             assert shift == (s * n if r == 1 else 0)
+
+    @pytest.mark.parametrize("r", range(1, 18))
+    def test_packed_sums_per_push_follow_the_bits(self, r, monkeypatch):
+        sums = []
+        packed_sum = qseries.sum_of_products
+
+        def counting(terms):
+            sums.append(1)
+            return packed_sum(terms)
+
+        monkeypatch.setattr(qseries, "sum_of_products", counting)
+        product = OnlineRescaledProduct(1, -2, r)
+        per_push = r.bit_length() - 1 + bin(r).count("1") - 1
+        for n in range(5):
+            before = len(sums)
+            product.push(Operand(LaurentPoly([1, 0, n + 2], -1)))
+            assert len(sums) - before == per_push, n
 
     @pytest.mark.parametrize("r", [0, -1])
     def test_no_copies_refused(self, r):
