@@ -1,19 +1,18 @@
-"""Command-line surface.
+"""Command-line surface, on the standard library's ``argparse``.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 internal inconsistency (methods disagree), 4 resource limit.  ``_Group``
-maps every error a command raises to 2, 3 or 4, so ``main`` run in process
-exits as the console script does.
+3 internal inconsistency (methods disagree), 4 resource limit.  ``main``
+maps every error a command raises to 2, 3 or 4 and returns the code, so
+``main`` run in process exits as the console script does.  argparse's own
+usage errors exit 2, and ``--help`` exits 0, by raising ``SystemExit``.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from math import gcd
-
-import click
-from click.core import ParameterSource
 
 from .cache import SCHEMA, Cache
 from .errors import KronmotError, ResourceLimitError
@@ -49,55 +48,20 @@ def _poly_lines(p: LaurentPoly) -> list[str]:
     return lines + [",".join(_coeff_list(p))]
 
 
-def _emit(ctx, command: str, result, lines, csv_row=()):
+def _emit(args, result, lines, csv_row=()):
     """Print a result in the --format asked for: ``result`` in the JSON
     envelope, the fields of ``csv_row`` as one csv line, or plain ``lines``."""
-    fmt = ctx.obj["fmt"]
-    if fmt == "json":
-        click.echo(json.dumps({"schema": SCHEMA, "command": command,
-                               "result": result}, sort_keys=True))
-    elif fmt == "csv":
-        click.echo(",".join(str(x) for x in csv_row))
+    if args.fmt == "json":
+        print(json.dumps({"schema": SCHEMA, "command": args.command,
+                          "result": result}, sort_keys=True))
+    elif args.fmt == "csv":
+        print(",".join(str(x) for x in csv_row))
     else:
         for line in lines:
-            click.echo(line)
+            print(line)
 
 
-class _Group(click.Group):
-    """Ends every error a command raises in its exit code, with the message
-    on stderr: ``ValueError`` 2, ``ResourceLimitError`` 4, any other
-    ``KronmotError`` 3."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (ValueError, KronmotError) as exc:
-            click.echo(str(exc), err=True)
-            code = (EXIT_BAD_INPUT if isinstance(exc, ValueError)
-                    else EXIT_RESOURCE if isinstance(exc, ResourceLimitError)
-                    else EXIT_INCONSISTENT)
-            raise click.exceptions.Exit(code) from None
-
-
-@click.group(cls=_Group)
-@click.option("--format", "fmt", type=click.Choice(["plain", "json", "csv"]),
-              default="plain", show_default=True)
-@click.option("--cache-dir", type=click.Path(), default=None,
-              help="Cache directory (or set KRONMOT_CACHE_DIR).")
-@click.option("--no-cache", is_flag=True, default=False)
-@click.option("--max-paths", type=click.IntRange(min=0),
-              default=DEFAULT_MAX_PATHS, show_default=True,
-              help="Ballot-path enumeration cap.")
-@click.pass_context
-def main(ctx, fmt, cache_dir, no_cache, max_paths):
-    """Exact virtual motives of Kronecker quiver moduli."""
-    ctx.ensure_object(dict)
-    ctx.obj["fmt"] = fmt
-    ctx.obj["cache"] = Cache(cache_dir, enabled=not no_cache)
-    ctx.obj["max_paths"] = max_paths
-
-
-def _cached(ctx, command: str, params: dict, compute, canonical):
+def _cached(args, params: dict, compute, canonical):
     """The JSON payload of a result, from the cache when its entry is valid.
 
     ``compute()`` returns the payload.  ``canonical(payload)`` rebuilds a
@@ -105,8 +69,8 @@ def _cached(ctx, command: str, params: dict, compute, canonical):
     cached payload that does not come back from it unchanged is discarded
     and recomputed.
     """
-    cache: Cache = ctx.obj["cache"]
-    key = Cache.make_key(command, **params)
+    cache = Cache(args.cache_dir, enabled=not args.no_cache)
+    key = Cache.make_key(args.command, **params)
     payload = cache.get(key)
     if payload is not None:
         try:
@@ -133,8 +97,8 @@ def _motive(obj) -> LaurentPoly:
     return p
 
 
-def _cached_poly(ctx, command: str, params: dict, compute) -> LaurentPoly:
-    payload = _cached(ctx, command, params, lambda: compute().to_json(),
+def _cached_poly(args, params: dict, compute) -> LaurentPoly:
+    payload = _cached(args, params, lambda: compute().to_json(),
                       lambda p: _motive(p).to_json())
     return LaurentPoly.from_json(payload)
 
@@ -186,22 +150,16 @@ def _canonical_series(payload, which: str, order: int) -> dict:
     return ts.to_json()
 
 
-def _reject_csv(ctx):
+def _reject_csv(args):
     """Refuse --format csv for a command that has no csv form."""
-    if ctx.obj["fmt"] == "csv":
-        raise ValueError(f"--format csv is not supported by `{ctx.info_name}`; "
+    if args.fmt == "csv":
+        raise ValueError(f"--format csv is not supported by `{args.command}`; "
                          f"it is supported by: {', '.join(CSV_COMMANDS)}")
 
 
-@main.command()
-@click.option("--m", type=int, required=True)
-@click.option("--d", type=int, required=True)
-@click.option("--method", type=click.Choice(["recursion", "funceq", "wallcross",
-                                             "all"]), default="recursion",
-              show_default=True)
-@click.pass_context
-def framed(ctx, m, d, method):
+def framed(args):
     """Virtual motive of the framed moduli space K_{d,d}^(m),fr."""
+    m, d, method = args.m, args.d, args.method
     if m < 3 or d < 0:
         raise ValueError("need m >= 3 and d >= 0")
 
@@ -227,19 +185,15 @@ def framed(ctx, m, d, method):
             raise KronmotError("methods disagree")
         poly = first
     else:
-        poly = _cached_poly(ctx, "framed", {"m": m, "d": d, "method": method},
+        poly = _cached_poly(args, {"m": m, "d": d, "method": method},
                             lambda: by(method))
-    _emit(ctx, "framed", {"m": m, "d": d, "motive": poly.to_json()},
+    _emit(args, {"m": m, "d": d, "motive": poly.to_json()},
           _poly_lines(poly), [m, d, poly.min_exp, *_coeff_list(poly)])
 
 
-@main.command()
-@click.option("--m", type=int, required=True)
-@click.option("--d", type=int, required=True)
-@click.option("--e", type=int, required=True)
-@click.pass_context
-def moduli(ctx, m, d, e):
+def moduli(args):
     """Virtual motive of K_{d,e}^(m) for coprime (d,e)."""
+    m, d, e = args.m, args.d, args.e
     if m < 1 or d < 0 or e < 0 or (d, e) == (0, 0):
         raise ValueError("invalid parameters")
     if gcd(d, e) != 1:
@@ -252,18 +206,15 @@ def moduli(ctx, m, d, e):
 
         return moduli_motive(m, d, e)
 
-    poly = _cached_poly(ctx, "moduli", {"m": m, "d": d, "e": e}, compute)
-    _emit(ctx, "moduli", {"m": m, "d": d, "e": e, "motive": poly.to_json()},
+    poly = _cached_poly(args, {"m": m, "d": d, "e": e}, compute)
+    _emit(args, {"m": m, "d": d, "e": e, "motive": poly.to_json()},
           _poly_lines(poly), [m, d, e, poly.min_exp, *_coeff_list(poly)])
 
 
-@main.command()
-@click.option("--m", type=int, required=True)
-@click.option("--bound", type=int, required=True)
-@click.pass_context
-def hn(ctx, m, bound):
+def hn(args):
     """Raw wall-crossing coefficient table a_D for d+e <= bound."""
-    _reject_csv(ctx)
+    m, bound = args.m, args.bound
+    _reject_csv(args)
     if m < 1 or bound < 0:
         raise ValueError("invalid parameters")
 
@@ -276,7 +227,7 @@ def hn(ctx, m, bound):
                            else table.motive((d, e)) if gcd(d, e) == 1 else None)
                 for d, e in _hn_vectors(bound)]
 
-    records = _cached(ctx, "hn", {"m": m, "bound": bound}, compute,
+    records = _cached(args, {"m": m, "bound": bound}, compute,
                       lambda p: _canonical_records(p, bound))
 
     def line(rec):
@@ -285,24 +236,19 @@ def hn(ctx, m, bound):
                 if motive is not None else "-")
         return f"({rec['d']},{rec['e']}) motive: {desc}"
 
-    _emit(ctx, "hn", records, map(line, records))
+    _emit(args, records, map(line, records))
 
 
-@main.command()
-@click.option("--which", type=click.Choice(["F", "G", "A"]), required=True)
-@click.option("--m", type=int, required=True)
-@click.option("--k", type=int, default=1, show_default=True,
-              help="Slope parameter for the A series (ray (1,k)).")
-@click.option("--order", type=int, required=True)
-@click.pass_context
-def series(ctx, which, m, k, order):
+def series(args):
     """Truncated generating series F, G, or A^(k)."""
-    _reject_csv(ctx)
+    which, m, order = args.which, args.m, args.order
+    _reject_csv(args)
     if order < 0:
         raise ValueError("order must be >= 0")
-    # the default k=1 stays in the cache key of F and G; an explicit --k is refused
-    if which != "A" and ctx.get_parameter_source("k") is not ParameterSource.DEFAULT:
+    if which != "A" and args.k is not None:
         raise ValueError("--k applies only to --which A")
+    # k=1 stays in the cache key of F and G
+    k = 1 if args.k is None else args.k
     # every check that exits 2 runs before the cache is read
     if which != "A" and m < 3:
         raise ValueError("central-slope series need m >= 3")
@@ -323,7 +269,7 @@ def series(ctx, which, m, k, order):
             ts = table.ray_series((1, k), order)
         return ts.to_json()
 
-    payload = _cached(ctx, "series", {"which": which, "m": m, "k": k, "order": order},
+    payload = _cached(args, {"which": which, "m": m, "k": k, "order": order},
                       compute, lambda p: _canonical_series(p, which, order))
 
     def line(dd, coeff):
@@ -333,26 +279,20 @@ def series(ctx, which, m, k, order):
             return f"t^{dd}: {num}"
         return f"t^{dd}: ({num}) / ({','.join(_coeff_list(den))})"
 
-    _emit(ctx, "series", payload,
+    _emit(args, payload,
           (line(dd, coeff) for dd, coeff in enumerate(payload["coeffs"])))
 
 
-@main.command()
-@click.option("--m", type=int, required=True)
-@click.option("--d", type=int, required=True)
-@click.option("--kind", type=click.Choice(["framed", "moduli"]), required=True)
-@click.option("--check", is_flag=True, default=False,
-              help="Compare the closed form against the motive sum.")
-@click.pass_context
-def euler(ctx, m, d, kind, check):
+def euler(args):
     """Euler characteristic of K_{d,d}^(m),fr or K_{d,d-1}^(m)."""
     from .eulerchar import chi_framed_closed, chi_from_motive, chi_moduli_closed
 
+    m, d, kind = args.m, args.d, args.kind
     if kind == "framed":
         value = chi_framed_closed(m, d)
     else:
         value = chi_moduli_closed(m, d)
-    if check:
+    if args.check:
         if kind == "framed":
             from .central import framed_recursion
 
@@ -362,38 +302,28 @@ def euler(ctx, m, d, kind, check):
 
             motive = moduli_motive(m, d, d - 1)
         if chi_from_motive(motive) != value:
-            click.echo("closed form and motive sum disagree", err=True)
-            raise click.exceptions.Exit(EXIT_VERIFY_FAIL)
-    _emit(ctx, "euler", {"m": m, "d": d, "kind": kind, "value": value},
+            print("closed form and motive sum disagree", file=sys.stderr)
+            return EXIT_VERIFY_FAIL
+    _emit(args, {"m": m, "d": d, "kind": kind, "value": value},
           [str(value)], [m, d, kind, value])
 
 
-@main.command()
-@click.option("--m-prime", "mprime", type=int, required=True)
-@click.option("--n", type=int, required=True)
-@click.option("--method", type=click.Choice(["brute", "formula"]),
-              default="formula", show_default=True)
-@click.option("--check", is_flag=True, default=False,
-              help="Run both methods and compare.")
-@click.pass_context
-def tamari_cmd(ctx, mprime, n, method, check):
+def tamari(args):
     """Interval count of the m'-Tamari lattice of index n."""
-    if check:
-        brute = interval_count_bruteforce(mprime, n, ctx.obj["max_paths"])
+    mprime, n = args.m_prime, args.n
+    if args.check:
+        brute = interval_count_bruteforce(mprime, n, args.max_paths)
         formula = interval_count_formula(mprime, n)
         if brute != formula:
-            click.echo("brute force and formula disagree", err=True)
-            raise click.exceptions.Exit(EXIT_VERIFY_FAIL)
+            print("brute force and formula disagree", file=sys.stderr)
+            return EXIT_VERIFY_FAIL
         value = formula
-    elif method == "brute":
-        value = interval_count_bruteforce(mprime, n, ctx.obj["max_paths"])
+    elif args.method == "brute":
+        value = interval_count_bruteforce(mprime, n, args.max_paths)
     else:
         value = interval_count_formula(mprime, n)
-    _emit(ctx, "tamari", {"m_prime": mprime, "n": n, "value": value},
+    _emit(args, {"m_prime": mprime, "n": n, "value": value},
           [str(value)], [mprime, n, value])
-
-
-main.add_command(tamari_cmd, name="tamari")
 
 
 # identity -> the module and function that check it, imported when run
@@ -408,15 +338,10 @@ _VERIFIERS = {
 }
 
 
-@main.command()
-@click.option("--identity", type=click.Choice(sorted(_VERIFIERS)), required=True)
-@click.option("--m", type=int, required=True)
-@click.option("--k", type=int, default=None)
-@click.option("--order", type=int, required=True)
-@click.pass_context
-def verify(ctx, identity, m, k, order):
+def verify(args):
     """Check a series identity exactly; exit 0 iff everything passes."""
-    _reject_csv(ctx)
+    identity, m, k, order = args.identity, args.m, args.k, args.order
+    _reject_csv(args)
     if order < 1:
         raise ValueError("order must be >= 1")
     needs_k = identity in ("corident", "newduality")
@@ -434,39 +359,104 @@ def verify(ctx, identity, m, k, order):
                        if r.get(key) is not None)
         return f"{r['status'].upper()} {r['identity']} m={r['m']}{tail}"
 
-    _emit(ctx, "verify", reports, map(line, reports))
+    _emit(args, reports, map(line, reports))
     if any(r["status"] != "pass" for r in reports):
-        raise click.exceptions.Exit(EXIT_VERIFY_FAIL)
+        return EXIT_VERIFY_FAIL
 
 
-@main.command()
-@click.pass_context
-def selftest_cmd(ctx):
+def selftest(args):
     """Run the full acceptance suite (criteria 1-6)."""
-    if ctx.obj["fmt"] != "plain":
-        raise ValueError(f"--format {ctx.obj['fmt']} is not supported by "
+    if args.fmt != "plain":
+        raise ValueError(f"--format {args.fmt} is not supported by "
                          "`selftest`; it prints a plain report only")
     from .selftest import run
 
-    if not run(echo=click.echo):
-        raise click.exceptions.Exit(EXIT_VERIFY_FAIL)
+    if not run():
+        return EXIT_VERIFY_FAIL
 
 
-main.add_command(selftest_cmd, name="selftest")
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is not >= 0")
+    return value
+
+
+# a required integer option, and an on/off flag
+_INT = {"type": int, "required": True}
+_FLAG = {"action": "store_true"}
+
+# each command and its options, as (flag, keyword arguments of add_argument)
+_COMMANDS = {
+    framed: [("--m", _INT), ("--d", _INT),
+             ("--method", {"choices": ["recursion", "funceq", "wallcross", "all"],
+                           "default": "recursion"})],
+    moduli: [("--m", _INT), ("--d", _INT), ("--e", _INT)],
+    hn: [("--m", _INT), ("--bound", _INT)],
+    series: [("--which", {"choices": ["F", "G", "A"], "required": True}),
+             ("--m", _INT),
+             ("--k", {"type": int, "help": "Slope parameter for the A series "
+                                           "(ray (1,k)); default 1."}),
+             ("--order", _INT)],
+    euler: [("--m", _INT), ("--d", _INT),
+            ("--kind", {"choices": ["framed", "moduli"], "required": True}),
+            ("--check", {**_FLAG, "help": "Compare the closed form against "
+                                          "the motive sum."})],
+    tamari: [("--m-prime", _INT), ("--n", _INT),
+             ("--method", {"choices": ["brute", "formula"], "default": "formula"}),
+             ("--check", {**_FLAG, "help": "Run both methods and compare."})],
+    verify: [("--identity", {"choices": sorted(_VERIFIERS), "required": True}),
+             ("--m", _INT), ("--k", {"type": int}), ("--order", _INT)],
+    selftest: [],
+}
+
+
+def _parser() -> argparse.ArgumentParser:
+    # abbreviated options are refused, before and after the command name
+    parser = argparse.ArgumentParser(
+        prog="kronmot", allow_abbrev=False,
+        description="Exact virtual motives of Kronecker quiver moduli.")
+    parser.add_argument("--format", dest="fmt", choices=["plain", "json", "csv"],
+                        default="plain")
+    parser.add_argument("--cache-dir",
+                        help="Cache directory (or set KRONMOT_CACHE_DIR).")
+    parser.add_argument("--no-cache", **_FLAG)
+    parser.add_argument("--max-paths", type=_non_negative,
+                        default=DEFAULT_MAX_PATHS,
+                        help=f"Ballot-path enumeration cap "
+                             f"(default {DEFAULT_MAX_PATHS}).")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND",
+                                     required=True)
+    for run, options in _COMMANDS.items():
+        doc = run.__doc__.splitlines()[0]
+        sub = commands.add_parser(run.__name__, allow_abbrev=False, help=doc,
+                                  description=doc)
+        for flag, kwargs in options:
+            sub.add_argument(flag, **kwargs)
+        sub.set_defaults(run=run)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one ``kronmot`` request and return its exit code.
+
+    Every error a command raises ends in its exit code, with the message on
+    stderr: ``ValueError`` 2, ``ResourceLimitError`` 4, any other
+    ``KronmotError`` 3.
+    """
+    args = _parser().parse_args(argv)
+    try:
+        return args.run(args) or 0
+    except (ValueError, KronmotError) as exc:
+        print(exc, file=sys.stderr)
+        return (EXIT_BAD_INPUT if isinstance(exc, ValueError)
+                else EXIT_RESOURCE if isinstance(exc, ResourceLimitError)
+                else EXIT_INCONSISTENT)
 
 
 def _entry():
-    """The console script: ``main``, with click's own errors exiting 2."""
-    try:
-        rv = main(standalone_mode=False)
-        sys.exit(rv if isinstance(rv, int) else 0)
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(EXIT_BAD_INPUT)
-    except click.Abort:
-        sys.exit(EXIT_BAD_INPUT)
+    """The console script."""
+    sys.exit(main())
 
 
 if __name__ == "__main__":

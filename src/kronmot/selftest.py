@@ -150,7 +150,7 @@ CRITERIA = [
 ]
 
 
-def run(echo=print) -> bool:
+def run() -> bool:
     all_ok = True
     for name, fn in CRITERIA:
         start = time.monotonic()
@@ -158,9 +158,9 @@ def run(echo=print) -> bool:
             ok = fn()
         except Exception as exc:  # a raised error is a failed criterion
             ok = False
-            echo(f"ERROR {name}: {exc}")
+            print(f"ERROR {name}: {exc}")
         elapsed = time.monotonic() - start
-        echo(f"{'PASS' if ok else 'FAIL'} {name}")
+        print(f"{'PASS' if ok else 'FAIL'} {name}")
         print(f"{name}: {elapsed:.1f}s", file=sys.stderr)
         all_ok = all_ok and ok
     return all_ok

@@ -9,10 +9,9 @@ regression in the library cannot silently rewrite the oracle.
 import time
 from math import gcd
 
-from click.testing import CliRunner
-
 from kronmot import central, eulerchar, tamari, wallcross
-from kronmot.cli import main as cli_main
+
+from cli_runner import invoke
 
 FRAMED_M3 = [
     [1, 1, 1],
@@ -143,7 +142,7 @@ def test_criterion_6_structural_invariants():
 
 def test_criterion_7_selftest_under_five_minutes():
     start = time.monotonic()
-    result = CliRunner().invoke(cli_main, ["selftest"])
+    result = invoke("selftest")
     elapsed = time.monotonic() - start
     ok = result.exit_code == 0 and elapsed < 300
     _report(7, f"selftest exit 0 in {elapsed:.1f}s (< 5min)", ok)

@@ -5,32 +5,23 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import kronmot
-from kronmot import central, wallcross
+from kronmot import central, cli, wallcross
 from kronmot.cache import Cache
-from kronmot.cli import main
 from kronmot.errors import ExactDivisionError, ResourceLimitError
 
-
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-def run(runner, *args, **kw):
-    return runner.invoke(main, list(args), **kw)
+from cli_runner import invoke as run
 
 
 class TestFramed:
-    def test_plain(self, runner):
-        res = run(runner, "--no-cache", "framed", "--m", "3", "--d", "1")
+    def test_plain(self):
+        res = run("--no-cache", "framed", "--m", "3", "--d", "1")
         assert res.exit_code == 0
         assert res.output.splitlines()[-1] == "1,1,1"
 
-    def test_json(self, runner):
-        res = run(runner, "--no-cache", "--format", "json",
+    def test_json(self):
+        res = run("--no-cache", "--format", "json",
                   "framed", "--m", "3", "--d", "2")
         assert res.exit_code == 0
         payload = json.loads(res.output)
@@ -41,43 +32,43 @@ class TestFramed:
             "1", "2", "3", "3", "3", "2", "1",
         ]
 
-    def test_all_methods_agree(self, runner):
-        res = run(runner, "--no-cache", "framed", "--m", "4", "--d", "2",
+    def test_all_methods_agree(self):
+        res = run("--no-cache", "framed", "--m", "4", "--d", "2",
                   "--method", "all")
         assert res.exit_code == 0
 
-    def test_bad_m(self, runner):
-        res = run(runner, "--no-cache", "framed", "--m", "2", "--d", "1")
+    def test_bad_m(self):
+        res = run("--no-cache", "framed", "--m", "2", "--d", "1")
         assert res.exit_code == 2
 
 
 class TestModuli:
-    def test_plain(self, runner):
-        res = run(runner, "--no-cache", "moduli", "--m", "3", "--d", "3",
+    def test_plain(self):
+        res = run("--no-cache", "moduli", "--m", "3", "--d", "3",
                   "--e", "2")
         assert res.exit_code == 0
         assert res.output.splitlines()[-1] == "1,1,3,3,3,1,1"
 
-    def test_non_coprime_exits_2(self, runner):
-        res = run(runner, "--no-cache", "moduli", "--m", "3", "--d", "2",
+    def test_non_coprime_exits_2(self):
+        res = run("--no-cache", "moduli", "--m", "3", "--d", "2",
                   "--e", "2")
         assert res.exit_code == 2
         assert "not coprime" in res.output
 
-    def test_zero_vector_exits_2(self, runner):
-        res = run(runner, "--no-cache", "moduli", "--m", "3", "--d", "0",
+    def test_zero_vector_exits_2(self):
+        res = run("--no-cache", "moduli", "--m", "3", "--d", "0",
                   "--e", "0")
         assert res.exit_code == 2
 
 
 class TestHn:
-    def test_plain_lists_rays(self, runner):
-        res = run(runner, "--no-cache", "hn", "--m", "3", "--bound", "2")
+    def test_plain_lists_rays(self):
+        res = run("--no-cache", "hn", "--m", "3", "--bound", "2")
         assert res.exit_code == 0
         assert "(1,1) motive: 1,1,1" in res.output
 
-    def test_json(self, runner):
-        res = run(runner, "--no-cache", "--format", "json",
+    def test_json(self):
+        res = run("--no-cache", "--format", "json",
                   "hn", "--m", "3", "--bound", "2")
         payload = json.loads(res.output)
         vectors = {(r["d"], r["e"]) for r in payload["result"]}
@@ -85,73 +76,73 @@ class TestHn:
 
 
 class TestSeries:
-    def test_f_plain(self, runner):
-        res = run(runner, "--no-cache", "series", "--which", "F", "--m", "3",
+    def test_f_plain(self):
+        res = run("--no-cache", "series", "--which", "F", "--m", "3",
                   "--order", "1")
         assert "t^0: 1" in res.output
         assert "t^1: 1,1,1" in res.output
 
-    def test_g_json_round(self, runner):
-        res = run(runner, "--no-cache", "--format", "json", "series",
+    def test_g_json_round(self):
+        res = run("--no-cache", "--format", "json", "series",
                   "--which", "G", "--m", "3", "--order", "2")
         payload = json.loads(res.output)
         assert payload["result"]["order"] == 2
 
     @pytest.mark.parametrize("which", ["F", "G"])
     @pytest.mark.parametrize("k", ["1", "9"])
-    def test_k_refused_for_f_and_g(self, runner, monkeypatch, which, k):
+    def test_k_refused_for_f_and_g(self, monkeypatch, which, k):
         def no_compute(*args):
             raise AssertionError("computed")
 
         monkeypatch.setattr(central, "framed_recursion", no_compute)
-        res = run(runner, "--no-cache", "series", "--which", which, "--m", "3",
+        res = run("--no-cache", "series", "--which", which, "--m", "3",
                   "--k", k, "--order", "2")
         assert res.exit_code == 2
         assert res.stdout == ""
         assert "--k applies only to --which A" in res.stderr
 
-    def test_a_slope_out_of_range(self, runner):
-        res = run(runner, "--no-cache", "series", "--which", "A", "--m", "3",
+    def test_a_slope_out_of_range(self):
+        res = run("--no-cache", "series", "--which", "A", "--m", "3",
                   "--k", "5", "--order", "2")
         assert res.exit_code == 2
 
 
 class TestEuler:
-    def test_framed_value(self, runner):
-        res = run(runner, "--no-cache", "euler", "--m", "3", "--d", "3",
+    def test_framed_value(self):
+        res = run("--no-cache", "euler", "--m", "3", "--d", "3",
                   "--kind", "framed")
         assert res.output.strip() == "91"
 
-    def test_moduli_checked(self, runner):
-        res = run(runner, "--no-cache", "euler", "--m", "3", "--d", "4",
+    def test_moduli_checked(self):
+        res = run("--no-cache", "euler", "--m", "3", "--d", "4",
                   "--kind", "moduli", "--check")
         assert res.exit_code == 0
         assert res.output.strip() == "68"
 
-    def test_csv(self, runner):
-        res = run(runner, "--no-cache", "--format", "csv", "euler",
+    def test_csv(self):
+        res = run("--no-cache", "--format", "csv", "euler",
                   "--m", "3", "--d", "2", "--kind", "moduli")
         assert res.output.strip() == "3,2,moduli,3"
 
 
 class TestTamari:
-    def test_formula(self, runner):
-        res = run(runner, "--no-cache", "tamari", "--m-prime", "1", "--n", "3")
+    def test_formula(self):
+        res = run("--no-cache", "tamari", "--m-prime", "1", "--n", "3")
         assert res.output.strip() == "13"
 
-    def test_brute_checked(self, runner):
-        res = run(runner, "--no-cache", "tamari", "--m-prime", "2", "--n", "3",
+    def test_brute_checked(self):
+        res = run("--no-cache", "tamari", "--m-prime", "2", "--n", "3",
                   "--method", "brute", "--check")
         assert res.exit_code == 0
         assert res.output.strip() == "58"
 
-    def test_resource_cap_exits_4(self, runner):
-        res = run(runner, "--no-cache", "--max-paths", "3", "tamari",
+    def test_resource_cap_exits_4(self):
+        res = run("--no-cache", "--max-paths", "3", "tamari",
                   "--m-prime", "1", "--n", "4", "--method", "brute")
         assert res.exit_code == 4
 
-    def test_negative_max_paths_rejected(self, runner):
-        res = run(runner, "--no-cache", "--max-paths", "-5", "tamari",
+    def test_negative_max_paths_rejected(self):
+        res = run("--no-cache", "--max-paths", "-5", "tamari",
                   "--m-prime", "1", "--n", "3", "--check")
         assert res.exit_code == 2
         assert res.stdout == ""
@@ -159,34 +150,34 @@ class TestTamari:
 
 
 class TestVerify:
-    def test_maintheorem(self, runner):
-        res = run(runner, "--no-cache", "verify", "--identity", "maintheorem",
+    def test_maintheorem(self):
+        res = run("--no-cache", "verify", "--identity", "maintheorem",
                   "--m", "3", "--order", "3")
         assert res.exit_code == 0
         assert "PASS" in res.output and "FAIL" not in res.output
 
-    def test_corident_all_k(self, runner):
-        res = run(runner, "--no-cache", "--format", "json", "verify",
+    def test_corident_all_k(self):
+        res = run("--no-cache", "--format", "json", "verify",
                   "--identity", "corident", "--m", "3", "--order", "2")
         payload = json.loads(res.output)
         assert {r["k"] for r in payload["result"]} == {1, 2}
         assert all(r["status"] == "pass" for r in payload["result"])
 
-    def test_dualities(self, runner):
-        res = run(runner, "--no-cache", "verify", "--identity", "dualities",
+    def test_dualities(self):
+        res = run("--no-cache", "verify", "--identity", "dualities",
                   "--m", "3", "--order", "4")
         assert res.exit_code == 0
 
     @pytest.mark.parametrize("identity", ["maintheorem", "vdifference", "funceq",
                                           "eqnew", "dualities"])
-    def test_k_refused_where_unused(self, runner, monkeypatch, identity):
+    def test_k_refused_where_unused(self, monkeypatch, identity):
         def no_compute(*args):
             raise AssertionError("computed")
 
         for name in ("framed_recursion", "g_series"):
             monkeypatch.setattr(central, name, no_compute)
         monkeypatch.setattr(wallcross, "verify_dualities", no_compute)
-        res = run(runner, "--no-cache", "verify", "--identity", identity,
+        res = run("--no-cache", "verify", "--identity", identity,
                   "--m", "3", "--k", "7", "--order", "2")
         assert res.exit_code == 2
         assert res.stdout == ""
@@ -195,15 +186,15 @@ class TestVerify:
     @pytest.mark.parametrize("fmt", ["plain", "json"])
     @pytest.mark.parametrize("identity", ["corident", "newduality"])
     @pytest.mark.parametrize("m", [1, 0, -3])
-    def test_no_k_to_check_rejected(self, runner, fmt, identity, m):
+    def test_no_k_to_check_rejected(self, fmt, identity, m):
         # 1 <= k <= m-1 is empty, so looping over k would check nothing
-        res = run(runner, "--no-cache", "--format", fmt, "verify",
+        res = run("--no-cache", "--format", fmt, "verify",
                   "--identity", identity, "--m", str(m), "--order", "2")
         assert res.exit_code == 2
         assert res.stdout == ""
         assert f"--identity {identity} needs m >= 2" in res.stderr
 
-    def test_every_k_sweeps_once(self, runner, monkeypatch):
+    def test_every_k_sweeps_once(self, monkeypatch):
         calls = []
         sweep = wallcross._sweep
 
@@ -212,17 +203,72 @@ class TestVerify:
             return sweep(m, vectors)
 
         monkeypatch.setattr(wallcross, "_sweep", counting)
-        res = run(runner, "--no-cache", "verify", "--identity", "corident",
+        res = run("--no-cache", "verify", "--identity", "corident",
                   "--m", "4", "--order", "3")
         assert res.exit_code == 0
         assert len(calls) == 1
 
-    def test_order_below_one_rejected(self, runner):
-        res = run(runner, "--no-cache", "verify", "--identity", "dualities",
+    def test_order_below_one_rejected(self):
+        res = run("--no-cache", "verify", "--identity", "dualities",
                   "--m", "3", "--order", "0")
         assert res.exit_code == 2
         assert "order must be >= 1" in res.output
         assert "max()" not in res.output
+
+
+class TestParse:
+    """What the parser refuses before any command runs, and what it passes on."""
+
+    @pytest.mark.parametrize("args", [
+        ("--form", "json", "framed", "--m", "3", "--d", "1"),
+        ("framed", "--m", "3", "--d", "1", "--meth", "recursion"),
+    ])
+    def test_abbreviations_refused(self, args):
+        res = run("--no-cache", *args)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("args", [
+        ("framed", "--m", "3", "--d", "1"),
+        ("tamari", "--m-prime", "1", "--n", "3"),
+    ])
+    def test_negative_max_paths_refused_before_the_command(self, monkeypatch, args):
+        def no_compute(*args):
+            raise AssertionError("computed")
+
+        monkeypatch.setattr(central, "framed_recursion", no_compute)
+        monkeypatch.setattr(cli, "interval_count_formula", no_compute)
+        res = run("--no-cache", "--max-paths", "-5", *args)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "--max-paths" in res.stderr
+
+    @pytest.mark.parametrize("command", [None, "framed", "moduli", "hn", "series",
+                                         "euler", "tamari", "verify", "selftest"])
+    def test_help_exits_0(self, command):
+        res = run(*[command] if command else [], "--help")
+        assert res.exit_code == 0
+        assert res.stdout.startswith("usage: kronmot")
+
+    @pytest.mark.parametrize("args", [
+        ("framed", "--m", "3"),
+        ("framed", "--m", "3", "--d", "1", "--method", "none"),
+        ("--format", "xml", "framed", "--m", "3", "--d", "1"),
+        ("framed", "--m", "three", "--d", "1"),
+        ("frame", "--m", "3", "--d", "1"),
+        (),
+    ], ids=["missing-option", "bad-choice", "bad-format", "non-integer",
+            "unknown-command", "no-command"])
+    def test_usage_error_exits_2(self, args):
+        res = run("--no-cache", *args)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("usage: kronmot")
+
+    def test_negative_value_reaches_the_command(self):
+        res = run("--no-cache", "framed", "--m", "3", "--d", "-1")
+        assert (res.exit_code, res.stdout, res.stderr) == (
+            2, "", "need m >= 3 and d >= 0\n")
 
 
 # runs `python -m kronmot.cli <args>` with a framed_recursion that raises
@@ -244,12 +290,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("error,code", [
         (ValueError, 2), (ExactDivisionError, 3), (ResourceLimitError, 4)])
-    def test_solver_error(self, runner, monkeypatch, error, code):
+    def test_solver_error(self, monkeypatch, error, code):
         def failing(*args):
             raise error("planted failure")
 
         monkeypatch.setattr(central, "framed_recursion", failing)
-        res = run(runner, "--no-cache", "framed", "--m", "3", "--d", "2")
+        res = run("--no-cache", "framed", "--m", "3", "--d", "2")
         assert res.exit_code == code
         assert res.stdout == ""
         assert res.stderr == "planted failure\n"
@@ -272,34 +318,34 @@ class TestExitCodes:
     ("hn", "--m", "3", "--bound", "2"),
     ("verify", "--identity", "maintheorem", "--m", "3", "--order", "2"),
 ])
-def test_csv_rejected_where_unsupported(runner, args):
-    res = run(runner, "--no-cache", "--format", "csv", *args)
+def test_csv_rejected_where_unsupported(args):
+    res = run("--no-cache", "--format", "csv", *args)
     assert res.exit_code == 2
     assert f"not supported by `{args[0]}`" in res.output
     assert "framed, moduli, euler, tamari" in res.output
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_selftest_refuses_other_formats(runner, monkeypatch, fmt):
+def test_selftest_refuses_other_formats(monkeypatch, fmt):
     from kronmot import selftest
 
-    def no_run(echo):
+    def no_run():
         raise AssertionError("ran")
 
     monkeypatch.setattr(selftest, "run", no_run)
-    res = run(runner, "--format", fmt, "selftest")
+    res = run("--format", fmt, "selftest")
     assert res.exit_code == 2
     assert res.stdout == ""
     assert f"--format {fmt} is not supported by `selftest`" in res.stderr
 
 
 class TestCache:
-    def test_cache_transparent(self, runner, tmp_path):
+    def test_cache_transparent(self, tmp_path):
         args = ["--cache-dir", str(tmp_path), "--format", "json",
                 "moduli", "--m", "3", "--d", "4", "--e", "3"]
-        cold = runner.invoke(main, args)
-        warm = runner.invoke(main, args)
-        nocache = run(runner, "--no-cache", "--format", "json",
+        cold = run(*args)
+        warm = run(*args)
+        nocache = run("--no-cache", "--format", "json",
                       "moduli", "--m", "3", "--d", "4", "--e", "3")
         assert cold.exit_code == warm.exit_code == 0
         assert cold.output == warm.output == nocache.output
@@ -319,15 +365,15 @@ class TestCache:
         {"min_exp": 0, "coeffs": ["x"]},
         {"min_exp": 1.0, "coeffs": ["1"]},
     ])
-    def test_wrong_shape_entry_discarded(self, runner, tmp_path, command,
+    def test_wrong_shape_entry_discarded(self, tmp_path, command,
                                          params, args, payload):
         # a valid JSON entry under the right key, with a payload of the wrong shape
         key = Cache.make_key(command, **params)
         tmp_path.joinpath(Cache(tmp_path)._path(key).name).write_text(
             json.dumps({"key": key, "payload": payload}))
         for fmt in ("plain", "json"):
-            planted = run(runner, "--cache-dir", str(tmp_path), "--format", fmt, *args)
-            fresh = run(runner, "--no-cache", "--format", fmt, *args)
+            planted = run("--cache-dir", str(tmp_path), "--format", fmt, *args)
+            fresh = run("--no-cache", "--format", fmt, *args)
             assert planted.exit_code == fresh.exit_code == 0
             assert planted.output == fresh.output
         # the bad entry was replaced by a good one
@@ -341,13 +387,13 @@ class TestCache:
          ("series", "--which", "F", "--m", "3", "--order", "1")),
     ])
     def test_well_formed_payload_of_other_size_discarded(
-            self, runner, tmp_path, command, params, args, other):
+            self, tmp_path, command, params, args, other):
         # a payload that decodes cleanly but belongs to a smaller instance
-        res = run(runner, "--no-cache", "--format", "json", *other)
+        res = run("--no-cache", "--format", "json", *other)
         key = Cache.make_key(command, **params)
         Cache(tmp_path).put(key, json.loads(res.output)["result"])
-        planted = run(runner, "--cache-dir", str(tmp_path), "--format", "json", *args)
-        fresh = run(runner, "--no-cache", "--format", "json", *args)
+        planted = run("--cache-dir", str(tmp_path), "--format", "json", *args)
+        fresh = run("--no-cache", "--format", "json", *args)
         assert planted.exit_code == fresh.exit_code == 0
         assert planted.output == fresh.output
 
@@ -376,10 +422,10 @@ class TestCache:
         (*HN, {(4, "motive"): None}),
         (*HN, {(3, "motive"): {"min_exp": 0, "coeffs": ["1"]}}),
     ])
-    def test_non_integer_entry_discarded(self, runner, tmp_path, command,
+    def test_non_integer_entry_discarded(self, tmp_path, command,
                                          params, args, edits):
         key = Cache.make_key(command, **params)
-        assert run(runner, "--cache-dir", str(tmp_path), *args).exit_code == 0
+        assert run("--cache-dir", str(tmp_path), *args).exit_code == 0
         good = Cache(tmp_path).get(key)
         bad = json.loads(json.dumps(good))
         for path, value in edits.items():
@@ -390,31 +436,31 @@ class TestCache:
         assert bad != good
         for fmt in ("plain", "json"):
             Cache(tmp_path).put(key, bad)
-            planted = run(runner, "--cache-dir", str(tmp_path), "--format", fmt, *args)
-            fresh = run(runner, "--no-cache", "--format", fmt, *args)
+            planted = run("--cache-dir", str(tmp_path), "--format", fmt, *args)
+            fresh = run("--no-cache", "--format", fmt, *args)
             assert planted.exit_code == fresh.exit_code == 0
             assert planted.output == fresh.output
             # the bad entry was discarded and the recomputed one stored
             assert Cache(tmp_path).get(key) == good
 
     @pytest.mark.parametrize("text", ["[1, 2]", "[" * 100000])
-    def test_non_object_entry_ignored(self, runner, tmp_path, text):
+    def test_non_object_entry_ignored(self, tmp_path, text):
         args = ["--cache-dir", str(tmp_path), "moduli", "--m", "3", "--d", "2",
                 "--e", "1"]
-        first = runner.invoke(main, args)
+        first = run(*args)
         for f in tmp_path.iterdir():
             f.write_text(text)
-        second = runner.invoke(main, args)
+        second = run(*args)
         assert second.exit_code == 0
         assert second.output == first.output
 
-    def test_corrupt_cache_entry_ignored(self, runner, tmp_path):
+    def test_corrupt_cache_entry_ignored(self, tmp_path):
         args = ["--cache-dir", str(tmp_path),
                 "framed", "--m", "3", "--d", "2"]
-        first = runner.invoke(main, args)
+        first = run(*args)
         for f in tmp_path.iterdir():
             f.write_text("{not json")
-        second = runner.invoke(main, args)
+        second = run(*args)
         assert second.exit_code == 0
         assert second.output == first.output
 
@@ -431,7 +477,7 @@ class TestCache:
         assert list(tmp_path.iterdir()) == []
         assert cache.get(key) is None
 
-    def test_entry_of_other_version_not_served(self, runner, tmp_path,
+    def test_entry_of_other_version_not_served(self, tmp_path,
                                                monkeypatch):
         # a well-formed but wrong motive left by another release of the package
         with monkeypatch.context() as mp:
@@ -439,7 +485,7 @@ class TestCache:
             stale_key = Cache.make_key("moduli", m=3, d=3, e=2)
         assert stale_key != Cache.make_key("moduli", m=3, d=3, e=2)
         Cache(tmp_path).put(stale_key, {"min_exp": 0, "coeffs": ["7"]})
-        res = run(runner, "--cache-dir", str(tmp_path), "moduli", "--m", "3",
+        res = run("--cache-dir", str(tmp_path), "moduli", "--m", "3",
                   "--d", "3", "--e", "2")
         assert res.exit_code == 0
         assert res.output.splitlines()[-1] == "1,1,3,3,3,1,1"
@@ -463,12 +509,12 @@ class TestCache:
          ("series", "--which", "A", "--m", "1", "--k", "1", "--order", "1"),
          ONE_SERIES),
     ])
-    def test_invalid_request_not_served_from_cache(self, runner, tmp_path,
+    def test_invalid_request_not_served_from_cache(self, tmp_path,
                                                    command, params, args, payload):
         Cache(tmp_path).put(Cache.make_key(command, **params), payload)
         for fmt in ("plain", "json"):
-            planted = run(runner, "--cache-dir", str(tmp_path), "--format", fmt, *args)
-            fresh = run(runner, "--no-cache", "--format", fmt, *args)
+            planted = run("--cache-dir", str(tmp_path), "--format", fmt, *args)
+            fresh = run("--no-cache", "--format", fmt, *args)
             assert planted.exit_code == fresh.exit_code == 2
             assert planted.stdout == fresh.stdout == ""
             assert planted.stderr == fresh.stderr != ""

@@ -18,14 +18,14 @@ SRC = str(Path(kronmot.__file__).resolve().parent.parent)
 SOLVERS = {"kronmot.wallcross", "kronmot.central", "kronmot.qseries",
            "kronmot.selftest"}
 
-# runs `python -m kronmot.cli <args>` and writes the kronmot modules left in
+# runs `python -m kronmot.cli <args>` and writes the modules left in
 # sys.modules at exit to the file named by the first argument
 _PROBE = """
 import atexit, json, runpy, sys
 out = sys.argv.pop(1)
 def dump():
     with open(out, "w") as f:
-        json.dump(sorted(m for m in sys.modules if m.startswith("kronmot")), f)
+        json.dump(sorted(sys.modules), f)
 atexit.register(dump)
 runpy.run_module("kronmot.cli", run_name="__main__", alter_sys=True)
 """
@@ -40,7 +40,7 @@ def _python(*args):
 
 
 def _cli_modules(tmp_path, *args):
-    """(exit code, stdout, kronmot modules loaded) of one CLI request."""
+    """(exit code, stdout, modules loaded) of one CLI request."""
     out = tmp_path / "modules.json"
     proc = _python("-c", _PROBE, str(out), *args)
     return proc.returncode, proc.stdout, set(json.loads(out.read_text()))
@@ -53,6 +53,17 @@ class TestCliFootprint:
         assert (code, stdout) == (0, "68\n")
         assert "kronmot.tamari" in modules
         assert modules.isdisjoint(SOLVERS)
+
+    def test_request_loads_only_the_standard_library(self, tmp_path):
+        # kronmot has no runtime dependency: beyond what the interpreter
+        # loads at start-up, a request loads the standard library and kronmot
+        code, stdout, modules = _cli_modules(
+            tmp_path, "--no-cache", "tamari", "--m-prime", "1", "--n", "4")
+        assert (code, stdout) == (0, "68\n")
+        startup = set(json.loads(_python(
+            "-c", "import json, sys; print(json.dumps(sorted(sys.modules)))").stdout))
+        packages = {m.split(".")[0] for m in modules - startup}
+        assert packages <= set(sys.stdlib_module_names) | {"kronmot"}
 
     def test_moduli_cache_hit_loads_no_solver(self, tmp_path):
         args = ["--cache-dir", str(tmp_path / "cache"), "moduli",
