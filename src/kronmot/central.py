@@ -39,7 +39,10 @@ union of the vectors it reads, and reads every series off it: G^(k),+- by
 read as a ``RatFunc`` series and converted once, as in ``extract_G``, whose
 G is integral.  ``RatFunc`` coefficients remain, with no arithmetic on
 them, only in ``framed_recursion``, ``solve_functional_eq``, the ``hn``
-records and the ``series`` output.
+records and the ``series`` output.  Those of F are Laurent-valued, an
+integer numerator over the denominator 1, so a coefficient that is not
+(a quotient such as 1/2 included) makes the conversion raise
+``NonPolynomialError``.
 """
 
 from __future__ import annotations

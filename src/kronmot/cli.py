@@ -1,10 +1,11 @@
 """Command-line surface, on the standard library's ``argparse``.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 internal inconsistency (methods disagree), 4 resource limit.  ``main``
-maps every error a command raises to 2, 3 or 4 and returns the code, so
-``main`` run in process exits as the console script does.  argparse's own
-usage errors exit 2, and ``--help`` exits 0, by raising ``SystemExit``.
+3 internal inconsistency (methods disagree), 4 resource limit,
+130 interrupted (Ctrl-C).  ``main`` maps every error a command raises to 2,
+3 or 4, and an interrupt to 130, and returns the code, so ``main`` run in
+process exits as the console script does.  argparse's own usage errors
+exit 2, and ``--help`` exits 0, by raising ``SystemExit``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_INCONSISTENT = 3
 EXIT_RESOURCE = 4
+EXIT_INTERRUPTED = 130
 
 # the commands whose results have a one-line csv form
 CSV_COMMANDS = ("framed", "moduli", "euler", "tamari")
@@ -84,22 +86,9 @@ def _cached(args, params: dict, compute, canonical):
     return payload
 
 
-def _integer(*polys: LaurentPoly) -> bool:
-    """True iff every coefficient of ``polys`` is an integer."""
-    return all(type(c) is int for p in polys for c in p.coeffs)
-
-
-def _motive(obj) -> LaurentPoly:
-    """Decode a motive, which has integer coefficients."""
-    p = LaurentPoly.from_json(obj)
-    if not _integer(p):
-        raise ValueError("a motive must have integer coefficients")
-    return p
-
-
 def _cached_poly(args, params: dict, compute) -> LaurentPoly:
     payload = _cached(args, params, lambda: compute().to_json(),
-                      lambda p: _motive(p).to_json())
+                      lambda p: LaurentPoly.from_json(p).to_json())
     return LaurentPoly.from_json(payload)
 
 
@@ -110,15 +99,14 @@ def _hn_vectors(bound: int) -> list[tuple[int, int]]:
 
 
 def _hn_record(d: int, e: int, a: RatFunc, motive) -> dict:
-    """The ``hn`` record of (d, e): a_D, a quotient of integer Laurent
-    polynomials, and the motive, an integer Laurent polynomial, or None
+    """The ``hn`` record of (d, e): a_D, whose denominator divides
+    (q;q)_d (q;q)_e and so has lowest coefficient 1, and the motive, or None
     exactly where gcd(d, e) > 1."""
-    if not _integer(a.num, a.den):
-        raise ValueError(f"a_({d},{e}) has a non-integer coefficient")
+    if a.den.coeffs[0] != 1:
+        raise ValueError(f"the denominator of a_({d},{e}) has lowest "
+                         "coefficient other than 1")
     if (motive is None) != (gcd(d, e) > 1):
         raise ValueError(f"({d},{e}): the motive is null iff gcd(d, e) > 1")
-    if motive is not None and not _integer(motive):
-        raise ValueError(f"the motive of ({d},{e}) has a non-integer coefficient")
     return {"d": d, "e": e, "a": a.to_json(),
             "motive": None if motive is None else motive.to_json()}
 
@@ -137,14 +125,14 @@ def _canonical_records(records, bound: int) -> list[dict]:
 def _canonical_series(payload, which: str, order: int) -> dict:
     """Re-encode a ``TruncSeries.to_json`` payload of the given order.
 
-    Each coefficient of A^(k) is a quotient of integer Laurent polynomials,
-    and each of F and G an integer Laurent polynomial."""
+    Each coefficient of A^(k) is a quotient whose denominator has lowest
+    coefficient 1, and each of F and G a Laurent polynomial."""
     if payload["order"] != order:
         raise ValueError("series of the wrong order")
     from .qseries import TruncSeries
 
     ts = TruncSeries.from_json(payload)
-    if not all(_integer(c.num, c.den) and (which == "A" or c.is_laurent())
+    if not all(c.den.coeffs[0] == 1 and (which == "A" or c.is_laurent())
                for c in ts.coeffs):
         raise ValueError(f"a coefficient of {which} has the wrong form")
     return ts.to_json()
@@ -442,7 +430,8 @@ def main(argv: list[str] | None = None) -> int:
 
     Every error a command raises ends in its exit code, with the message on
     stderr: ``ValueError`` 2, ``ResourceLimitError`` 4, any other
-    ``KronmotError`` 3.
+    ``KronmotError`` 3.  An interrupt (``KeyboardInterrupt``) ends in 130
+    with one line on stderr.
     """
     args = _parser().parse_args(argv)
     try:
@@ -452,6 +441,9 @@ def main(argv: list[str] | None = None) -> int:
         return (EXIT_BAD_INPUT if isinstance(exc, ValueError)
                 else EXIT_RESOURCE if isinstance(exc, ResourceLimitError)
                 else EXIT_INCONSISTENT)
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def _entry():

@@ -22,7 +22,7 @@ def _as_int(x: Fraction | int, what: str) -> int:
 
 def chi_from_motive(p: LaurentPoly) -> int:
     """Euler characteristic: the motive evaluated at v=1."""
-    return _as_int(p.eval_at_one(), "chi of motive")
+    return p.eval_at_one()
 
 
 def chi_moduli_closed(m: int, d: int) -> int:

@@ -1,18 +1,14 @@
 """Exact arithmetic foundation: Laurent polynomials in v and rational functions.
 
-Everything here is immutable and exact.  Coefficients are Python ints where
-possible and :class:`fractions.Fraction` otherwise; a Fraction that reduces to
-an integer is stored as an int so the fast integer multiplication path stays
-available.
+Everything here is immutable and exact, over one coefficient ring, the
+integers: every motive the package computes is an integer Laurent
+polynomial, and every a_D a quotient of two of them.
 
-The integer case is the fast case, because every motive the package computes
-is an integer Laurent polynomial:
-
-- ``LaurentPoly`` checks the coefficient types in one pass and normalises
-  coefficients one by one only when some coefficient is not an ``int``.
-  It records the outcome, so ``*``, ``+``, ``-`` and ``v_shift`` of integer
-  polynomials build their results through a trusted constructor without
-  checking them again.
+- ``LaurentPoly`` holds Python ``int`` coefficients only.  Its constructor
+  checks the coefficient types in one pass and raises ``TypeError`` for
+  anything else (a ``bool`` or a rational number included), so ``*``,
+  ``+``, ``-`` and ``v_shift`` build their results through a trusted
+  constructor without checking them again.
 - Integer products go through one Kronecker substitution kernel,
   ``sum_of_products``: a sum of products of integer polynomials, each
   product shifted by a power of v, is one signed Kronecker evaluation.
@@ -40,40 +36,22 @@ is an integer Laurent polynomial:
   the coefficient list (``_qpoch``), at stride 2 when it vanishes at its
   odd offsets: one list subtraction, or one two-term division, per
   binomial, and no intermediate ``LaurentPoly``.
-- A ``RatFunc`` whose denominator is the constant 1 is already in canonical
-  form when its numerator has integer coefficients, so constructing it skips
-  the gcd and ``Fraction`` work.
+- ``RatFunc`` is a reduced quotient of integer Laurent polynomials.  One
+  whose denominator is the constant 1 is already in canonical form, so
+  constructing it skips the gcd.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from fractions import Fraction
 from itertools import accumulate
 from math import gcd as int_gcd
 from operator import add, neg, sub
 
 from .errors import NonPolynomialError
 
-Coeff = int | Fraction
-
-
 _INT = frozenset((int,))
-
-
-def _int_only(coeffs) -> bool:
-    """True iff every coefficient is exactly an ``int`` (no bool, no Fraction)."""
-    return _INT.issuperset(map(type, coeffs))
-
-
-def _norm_coeff(c: Coeff) -> Coeff:
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return int(c)
-        return c
-    return c
-
 
 _ORDER = sys.byteorder
 
@@ -176,11 +154,9 @@ def _divexact_binomial(rem: list, d0: int, d1: int, s: int, qlen: int) -> list:
     return rem[:qlen]
 
 
-def _store(poly, coeffs, min_exp: int, ints: bool):
-    """Set the slots of ``poly`` to coeffs * v^min_exp with zero ends trimmed.
-
-    ``ints`` says whether every coefficient is an ``int``; returns ``poly``.
-    """
+def _store(poly, coeffs, min_exp: int):
+    """Set the slots of ``poly`` to coeffs * v^min_exp with zero ends trimmed;
+    returns ``poly``."""
     lo = 0
     hi = len(coeffs)
     while lo < hi and coeffs[lo] == 0:
@@ -190,46 +166,39 @@ def _store(poly, coeffs, min_exp: int, ints: bool):
     if lo == hi:
         object.__setattr__(poly, "min_exp", 0)
         object.__setattr__(poly, "coeffs", ())
-        object.__setattr__(poly, "_ints", True)
     else:
         object.__setattr__(poly, "min_exp", min_exp + lo)
         object.__setattr__(poly, "coeffs", tuple(coeffs[lo:hi]))
-        object.__setattr__(poly, "_ints", ints)
     return poly
 
 
 class LaurentPoly:
-    """Dense Laurent polynomial in a single variable v.
+    """Dense Laurent polynomial in a single variable v, integer coefficients.
 
-    ``coeffs[i]`` is the coefficient of ``v**(min_exp + i)``.  Canonical form:
-    first and last stored coefficients are nonzero; zero is the empty tuple
-    with ``min_exp == 0``.
+    ``coeffs[i]`` is the coefficient of ``v**(min_exp + i)``, an ``int``.
+    Canonical form: first and last stored coefficients are nonzero; zero is
+    the empty tuple with ``min_exp == 0``.  A coefficient of any other type,
+    a ``bool`` or a rational number included, raises ``TypeError``.
     """
 
-    __slots__ = ("min_exp", "coeffs", "_ints")
+    __slots__ = ("min_exp", "coeffs")
 
     def __init__(self, coeffs, min_exp: int = 0):
         if not isinstance(coeffs, (list, tuple)):
             coeffs = list(coeffs)
-        ints = _int_only(coeffs)
-        if not ints:
-            coeffs = [_norm_coeff(c) for c in coeffs]
-            ints = _int_only(coeffs)
-        _store(self, coeffs, min_exp, ints)
+        if not _INT.issuperset(map(type, coeffs)):
+            raise TypeError("LaurentPoly coefficients must be ints")
+        _store(self, coeffs, min_exp)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("LaurentPoly is immutable")
 
     @classmethod
-    def _canonical(cls, coeffs: tuple, min_exp: int, ints: bool) -> "LaurentPoly":
-        """Wrap coefficients that are already in canonical form, unchecked.
-
-        ``ints`` says whether every coefficient is an ``int``.
-        """
+    def _canonical(cls, coeffs: tuple, min_exp: int) -> "LaurentPoly":
+        """Wrap int coefficients that are already in canonical form, unchecked."""
         out = object.__new__(cls)
         object.__setattr__(out, "min_exp", min_exp)
         object.__setattr__(out, "coeffs", coeffs)
-        object.__setattr__(out, "_ints", ints)
         return out
 
     # -- constructors ------------------------------------------------------
@@ -243,7 +212,7 @@ class LaurentPoly:
         return cls((1,))
 
     @classmethod
-    def monomial(cls, exp: int, coeff: Coeff = 1) -> "LaurentPoly":
+    def monomial(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
         return cls((coeff,), exp)
 
     # -- basic queries -----------------------------------------------------
@@ -262,7 +231,7 @@ class LaurentPoly:
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
-            if not isinstance(other, (int, Fraction)):
+            if type(other) is not int:
                 return NotImplemented
             other = LaurentPoly((other,))
         return self.min_exp == other.min_exp and self.coeffs == other.coeffs
@@ -276,7 +245,7 @@ class LaurentPoly:
             return hash(self.coeffs[0])
         return hash((self.min_exp, self.coeffs))
 
-    def coeff(self, exp: int) -> Coeff:
+    def coeff(self, exp: int) -> int:
         i = exp - self.min_exp
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
@@ -286,7 +255,7 @@ class LaurentPoly:
 
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
-            if not isinstance(other, (int, Fraction)):
+            if type(other) is not int:
                 return NotImplemented
             other = LaurentPoly((other,))
         if not self.coeffs:
@@ -301,19 +270,16 @@ class LaurentPoly:
         i = other.min_exp - lo
         j = i + len(other.coeffs)
         out[i:j] = map(add, out[i:j], other.coeffs)
-        if self._ints and other._ints:
-            return _store(object.__new__(LaurentPoly), out, lo, True)
-        return LaurentPoly(out, lo)
+        return _store(object.__new__(LaurentPoly), out, lo)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._canonical(tuple(map(neg, self.coeffs)), self.min_exp,
-                                      self._ints)
+        return LaurentPoly._canonical(tuple(map(neg, self.coeffs)), self.min_exp)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
-            if not isinstance(other, (int, Fraction)):
+            if type(other) is not int:
                 return NotImplemented
             other = LaurentPoly((other,))
         return self + (-other)
@@ -322,7 +288,7 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int:
             if other == 0:
                 return LaurentPoly.zero()
             return LaurentPoly([c * other for c in self.coeffs], self.min_exp)
@@ -330,19 +296,15 @@ class LaurentPoly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return LaurentPoly.zero()
-        if self._ints and other._ints:
-            a, b = self.coeffs, other.coeffs
-            if len(a) > len(b):
-                a, b = b, a
-            if len(a) >= _KRONECKER_MIN_LEN:
-                return sum_of_products([(1, 0, (Operand(self), Operand(other)))]).poly
-            # over the integers the product of the nonzero end coefficients
-            # is nonzero, so the product is canonical as it stands
-            coeffs = map(a[0].__mul__, b) if len(a) == 1 else _schoolbook(a, b)
-            return LaurentPoly._canonical(tuple(coeffs), self.min_exp + other.min_exp,
-                                          True)
-        return LaurentPoly(_schoolbook(self.coeffs, other.coeffs),
-                           self.min_exp + other.min_exp)
+        a, b = self.coeffs, other.coeffs
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) >= _KRONECKER_MIN_LEN:
+            return sum_of_products([(1, 0, (Operand(self), Operand(other)))]).poly
+        # over the integers the product of the nonzero end coefficients is
+        # nonzero, so the product is canonical as it stands
+        coeffs = map(a[0].__mul__, b) if len(a) == 1 else _schoolbook(a, b)
+        return LaurentPoly._canonical(tuple(coeffs), self.min_exp + other.min_exp)
 
     __rmul__ = __mul__
 
@@ -362,16 +324,17 @@ class LaurentPoly:
         """Multiply by the monomial v**k."""
         if not self.coeffs:
             return self
-        return LaurentPoly._canonical(self.coeffs, self.min_exp + k, self._ints)
+        return LaurentPoly._canonical(self.coeffs, self.min_exp + k)
 
     def reciprocal(self) -> "LaurentPoly":
         """Substitute v -> 1/v."""
         return LaurentPoly(tuple(reversed(self.coeffs)), -self.max_exp)
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact quotient in the Laurent polynomial ring.
+        """Exact quotient in the ring of integer Laurent polynomials.
 
-        Raises NonPolynomialError if the division leaves a remainder.
+        Raises NonPolynomialError if the division leaves a remainder, a
+        fractional quotient coefficient included.
         """
         if not other.coeffs:
             raise ZeroDivisionError("division by zero LaurentPoly")
@@ -384,19 +347,20 @@ class LaurentPoly:
         if qlen <= 0:
             raise NonPolynomialError("degree of divisor exceeds dividend")
         if (len(div) > 1 and d0 in (1, -1) and div[-1] in (1, -1)
-                and self._ints and other._ints and not any(div[1:-1])):
+                and not any(div[1:-1])):
             return LaurentPoly._canonical(
                 tuple(_divexact_binomial(rem, d0, div[-1], len(div) - 1, qlen)),
-                self.min_exp - other.min_exp, True)
+                self.min_exp - other.min_exp)
         quot = [0] * qlen
-        int_path = d0 in (1, -1) and self._ints and other._ints
         # quantum integers are half zeros; only the nonzero terms do work
         terms = [(j, dv) for j, dv in enumerate(div) if dv]
         for i in range(qlen):
             c = rem[i]
             if c == 0:
                 continue
-            q = c * d0 if int_path else Fraction(c) / Fraction(d0)
+            # a remainder c % d0 stays in rem[i], so the check below sees a
+            # quotient coefficient that is no integer
+            q = c // d0
             quot[i] = q
             for j, dv in terms:
                 rem[i + j] -= q * dv
@@ -406,9 +370,9 @@ class LaurentPoly:
 
     # -- the operations the rest of the package relies on ------------------
 
-    def eval_at_one(self) -> Coeff:
+    def eval_at_one(self) -> int:
         """Sum of all coefficients (the Euler-characteristic specialization)."""
-        return _norm_coeff(sum(self.coeffs, start=Fraction(0)))
+        return sum(self.coeffs)
 
     def is_palindromic(self) -> bool:
         """True iff p(v) == p(1/v)."""
@@ -424,19 +388,15 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LaurentPoly":
-        """Inverse of ``to_json``: an int ``min_exp`` and a list of numeral
-        strings, each written as ``str`` writes its value, with nonzero
-        ends.  Anything else raises ``TypeError`` or ``ValueError``."""
+        """Inverse of ``to_json``: an int ``min_exp`` and a list of integer
+        numeral strings, each written as ``str`` writes its value, with
+        nonzero ends.  Anything else raises ``TypeError`` or ``ValueError``."""
         min_exp, strings = obj["min_exp"], obj["coeffs"]
         if type(min_exp) is not int:
             raise TypeError("min_exp must be an int")
         if type(strings) is not list or not all(type(s) is str for s in strings):
             raise TypeError("coeffs must be a list of strings")
-        try:
-            p = cls([Fraction(s) if "/" in s else int(s) for s in strings],
-                    min_exp)
-        except ZeroDivisionError as exc:
-            raise ValueError("a coefficient has denominator 0") from exc
+        p = cls([int(s) for s in strings], min_exp)
         if p.to_json() != {"min_exp": min_exp, "coeffs": strings}:
             raise ValueError("not as to_json writes it")
         return p
@@ -497,7 +457,7 @@ class Operand:
                 spread = [0] * (2 * len(coeffs) - 1)
                 spread[::2] = coeffs
                 coeffs = spread
-            poly = self._poly = LaurentPoly._canonical(tuple(coeffs), self.lo, True)
+            poly = self._poly = LaurentPoly._canonical(tuple(coeffs), self.lo)
         return poly
 
 
@@ -643,9 +603,7 @@ def _qpoch(p: LaurentPoly, muls, divs, shift: int = 0) -> LaurentPoly:
         spread = [0] * (2 * len(xs) - 1)
         spread[::2] = xs
         xs = spread
-    if p._ints:
-        return LaurentPoly._canonical(tuple(xs), lo, True)
-    return LaurentPoly(xs, lo)
+    return LaurentPoly._canonical(tuple(xs), lo)
 
 
 def qpoch_mul(p: LaurentPoly, exps) -> LaurentPoly:
@@ -701,7 +659,7 @@ def _primitive(a: list[int]) -> list[int]:
 
 
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Fraction-free remainder of a by b (defined up to scaling by lc(b)^k)."""
+    """Pseudo-remainder of a by b (defined up to scaling by lc(b)^k)."""
     a = list(a)
     db = len(b) - 1
     lb = b[-1]
@@ -727,32 +685,14 @@ def _poly_gcd_int(a: list[int], b: list[int]) -> list[int]:
     return _primitive(a)
 
 
-def _to_int_list(coeffs) -> tuple[list[int], Fraction]:
-    """Scale a rational coefficient list to a primitive integer list.
-
-    Returns (primitive list, content) with content * list == original.
-    """
-    denom = 1
-    for c in coeffs:
-        if isinstance(c, Fraction):
-            denom = denom * c.denominator // int_gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in coeffs]
-    g = _content(ints)
-    if ints[-1] < 0:
-        g = -g
-    if g != 1:
-        ints = [c // g for c in ints]
-    return ints, Fraction(g, denom)
-
-
 class RatFunc:
-    """Normalized quotient of two Laurent polynomials in v.
+    """Normalized quotient of two integer Laurent polynomials in v.
 
-    Canonical form: num and den coprime over the polynomial ring after
-    clearing v-powers, den with lowest term 1*v^0.  All v-power content sits
-    in the numerator, so equality is structural.  A Laurent-valued RatFunc
-    has den == 1; when its numerator has integer coefficients it is built
-    without any gcd or Fraction work.
+    Canonical form: num and den coprime in Z[v] after clearing v-powers,
+    their integer content included, and den with ``min_exp`` 0 and a
+    positive lowest coefficient.  All v-power content sits in the
+    numerator, so equality is structural: 1/2 is num 1 over den 2.  A
+    Laurent-valued RatFunc has den == 1 and is built without any gcd work.
     """
 
     __slots__ = ("num", "den")
@@ -760,7 +700,7 @@ class RatFunc:
     def __init__(self, num: LaurentPoly, den: LaurentPoly = _ONE):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if den.coeffs == (1,) and num._ints:
+        if den.coeffs == (1,):
             # num / v^k is canonical once the v-power moves into num
             object.__setattr__(self, "num", num.v_shift(-den.min_exp))
             object.__setattr__(self, "den", _ONE)
@@ -769,20 +709,22 @@ class RatFunc:
             object.__setattr__(self, "num", LaurentPoly.zero())
             object.__setattr__(self, "den", LaurentPoly.one())
             return
-        shift = num.min_exp - den.min_exp
-        n_int, n_cont = _to_int_list(list(num.coeffs))
-        d_int, d_cont = _to_int_list(list(den.coeffs))
-        if len(n_int) > 1 and len(d_int) > 1:
-            g = _poly_gcd_int(n_int, d_int)
+        n, d = num.coeffs, den.coeffs
+        if len(n) > 1 and len(d) > 1:
+            g = _poly_gcd_int(_primitive(n), _primitive(d))
             if len(g) > 1:
                 g = LaurentPoly(g)
-                n_int = LaurentPoly(n_int).divexact(g).coeffs
-                d_int = LaurentPoly(d_int).divexact(g).coeffs
-        scale = n_cont / (d_cont * d_int[0])
-        den_coeffs = [Fraction(c, d_int[0]) for c in d_int]
-        num_coeffs = [c * scale for c in n_int]
-        object.__setattr__(self, "num", LaurentPoly(num_coeffs, shift))
-        object.__setattr__(self, "den", LaurentPoly(den_coeffs, 0))
+                n = LaurentPoly(n).divexact(g).coeffs
+                d = LaurentPoly(d).divexact(g).coeffs
+        c = _content(n + d)
+        if d[0] < 0:
+            c = -c
+        if c != 1:
+            n = tuple(x // c for x in n)
+            d = tuple(x // c for x in d)
+        object.__setattr__(self, "num",
+                           LaurentPoly._canonical(n, num.min_exp - den.min_exp))
+        object.__setattr__(self, "den", LaurentPoly._canonical(d, 0))
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
@@ -807,7 +749,7 @@ class RatFunc:
     def of(cls, x) -> "RatFunc":
         if isinstance(x, RatFunc):
             return x
-        if isinstance(x, (int, Fraction)):
+        if type(x) is int:
             return cls(LaurentPoly((x,)))
         if isinstance(x, LaurentPoly):
             return cls(x)
@@ -821,7 +763,7 @@ class RatFunc:
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
-            if not isinstance(other, (int, Fraction, LaurentPoly)):
+            if type(other) is not int and not isinstance(other, LaurentPoly):
                 return NotImplemented
             other = RatFunc.of(other)
         return self.num == other.num and self.den == other.den
@@ -834,7 +776,7 @@ class RatFunc:
 
     def __add__(self, other):
         if not isinstance(other, RatFunc):
-            if not isinstance(other, (int, Fraction, LaurentPoly)):
+            if type(other) is not int and not isinstance(other, LaurentPoly):
                 return NotImplemented
             other = RatFunc.of(other)
         return RatFunc(self.num * other.den + other.num * self.den,
@@ -848,7 +790,7 @@ class RatFunc:
 
     def __sub__(self, other):
         if not isinstance(other, RatFunc):
-            if not isinstance(other, (int, Fraction, LaurentPoly)):
+            if type(other) is not int and not isinstance(other, LaurentPoly):
                 return NotImplemented
             other = RatFunc.of(other)
         return self + (-other)
@@ -858,7 +800,7 @@ class RatFunc:
 
     def __mul__(self, other):
         if not isinstance(other, RatFunc):
-            if not isinstance(other, (int, Fraction, LaurentPoly)):
+            if type(other) is not int and not isinstance(other, LaurentPoly):
                 return NotImplemented
             other = RatFunc.of(other)
         return RatFunc(self.num * other.num, self.den * other.den)
@@ -867,7 +809,7 @@ class RatFunc:
 
     def __truediv__(self, other):
         if not isinstance(other, RatFunc):
-            if not isinstance(other, (int, Fraction, LaurentPoly)):
+            if type(other) is not int and not isinstance(other, LaurentPoly):
                 return NotImplemented
             other = RatFunc.of(other)
         if other.is_zero():

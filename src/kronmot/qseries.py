@@ -13,6 +13,10 @@
   sum of products (``exactalg.sum_of_products``) over coefficients wrapped
   once as ``exactalg.Operand``.
 
+Both rings are over the integers: a scalar is an ``int``, a ``LaurentPoly``
+or a ``RatFunc``, and any other, a ``bool`` or a rational number included,
+raises ``TypeError``.
+
 ``rescaled_product(x, p, r)`` is the product of the r rescaled copies
 x(v^(p*i) t), i < r, formed by doubling in O(log r) series products.
 ``OnlineRescaledProduct(s, p, r)`` is the product of the copies
@@ -30,7 +34,6 @@ identities.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add, neg
 
 from .errors import NonZeroConstantError, NotInvertibleError
@@ -41,19 +44,14 @@ _ZERO = LaurentPoly.zero()
 _ONE = LaurentPoly.one()
 
 
-def _integral(x) -> bool:
-    """True iff ``x`` is an integer Laurent polynomial."""
-    return isinstance(x, LaurentPoly) and x._ints
-
-
 def _scalar(x, integral: bool):
     """``x`` as a coefficient of a series in the ring ``integral`` names:
-    an int or integer LaurentPoly stays in the integral ring, anything else
-    is lifted to RatFunc."""
+    an int or LaurentPoly stays in the integral ring, anything else is
+    lifted to RatFunc."""
     if integral:
         if type(x) is int:
             return LaurentPoly((x,))
-        if _integral(x):
+        if isinstance(x, LaurentPoly):
             return x
     return RatFunc.of(x)
 
@@ -99,7 +97,7 @@ class TruncSeries:
             raise ValueError("order must be >= 0")
         polys = list(polys)[: order + 1]
         for p in polys:
-            if not _integral(p):
+            if not isinstance(p, LaurentPoly):
                 raise TypeError(f"{p!r} is not an integer LaurentPoly")
         return cls._make(polys + [_ZERO] * (order + 1 - len(polys)), order)
 
@@ -140,7 +138,7 @@ class TruncSeries:
         return TruncSeries._make(self.coeffs[: order + 1], order)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly, RatFunc)):
+        if isinstance(other, (int, LaurentPoly, RatFunc)):
             other = self._constant_like(other)
         if not isinstance(other, TruncSeries):
             return NotImplemented
@@ -153,7 +151,7 @@ class TruncSeries:
         return TruncSeries._make(map(neg, self.coeffs), self.order)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly, RatFunc)):
+        if isinstance(other, (int, LaurentPoly, RatFunc)):
             other = self._constant_like(other)
         if not isinstance(other, TruncSeries):
             return NotImplemented
@@ -163,7 +161,7 @@ class TruncSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly, RatFunc)):
+        if isinstance(other, (int, LaurentPoly, RatFunc)):
             c = _scalar(other, self.is_integral())
             return TruncSeries._make([x * c for x in self.coeffs], self.order)
         if not isinstance(other, TruncSeries):

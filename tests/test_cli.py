@@ -300,6 +300,17 @@ class TestExitCodes:
         assert res.stdout == ""
         assert res.stderr == "planted failure\n"
 
+    def test_interrupt_exits_130_without_traceback(self, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(central, "framed_recursion", interrupted)
+        res = run("--no-cache", "framed", "--m", "3", "--d", "2")
+        assert res.exit_code == 130
+        assert res.stdout == ""
+        assert res.stderr == "interrupted\n"
+        assert "Traceback" not in res.stderr
+
     def test_console_module_exits_alike(self):
         src = str(Path(kronmot.__file__).resolve().parent.parent)
         env = dict(os.environ)
@@ -421,6 +432,12 @@ class TestCache:
         (*HN, {(4, "a", "num", "coeffs", 0): "1/2"}),
         (*HN, {(4, "motive"): None}),
         (*HN, {(3, "motive"): {"min_exp": 0, "coeffs": ["1"]}}),
+        # num / 2 is canonical over Z, but no a_D or A-series coefficient
+        # has a denominator whose lowest coefficient is not 1
+        (*HN, {(4, "a", "den", "coeffs"): ["2"]}),
+        ("series", {"which": "A", "m": 3, "k": 1, "order": 2},
+         ("series", "--which", "A", "--m", "3", "--order", "2"),
+         {("coeffs", 1, "den", "coeffs"): ["2"]}),
     ])
     def test_non_integer_entry_discarded(self, tmp_path, command,
                                          params, args, edits):

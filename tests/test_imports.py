@@ -74,6 +74,8 @@ class TestCliFootprint:
         assert (code, hit_out) == (0, miss_out)
         assert "kronmot.cache" in hit
         assert hit.isdisjoint({"kronmot.wallcross", "kronmot.central"})
+        # one coefficient ring: decoding a cached motive needs no rationals
+        assert "fractions" not in hit
 
     def test_hn_cache_hit_loads_no_solver(self, tmp_path):
         # the records are checked and rebuilt by the CLI alone
@@ -84,6 +86,7 @@ class TestCliFootprint:
         assert (code, hit_out) == (0, miss_out)
         assert "kronmot.cache" in hit
         assert hit.isdisjoint(SOLVERS)
+        assert "fractions" not in hit
 
     def test_framed_recursion_loads_no_wallcross(self, tmp_path):
         code, stdout, modules = _cli_modules(

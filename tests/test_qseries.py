@@ -161,7 +161,7 @@ def test_delta_invert_round_trip(g):
 def test_delta_invert_divisions_agree():
     # Laurent coefficients [d]_v divides, Laurent ones it does not, fractions
     b = TruncSeries([0, V + VINV, quantum_integer(2) * (V - 3),
-                     LaurentPoly([Fraction(1, 2), 0, 3], -1),
+                     RatFunc(LaurentPoly([1, 0, 6], -1), LaurentPoly([2])),
                      RatFunc(V, V + 2)], 4)
     out = delta_invert(b)
     for d in range(1, 5):
@@ -230,7 +230,7 @@ def test_laurent_constructor():
     assert TruncSeries.laurent([V, V, V], 1).coeffs == (V, V)
     assert not lift(a).is_integral() and not TruncSeries([V], 2).is_integral()
     assert a.to_json() == lift(a).to_json()
-    for bad in (RatFunc.one(), 1, LaurentPoly([Fraction(1, 2)])):
+    for bad in (RatFunc.one(), 1, Fraction(1, 2), True):
         with pytest.raises(TypeError):
             TruncSeries.laurent([LaurentPoly.one(), bad], 2)
     with pytest.raises(ValueError):
@@ -265,6 +265,7 @@ def test_integral_operations_stay_integral(a, b):
 @given(integral_series(), series(order=3))
 def test_ratfunc_operand_lifts(a, b):
     r = RatFunc(V, V + 2)
+    half, third = (RatFunc(LaurentPoly.one(), LaurentPoly([n])) for n in (2, 3))
     cases = [
         (a + b, lift(a) + b),
         (b + a, b + lift(a)),
@@ -273,14 +274,29 @@ def test_ratfunc_operand_lifts(a, b):
         (b * a, b * lift(a)),
         (a + RatFunc.one(), lift(a) + 1),
         (a * r, lift(a) * r),
-        (a * Fraction(1, 2), lift(a) * Fraction(1, 2)),
-        (a - LaurentPoly([Fraction(1, 3)]), lift(a) - Fraction(1, 3)),
+        (a * half, lift(a) * half),
+        (a - third, lift(a) - third),
         (a.shift_t(r), lift(a).shift_t(r)),
     ]
     for got, want in cases:
         assert not got.is_integral()
         assert all(isinstance(c, RatFunc) for c in got.coeffs)
         assert got == want
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(2, 1), True, False])
+def test_non_int_scalars_refused(bad):
+    # both rings are over the integers: a Fraction or bool scalar is refused
+    for a in (TruncSeries.laurent([LaurentPoly.one(), V], 2),
+              TruncSeries([RatFunc.one(), RatFunc(V, V + 2)], 2)):
+        for op in (lambda: a + bad, lambda: bad + a, lambda: a - bad,
+                   lambda: bad - a, lambda: a * bad, lambda: bad * a,
+                   lambda: a.shift_t(bad)):
+            with pytest.raises(TypeError):
+                op()
+    for coeffs in ([1, bad], [bad]):
+        with pytest.raises(TypeError):
+            TruncSeries(coeffs, 2)
 
 
 @given(polys(order=6))
