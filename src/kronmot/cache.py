@@ -1,19 +1,24 @@
-"""Content-addressed on-disk cache for computed series and tables.
+"""On-disk cache for computed series and tables.
 
 Keys are canonical strings carrying the schema and the package version, so
 an entry written by another release is never served; payloads are JSON.
-Corrupted entries are discarded and recomputed.  Writes go through a
-temp-file rename so concurrent invocations never see partial files; a write
-that fails removes its temp file.
+An entry's file is named by the CRC-32 of its key and stores the key, and
+``get`` serves an entry only to its own key: two keys whose names collide
+share one file, and each finds the other's entry a miss, recomputed and
+written over it.  Files named otherwise, such as the sha256-named entries
+of earlier releases, are never read.  Corrupted entries are discarded and
+recomputed.  Writes go through a temp-file rename so concurrent
+invocations never see partial files; a write that fails removes its temp
+file.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
 import tempfile
+import zlib
 from pathlib import Path
 
 from . import __version__
@@ -35,8 +40,7 @@ class Cache:
         self.enabled = enabled
 
     def _path(self, key: str) -> Path:
-        digest = hashlib.sha256(key.encode()).hexdigest()
-        return self.directory / f"{digest}.json"
+        return self.directory / f"{zlib.crc32(key.encode()):08x}.json"
 
     @staticmethod
     def make_key(command: str, **params) -> str:

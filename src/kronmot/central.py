@@ -47,7 +47,6 @@ integer numerator over the denominator 1, so a coefficient that is not
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ExactDivisionError, NoConvergenceError, NonPolynomialError
@@ -173,14 +172,39 @@ def extract_G(m: int, F: TruncSeries) -> TruncSeries:
     return delta_invert(_scaled_product(m, F).shift_t())
 
 
-@dataclass(frozen=True)
 class CentralSeriesPair:
-    """The integral pair (F, G) at central slope, with F = nabla^(m-1) G."""
+    """The integral pair (F, G) at central slope, with F = nabla^(m-1) G.
 
-    m: int
-    order: int
-    F: TruncSeries
-    G: TruncSeries
+    Immutable: two pairs are equal, and hash alike, when their fields are,
+    and assigning to a field raises ``AttributeError``.
+    """
+
+    __slots__ = __match_args__ = ("m", "order", "F", "G")
+
+    def __init__(self, m: int, order: int, F: TruncSeries, G: TruncSeries):
+        for name, value in zip(self.__slots__, (m, order, F, G)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return (self.m, self.order, self.F, self.G)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(m={self.m!r}, order={self.order!r}, "
+                f"F={self.F!r}, G={self.G!r})")
 
     @classmethod
     def compute(cls, m: int, order: int) -> "CentralSeriesPair":

@@ -16,14 +16,13 @@ import sys
 from math import gcd
 
 from .cache import SCHEMA, Cache
-from .errors import KronmotError, ResourceLimitError
+from .errors import DEFAULT_MAX_PATHS, KronmotError, ResourceLimitError
 from .exactalg import LaurentPoly, RatFunc
-# Each solver is imported where a command runs it, inside the compute step
-# of a cached command, so a cache hit loads none of them.  Submodules are
-# imported by their own path: ``from . import X`` would consult the
-# package's ``__getattr__``.
-from .tamari import (DEFAULT_MAX_PATHS, interval_count_bruteforce,
-                     interval_count_formula)
+
+# Each solver is imported where a command runs it: inside the compute step
+# of a cached command, so a cache hit loads none of them, and ``tamari``
+# inside its own command.  Submodules are imported by their own path:
+# ``from . import X`` would consult the package's ``__getattr__``.
 
 EXIT_VERIFY_FAIL = 1
 EXIT_BAD_INPUT = 2
@@ -298,6 +297,8 @@ def euler(args):
 
 def tamari(args):
     """Interval count of the m'-Tamari lattice of index n."""
+    from .tamari import interval_count_bruteforce, interval_count_formula
+
     mprime, n = args.m_prime, args.n
     if args.check:
         brute = interval_count_bruteforce(mprime, n, args.max_paths)

@@ -1,4 +1,8 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and the default size cap of the
+one enumeration that has one."""
+
+# ballot paths ``tamari`` enumerates at most, unless told otherwise
+DEFAULT_MAX_PATHS = 10000
 
 
 class KronmotError(Exception):

@@ -3,21 +3,19 @@ forms obtained by Lagrange inversion from the v=1 functional equation."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb
-from typing import TYPE_CHECKING
+from math import comb, gcd
 
 from .errors import NonIntegerError
-
-if TYPE_CHECKING:
-    from .exactalg import LaurentPoly
+from .exactalg import LaurentPoly
 
 
-def _as_int(x: Fraction | int, what: str) -> int:
-    x = Fraction(x)
-    if x.denominator != 1:
-        raise NonIntegerError(f"{what} is not an integer: {x}")
-    return int(x)
+def _quotient(num: int, den: int, what: str) -> int:
+    """num / den for den > 0, which must be an integer."""
+    q, r = divmod(num, den)
+    if r:
+        g = gcd(num, den)
+        raise NonIntegerError(f"{what} is not an integer: {num // g}/{den // g}")
+    return q
 
 
 def chi_from_motive(p: LaurentPoly) -> int:
@@ -32,11 +30,13 @@ def chi_moduli_closed(m: int, d: int) -> int:
     """
     if m < 3 or d < 1:
         raise ValueError("need m >= 3 and d >= 1")
-    a = Fraction(m - 1, d * ((m - 2) * d + 1)) * comb((m - 1) ** 2 * d + m - 2, d - 1)
-    b = Fraction(m, d * ((m - 1) * d + 1)) * comb((m - 1) ** 2 * d + m - 1, d - 1)
-    if a != b:
+    a_num = (m - 1) * comb((m - 1) ** 2 * d + m - 2, d - 1)
+    a_den = d * ((m - 2) * d + 1)
+    b_num = m * comb((m - 1) ** 2 * d + m - 1, d - 1)
+    b_den = d * ((m - 1) * d + 1)
+    if a_num * b_den != b_num * a_den:
         raise NonIntegerError(f"the two closed forms disagree at m={m}, d={d}")
-    return _as_int(a, "chi_moduli_closed")
+    return _quotient(a_num, a_den, "chi_moduli_closed")
 
 
 def chi_framed_pow_closed(m: int, d: int) -> int:
@@ -44,14 +44,13 @@ def chi_framed_pow_closed(m: int, d: int) -> int:
     if m < 3 or d < 0:
         raise ValueError("need m >= 3 and d >= 0")
     k = m * (m - 1)
-    val = Fraction(k, k + (m - 1) ** 2 * d) * comb((m - 1) ** 2 * d + k, d)
-    return _as_int(val, "chi_framed_pow_closed")
+    den = k + (m - 1) ** 2 * d
+    return _quotient(k * comb(den, d), den, "chi_framed_pow_closed")
 
 
 def chi_framed_closed(m: int, d: int) -> int:
     """chi(K_{d,d}^(m),fr): the same Lagrange setup with exponent m."""
     if m < 3 or d < 0:
         raise ValueError("need m >= 3 and d >= 0")
-    val = Fraction(m, m + (m - 1) ** 2 * d) * comb((m - 1) ** 2 * d + m, d)
-    return _as_int(val, "chi_framed_closed")
-
+    den = m + (m - 1) ** 2 * d
+    return _quotient(m * comb(den, d), den, "chi_framed_closed")

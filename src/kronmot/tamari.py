@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .errors import NonIntegerError, ResourceLimitError
-
-DEFAULT_MAX_PATHS = 10000
+from .errors import DEFAULT_MAX_PATHS, NonIntegerError, ResourceLimitError
 
 
 def fuss_catalan(mprime: int, n: int) -> int:

@@ -52,11 +52,10 @@ binomials (``_qbinom_rows``), one packed sum per degree.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
+from collections import namedtuple
+from functools import cmp_to_key, lru_cache
 from itertools import accumulate
 from math import gcd
-from typing import NamedTuple
 
 from .errors import (ExactDivisionError, InsufficientBoundError, NonCoprimeError,
                      NonPolynomialError)
@@ -65,9 +64,7 @@ from .exactalg import (LaurentPoly, Operand, RatFunc, qpoch_divexact, qpoch_mul,
 from .qseries import TruncSeries
 
 
-class DimVector(NamedTuple):
-    d: int
-    e: int
+DimVector = namedtuple("DimVector", "d e")
 
 
 def euler_form(m: int, a, b) -> int:
@@ -80,12 +77,20 @@ def sym_form(m: int, a, b) -> int:
     return m * (b[0] * a[1] - a[0] * b[1])
 
 
-def slope_key(D):
-    """Sort key realizing the slope order e/d, with d=0 maximal."""
-    d, e = D
-    if d == 0:
-        return (1, Fraction(0))
-    return (0, Fraction(e, d))
+def _slope_cmp(a, b) -> int:
+    """-1, 0 or 1 as the slope e/d of ``a`` is below, equal to or above that
+    of ``b``, with d=0 maximal: exact, by cross-multiplication."""
+    (d, e), (d2, e2) = a, b
+    if d == 0 or d2 == 0:
+        return (d == 0) - (d2 == 0)
+    diff = e * d2 - e2 * d
+    if (d < 0) != (d2 < 0):
+        diff = -diff
+    return (diff > 0) - (diff < 0)
+
+
+# sort key realizing the slope order e/d, with d=0 maximal
+slope_key = cmp_to_key(_slope_cmp)
 
 
 def slope_less(a, b) -> bool:

@@ -323,6 +323,34 @@ class TestExtractG:
                 assert pair.F.coeffs[d] == expected
 
 
+class TestCentralSeriesPair:
+    def test_fields_equality_and_hash(self):
+        pair = CentralSeriesPair.compute(3, 3)
+        assert (pair.m, pair.order) == (3, 3)
+        assert pair.F == central._integral(framed_recursion(3, 3)) and pair.F.is_integral()
+        assert pair.G == extract_G(3, pair.F)
+        same = CentralSeriesPair(3, 3, pair.F, pair.G)
+        assert same == pair and not same != pair
+        assert hash(same) == hash(pair) and len({pair, same}) == 1
+        assert CentralSeriesPair(m=3, order=3, F=pair.F, G=pair.F) != pair
+        assert CentralSeriesPair.compute(4, 3) != pair
+        # equal only to a pair: not to a tuple of the same fields
+        assert pair != (3, 3, pair.F, pair.G)
+        assert repr(pair) == (f"CentralSeriesPair(m=3, order=3, F={pair.F!r}, "
+                              f"G={pair.G!r})")
+
+    def test_immutable(self):
+        pair = CentralSeriesPair.compute(3, 2)
+        fields = (pair.m, pair.order, pair.F, pair.G)
+        for name in ("m", "order", "F", "G", "other"):
+            with pytest.raises(AttributeError):
+                setattr(pair, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(pair, name)
+        assert (pair.m, pair.order, pair.F, pair.G) == fields
+        assert not hasattr(pair, "__dict__")
+
+
 class TestThreeWayAgreement:
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_all_methods_agree(self, m):

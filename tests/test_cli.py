@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import kronmot
-from kronmot import central, cli, wallcross
+from kronmot import central, tamari, wallcross
 from kronmot.cache import Cache
 from kronmot.errors import ExactDivisionError, ResourceLimitError
 
@@ -237,7 +237,7 @@ class TestParse:
             raise AssertionError("computed")
 
         monkeypatch.setattr(central, "framed_recursion", no_compute)
-        monkeypatch.setattr(cli, "interval_count_formula", no_compute)
+        monkeypatch.setattr(tamari, "interval_count_formula", no_compute)
         res = run("--no-cache", "--max-paths", "-5", *args)
         assert res.exit_code == 2
         assert res.stdout == ""
@@ -508,6 +508,24 @@ class TestCache:
         assert res.output.splitlines()[-1] == "1,1,3,3,3,1,1"
         assert "0: 7" not in res.output
         assert Cache(tmp_path).get(stale_key) == {"min_exp": 0, "coeffs": ["7"]}
+
+    def test_entry_of_colliding_key_is_a_miss(self, tmp_path):
+        # another key's entry in this key's file, as a collision of the CRC
+        # file names leaves it
+        key = Cache.make_key("moduli", m=3, d=3, e=2)
+        other = Cache.make_key("moduli", m=3, d=5, e=2)
+        path = Cache(tmp_path)._path(key)
+        path.write_text(json.dumps({"key": other,
+                                    "payload": {"min_exp": 0, "coeffs": ["7"]}}))
+        assert Cache(tmp_path).get(key) is None
+        args = ("moduli", "--m", "3", "--d", "3", "--e", "2")
+        res = run("--cache-dir", str(tmp_path), "--format", "json", *args)
+        fresh = run("--no-cache", "--format", "json", *args)
+        assert res.exit_code == fresh.exit_code == 0
+        assert res.output == fresh.output
+        # recomputed and written over the other key's entry
+        assert json.loads(path.read_text()) == {
+            "key": key, "payload": json.loads(fresh.output)["result"]["motive"]}
 
     # a well-formed entry planted under the key of a request that exits 2
     ONE_SERIES = {"order": 1, "coeffs": [

@@ -1,9 +1,12 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from kronmot.central import extract_G, framed_recursion
+from kronmot.errors import NonIntegerError
 from kronmot.eulerchar import (
+    _quotient,
     chi_framed_closed,
     chi_framed_pow_closed,
     chi_from_motive,
@@ -29,6 +32,36 @@ def test_chi_moduli_closed_values():
     assert [chi_moduli_closed(3, d) for d in range(1, 7)] == [1, 3, 13, 68,
                                                               399, 2530]
     assert chi_moduli_closed(4, 3) == 58
+
+
+def _integer(x: Fraction) -> int:
+    assert x.denominator == 1
+    return x.numerator
+
+
+def test_closed_forms_match_fraction_references():
+    # the closed forms as exact rationals, each of which must be an integer
+    for m in range(3, 13):
+        q = (m - 1) ** 2
+        for d in range(41):
+            k = m * (m - 1)
+            assert chi_framed_closed(m, d) == _integer(
+                Fraction(m, m + q * d) * comb(q * d + m, d)), (m, d)
+            assert chi_framed_pow_closed(m, d) == _integer(
+                Fraction(k, k + q * d) * comb(q * d + k, d)), (m, d)
+            if d >= 1:
+                a = Fraction(m - 1, d * ((m - 2) * d + 1)) * comb(q * d + m - 2, d - 1)
+                b = Fraction(m, d * ((m - 1) * d + 1)) * comb(q * d + m - 1, d - 1)
+                assert a == b
+                assert chi_moduli_closed(m, d) == _integer(a), (m, d)
+            assert type(chi_framed_closed(m, d)) is int
+
+
+@pytest.mark.parametrize("num,den", [(7, 2), (6, 4), (-6, 4), (1, 3)])
+def test_quotient_remainder_raises(num, den):
+    # the message names the reduced quotient, as a Fraction prints it
+    with pytest.raises(NonIntegerError, match=f"^x is not an integer: {Fraction(num, den)}$"):
+        _quotient(num, den, "x")
 
 
 def test_chi_moduli_two_forms_agree():

@@ -17,6 +17,9 @@ import kronmot
 SRC = str(Path(kronmot.__file__).resolve().parent.parent)
 SOLVERS = {"kronmot.wallcross", "kronmot.central", "kronmot.qseries",
            "kronmot.selftest"}
+# standard-library modules no request loads beyond the interpreter's
+# start-up: kronmot needs none of them, and together they cost about 25 ms
+HEAVY = {"dataclasses", "fractions", "hashlib", "inspect", "typing"}
 
 # runs `python -m kronmot.cli <args>` and writes the modules left in
 # sys.modules at exit to the file named by the first argument
@@ -46,6 +49,13 @@ def _cli_modules(tmp_path, *args):
     return proc.returncode, proc.stdout, set(json.loads(out.read_text()))
 
 
+@pytest.fixture(scope="module")
+def startup():
+    """The modules the interpreter loads at start-up, before any request."""
+    return set(json.loads(_python(
+        "-c", "import json, sys; print(json.dumps(sorted(sys.modules)))").stdout))
+
+
 class TestCliFootprint:
     def test_tamari_loads_no_solver(self, tmp_path):
         code, stdout, modules = _cli_modules(
@@ -54,14 +64,12 @@ class TestCliFootprint:
         assert "kronmot.tamari" in modules
         assert modules.isdisjoint(SOLVERS)
 
-    def test_request_loads_only_the_standard_library(self, tmp_path):
+    def test_request_loads_only_the_standard_library(self, tmp_path, startup):
         # kronmot has no runtime dependency: beyond what the interpreter
         # loads at start-up, a request loads the standard library and kronmot
         code, stdout, modules = _cli_modules(
             tmp_path, "--no-cache", "tamari", "--m-prime", "1", "--n", "4")
         assert (code, stdout) == (0, "68\n")
-        startup = set(json.loads(_python(
-            "-c", "import json, sys; print(json.dumps(sorted(sys.modules)))").stdout))
         packages = {m.split(".")[0] for m in modules - startup}
         assert packages <= set(sys.stdlib_module_names) | {"kronmot"}
 
@@ -87,6 +95,27 @@ class TestCliFootprint:
         assert "kronmot.cache" in hit
         assert hit.isdisjoint(SOLVERS)
         assert "fractions" not in hit
+
+    @pytest.mark.parametrize("args", [
+        ("framed", "--m", "3", "--d", "3"),
+        ("framed", "--m", "3", "--d", "3", "--method", "funceq"),
+        ("framed", "--m", "3", "--d", "3", "--method", "wallcross"),
+        ("moduli", "--m", "3", "--d", "2", "--e", "3"),
+        ("hn", "--m", "3", "--bound", "4"),
+        ("series", "--which", "F", "--m", "3", "--order", "3"),
+        ("euler", "--kind", "framed", "--m", "3", "--d", "3", "--check"),
+        ("tamari", "--m-prime", "1", "--n", "4", "--check"),
+        ("verify", "--identity", "funceq", "--m", "3", "--order", "3"),
+        ("verify", "--identity", "dualities", "--m", "3", "--order", "3"),
+    ], ids=["framed-recursion", "framed-funceq", "framed-wallcross", "moduli",
+            "hn", "series-F", "euler-check", "tamari-check", "verify-funceq",
+            "verify-dualities"])
+    def test_request_loads_no_heavy_module(self, tmp_path, startup, args):
+        code, _, modules = _cli_modules(tmp_path, "--no-cache", *args)
+        assert code == 0
+        assert not HEAVY & (modules - startup)
+        # of the commands, only tamari and selftest run the Tamari code
+        assert ("kronmot.tamari" in modules) == (args[0] == "tamari")
 
     def test_framed_recursion_loads_no_wallcross(self, tmp_path):
         code, stdout, modules = _cli_modules(

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -18,6 +19,7 @@ from kronmot.wallcross import (
     framed_via_quotient,
     hn_extract,
     moduli_motive,
+    slope_key,
     slope_less,
     sym_form,
     verify_dualities,
@@ -54,6 +56,26 @@ class TestSlopeOrder:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             slope_less((0, 0), (1, 1))
+
+    @staticmethod
+    def reference(D):
+        """The slope order as a key of exact rationals, d=0 maximal."""
+        d, e = D
+        return (1, Fraction(0)) if d == 0 else (0, Fraction(e, d))
+
+    def test_sorts_rays_as_the_fraction_reference(self):
+        rays = [(d, e) for d in range(41) for e in range(41) if gcd(d, e) == 1]
+        assert (0, 1) in rays and (1, 0) in rays
+        assert sorted(rays, key=slope_key) == sorted(rays, key=self.reference)
+
+    def test_compares_as_the_fraction_reference(self):
+        # every pair of a grid with negative, non-primitive and d=0 vectors
+        grid = [(d, e) for d in range(-4, 5) for e in range(-4, 5)]
+        for a in grid:
+            ka, ra = slope_key(a), self.reference(a)
+            for b in grid:
+                kb, rb = slope_key(b), self.reference(b)
+                assert (ka < kb, ka == kb, ka > kb) == (ra < rb, ra == rb, ra > rb), (a, b)
 
 
 class TestACoeff:
