@@ -68,11 +68,12 @@ def _framed_motives(m: int, order: int) -> tuple[LaurentPoly, ...]:
     _require_central_m(m)
     motives = [LaurentPoly.one()]
     ops = [Operand(motives[0])]  # ops[j] wraps motives[j]
-    product = OnlineRescaledProduct(m - 2, -2, m - 1)
+    # prod_{i<m-1} F(v^(-2i) t), read at v^(m-2) t
+    product = OnlineRescaledProduct(-2, m - 1)
     for d in range(1, order + 1):
-        _, c = product.push(ops[d - 1])  # m >= 3: two or more copies, shift 0
+        c = product.push(ops[d - 1]).poly.v_shift((m - 2) * (d - 1))
         try:
-            motives.append(quantum_ratio(c.poly, (m - 1) * d + 1, d))
+            motives.append(quantum_ratio(c, (m - 1) * d + 1, d))
         except NonPolynomialError as exc:
             raise ExactDivisionError(
                 f"prefactor division failed at m={m}, d={d}"
@@ -137,13 +138,13 @@ def solve_functional_eq(m: int, order: int) -> TruncSeries:
     """
     _require_central_m(m)
     F = [Operand(LaurentPoly.one())]
-    H = OnlineRescaledProduct(-2, -2, m - 2)
-    D = OnlineRescaledProduct(0, 2, m)
-    Dk = [D.push(F[0])[1]]  # Dk[k] is D_k; E_0 = 1, and m >= 3 copies give shift 0
+    H = OnlineRescaledProduct(-2, m - 2)  # H(t) is this product at v^-2 t
+    D = OnlineRescaledProduct(2, m)
+    Dk = [D.push(F[0])]  # Dk[k] is D_k; E_0 = 1
     for n in range(1, order + 1):
-        shift, h = H.push(F[n - 1])
-        E = sum_of_products([(-1, shift + 1 - m, (h,))])  # E_n = -v^(1-m) H_(n-1)
-        Dk.append(D.push(E)[1])
+        # E_n = -v^(1-m) H_(n-1), and H_(n-1) is v^(2-2n) times the push
+        E = sum_of_products([(-1, 3 - m - 2 * n, (H.push(F[n - 1]),))])
+        Dk.append(D.push(E))
         F.append(sum_of_products(
             [(-1, 0, (Dk[k], F[n - k])) for k in range(1, n + 1)]))
     F = TruncSeries.laurent([op.poly for op in F], order)

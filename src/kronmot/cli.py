@@ -364,6 +364,12 @@ def selftest(args):
         return EXIT_VERIFY_FAIL
 
 
+def _non_empty(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _non_negative(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -407,7 +413,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Exact virtual motives of Kronecker quiver moduli.")
     parser.add_argument("--format", dest="fmt", choices=["plain", "json", "csv"],
                         default="plain")
-    parser.add_argument("--cache-dir",
+    parser.add_argument("--cache-dir", type=_non_empty,
                         help="Cache directory (or set KRONMOT_CACHE_DIR).")
     parser.add_argument("--no-cache", **_FLAG)
     parser.add_argument("--max-paths", type=_non_negative,
@@ -432,9 +438,15 @@ def main(argv: list[str] | None = None) -> int:
     Every error a command raises ends in its exit code, with the message on
     stderr: ``ValueError`` 2, ``ResourceLimitError`` 4, any other
     ``KronmotError`` 3.  An interrupt (``KeyboardInterrupt``) ends in 130
-    with one line on stderr.
+    with one line on stderr.  Exact results print in full: the
+    interpreter's cap on the digits of an int's decimal string is lifted
+    while the command runs, and restored on return.
     """
     args = _parser().parse_args(argv)
+    # sys.set_int_max_str_digits is new in 3.11 (and in 3.10.7 and later)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.run(args) or 0
     except (ValueError, KronmotError) as exc:
@@ -445,6 +457,9 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def _entry():

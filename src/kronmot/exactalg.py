@@ -25,17 +25,17 @@ polynomial, and every a_D a quotient of two of them.
   path.  An integer ``*`` with a length-1 operand is a scalar multiply,
   one with a short operand is schoolbook, and any other is a one-term
   ``sum_of_products``.
-- Exact division of integer polynomials by a two-term divisor
-  +-1 +- v^s, such as 1 - q^i, is a linear recurrence along each residue
-  class mod s, run as one strided ``itertools.accumulate`` per class, so
-  it costs a C-level pass instead of a Python long division.  A remainder
-  raises ``NonPolynomialError`` as on the general path.
-- Every product and exact quotient by q-Pochhammer binomials 1 - q^i,
-  q = v^(-2), is ``qpoch_mul`` or ``qpoch_divexact``, and every c [a]_v
-  / [d]_v is ``quantum_ratio``, one of each.  All three are one pass over
-  the coefficient list (``_qpoch``), at stride 2 when it vanishes at its
-  odd offsets: one list subtraction, or one two-term division, per
-  binomial, and no intermediate ``LaurentPoly``.
+- ``LaurentPoly.divexact`` is long division over the nonzero terms of
+  the divisor; a remainder raises ``NonPolynomialError``.
+- Two-term division lives in ``_qpoch``.  Every product and exact
+  quotient by q-Pochhammer binomials 1 - q^i, q = v^(-2), is
+  ``qpoch_mul`` or ``qpoch_divexact``, and every c [a]_v / [d]_v is
+  ``quantum_ratio``, one of each.  All three are one pass over the
+  coefficient list, at stride 2 when it vanishes at its odd offsets: one
+  list subtraction per binomial, or one division by 1 - v^s, a running
+  sum along each residue class mod s, run as one strided
+  ``itertools.accumulate`` per class (``_divexact_binomial``), and no
+  intermediate ``LaurentPoly``.  A remainder raises ``NonPolynomialError``.
 - ``RatFunc`` is a reduced quotient of integer Laurent polynomials.  One
   whose denominator is the constant 1 is already in canonical form, so
   constructing it skips the gcd.
@@ -125,30 +125,17 @@ def _schoolbook(a, b):
     return out
 
 
-def _divexact_binomial(rem: list, d0: int, d1: int, s: int, qlen: int) -> list:
-    """The qlen coefficients of rem / div for div = d0 + d1 v^s, d0 and d1
-    each +1 or -1, so div = d0 (1 + c v^s) with c = d0 * d1.
+def _divexact_binomial(rem: list, s: int, qlen: int) -> list:
+    """The qlen coefficients of rem / (1 - v^s).
 
-    The quotient obeys q_i = d0 * rem_i - c * q_(i-s), one linear
-    recurrence along each residue class of i mod s, which is a running sum
-    (c = -1) or a running sum of alternating signs (c = +1); each class is
-    one strided ``itertools.accumulate``.  Run over the whole of rem, the
-    recurrence leaves q_i = 0 for every i >= qlen exactly when there is no
-    remainder, and raises NonPolynomialError otherwise.  rem may be
-    overwritten.
+    The quotient obeys q_i = rem_i + q_(i-s), a running sum along each
+    residue class of i mod s, each one strided ``itertools.accumulate``.
+    Run over the whole of rem, it leaves q_i = 0 for every i >= qlen
+    exactly when there is no remainder, and raises NonPolynomialError
+    otherwise.  rem may be overwritten.
     """
-    c = d0 * d1
-    if d0 < 0:
-        rem = list(map(neg, rem))
     for r in range(min(s, len(rem))):
-        xs = rem[r::s]
-        if c > 0:
-            xs[1::2] = map(neg, xs[1::2])
-            xs = list(accumulate(xs))
-            xs[1::2] = map(neg, xs[1::2])
-            rem[r::s] = xs
-        else:
-            rem[r::s] = accumulate(xs)
+        rem[r::s] = accumulate(rem[r::s])
     if any(rem[qlen:]):
         raise NonPolynomialError("Laurent division left a remainder")
     return rem[:qlen]
@@ -346,11 +333,6 @@ class LaurentPoly:
         qlen = len(rem) - len(div) + 1
         if qlen <= 0:
             raise NonPolynomialError("degree of divisor exceeds dividend")
-        if (len(div) > 1 and d0 in (1, -1) and div[-1] in (1, -1)
-                and not any(div[1:-1])):
-            return LaurentPoly._canonical(
-                tuple(_divexact_binomial(rem, d0, div[-1], len(div) - 1, qlen)),
-                self.min_exp - other.min_exp)
         quot = [0] * qlen
         # quantum integers are half zeros; only the nonzero terms do work
         terms = [(j, dv) for j, dv in enumerate(div) if dv]
@@ -595,7 +577,7 @@ def _qpoch(p: LaurentPoly, muls, divs, shift: int = 0) -> LaurentPoly:
         step = 2 * i // stride
         if len(xs) <= step:
             raise NonPolynomialError("degree of divisor exceeds dividend")
-        xs = _divexact_binomial(xs, 1, -1, step, len(xs) - step)
+        xs = _divexact_binomial(xs, step, len(xs) - step)
         lo, sign = lo + 2 * i, -sign
     if sign < 0:
         xs = list(map(neg, xs))
@@ -823,10 +805,11 @@ class RatFunc:
         return RatFunc._canonical(self.num.v_shift(k), self.den)
 
     def to_laurent(self) -> LaurentPoly:
-        """Exact quotient num/den, which must be a Laurent polynomial."""
+        """The Laurent polynomial num/den; a canonical den other than 1
+        never divides num, so such a quotient raises NonPolynomialError."""
         if self.is_laurent():
             return self.num
-        return self.num.divexact(self.den)
+        raise NonPolynomialError("the quotient is not a Laurent polynomial")
 
     def is_laurent(self) -> bool:
         # a canonical den is 1 exactly when its only coefficient is 1

@@ -19,12 +19,12 @@ raises ``TypeError``.
 
 ``rescaled_product(x, p, r)`` is the product of the r rescaled copies
 x(v^(p*i) t), i < r, formed by doubling in O(log r) series products.
-``OnlineRescaledProduct(s, p, r)`` is the product of the copies
-x(v^(s+p*i) t) built online, one coefficient of x at a time, for solvers
-that learn x as they go; it doubles too, over O(log r) nodes, each
-extended by one packed sum per coefficient.  The central-slope products of
-rescaled copies of F and of one factor series all take one of these two
-shapes.
+``OnlineRescaledProduct(p, r)`` is the same product built online, one
+coefficient of x at a time, for solvers that learn x as they go; it
+doubles too, over O(log r) nodes, each extended by one packed sum per
+coefficient.  The central-slope products of rescaled copies of F and of
+one factor series are each one of these two at v^s t: a caller puts the
+factor v^(s*n) on the t^n coefficient.
 
 The two rings compare equal and hash alike coefficient by coefficient, so a
 series equals its lift.  Carries the argument rescaling t -> v^p t and the
@@ -287,33 +287,31 @@ def rescaled_product(x: TruncSeries, p: int, r: int) -> TruncSeries:
 
 
 class OnlineRescaledProduct:
-    """prod_{i=0}^{r-1} x(v^(s+p*i) t), r >= 1, extended one coefficient
-    of x at a time: the online form of ``rescaled_product``, built by the
-    same doubling.
+    """prod_{i=0}^{r-1} x(v^(p*i) t), r >= 1, extended one coefficient of
+    x at a time: the online form of ``rescaled_product(x, p, r)``, built by
+    the same doubling.
 
     ``push(x_n)`` takes the next coefficient of x as an
     ``exactalg.Operand`` and returns the t^n coefficient of the product as
-    (shift, operand), meaning v^shift times the operand.  That coefficient
-    needs x_0..x_n only.  With P_a = prod_{i<a} x(v^(s+p*i) t), the first
-    node is P_1 = x(v^s t), whose t^n coefficient is x_n with shift s*n.
-    Reading r from its top bit down, each further node multiplies the node
-    before it, P_a, by a rescaled copy Q(v^(p*a) t): Q = P_a doubles it to
-    P_2a, and for a set bit Q = x(v^s t) extends it to P_(a+1).  Every node
-    keeps its own coefficients, and each push extends each node by one
-    packed sum of at most n+1 products (``exactalg.sum_of_products``) whose
-    terms carry the v-shifts, so no rescaled copy is formed:
-    floor(log2 r) + popcount(r) - 1 sums per push instead of r - 1.  With
-    r >= 2 the shift returned is 0.
+    an ``Operand``.  That coefficient needs x_0..x_n only.  With
+    P_a = prod_{i<a} x(v^(p*i) t), the first node is P_1 = x.  Reading r
+    from its top bit down, each further node multiplies the node before
+    it, P_a, by a rescaled copy Q(v^(p*a) t): Q = P_a doubles it to P_2a,
+    and for a set bit Q = x extends it to P_(a+1).  Every node keeps its
+    own coefficients, and each push extends each node by one packed sum of
+    at most n+1 products (``exactalg.sum_of_products``) whose terms carry
+    the v-shifts, so no rescaled copy is formed:
+    floor(log2 r) + popcount(r) - 1 sums per push instead of r - 1.  A
+    product of copies x(v^(s+p*i) t) has the t^n coefficient v^(s*n) times
+    this one.
     """
 
-    __slots__ = ("_s", "_base", "_nodes", "_last")
+    __slots__ = ("_base", "_nodes", "_last")
 
-    def __init__(self, s: int, p: int, r: int):
+    def __init__(self, p: int, r: int):
         if r < 1:
             raise ValueError("OnlineRescaledProduct needs r >= 1")
-        self._s = s
-        # node: (its coefficients, P_a's, Q's, p*a); coefficients are
-        # (shift, operand) pairs
+        # node: (its coefficients, P_a's, Q's, p*a)
         self._base = last = []
         self._nodes = []
         a = 1
@@ -327,13 +325,12 @@ class OnlineRescaledProduct:
                 last, a = node, a + 1
         self._last = last
 
-    def push(self, x: Operand) -> tuple[int, Operand]:
+    def push(self, x: Operand) -> Operand:
         n = len(self._base)
-        self._base.append((self._s * n, x))
+        self._base.append(x)
         for node, first, second, c in self._nodes:
-            node.append((0, sum_of_products(
-                [(1, first[n - j][0] + second[j][0] + c * j,
-                  (first[n - j][1], second[j][1])) for j in range(n + 1)])))
+            node.append(sum_of_products(
+                [(1, c * j, (first[n - j], second[j])) for j in range(n + 1)]))
         return self._last[n]
 
 

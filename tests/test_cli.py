@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 import kronmot
-from kronmot import central, tamari, wallcross
-from kronmot.cache import Cache
+from kronmot import central, eulerchar, tamari, wallcross
+from kronmot.cache import SCHEMA, Cache
 from kronmot.errors import ExactDivisionError, ResourceLimitError
 
 from cli_runner import invoke as run
@@ -147,6 +147,42 @@ class TestTamari:
         assert res.exit_code == 2
         assert res.stdout == ""
         assert "--max-paths" in res.stderr
+
+
+def _full_str(text_of):
+    """``text_of()`` with the interpreter's cap on int digits lifted."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:
+        return text_of()
+    sys.set_int_max_str_digits(0)
+    try:
+        return text_of()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestLongExactResults:
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    @pytest.mark.parametrize("args,result,value", [
+        pytest.param(("tamari", "--m-prime", "1", "--n", "5000"),
+                     {"m_prime": 1, "n": 5000},
+                     lambda: tamari.interval_count_formula(1, 5000), id="tamari"),
+        pytest.param(("euler", "--kind", "framed", "--m", "3", "--d", "5000"),
+                     {"m": 3, "d": 5000, "kind": "framed"},
+                     lambda: eulerchar.chi_framed_closed(3, 5000), id="euler"),
+    ])
+    def test_print_in_full(self, fmt, args, result, value):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        res = run("--no-cache", "--format", fmt, *args)
+        assert res.exit_code == 0, res.stderr
+        # main restores the cap for in-process callers
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        value = value()
+        assert value.bit_length() > 4300 * 3.33
+        want = _full_str(lambda: str(value) if fmt == "plain" else json.dumps(
+            {"schema": SCHEMA, "command": args[0],
+             "result": {**result, "value": value}}, sort_keys=True))
+        assert res.stdout == want + "\n"
 
 
 class TestVerify:
@@ -470,6 +506,22 @@ class TestCache:
         second = run(*args)
         assert second.exit_code == 0
         assert second.output == first.output
+
+    def test_empty_cache_dir_refused(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.delenv("KRONMOT_CACHE_DIR", raising=False)
+        res = run("--cache-dir", "", "moduli", "--m", "3", "--d", "2", "--e", "3")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "--cache-dir" in res.stderr
+        assert not list(tmp_path.rglob("*"))
+
+    def test_empty_cache_dir_variable_counts_as_unset(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.setenv("KRONMOT_CACHE_DIR", "")
+        res = run("moduli", "--m", "3", "--d", "2", "--e", "3")
+        assert res.exit_code == 0
+        assert list((tmp_path / ".cache" / "kronmot").glob("*.json"))
 
     def test_corrupt_cache_entry_ignored(self, tmp_path):
         args = ["--cache-dir", str(tmp_path),

@@ -401,14 +401,14 @@ def mixed_series(draw, max_order=6):
 
 class TestOnlineRescaledProduct:
     # r up to 17 reaches every bit pattern of up to four bits plus 16 and 17
-    @given(mixed_series(), st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 17))
-    def test_each_push_reads_the_offline_product(self, x, s, p, r):
-        want = rescaled_product(x.scale_arg(s), p, r)
-        product = OnlineRescaledProduct(s, p, r)
-        for n, c in enumerate(x.coeffs):
-            shift, op = product.push(Operand(c))
-            assert op.poly.v_shift(shift) == want.coeffs[n], n
-            assert shift == (s * n if r == 1 else 0)
+    @given(mixed_series(), st.integers(1, 6))
+    def test_each_push_reads_the_offline_product(self, x, step):
+        for p in (-step, step):
+            for r in range(1, 18):
+                want = rescaled_product(x, p, r)
+                product = OnlineRescaledProduct(p, r)
+                for n, c in enumerate(x.coeffs):
+                    assert product.push(Operand(c)).poly == want.coeffs[n], (p, r, n)
 
     @pytest.mark.parametrize("r", range(1, 18))
     def test_packed_sums_per_push_follow_the_bits(self, r, monkeypatch):
@@ -420,7 +420,7 @@ class TestOnlineRescaledProduct:
             return packed_sum(terms)
 
         monkeypatch.setattr(qseries, "sum_of_products", counting)
-        product = OnlineRescaledProduct(1, -2, r)
+        product = OnlineRescaledProduct(-2, r)
         per_push = r.bit_length() - 1 + bin(r).count("1") - 1
         for n in range(5):
             before = len(sums)
@@ -430,4 +430,4 @@ class TestOnlineRescaledProduct:
     @pytest.mark.parametrize("r", [0, -1])
     def test_no_copies_refused(self, r):
         with pytest.raises(ValueError):
-            OnlineRescaledProduct(-2, -2, r)
+            OnlineRescaledProduct(-2, r)

@@ -1,6 +1,6 @@
 import pytest
 
-from kronmot.errors import ResourceLimitError
+from kronmot.errors import DEFAULT_MAX_PATHS, ResourceLimitError
 from kronmot.tamari import (
     TamariPoset,
     covers,
@@ -100,3 +100,27 @@ class TestIntervalCounts:
         for n in range(1, 6 - mprime + 1):
             assert interval_count_bruteforce(mprime, n) == \
                 interval_count_formula(mprime, n)
+
+
+class TestCoverOrder:
+    @pytest.mark.parametrize("mprime, frozen", [
+        (1, [1, 3, 13, 68, 399, 2530, 16965, 118668, 857956]),
+        (2, [1, 6, 58, 703, 9729, 146916, 2359968]),
+        (3, [1, 10, 170, 3685, 91881, 2509584]),
+    ])
+    def test_covers_precede_their_paths_up_to_the_cap(self, mprime, frozen):
+        # every n whose paths fit under the default cap
+        assert fuss_catalan(mprime, len(frozen) + 1) > DEFAULT_MAX_PATHS
+        counts = []
+        for n in range(1, len(frozen) + 1):
+            poset = TamariPoset(mprime, n)
+            for u, ups in enumerate(poset.covers):
+                assert all(w < u for w in ups), (n, u)
+            counts.append(poset.interval_count())
+        assert counts == frozen
+
+    def test_a_cover_after_its_path_is_refused(self):
+        poset = TamariPoset(1, 3)
+        poset.covers[0] = [len(poset.elements) - 1]
+        with pytest.raises(AssertionError):
+            poset.interval_count()
