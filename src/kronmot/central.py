@@ -13,20 +13,19 @@ over integer Laurent polynomials:
   binomial form (``exactalg.quantum_ratio``, where the package's
   q-Pochhammer and quantum-integer arithmetic lives), one pass over the
   coefficient list.
-- ``solve_functional_eq``: one online pass over
+- ``solve_functional_eq``: one online pass over the telescoped form of
   F * prod_{i=1}^m (1 - v^(2i-m-1) t prod_{j=1}^{m-2} F(v^(2i-2j-2) t)) = 1,
-  then a check of F against the right-hand side evaluated directly.  The
-  check runs over integer series (``TruncSeries.laurent``): the product of
-  the m factors has constant term 1, so its one inverse needs no division,
-  and F is lifted to ``RatFunc`` coefficients only once it has passed.
+  then a check of F against the untelescoped right-hand side evaluated
+  directly.  The check runs over integer series (``TruncSeries.laurent``):
+  the product of the m factors has constant term 1, so its one inverse
+  needs no division, and F is lifted to ``RatFunc`` only once it has passed.
 
-Both solvers extend their products of rescaled copies one coefficient per
-degree through ``qseries.OnlineRescaledProduct``, which builds them by
+Each solver extends one product of rescaled copies of F one coefficient per
+degree through ``qseries.OnlineRescaledProduct``, which builds it by
 doubling, each coefficient one packed sum of products
-(``exactalg.sum_of_products``) over operands wrapped once.  Both cost
+(``exactalg.sum_of_products``) over operands wrapped once; both cost
 O(log m * order^2) Laurent-polynomial products in O(log m * order) packed
-sums of at most order+1 products each.  The check
-forms its two products of rescaled copies by doubling
+sums.  The check forms its two products of rescaled copies by doubling
 (``qseries.rescaled_product``): O(log m) integer series products, each
 O(order^2) coefficient products as packed sums, and one series inverse.
 
@@ -50,7 +49,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import ExactDivisionError, NoConvergenceError, NonPolynomialError
-from .exactalg import LaurentPoly, Operand, quantum_ratio, sum_of_products
+from .exactalg import (LaurentPoly, Operand, qpoch_divexact, quantum_ratio,
+                       sum_of_products)
 from .qseries import (OnlineRescaledProduct, TruncSeries, delta_invert,
                       rescaled_product)
 
@@ -122,31 +122,39 @@ def solve_functional_eq(m: int, order: int) -> TruncSeries:
     """F(t) solving F = prod_{i=1}^m (1 - v^(2i-m-1) t inner_i(t))^(-1).
 
     Here inner_i(t) = prod_{j=1}^{m-2} F(v^(2i-2j-2) t) = H(v^(2i-2) t) with
-    H(t) = prod_{j=1}^{m-2} F(v^(-2j) t), so the denominator is
-    D = prod_{l=0}^{m-1} E(v^(2l) t) with E = 1 - v^(1-m) t H.  Every F on
-    the right is multiplied by t, so D_n needs F only up to degree n-1.
-    One online pass (a relaxed solve) over integer Laurent polynomials
-    therefore extends H and D by one coefficient per degree, each a
-    ``qseries.OnlineRescaledProduct``, and reads F_n off F * D = 1:
-    F_n = -sum_{k=1}^n D_k F_(n-k), one packed sum.  Both products are
-    built by doubling, so that is O(log m * order^2) products in
-    O(log m * order) sums.  The solution is then
-    checked, coefficient by coefficient, against the right-hand side
-    evaluated directly over integer series (``_functional_rhs``: O(log m)
-    series products and one series inverse), and lifted to RatFunc
+    H(t) = prod_{j=1}^{m-2} F(v^(-2j) t), so F * D = 1 for
+    D = prod_{l=0}^{m-1} E(v^(2l) t), E = 1 - v^(1-m) t H.  As
+    D(v^2 t) E(t) = D(t) E(v^(2m) t), that holds iff F_0 = 1 and
+    F(v^2 t) E(v^(2m) t) = F(t) E(t), whose t^n coefficient (q = v^-2) is
+    F_n (1 - q^n) = sum_{k=1}^n F_(n-k) E_k (v^(-2n) - v^(2(m-1)k)).
+    E_n = -v^(1-m) H_(n-1) needs F below degree n only, so one online pass
+    over integer Laurent polynomials extends H by one coefficient per degree
+    (``qseries.OnlineRescaledProduct``, O(log m * order^2) products) and
+    reads F_n off one packed sum of 2n products and one exact division by
+    1 - q^n (``exactalg.qpoch_divexact``).  1/D solves the telescoped
+    equation for any E with E_0 = 1, so a remainder is an arithmetic fault
+    and raises ``ExactDivisionError``.  F is then checked, coefficient by
+    coefficient, against the untelescoped right-hand side evaluated directly
+    over integer series (``_functional_rhs``: offline doubling and one
+    series inverse, no code shared with the pass), and lifted to RatFunc
     coefficients once it passes.
     """
     _require_central_m(m)
     F = [Operand(LaurentPoly.one())]
+    E = [None]  # E[k] is E_k for k >= 1; E_0 = 1 enters no sum
     H = OnlineRescaledProduct(-2, m - 2)  # H(t) is this product at v^-2 t
-    D = OnlineRescaledProduct(2, m)
-    Dk = [D.push(F[0])]  # Dk[k] is D_k; E_0 = 1
     for n in range(1, order + 1):
         # E_n = -v^(1-m) H_(n-1), and H_(n-1) is v^(2-2n) times the push
-        E = sum_of_products([(-1, 3 - m - 2 * n, (H.push(F[n - 1]),))])
-        Dk.append(D.push(E))
-        F.append(sum_of_products(
-            [(-1, 0, (Dk[k], F[n - k])) for k in range(1, n + 1)]))
+        E.append(sum_of_products([(-1, 3 - m - 2 * n, (H.push(F[n - 1]),))]))
+        S = sum_of_products(
+            [(sign, shift, (F[n - k], E[k])) for k in range(1, n + 1)
+             for sign, shift in ((1, -2 * n), (-1, 2 * (m - 1) * k))])
+        try:
+            F.append(Operand(qpoch_divexact(S.poly, (n,))))
+        except NonPolynomialError as exc:
+            raise ExactDivisionError(
+                f"functional-equation division failed at m={m}, n={n}"
+            ) from exc
     F = TruncSeries.laurent([op.poly for op in F], order)
     if _functional_rhs(m, F) != F:
         raise NoConvergenceError(f"fixed point did not stabilize at m={m}")

@@ -121,9 +121,6 @@ class TamariPoset:
             total += mask.bit_count()
         return total
 
-    def export(self) -> dict:
-        return {"paths": list(self.elements), "covers": self.covers}
-
 
 def interval_count_bruteforce(mprime: int, n: int,
                               max_paths: int = DEFAULT_MAX_PATHS) -> int:

@@ -93,12 +93,6 @@ def _slope_cmp(a, b) -> int:
 slope_key = cmp_to_key(_slope_cmp)
 
 
-def slope_less(a, b) -> bool:
-    if a == (0, 0) or b == (0, 0):
-        raise ValueError("slope of the zero vector is undefined")
-    return slope_key(a) < slope_key(b)
-
-
 @lru_cache(maxsize=None)
 def _poch(n: int) -> LaurentPoly:
     """(q;q)_n = prod_{i=1}^n (1 - v^(-2i)), the [G]_vir-style denominator."""

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from kronmot import central, exactalg, wallcross
+from kronmot import central, exactalg, qseries, wallcross
 from kronmot.central import (
     CentralSeriesPair,
     _framed_motives,
@@ -17,12 +17,15 @@ from kronmot.central import (
     verify_newduality,
     verify_vdifference,
 )
-from kronmot.errors import InsufficientBoundError, NonPolynomialError, NonZeroConstantError
+from kronmot.errors import (ExactDivisionError, InsufficientBoundError, NoConvergenceError,
+                            NonPolynomialError, NonZeroConstantError)
 from kronmot.eulerchar import chi_framed_closed, chi_from_motive
 from kronmot.exactalg import LaurentPoly, RatFunc, quantum_integer
 from kronmot.exactalg import quantum_ratio as _quantum_ratio
 from kronmot.qseries import TruncSeries, product_coeff
 from kronmot.wallcross import MotiveTable, framed_via_quotient
+
+from cli_runner import invoke as run
 
 
 def step2(p):
@@ -96,7 +99,9 @@ class TestIndependentOracles:
         F = framed_recursion(m, order)
         assert [c.to_laurent() for c in F.coeffs] == brute_force_motives(m, order)
 
-    @pytest.mark.parametrize("m,order", [(3, 10), (4, 8), (6, 5)])
+    # m = 3 builds H from one copy of F, with no doubling node
+    @pytest.mark.parametrize("m,order", [(3, 10), (4, 8), (6, 5)] + [
+        (m, 8) for m in range(3, 13) if m != 4] + [(3, 24), (12, 12)])
     def test_functional_equation_matches_recursion(self, m, order):
         assert solve_functional_eq(m, order) == framed_recursion(m, order)
 
@@ -277,6 +282,38 @@ def test_functional_check_inverts_once_and_multiplies_by_doubling(monkeypatch, m
     solve_functional_eq(m, 6)
     assert calls == {"inverse": 1,
                      "mul": _doubling_products(m - 2) + _doubling_products(m)}
+
+
+class TestSolveFailsLoudly:
+    def test_wrong_online_coefficient_fails_the_check(self, monkeypatch):
+        # the check forms its products offline, so a fault in the online
+        # product cannot cancel out of it
+        push = qseries.OnlineRescaledProduct.push
+
+        def wrong_at_degree_2(self, x):
+            out = push(self, x)
+            if len(self._base) == 3:
+                return exactalg.Operand(out.poly + LaurentPoly.one())
+            return out
+
+        monkeypatch.setattr(qseries.OnlineRescaledProduct, "push", wrong_at_degree_2)
+        with pytest.raises(NoConvergenceError, match="m=4$"):
+            solve_functional_eq(4, 5)
+        res = run("--no-cache", "framed", "--m", "4", "--d", "5", "--method", "funceq")
+        assert (res.exit_code, res.stdout) == (3, "")
+        assert res.stderr == "fixed point did not stabilize at m=4\n"
+
+    def test_remainder_in_the_division_raises(self, monkeypatch):
+        divexact = central.qpoch_divexact
+
+        def with_remainder_at_degree_3(p, exps):
+            if tuple(exps) == (3,):
+                p = p + LaurentPoly.monomial(p.max_exp + 2)
+            return divexact(p, exps)
+
+        monkeypatch.setattr(central, "qpoch_divexact", with_remainder_at_degree_3)
+        with pytest.raises(ExactDivisionError, match="m=4, n=3$"):
+            solve_functional_eq(4, 5)
 
 
 class TestExtractG:

@@ -73,12 +73,6 @@ class TestPoset:
     def test_element_count(self):
         assert len(TamariPoset(2, 4).elements) == 55
 
-    def test_export_shape(self):
-        poset = TamariPoset(1, 2)
-        data = poset.export()
-        assert set(data) == {"paths", "covers"}
-        assert len(data["paths"]) == len(data["covers"]) == 2
-
 
 class TestIntervalCounts:
     def test_small_chains(self):
