@@ -31,7 +31,6 @@ _LAZY = {
     "hn_extract": "wallcross",
     "moduli_motive": "wallcross",
     "sym_form": "wallcross",
-    "CentralSeriesPair": "central",
     "extract_G": "central",
     "framed_recursion": "central",
     "solve_functional_eq": "central",

@@ -8,8 +8,8 @@ share one file, and each finds the other's entry a miss, recomputed and
 written over it.  Files named otherwise, such as the sha256-named entries
 of earlier releases, are never read.  Corrupted entries are discarded and
 recomputed.  Writes go through a temp-file rename so concurrent
-invocations never see partial files; a write that fails removes its temp
-file.
+invocations never see partial files; a write that fails or is interrupted
+(Ctrl-C included) removes its temp file.
 """
 
 from __future__ import annotations
@@ -72,7 +72,11 @@ class Cache:
             with os.fdopen(fd, "w") as fh:
                 json.dump({"key": key, "payload": payload}, fh)
             os.replace(tmp, self._path(key))
+            tmp = None
         except OSError:
-            # still best effort, but leave no temp file behind
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
+            pass  # still best effort
+        finally:
+            # a failed or interrupted write leaves no temp file behind
+            if tmp is not None:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)

@@ -181,47 +181,6 @@ def extract_G(m: int, F: TruncSeries) -> TruncSeries:
     return delta_invert(_scaled_product(m, F).shift_t())
 
 
-class CentralSeriesPair:
-    """The integral pair (F, G) at central slope, with F = nabla^(m-1) G.
-
-    Immutable: two pairs are equal, and hash alike, when their fields are,
-    and assigning to a field raises ``AttributeError``.
-    """
-
-    __slots__ = __match_args__ = ("m", "order", "F", "G")
-
-    def __init__(self, m: int, order: int, F: TruncSeries, G: TruncSeries):
-        for name, value in zip(self.__slots__, (m, order, F, G)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _fields(self) -> tuple:
-        return (self.m, self.order, self.F, self.G)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(m={self.m!r}, order={self.order!r}, "
-                f"F={self.F!r}, G={self.G!r})")
-
-    @classmethod
-    def compute(cls, m: int, order: int) -> "CentralSeriesPair":
-        F = _integral(framed_recursion(m, order))
-        G = extract_G(m, F)
-        return cls(m=m, order=order, F=F, G=G)
-
-
 # -- series assembled from wall-crossing motives ----------------------------
 
 

@@ -164,8 +164,8 @@ class LaurentPoly:
 
     ``coeffs[i]`` is the coefficient of ``v**(min_exp + i)``, an ``int``.
     Canonical form: first and last stored coefficients are nonzero; zero is
-    the empty tuple with ``min_exp == 0``.  A coefficient of any other type,
-    a ``bool`` or a rational number included, raises ``TypeError``.
+    the empty tuple with ``min_exp == 0``.  A coefficient or a ``min_exp``
+    of any other type, a ``bool`` or a float included, raises ``TypeError``.
     """
 
     __slots__ = ("min_exp", "coeffs")
@@ -175,6 +175,8 @@ class LaurentPoly:
             coeffs = list(coeffs)
         if not _INT.issuperset(map(type, coeffs)):
             raise TypeError("LaurentPoly coefficients must be ints")
+        if type(min_exp) is not int:
+            raise TypeError("LaurentPoly min_exp must be an int")
         _store(self, coeffs, min_exp)
 
     def __setattr__(self, name, value):  # immutable
@@ -231,12 +233,6 @@ class LaurentPoly:
         if self.min_exp == 0 and len(self.coeffs) == 1:
             return hash(self.coeffs[0])
         return hash((self.min_exp, self.coeffs))
-
-    def coeff(self, exp: int) -> int:
-        i = exp - self.min_exp
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
 
     # -- arithmetic --------------------------------------------------------
 

@@ -62,7 +62,9 @@ class TruncSeries:
     ``coeffs[d]`` is the coefficient of t^d; binary operations truncate to
     the smaller order of the two operands.  The coefficients are all
     ``RatFunc`` or, for a series made by :meth:`laurent` and the operations
-    that keep it integral, all integer ``LaurentPoly``.
+    that keep it integral, all integer ``LaurentPoly``.  An ``order`` given
+    to either constructor must be an ``int`` (a ``bool`` raises
+    ``TypeError``); ``TruncSeries(coeffs)`` takes it from ``coeffs``.
     """
 
     __slots__ = ("order", "coeffs")
@@ -71,6 +73,8 @@ class TruncSeries:
         coeffs = [RatFunc.of(c) for c in coeffs]
         if order is None:
             order = len(coeffs) - 1
+        elif type(order) is not int:
+            raise TypeError("order must be an int")
         if order < 0:
             raise ValueError("order must be >= 0")
         if len(coeffs) < order + 1:
@@ -93,6 +97,8 @@ class TruncSeries:
     def laurent(cls, polys, order: int) -> "TruncSeries":
         """An integral series: integer ``LaurentPoly`` coefficients, kept
         as they are and padded with zeros up to ``order``."""
+        if type(order) is not int:
+            raise TypeError("order must be an int")
         if order < 0:
             raise ValueError("order must be >= 0")
         polys = list(polys)[: order + 1]
@@ -100,18 +106,6 @@ class TruncSeries:
             if not isinstance(p, LaurentPoly):
                 raise TypeError(f"{p!r} is not an integer LaurentPoly")
         return cls._make(polys + [_ZERO] * (order + 1 - len(polys)), order)
-
-    @classmethod
-    def constant(cls, c, order: int) -> "TruncSeries":
-        return cls([c], order)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncSeries":
-        return cls.constant(1, order)
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncSeries":
-        return cls.constant(0, order)
 
     def is_integral(self) -> bool:
         """True iff the coefficients are integer ``LaurentPoly``s."""
@@ -131,11 +125,6 @@ class TruncSeries:
 
     def __hash__(self):
         return hash((self.order, self.coeffs))
-
-    def truncate(self, order: int) -> "TruncSeries":
-        if order >= self.order:
-            return self
-        return TruncSeries._make(self.coeffs[: order + 1], order)
 
     def __add__(self, other):
         if isinstance(other, (int, LaurentPoly, RatFunc)):

@@ -89,18 +89,6 @@ class TamariPoset:
             sorted(index[q] for q in covers(p, mprime)) for p in self.elements
         ]
 
-    def source_and_sink(self) -> tuple[int, int]:
-        """Indices of the unique minimum and maximum; raises if not unique."""
-        indeg = [0] * len(self.elements)
-        for ups in self.covers:
-            for u in ups:
-                indeg[u] += 1
-        sources = [i for i, d in enumerate(indeg) if d == 0]
-        sinks = [i for i, ups in enumerate(self.covers) if not ups]
-        if len(sources) != 1 or len(sinks) != 1:
-            raise AssertionError("covering digraph is not bounded")
-        return sources[0], sinks[0]
-
     def interval_count(self) -> int:
         """Number of ordered pairs p <= q, each element comparable to itself.
 

@@ -9,7 +9,9 @@ regression in the library cannot silently rewrite the oracle.
 import time
 from math import gcd
 
-from kronmot import central, eulerchar, tamari, wallcross
+from kronmot import central, eulerchar, selftest, tamari, wallcross
+from kronmot.exactalg import quantum_integer
+from kronmot.qseries import TruncSeries
 
 from cli_runner import invoke
 
@@ -29,6 +31,16 @@ MODULI_M3 = [
      1],
 ]
 
+# ``kronmot selftest`` stdout: one line per criterion, the same on every run
+SELFTEST_STDOUT = """\
+PASS paper-table reproduction
+PASS three-way method agreement
+PASS identity suite
+PASS euler/tamari chain
+PASS framed euler sequence
+PASS structural invariants
+"""
+
 
 def _step2(p):
     return list(p.coeffs[::2])
@@ -41,16 +53,32 @@ def _report(num, name, ok):
 
 def test_criterion_1_table_reproduction():
     start = time.monotonic()
-    pair = central.CentralSeriesPair.compute(3, 5)
+    F = central.framed_recursion(3, 5)
+    G = central.extract_G(3, F)
     ok = all(
-        _step2(pair.F.coeffs[d]) == FRAMED_M3[d - 1]
+        _step2(F.coeffs[d].to_laurent()) == FRAMED_M3[d - 1]
         for d in range(1, 5)
     ) and all(
-        _step2(pair.G.coeffs[d]) == MODULI_M3[d - 1]
+        _step2(G.coeffs[d]) == MODULI_M3[d - 1]
         for d in range(1, 6)
     )
     ok = ok and time.monotonic() - start < 10
     _report(1, "paper-table reproduction (< 10s)", ok)
+
+
+def test_criterion_1_fails_on_one_wrong_framed_motive(monkeypatch):
+    # F_4 + [5]_v keeps G's division by [5]_v exact, so the criterion
+    # must fail by comparing against the tables, not by raising
+    real = central.framed_recursion
+
+    def wrong(m, order):
+        F = real(m, order)
+        coeffs = list(F.coeffs)
+        coeffs[4] = coeffs[4].to_laurent() + quantum_integer(5)
+        return TruncSeries(coeffs, order)
+
+    monkeypatch.setattr(central, "framed_recursion", wrong)
+    assert selftest.criterion_1() is False
 
 
 def test_criterion_2_three_way_agreement():
@@ -144,5 +172,6 @@ def test_criterion_7_selftest_under_five_minutes():
     start = time.monotonic()
     result = invoke("selftest")
     elapsed = time.monotonic() - start
-    ok = result.exit_code == 0 and elapsed < 300
+    ok = (result.exit_code == 0 and result.stdout == SELFTEST_STDOUT
+          and elapsed < 300)
     _report(7, f"selftest exit 0 in {elapsed:.1f}s (< 5min)", ok)

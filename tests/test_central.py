@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from kronmot import central, exactalg, qseries, wallcross
 from kronmot.central import (
-    CentralSeriesPair,
     _framed_motives,
     _functional_rhs,
     extract_G,
@@ -197,7 +196,7 @@ class TestQuantumRatio:
 
 class TestFunctionalEquation:
     def test_order_zero(self):
-        assert solve_functional_eq(3, 0) == TruncSeries.one(0)
+        assert solve_functional_eq(3, 0) == TruncSeries([1], 0)
 
     def test_order_one(self):
         F = solve_functional_eq(3, 1)
@@ -212,7 +211,7 @@ def rhs_by_definition(m, F):
     """prod_{i=1}^m (1 - v^(2i-m-1) t prod_{j=1}^{m-2} F(v^(2i-2j-2) t))^(-1),
     term by term as written, over RatFunc series from the public constructor."""
     F = TruncSeries(F.coeffs, F.order)
-    one = TruncSeries.one(F.order)
+    one = TruncSeries([1], F.order)
     result = one
     for i in range(1, m + 1):
         inner = one
@@ -352,40 +351,13 @@ class TestExtractG:
     def test_pair_relation(self):
         # m_d = [(m-1)d+1]_v * g_d
         for m in (3, 4):
-            pair = CentralSeriesPair.compute(m, 4)
+            F = framed_recursion(m, 4)
+            G = extract_G(m, F)
             for d in range(5):
-                expected = pair.G.coeffs[d] * RatFunc.of(
+                expected = G.coeffs[d] * RatFunc.of(
                     quantum_integer((m - 1) * d + 1)
                 )
-                assert pair.F.coeffs[d] == expected
-
-
-class TestCentralSeriesPair:
-    def test_fields_equality_and_hash(self):
-        pair = CentralSeriesPair.compute(3, 3)
-        assert (pair.m, pair.order) == (3, 3)
-        assert pair.F == central._integral(framed_recursion(3, 3)) and pair.F.is_integral()
-        assert pair.G == extract_G(3, pair.F)
-        same = CentralSeriesPair(3, 3, pair.F, pair.G)
-        assert same == pair and not same != pair
-        assert hash(same) == hash(pair) and len({pair, same}) == 1
-        assert CentralSeriesPair(m=3, order=3, F=pair.F, G=pair.F) != pair
-        assert CentralSeriesPair.compute(4, 3) != pair
-        # equal only to a pair: not to a tuple of the same fields
-        assert pair != (3, 3, pair.F, pair.G)
-        assert repr(pair) == (f"CentralSeriesPair(m=3, order=3, F={pair.F!r}, "
-                              f"G={pair.G!r})")
-
-    def test_immutable(self):
-        pair = CentralSeriesPair.compute(3, 2)
-        fields = (pair.m, pair.order, pair.F, pair.G)
-        for name in ("m", "order", "F", "G", "other"):
-            with pytest.raises(AttributeError):
-                setattr(pair, name, 0)
-            with pytest.raises(AttributeError):
-                delattr(pair, name)
-        assert (pair.m, pair.order, pair.F, pair.G) == fields
-        assert not hasattr(pair, "__dict__")
+                assert F.coeffs[d] == expected
 
 
 class TestThreeWayAgreement:
@@ -510,7 +482,7 @@ def newduality_by_definition(m, k, order):
     table = MotiveTable.covering(m, [(order, order * k + 1)])
     g_minus = TruncSeries(central.g_series(table, k, -1, order).coeffs, order)
     g_plus = TruncSeries(central.g_series(table, k, 1, order).coeffs, order)
-    lhs = rhs = TruncSeries.one(order)
+    lhs = rhs = TruncSeries([1], order)
     for i in range(1, m - k + 1):
         lhs = lhs * g_minus.scale_arg((m + 1 - k - 2 * i) * k).nabla(m - k)
     for i in range(1, k + 1):

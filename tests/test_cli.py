@@ -546,6 +546,21 @@ class TestCache:
         assert list(tmp_path.iterdir()) == []
         assert cache.get(key) is None
 
+    @pytest.mark.parametrize("failing", ["os.replace", "json.dump"])
+    def test_interrupted_put_leaves_no_temp_file(self, tmp_path, monkeypatch,
+                                                 failing):
+        # Ctrl-C mid-write propagates, so the CLI still exits 130
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(f"kronmot.cache.{failing}", interrupt)
+        cache = Cache(tmp_path)
+        with pytest.raises(KeyboardInterrupt):
+            cache.put(Cache.make_key("moduli", m=3, d=3, e=2),
+                      {"min_exp": 0, "coeffs": ["1"]})
+        monkeypatch.undo()
+        assert list(tmp_path.glob("*.tmp")) == []
+
     def test_entry_of_other_version_not_served(self, tmp_path,
                                                monkeypatch):
         # a well-formed but wrong motive left by another release of the package

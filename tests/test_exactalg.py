@@ -90,6 +90,14 @@ class TestLaurentPoly:
                 product()
         assert V * 3 == poly([3], 1) and 3 * V == V * 3
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, False, Fraction(2, 1), "1"])
+    def test_non_int_exponents_refused(self, bad):
+        # to_json would write such a min_exp, and from_json refuses it
+        for make in (lambda: poly([1, 2], bad), lambda: poly([], bad),
+                     lambda: LaurentPoly.monomial(bad)):
+            with pytest.raises(TypeError):
+                make()
+
     @pytest.mark.parametrize("c", [0, 1, -3])
     def test_constants_hash_as_their_coefficient(self, c):
         for x in [poly([c]), RatFunc.of(c), RatFunc(poly([c])), RatFunc(poly([c]), V).v_shift(1)]:

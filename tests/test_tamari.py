@@ -64,12 +64,6 @@ class TestCovers:
 
 
 class TestPoset:
-    def test_unique_source_and_sink(self):
-        for mprime, n in [(1, 4), (2, 3), (3, 2)]:
-            poset = TamariPoset(mprime, n)
-            src, snk = poset.source_and_sink()
-            assert poset.elements[snk] == "N" * n + "E" * (mprime * n)
-
     def test_element_count(self):
         assert len(TamariPoset(2, 4).elements) == 55
 

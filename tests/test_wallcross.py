@@ -452,7 +452,7 @@ class TestFramedQuotient:
         reference = A.scale_arg(e0) * A.scale_arg(-e0).inverse()
         for order in range(6):
             F = table.framed_series(ray, order)
-            assert F == reference.truncate(order), order
+            assert (F.order, F.coeffs) == (order, reference.coeffs[: order + 1]), order
             assert all(c.is_laurent() for c in F.coeffs)
 
     def test_non_primitive_ray_rejected(self):
