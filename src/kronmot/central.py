@@ -16,9 +16,9 @@ over integer Laurent polynomials:
 - ``solve_functional_eq``: one online pass over the telescoped form of
   F * prod_{i=1}^m (1 - v^(2i-m-1) t prod_{j=1}^{m-2} F(v^(2i-2j-2) t)) = 1,
   then a check of F against the untelescoped right-hand side evaluated
-  directly.  The check runs over integer series (``TruncSeries.laurent``):
-  the product of the m factors has constant term 1, so its one inverse
-  needs no division, and F is lifted to ``RatFunc`` only once it has passed.
+  directly.  The check runs over integral series: the product of the m
+  factors has constant term 1, so its one inverse needs no division, and F
+  is lifted to a ``RatFunc`` record only once it has passed.
 
 Each solver extends one product of rescaled copies of F one coefficient per
 degree through ``qseries.OnlineRescaledProduct``, which builds it by
@@ -34,14 +34,14 @@ wall-crossing table (``MotiveTable.covering``), so one sweep, over the
 union of the vectors it reads, and reads every series off it: G^(k),+- by
 ``g_series``, and the A-series cleared of their denominators by
 ``MotiveTable.cleared_series``.  With ``k=None``, ``verify_corident`` and
-``verify_newduality`` check every 1 <= k <= m-1 off that one table.  F is
-read as a ``RatFunc`` series and converted once, as in ``extract_G``, whose
-G is integral.  ``RatFunc`` coefficients remain, with no arithmetic on
-them, only in ``framed_recursion``, ``solve_functional_eq``, the ``hn``
-records and the ``series`` output.  Those of F are Laurent-valued, an
-integer numerator over the denominator 1, so a coefficient that is not
-(a quotient such as 1/2 included) makes the conversion raise
-``NonPolynomialError``.
+``verify_newduality`` check every 1 <= k <= m-1 off that one table.
+``framed_recursion``, ``solve_functional_eq`` and
+``MotiveTable.framed_series`` return F as a ``RatFunc`` record, which has
+no products (``qseries``); the verifiers and ``extract_G`` convert it once
+to an integral series, and G is integral.  The coefficients of F are
+Laurent-valued, an integer numerator over the denominator 1, so a
+coefficient that is not (a quotient such as 1/2 included) makes the
+conversion raise ``NonPolynomialError``.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import ExactDivisionError, NoConvergenceError, NonPolynomialError
-from .exactalg import (LaurentPoly, Operand, qpoch_divexact, quantum_ratio,
+from .exactalg import (LaurentPoly, Operand, RatFunc, qpoch_divexact, quantum_ratio,
                        sum_of_products)
 from .qseries import (OnlineRescaledProduct, TruncSeries, delta_invert,
                       rescaled_product)
@@ -96,9 +96,9 @@ def framed_recursion(m: int, order: int) -> TruncSeries:
     (``exactalg.quantum_ratio``): one list subtraction and one two-term
     division over the coefficients at stride 2, where a product by [a]_v
     and a division by [d]_v would cost O(d) per coefficient.  The motives
-    are cached per (m, order).
+    are cached per (m, order).  The series returned is a ``RatFunc`` record.
     """
-    return TruncSeries(list(_framed_motives(m, order)), order)
+    return TruncSeries(map(RatFunc, _framed_motives(m, order)), order)
 
 
 def _functional_rhs(m: int, F: TruncSeries) -> TruncSeries:
@@ -110,8 +110,8 @@ def _functional_rhs(m: int, F: TruncSeries) -> TruncSeries:
     of prod_{i=0}^{m-1} E(v^(2i) t).  H and that product are each formed by
     doubling (``qseries.rescaled_product``), in O(log m) series products,
     and the whole side costs one series inverse.  F must be an integral
-    series (``TruncSeries.laurent``); E has constant term 1, so H, E, the
-    product, its inverse and the result all stay integral.
+    series; E has constant term 1, so H, E, the product, its inverse and
+    the result all stay integral.
     """
     H = rescaled_product(F.scale_arg(-2), -2, m - 2)
     E = 1 - H.shift_t(LaurentPoly.monomial(1 - m))
@@ -136,8 +136,9 @@ def solve_functional_eq(m: int, order: int) -> TruncSeries:
     and raises ``ExactDivisionError``.  F is then checked, coefficient by
     coefficient, against the untelescoped right-hand side evaluated directly
     over integer series (``_functional_rhs``: offline doubling and one
-    series inverse, no code shared with the pass), and lifted to RatFunc
-    coefficients once it passes.
+    series inverse, no code shared with the pass).  A mismatch raises
+    ``NoConvergenceError`` naming the first failing degree; F is lifted to a
+    ``RatFunc`` record once it passes.
     """
     _require_central_m(m)
     F = [Operand(LaurentPoly.one())]
@@ -155,10 +156,12 @@ def solve_functional_eq(m: int, order: int) -> TruncSeries:
             raise ExactDivisionError(
                 f"functional-equation division failed at m={m}, n={n}"
             ) from exc
-    F = TruncSeries.laurent([op.poly for op in F], order)
-    if _functional_rhs(m, F) != F:
-        raise NoConvergenceError(f"fixed point did not stabilize at m={m}")
-    return TruncSeries(F.coeffs, order)
+    F = TruncSeries([op.poly for op in F], order)
+    rhs = _functional_rhs(m, F)
+    if rhs != F:
+        raise NoConvergenceError("functional-equation check failed at "
+                                 f"m={m}, degree {_first_failure(F, rhs)}")
+    return TruncSeries(map(RatFunc, F.coeffs), order)
 
 
 def _scaled_product(m: int, F: TruncSeries) -> TruncSeries:
@@ -170,7 +173,7 @@ def _scaled_product(m: int, F: TruncSeries) -> TruncSeries:
 def extract_G(m: int, F: TruncSeries) -> TruncSeries:
     """G(t) with delta(G) = t * prod_i F(v^(m-2i) t) and G(0)=1, integral.
 
-    F, in either ring, must have integer Laurent coefficients; any other
+    F, integral or a record, must have integer Laurent coefficients; any other
     coefficient, or a remainder on division by [d]_v, raises
     ``NonPolynomialError`` or ``TypeError``.
     """
@@ -189,30 +192,34 @@ def g_series(table, k: int, sign: int, order: int) -> TruncSeries:
     for m = table.m, as an integral series."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return TruncSeries.laurent(
+    return TruncSeries(
         [LaurentPoly.one()]
         + [table.motive((d, k * d + sign)) for d in range(1, order + 1)], order)
 
 
 def _integral(F: TruncSeries) -> TruncSeries:
-    """F as an integral series; F may have Laurent-valued RatFunc
+    """F as an integral series; F may be a record with Laurent-valued
     coefficients, such as F from ``framed_recursion`` or
     ``MotiveTable.framed_series``."""
     if F.is_integral():
         return F
-    return TruncSeries.laurent([c.to_laurent() for c in F.coeffs], F.order)
+    return TruncSeries([c.to_laurent() for c in F.coeffs], F.order)
 
 
 # -- identity verifiers -----------------------------------------------------
 
 
-def _report(identity: str, m: int, k, order: int, lhs: TruncSeries,
-            rhs: TruncSeries) -> dict:
-    first_fail = None
+def _first_failure(lhs: TruncSeries, rhs: TruncSeries):
+    """The least degree where the two series differ, or None."""
     for d in range(min(lhs.order, rhs.order) + 1):
         if lhs.coeffs[d] != rhs.coeffs[d]:
-            first_fail = d
-            break
+            return d
+    return None
+
+
+def _report(identity: str, m: int, k, order: int, lhs: TruncSeries,
+            rhs: TruncSeries) -> dict:
+    first_fail = _first_failure(lhs, rhs)
     return {
         "identity": identity,
         "m": m,
@@ -263,7 +270,7 @@ def verify_eqnew(m: int, order: int) -> list[dict]:
     table = MotiveTable.covering(m, [(order, order + 1), (order + 1, order)])
     gplus = g_series(table, 1, 1, order)
     gminus = g_series(table, 1, -1, order + 1)
-    shifted = TruncSeries.laurent(gminus.coeffs[1:], order)
+    shifted = TruncSeries(gminus.coeffs[1:], order)
     return [_report("eqnew", m, None, order, gplus, shifted)]
 
 

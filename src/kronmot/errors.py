@@ -14,7 +14,7 @@ class NonPolynomialError(KronmotError):
 
 
 class NotInvertibleError(KronmotError):
-    """Series inversion requires a nonzero constant term."""
+    """Series inversion requires the constant term 1."""
 
 
 class NonZeroConstantError(KronmotError):
@@ -26,7 +26,8 @@ class ExactDivisionError(KronmotError):
 
 
 class NoConvergenceError(KronmotError):
-    """The functional-equation fixed point did not stabilize."""
+    """The solved F failed the check against the untelescoped functional
+    equation."""
 
 
 class NonIntegerError(KronmotError):

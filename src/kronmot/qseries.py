@@ -1,20 +1,25 @@
-"""Truncated power series in t over one of two coefficient rings.
+"""Truncated power series in t with integer Laurent coefficients, and the
+``RatFunc`` records the solvers return.
 
-- ``TruncSeries(coeffs, order)`` lifts every coefficient to ``RatFunc``:
-  the ring of returned and serialised series and the tests' reference
-  ring; no library path computes in it.
-- ``TruncSeries.laurent(polys, order)`` keeps integer ``LaurentPoly``
-  coefficients.  ``+``, ``-``, ``*``, ``scale_arg``, ``shift_t``, ``delta``,
-  ``nabla`` and ``delta_invert`` of integral series stay integral, and so
-  does the inverse of an integral series with constant term 1, which needs
-  no division.  A ``RatFunc`` operand or scalar lifts the result to
-  ``RatFunc``; so does inverting an integral series with any other constant
-  term.  Each coefficient of an integral product or inverse is one packed
-  sum of products (``exactalg.sum_of_products``) over coefficients wrapped
-  once as ``exactalg.Operand``.
+``TruncSeries(coeffs, order)`` chooses its ring from its input:
 
-Both rings are over the integers: a scalar is an ``int``, a ``LaurentPoly``
-or a ``RatFunc``, and any other, a ``bool`` or a rational number included,
+- ``int`` and integer ``LaurentPoly`` coefficients make an integral series,
+  held as ``LaurentPoly``s.  ``+``, ``-``, ``*``, ``scale_arg``,
+  ``shift_t``, ``delta``, ``nabla`` and ``delta_invert`` of integral series
+  stay integral, and so does the inverse of an integral series with
+  constant term 1, which needs no division; any other constant term raises
+  ``NotInvertibleError``.  Each coefficient of a product or inverse is one
+  packed sum of products (``exactalg.sum_of_products``) over coefficients
+  wrapped once as ``exactalg.Operand``.
+- Any ``RatFunc`` coefficient makes every coefficient a ``RatFunc``: an
+  output record, the form the public solvers, ``ray_series`` and
+  ``from_json`` return.  Its linear operations work coefficient by
+  coefficient, and mixing it with an integral series in ``+`` or ``-``
+  gives a record; its products, its inverse and ``delta_invert`` raise
+  ``TypeError``.
+
+Both are over the integers: a scalar is an ``int``, a ``LaurentPoly`` or a
+``RatFunc``, and any other, a ``bool`` or a rational number included,
 raises ``TypeError``.
 
 ``rescaled_product(x, p, r)`` is the product of the r rescaled copies
@@ -26,10 +31,10 @@ coefficient.  The central-slope products of rescaled copies of F and of
 one factor series are each one of these two at v^s t: a caller puts the
 factor v^(s*n) on the t^n coefficient.
 
-The two rings compare equal and hash alike coefficient by coefficient, so a
-series equals its lift.  Carries the argument rescaling t -> v^p t and the
-coefficientwise q-difference operators used throughout the central-slope
-identities.
+A record and an integral series compare equal and hash alike coefficient
+by coefficient, so a series equals its lift.  Carries the argument
+rescaling t -> v^p t and the coefficientwise q-difference operators used
+throughout the central-slope identities.
 """
 
 from __future__ import annotations
@@ -42,35 +47,35 @@ from .exactalg import (LaurentPoly, Operand, RatFunc, quantum_integer, quantum_r
 
 _ZERO = LaurentPoly.zero()
 _ONE = LaurentPoly.one()
+_SCALARS = (int, LaurentPoly, RatFunc)
 
 
-def _scalar(x, integral: bool):
-    """``x`` as a coefficient of a series in the ring ``integral`` names:
-    an int or LaurentPoly stays in the integral ring, anything else is
-    lifted to RatFunc."""
-    if integral:
-        if type(x) is int:
-            return LaurentPoly((x,))
-        if isinstance(x, LaurentPoly):
-            return x
-    return RatFunc.of(x)
+def _integral_only(*series):
+    """Refuse a ``RatFunc`` record where the series ring is needed."""
+    if not all(s.is_integral() for s in series):
+        raise TypeError("a RatFunc series is an output record: it has no "
+                        "products, inverse or delta_invert")
 
 
 class TruncSeries:
     """Power series in t, truncated at a fixed order.
 
     ``coeffs[d]`` is the coefficient of t^d; binary operations truncate to
-    the smaller order of the two operands.  The coefficients are all
-    ``RatFunc`` or, for a series made by :meth:`laurent` and the operations
-    that keep it integral, all integer ``LaurentPoly``.  An ``order`` given
-    to either constructor must be an ``int`` (a ``bool`` raises
-    ``TypeError``); ``TruncSeries(coeffs)`` takes it from ``coeffs``.
+    the smaller order of the two operands.  ``int`` and ``LaurentPoly``
+    coefficients are kept as integer ``LaurentPoly``s; if any coefficient
+    is a ``RatFunc``, all are lifted to ``RatFunc`` (a record).  Missing
+    coefficients up to ``order`` are zeros of that ring.  An ``order`` must
+    be an ``int`` (a ``bool`` raises ``TypeError``); ``TruncSeries(coeffs)``
+    takes it from ``coeffs``.
     """
 
     __slots__ = ("order", "coeffs")
 
     def __init__(self, coeffs, order: int | None = None):
-        coeffs = [RatFunc.of(c) for c in coeffs]
+        coeffs = [LaurentPoly((c,)) if type(c) is int else c for c in coeffs]
+        record = not all(isinstance(c, LaurentPoly) for c in coeffs)
+        if record:
+            coeffs = [c if type(c) is RatFunc else RatFunc.of(c) for c in coeffs]
         if order is None:
             order = len(coeffs) - 1
         elif type(order) is not int:
@@ -78,7 +83,8 @@ class TruncSeries:
         if order < 0:
             raise ValueError("order must be >= 0")
         if len(coeffs) < order + 1:
-            coeffs = coeffs + [RatFunc.zero()] * (order + 1 - len(coeffs))
+            zero = RatFunc.zero() if record else _ZERO
+            coeffs = coeffs + [zero] * (order + 1 - len(coeffs))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(coeffs[: order + 1]))
 
@@ -93,30 +99,9 @@ class TruncSeries:
         object.__setattr__(out, "coeffs", tuple(coeffs))
         return out
 
-    @classmethod
-    def laurent(cls, polys, order: int) -> "TruncSeries":
-        """An integral series: integer ``LaurentPoly`` coefficients, kept
-        as they are and padded with zeros up to ``order``."""
-        if type(order) is not int:
-            raise TypeError("order must be an int")
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        polys = list(polys)[: order + 1]
-        for p in polys:
-            if not isinstance(p, LaurentPoly):
-                raise TypeError(f"{p!r} is not an integer LaurentPoly")
-        return cls._make(polys + [_ZERO] * (order + 1 - len(polys)), order)
-
     def is_integral(self) -> bool:
         """True iff the coefficients are integer ``LaurentPoly``s."""
         return type(self.coeffs[0]) is LaurentPoly
-
-    def _constant_like(self, x) -> "TruncSeries":
-        """The constant series x at this order, in this series' ring if x
-        belongs to it, else over RatFunc."""
-        c = _scalar(x, self.is_integral())
-        zero = _ZERO if type(c) is LaurentPoly else RatFunc.zero()
-        return TruncSeries._make([c] + [zero] * self.order, self.order)
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
@@ -127,8 +112,8 @@ class TruncSeries:
         return hash((self.order, self.coeffs))
 
     def __add__(self, other):
-        if isinstance(other, (int, LaurentPoly, RatFunc)):
-            other = self._constant_like(other)
+        if isinstance(other, _SCALARS):
+            other = TruncSeries([other], self.order)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         n = min(self.order, other.order)
@@ -140,8 +125,8 @@ class TruncSeries:
         return TruncSeries._make(map(neg, self.coeffs), self.order)
 
     def __sub__(self, other):
-        if isinstance(other, (int, LaurentPoly, RatFunc)):
-            other = self._constant_like(other)
+        if isinstance(other, _SCALARS):
+            other = TruncSeries([other], self.order)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         return self + (-other)
@@ -150,44 +135,30 @@ class TruncSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, LaurentPoly, RatFunc)):
-            c = _scalar(other, self.is_integral())
-            return TruncSeries._make([x * c for x in self.coeffs], self.order)
+        if isinstance(other, _SCALARS):
+            return TruncSeries([x * other for x in self.coeffs], self.order)
         if not isinstance(other, TruncSeries):
             return NotImplemented
+        _integral_only(self, other)
         n = min(self.order, other.order)
-        if self.is_integral() and other.is_integral():
-            a = [Operand(c) for c in self.coeffs[: n + 1]]
-            b = [Operand(c) for c in other.coeffs[: n + 1]]
-            return TruncSeries._make(
-                [_dot(1, a[d::-1], b).poly for d in range(n + 1)], n)
-        return TruncSeries._make(
-            [product_coeff(self.coeffs, other.coeffs, d) for d in range(n + 1)], n)
+        a = [Operand(c) for c in self.coeffs[: n + 1]]
+        b = [Operand(c) for c in other.coeffs[: n + 1]]
+        return TruncSeries._make([_dot(1, a[d::-1], b).poly for d in range(n + 1)], n)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "TruncSeries":
-        """Multiplicative inverse; the constant term must be nonzero.
-
-        An integral series with constant term 1 inverts in the integral
-        ring by out[d+1] = -sum_j tail[d-j] out[j], with no division; any
-        other series inverts over RatFunc.
-        """
-        c0 = self.coeffs[0]
-        if c0.is_zero():
-            raise NotInvertibleError("constant term is zero")
-        if type(c0) is LaurentPoly and c0 == _ONE:
-            tail = [Operand(c) for c in self.coeffs[1:]]
-            out = [Operand(c0)]
-            for d in range(self.order):
-                out.append(_dot(-1, tail[d::-1], out))
-            return TruncSeries._make([op.poly for op in out], self.order)
-        inv0 = RatFunc.one() / c0
-        out = [inv0]
-        tail = self.coeffs[1:]
+        """Multiplicative inverse of an integral series with constant term
+        1, by out[d+1] = -sum_j tail[d-j] out[j], with no division; any
+        other constant term raises ``NotInvertibleError``."""
+        _integral_only(self)
+        if self.coeffs[0] != _ONE:
+            raise NotInvertibleError("constant term is not 1")
+        tail = [Operand(c) for c in self.coeffs[1:]]
+        out = [Operand(_ONE)]
         for d in range(self.order):
-            out.append(-inv0 * product_coeff(tail, out, d))
-        return TruncSeries._make(out, self.order)
+            out.append(_dot(-1, tail[d::-1], out))
+        return TruncSeries._make([op.poly for op in out], self.order)
 
     def scale_arg(self, p: int) -> "TruncSeries":
         """Substitute t -> v^p t."""
@@ -199,11 +170,9 @@ class TruncSeries:
 
     def shift_t(self, scalar=1) -> "TruncSeries":
         """Multiply by scalar * t, truncating at the same order."""
-        c = _scalar(scalar, self.is_integral())
-        zero = _ZERO if type(c) is LaurentPoly else RatFunc.zero()
-        return TruncSeries._make(
-            [zero] + [x * c for x in self.coeffs[: self.order]], self.order
-        )
+        # the shifted-in zero's product checks the scalar even at order 0
+        return TruncSeries([x * scalar for x in (_ZERO, *self.coeffs[: self.order])],
+                           self.order)
 
     def delta(self) -> "TruncSeries":
         """Coefficient of t^d multiplied by the quantum integer [d]_v."""
@@ -247,17 +216,8 @@ def _dot(sign: int, a, b) -> Operand:
     return sum_of_products([(sign, 0, pair) for pair in zip(a, b)])
 
 
-def product_coeff(a, b, n: int):
-    """The t^n coefficient of a * b, for series given as sequences of at least
-    n+1 ring elements (integer Laurent polynomials or RatFunc)."""
-    total = a[n] * b[0]
-    for j in range(1, n + 1):
-        total = total + a[n - j] * b[j]
-    return total
-
-
 def rescaled_product(x: TruncSeries, p: int, r: int) -> TruncSeries:
-    """prod_{i=0}^{r-1} x(v^(p*i) t), in the ring of ``x``; 1 for r = 0.
+    """prod_{i=0}^{r-1} x(v^(p*i) t) for an integral ``x``; 1 for r = 0.
 
     P_a = prod_{i<a} x(v^(p*i) t) is built by doubling on
     P_(a+b)(t) = P_a(t) * P_b(v^(p*a) t), reading r from its top bit down:
@@ -266,7 +226,7 @@ def rescaled_product(x: TruncSeries, p: int, r: int) -> TruncSeries:
     if r < 0:
         raise ValueError("rescaled_product needs r >= 0")
     if r == 0:
-        return x._constant_like(1)
+        return TruncSeries([1], x.order)
     out, a = x, 1
     for bit in bin(r)[3:]:
         out, a = out * out.scale_arg(p * a), 2 * a
@@ -324,19 +284,15 @@ class OnlineRescaledProduct:
 
 
 def delta_invert(b: TruncSeries) -> TruncSeries:
-    """The unique G with G(0)=1 and delta(G) == b, in the ring of ``b``.
+    """The unique integral G with G(0)=1 and delta(G) == b, for an integral
+    ``b``.
 
-    Coefficient d is divided by [d]_v: exactly for an integral series, as
+    Coefficient d is divided by [d]_v exactly, as
     ``exactalg.quantum_ratio(c, 1, d)`` = c (1 - q) v^(1-d) / (1 - q^d),
-    linear in the length of c, where a remainder raises
-    ``NonPolynomialError``; by ``RatFunc`` division otherwise.
+    linear in the length of c; a remainder raises ``NonPolynomialError``.
     """
+    _integral_only(b)
     if not b.coeffs[0].is_zero():
         raise NonZeroConstantError("delta_invert needs vanishing constant term")
-    if b.is_integral():
-        out = [_ONE] + [quantum_ratio(c, 1, d)
-                        for d, c in enumerate(b.coeffs) if d]
-    else:
-        out = [RatFunc.one()] + [c / quantum_integer(d)
-                                 for d, c in enumerate(b.coeffs) if d]
+    out = [_ONE] + [quantum_ratio(c, 1, d) for d, c in enumerate(b.coeffs) if d]
     return TruncSeries._make(out, b.order)

@@ -307,7 +307,7 @@ class MotiveTable:
             ratio = qpoch_mul(ratio, _exponents(D0, n - 1, n))
             B.append(num[n - 1] * ratio)
         d0, e0 = D0
-        return (TruncSeries.laurent(B[::-1], order),
+        return (TruncSeries(B[::-1], order),
                 _poch(order * d0) * _poch(order * e0))
 
     def framed_series(self, D0, order: int) -> TruncSeries:
@@ -327,7 +327,8 @@ class MotiveTable:
         the shape of the sweep's update.  So each cleared c_n F_n is one
         packed sum (``exactalg.sum_of_products``) over integer Laurent
         polynomials wrapped once, and F_n is c_n F_n divided exactly by the
-        binomials 1 - q^i of c_n (``exactalg.qpoch_divexact``).
+        binomials 1 - q^i of c_n (``exactalg.qpoch_divexact``).  F is
+        returned as a ``RatFunc`` record.
         """
         num = [Operand(p) for p in self._ray_numerators(D0, order)]
         d0, e0 = D0
@@ -346,7 +347,7 @@ class MotiveTable:
             except NonPolynomialError as exc:
                 raise ExactDivisionError(
                     f"quotient division failed at m={self.m}, n={n}") from exc
-        return TruncSeries(F, order)
+        return TruncSeries(map(RatFunc, F), order)
 
 
 def hn_extract(m: int, bound: int) -> MotiveTable:

@@ -21,10 +21,11 @@ from kronmot.errors import (ExactDivisionError, InsufficientBoundError, NoConver
 from kronmot.eulerchar import chi_framed_closed, chi_from_motive
 from kronmot.exactalg import LaurentPoly, RatFunc, quantum_integer
 from kronmot.exactalg import quantum_ratio as _quantum_ratio
-from kronmot.qseries import TruncSeries, product_coeff
+from kronmot.qseries import TruncSeries, delta_invert
 from kronmot.wallcross import MotiveTable, framed_via_quotient
 
 from cli_runner import invoke as run
+from pointeval import P, POINTS, PointSeries, at, qint
 
 
 def step2(p):
@@ -48,8 +49,18 @@ class TestFramedRecursion:
             assert step2(F.coeffs[d].to_laurent()) == expected
 
     def test_coefficients_are_laurent(self):
-        F = framed_recursion(4, 5)
-        assert all(c.is_laurent() for c in F.coeffs)
+        # each solver returns a RatFunc record of Laurent-valued coefficients
+        for F in (framed_recursion(4, 5), solve_functional_eq(4, 5),
+                  framed_via_quotient(4, (1, 1), 5)):
+            assert not F.is_integral()
+            assert all(type(c) is RatFunc and c.is_laurent() for c in F.coeffs)
+
+    def test_record_has_no_products_inverse_or_delta_invert(self):
+        F = framed_recursion(3, 4)
+        for op in (lambda: F * framed_recursion(3, 4), F.inverse,
+                   lambda: delta_invert(F - 1)):
+            with pytest.raises(TypeError):
+                op()
 
     def test_exponent_span(self):
         # framed dimension (m-2)d^2 + d
@@ -112,8 +123,16 @@ class TestIndependentOracles:
                 assert chi == chi_framed_closed(m, d), (m, d)
 
 
+def product_coeff(a, b, n):
+    """The t^n coefficient of a * b, for series given as coefficient lists."""
+    total = a[n] * b[0]
+    for j in range(1, n + 1):
+        total = total + a[n - j] * b[j]
+    return total
+
+
 def per_product_framed(m, order):
-    """The recursion with one LaurentPoly product per term (qseries.product_coeff)
+    """The recursion with one LaurentPoly product per term (``product_coeff``)
     and the prefactor as a product by [(m-1)d+1]_v and a division by [d]_v."""
     motives = [LaurentPoly.one()]
     # scaled[k][j] is the t^j coefficient of F(v^(m-2k-2) t); partial[k] holds
@@ -157,6 +176,29 @@ class TestPackedRecursion:
         monkeypatch.undo()
         assert max(widths) > 8  # the arbitrary-precision byte path
         assert got == per_product_framed(30, 10)
+
+    # coefficients of 77 to 92 bits, so the later packed sums take the
+    # arbitrary-precision byte path
+    @pytest.mark.parametrize("m,order", [(40, 8), (30, 10), (3, 30)])
+    def test_matches_point_evaluation_on_wide_slots(self, m, order):
+        motives = _framed_motives(m, order)
+        assert max(abs(c) for p in motives for c in p.coeffs).bit_length() > 64
+        for r in POINTS:
+            assert [at(p, r) for p in motives] == framed_at_point(m, order, r), r
+
+
+def framed_at_point(m, order, r):
+    """m_0..m_order at v = r over F_P: m_d = [(m-1)d+1]_r / [d]_r * c_(d-1),
+    with c_(d-1) the t^(d-1) coefficient of prod_{i=1}^{m-1} F(v^(m-2i) t)."""
+    values = [1]
+    for d in range(1, order + 1):
+        F = PointSeries(values, r)
+        product = PointSeries([1] + [0] * (d - 1), r)
+        for i in range(1, m):
+            product = product * F.scale_arg(m - 2 * i)
+        values.append(qint((m - 1) * d + 1, r) * pow(qint(d, r), -1, P)
+                      * product.values[d - 1] % P)
+    return values
 
 
 @st.composite
@@ -207,11 +249,11 @@ class TestFunctionalEquation:
         assert solve_functional_eq(m, 4) == framed_recursion(m, 4)
 
 
-def rhs_by_definition(m, F):
+def rhs_by_definition(m, F, r):
     """prod_{i=1}^m (1 - v^(2i-m-1) t prod_{j=1}^{m-2} F(v^(2i-2j-2) t))^(-1),
-    term by term as written, over RatFunc series from the public constructor."""
-    F = TruncSeries(F.coeffs, F.order)
-    one = TruncSeries([1], F.order)
+    term by term as written, at v = r."""
+    F = PointSeries.of(F, r)
+    one = PointSeries([1] + [0] * (len(F.values) - 1), r)
     result = one
     for i in range(1, m + 1):
         inner = one
@@ -223,7 +265,7 @@ def rhs_by_definition(m, F):
 
 
 def integral(F):
-    return TruncSeries.laurent([c.to_laurent() for c in F.coeffs], F.order)
+    return TruncSeries([c.to_laurent() for c in F.coeffs], F.order)
 
 
 class TestFunctionalRhs:
@@ -232,13 +274,15 @@ class TestFunctionalRhs:
         for order in range(7):
             F = integral(framed_recursion(m, order))
             # an F off the solution as well, so both sides do real work
-            G = TruncSeries.laurent(
+            G = TruncSeries(
                 [c + LaurentPoly([d, 0, -1], d) for d, c in enumerate(F.coeffs)],
                 order)
             for series in (F, G):
                 got = _functional_rhs(m, series)
                 assert got.is_integral()
-                assert got == rhs_by_definition(m, series), (m, order)
+                for r in POINTS:
+                    assert PointSeries.of(got, r) == rhs_by_definition(m, series, r), \
+                        (m, order, r)
             assert _functional_rhs(m, F) == F
 
     @pytest.mark.parametrize("d", range(6))
@@ -296,11 +340,11 @@ class TestSolveFailsLoudly:
             return out
 
         monkeypatch.setattr(qseries.OnlineRescaledProduct, "push", wrong_at_degree_2)
-        with pytest.raises(NoConvergenceError, match="m=4$"):
+        with pytest.raises(NoConvergenceError, match="m=4, degree 3$"):
             solve_functional_eq(4, 5)
         res = run("--no-cache", "framed", "--m", "4", "--d", "5", "--method", "funceq")
         assert (res.exit_code, res.stdout) == (3, "")
-        assert res.stderr == "fixed point did not stabilize at m=4\n"
+        assert res.stderr == "functional-equation check failed at m=4, degree 3\n"
 
     def test_remainder_in_the_division_raises(self, monkeypatch):
         divexact = central.qpoch_divexact
@@ -442,7 +486,7 @@ class TestIdentities:
             # B / C is A^(1), so this adds 1 to its t^d coefficient
             coeffs = list(B.coeffs)
             coeffs[d] = coeffs[d] + C
-            return TruncSeries.laurent(coeffs, order), C
+            return TruncSeries(coeffs, order), C
 
         monkeypatch.setattr(MotiveTable, "cleared_series", perturbed)
         report = {r["identity"]: r for r in verify_corident(3, 1, 4)}
@@ -477,20 +521,23 @@ class TestIdentities:
 
 def newduality_by_definition(m, k, order):
     """The newduality report for one k, both products term by term as
-    written, over RatFunc series from the public constructor, reading the
-    G-series through ``central.g_series``."""
+    written, at each reference point, reading the G-series through
+    ``central.g_series``."""
     table = MotiveTable.covering(m, [(order, order * k + 1)])
-    g_minus = TruncSeries(central.g_series(table, k, -1, order).coeffs, order)
-    g_plus = TruncSeries(central.g_series(table, k, 1, order).coeffs, order)
-    lhs = rhs = TruncSeries([1], order)
-    for i in range(1, m - k + 1):
-        lhs = lhs * g_minus.scale_arg((m + 1 - k - 2 * i) * k).nabla(m - k)
-    for i in range(1, k + 1):
-        rhs = rhs * g_plus.scale_arg((m - k) * (k + 1 - 2 * i)).nabla(k)
-    fails = [d for d in range(order + 1) if lhs.coeffs[d] != rhs.coeffs[d]]
+    fails = set()
+    for r in POINTS:
+        g_minus = PointSeries.of(central.g_series(table, k, -1, order), r)
+        g_plus = PointSeries.of(central.g_series(table, k, 1, order), r)
+        lhs = rhs = PointSeries([1] + [0] * order, r)
+        for i in range(1, m - k + 1):
+            lhs = lhs * g_minus.scale_arg((m + 1 - k - 2 * i) * k).nabla(m - k)
+        for i in range(1, k + 1):
+            rhs = rhs * g_plus.scale_arg((m - k) * (k + 1 - 2 * i)).nabla(k)
+        fails.update(d for d in range(order + 1) if lhs.values[d] != rhs.values[d])
+    first = min(fails, default=None)
     return {"identity": "newduality", "m": m, "k": k, "order": order,
-            "status": "fail" if fails else "pass",
-            "first_failure_degree": fails[0] if fails else None}
+            "status": "pass" if first is None else "fail",
+            "first_failure_degree": first}
 
 
 @pytest.mark.parametrize("m", range(2, 7))
@@ -508,7 +555,7 @@ def test_newduality_matches_the_products_by_definition(monkeypatch, m):
             return g
         coeffs = list(g.coeffs)
         coeffs[1] = coeffs[1] + LaurentPoly.monomial(k)
-        return TruncSeries.laurent(coeffs, order)
+        return TruncSeries(coeffs, order)
 
     monkeypatch.setattr(central, "g_series", perturbed)
     for order in range(1, 6):

@@ -11,6 +11,8 @@ from kronmot.exactalg import LaurentPoly, Operand, RatFunc, quantum_integer
 from kronmot.qseries import (OnlineRescaledProduct, TruncSeries, delta_invert,
                              rescaled_product)
 
+from pointeval import P, POINTS, PointSeries, at, qint
+
 V = LaurentPoly.monomial(1)
 VINV = LaurentPoly.monomial(-1)
 
@@ -31,13 +33,19 @@ def polys(draw, order=4):
 
 
 @st.composite
-def series(draw, order=4):
+def integral_series(draw, order=4):
     return TruncSeries(draw(polys(order)), order)
 
 
 @st.composite
-def integral_series(draw, order=4):
-    return TruncSeries.laurent(draw(polys(order)), order)
+def records(draw, order=4):
+    """A RatFunc record with Laurent-valued coefficients."""
+    return lift(draw(integral_series(order)))
+
+
+def series(order=4):
+    """An integral series or a record: the linear operations take both."""
+    return st.one_of(integral_series(order), records(order))
 
 
 @st.composite
@@ -46,24 +54,32 @@ def integral_series_any_order(draw, max_order=6):
 
 
 def lift(a):
-    """The same series over RatFunc, through the public constructor."""
-    return TruncSeries(a.coeffs, a.order)
+    """The same series as a RatFunc record, through the public constructor."""
+    return TruncSeries(map(RatFunc, a.coeffs), a.order)
+
+
+def at_points(a):
+    """The series a at each of the reference points."""
+    return [PointSeries.of(a, r) for r in POINTS]
 
 
 def integral_unit(coeffs, order):
     """An integral series with constant term 1 and the given higher terms."""
-    return TruncSeries.laurent([LaurentPoly.one()] + list(coeffs[1:]), order)
+    return TruncSeries([1] + list(coeffs[1:]), order)
 
 
 def test_mul_basics():
     one_plus = TruncSeries([1, 1], 2)
     one_minus = TruncSeries([1, -1], 2)
+    assert one_plus.is_integral()
     assert one_plus * one_minus == TruncSeries([1, 0, -1], 2)
     a = TruncSeries([1, quantum_integer(3), 5], 2)
     assert a * TruncSeries([1], 2) == a
-    q3 = RatFunc.of(quantum_integer(3))
+    q3 = quantum_integer(3)
     b = TruncSeries([1, q3], 2)
-    assert b * b == TruncSeries([RatFunc.one(), 2 * q3, q3 * q3], 2)
+    # (v^-2 + 1 + v^2)^2, expanded by hand
+    q3_squared = LaurentPoly([1, 0, 2, 0, 3, 0, 2, 0, 1], -4)
+    assert b * b == TruncSeries([1, 2 * q3, q3_squared], 2)
 
 
 def test_mul_truncates_to_smaller_order():
@@ -135,7 +151,7 @@ def test_delta_matches_substitution_formula(a):
     assert a.delta() == diff * unit
 
 
-@given(series())
+@given(records())
 def test_delta_specializes_to_derivative(a):
     # (1/t) * delta(a) at v=1 is the ordinary derivative of a at v=1
     da = a.delta()
@@ -152,39 +168,43 @@ def test_delta_invert():
         delta_invert(TruncSeries([1], 2))
 
 
-@given(series())
+@given(integral_series())
 def test_delta_invert_round_trip(g):
-    g = TruncSeries([RatFunc.one()] + list(g.coeffs[1:]), g.order)
+    g = TruncSeries([1] + list(g.coeffs[1:]), g.order)
     assert delta_invert(g.delta()) == g
 
 
 def test_delta_invert_divisions_agree():
-    # Laurent coefficients [d]_v divides, Laurent ones it does not, fractions
+    # coefficient d at v = r is b_d(r) / [d]_r, for coefficients [d]_v divides
     b = TruncSeries([0, V + VINV, quantum_integer(2) * (V - 3),
-                     RatFunc(LaurentPoly([1, 0, 6], -1), LaurentPoly([2])),
-                     RatFunc(V, V + 2)], 4)
+                     quantum_integer(3) * LaurentPoly([1, 0, 6], -1),
+                     quantum_integer(4) * (V + 2)], 4)
     out = delta_invert(b)
-    for d in range(1, 5):
-        assert out.coeffs[d] == b.coeffs[d] / RatFunc.of(quantum_integer(d))
-        assert out.coeffs[d].to_json() == (
-            b.coeffs[d] / RatFunc.of(quantum_integer(d))).to_json()
-    assert out.coeffs[2].is_laurent() and not out.coeffs[3].is_laurent()
+    assert out.is_integral()
+    for r in POINTS:
+        assert [at(c, r) for c in out.coeffs] == [1] + [
+            at(c, r) * pow(qint(d, r), -1, P) % P for d, c in enumerate(b.coeffs) if d]
+    # a record has no delta_invert, whether its coefficients are Laurent or not
+    for record in (lift(b), TruncSeries([0, RatFunc(V, V + 2)], 1)):
+        with pytest.raises(TypeError):
+            delta_invert(record)
 
 
 def test_delta_invert_integral_series():
-    # the integral ring divides exactly, as its lift does, and keeps its ring
+    # the integral ring divides exactly and keeps its ring
     polys = [LaurentPoly.zero(), V + VINV, quantum_integer(2) * (V - 3),
              quantum_integer(3) * LaurentPoly([1, 0, 3], -1)]
-    out = delta_invert(TruncSeries.laurent(polys, 3))
-    lifted = delta_invert(TruncSeries(polys, 3))
+    b = TruncSeries(polys, 3)
+    out = delta_invert(b)
     assert all(type(c) is LaurentPoly for c in out.coeffs)
-    assert out == lifted
-    assert out.to_json() == lifted.to_json()
+    for B in at_points(b):
+        assert PointSeries.of(out, B.r).delta() == B
+    assert out.to_json() == lift(out).to_json()
     # a coefficient [d]_v does not divide leaves a remainder
     with pytest.raises(NonPolynomialError):
-        delta_invert(TruncSeries.laurent(polys[:3] + [LaurentPoly([1, 0, 3], -1)], 3))
+        delta_invert(TruncSeries(polys[:3] + [LaurentPoly([1, 0, 3], -1)], 3))
     with pytest.raises(NonZeroConstantError):
-        delta_invert(TruncSeries.laurent([LaurentPoly.one()], 2))
+        delta_invert(TruncSeries([LaurentPoly.one()], 2))
 
 
 @given(polys(), st.integers(2, 4), st.integers(-8, 8))
@@ -193,11 +213,10 @@ def test_delta_invert_refuses_a_non_multiple(ps, d, j):
     # coefficient leaves a remainder on division by its [d]_v, d >= 2
     coeffs = [LaurentPoly.zero()] + [p * quantum_integer(n)
                                      for n, p in enumerate(ps) if n]
-    assert delta_invert(TruncSeries.laurent(coeffs, 4)) == \
-        TruncSeries.laurent([LaurentPoly.one()] + ps[1:], 4)
+    assert delta_invert(TruncSeries(coeffs, 4)) == TruncSeries([1] + ps[1:], 4)
     coeffs[d] = coeffs[d] + LaurentPoly.monomial(j)
     with pytest.raises(NonPolynomialError):
-        delta_invert(TruncSeries.laurent(coeffs, 4))
+        delta_invert(TruncSeries(coeffs, 4))
 
 
 def test_json_round_trip():
@@ -220,82 +239,92 @@ def test_json_rejects_what_to_json_never_writes(edit, error):
         TruncSeries.from_json({**obj, **edit})
 
 
-# -- the integral ring ---------------------------------------------------------
+# -- the integral ring and the records ------------------------------------------
 
 
-def test_laurent_constructor():
-    a = TruncSeries.laurent([LaurentPoly.one(), V], 3)
-    assert a.is_integral()
+def test_constructor_chooses_the_ring():
+    # int and LaurentPoly coefficients stay integral, padded with zeros
+    a = TruncSeries([1, V], 3)
+    assert a.is_integral() and TruncSeries([1, 1], 2).is_integral()
     assert a.coeffs == (LaurentPoly.one(), V, LaurentPoly.zero(), LaurentPoly.zero())
-    assert TruncSeries.laurent([V, V, V], 1).coeffs == (V, V)
-    assert not lift(a).is_integral() and not TruncSeries([V], 2).is_integral()
-    assert a.to_json() == lift(a).to_json()
-    for bad in (RatFunc.one(), 1, Fraction(1, 2), True):
+    assert TruncSeries([V, V, V], 1).coeffs == (V, V)
+    # one RatFunc coefficient makes every coefficient a RatFunc: a record
+    for record in (lift(a), TruncSeries([1, RatFunc(V, V + 2)], 3),
+                   TruncSeries([RatFunc.one()], 3), TruncSeries.from_json(a.to_json())):
+        assert not record.is_integral()
+        assert all(type(c) is RatFunc for c in record.coeffs)
+        assert record.order == 3
+    assert lift(a) == a and a.to_json() == lift(a).to_json()
+    for bad in (Fraction(1, 2), True, 1.0):
         with pytest.raises(TypeError):
-            TruncSeries.laurent([LaurentPoly.one(), bad], 2)
+            TruncSeries([LaurentPoly.one(), bad], 2)
     with pytest.raises(ValueError):
-        TruncSeries.laurent([], -1)
+        TruncSeries([], -1)
 
 
 @pytest.mark.parametrize("bad", [True, False, 2.0, "2"])
 def test_non_int_order_refused(bad):
-    for make in (lambda: TruncSeries([1], bad),
-                 lambda: TruncSeries.laurent([LaurentPoly.one()], bad)):
-        with pytest.raises(TypeError):
-            make()
+    with pytest.raises(TypeError):
+        TruncSeries([1], bad)
     assert TruncSeries([1, 2], None).order == 1
 
 
 @given(integral_series(), integral_series(order=3))
 def test_integral_operations_stay_integral(a, b):
-    cases = [
-        (a + b, lift(a) + lift(b)),
-        (a - b, lift(a) - lift(b)),
-        (-a, -lift(a)),
-        (a * b, lift(a) * lift(b)),
-        (b * a, lift(b) * lift(a)),
-        (a.scale_arg(3), lift(a).scale_arg(3)),
-        (a.shift_t(V - 2), lift(a).shift_t(V - 2)),
-        (a.shift_t(), lift(a).shift_t()),
-        (a.delta(), lift(a).delta()),
-        (a.nabla(2), lift(a).nabla(2)),
-        (a + 1, lift(a) + 1),
-        (1 - a, 1 - lift(a)),
-        (a * V, lift(a) * V),
-        (3 * a, 3 * lift(a)),
-    ]
-    for got, want in cases:
-        assert got.is_integral()
-        assert got == want
-        assert got.to_json() == want.to_json()
+    for A, B in zip(at_points(a), at_points(b)):
+        one = PointSeries([1, 0, 0, 0, 0], A.r)
+        cases = [
+            (a + b, A + B),
+            (a - b, A - B),
+            (-a, -A),
+            (a * b, A * B),
+            (b * a, B * A),
+            (a.scale_arg(3), A.scale_arg(3)),
+            (a.shift_t(V - 2), A.shift_t(V - 2)),
+            (a.shift_t(), A.shift_t()),
+            (a.delta(), A.delta()),
+            (a.nabla(2), A.nabla(2)),
+            (a + 1, A + one),
+            (1 - a, one - A),
+            (a * V, A.scaled(V)),
+            (3 * a, A.scaled(3)),
+        ]
+        for got, want in cases:
+            assert got.is_integral()
+            assert PointSeries.of(got, A.r) == want
 
 
-@given(integral_series(), series(order=3))
+@given(integral_series(), records(order=3))
 def test_ratfunc_operand_lifts(a, b):
+    # + and - with a record or a RatFunc constant, and a RatFunc scalar,
+    # give a record; products with a record need the series ring
     r = RatFunc(V, V + 2)
     half, third = (RatFunc(LaurentPoly.one(), LaurentPoly([n])) for n in (2, 3))
-    cases = [
-        (a + b, lift(a) + b),
-        (b + a, b + lift(a)),
-        (a - b, lift(a) - b),
-        (a * b, lift(a) * b),
-        (b * a, b * lift(a)),
-        (a + RatFunc.one(), lift(a) + 1),
-        (a * r, lift(a) * r),
-        (a * half, lift(a) * half),
-        (a - third, lift(a) - third),
-        (a.shift_t(r), lift(a).shift_t(r)),
-    ]
-    for got, want in cases:
-        assert not got.is_integral()
-        assert all(isinstance(c, RatFunc) for c in got.coeffs)
-        assert got == want
+    for A, B in zip(at_points(a), at_points(b)):
+        one = PointSeries([1, 0, 0, 0, 0], A.r)
+        cases = [
+            (a + b, A + B),
+            (b + a, B + A),
+            (a - b, A - B),
+            (a + RatFunc.one(), A + one),
+            (a * r, A.scaled(r)),
+            (a * half, A.scaled(half)),
+            (a - third, A - one.scaled(third)),
+            (a.shift_t(r), A.shift_t(r)),
+        ]
+        for got, want in cases:
+            assert not got.is_integral()
+            assert all(isinstance(c, RatFunc) for c in got.coeffs)
+            assert PointSeries.of(got, A.r) == want
+    for op in (lambda: a * b, lambda: b * a, lambda: b * b):
+        with pytest.raises(TypeError):
+            op()
 
 
 @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(2, 1), True, False])
 def test_non_int_scalars_refused(bad):
     # both rings are over the integers: a Fraction or bool scalar is refused
-    for a in (TruncSeries.laurent([LaurentPoly.one(), V], 2),
+    for a in (TruncSeries([LaurentPoly.one(), V], 2),
               TruncSeries([RatFunc.one(), RatFunc(V, V + 2)], 2)):
         for op in (lambda: a + bad, lambda: bad + a, lambda: a - bad,
                    lambda: bad - a, lambda: a * bad, lambda: bad * a,
@@ -309,30 +338,26 @@ def test_non_int_scalars_refused(bad):
 
 @given(polys(order=6))
 def test_unit_inverse_stays_integral_and_builds_no_ratfunc(coeffs):
-    a = integral_unit(coeffs, 6)
-    want = lift(a).inverse()
-
     def forbidden(*args, **kwargs):
         raise AssertionError("a RatFunc was constructed")
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exactalg.RatFunc, "__init__", forbidden)
         mp.setattr(exactalg.RatFunc, "_canonical", forbidden)
+        # 1 and integer Laurent polynomials through the public constructor
+        a = integral_unit(coeffs, 6)
         got = a.inverse()
         assert got.is_integral()
-        assert (got * a).coeffs == TruncSeries.laurent([LaurentPoly.one()], 6).coeffs
-    assert got == want
+        assert (got * a).coeffs == TruncSeries([1], 6).coeffs
+    for A in at_points(a):
+        assert PointSeries.of(got, A.r) == A.inverse()
 
 
-def test_nonunit_constant_term_inverts_over_ratfunc():
-    for c0 in (LaurentPoly([2]), V, -LaurentPoly.one(), V + 1):
-        a = TruncSeries.laurent([c0, V, LaurentPoly([1, 0, 3], -1)], 2)
-        got = a.inverse()
-        assert not got.is_integral()
-        assert got == lift(a).inverse()
-        assert got * lift(a) == TruncSeries([1], 2)
-    with pytest.raises(NotInvertibleError):
-        TruncSeries.laurent([LaurentPoly.zero(), V], 2).inverse()
+def test_nonunit_constant_term_refused():
+    # only a constant term 1 inverts: that inverse needs no division
+    for c0 in (LaurentPoly([2]), V, -LaurentPoly.one(), V + 1, LaurentPoly.zero()):
+        with pytest.raises(NotInvertibleError):
+            TruncSeries([c0, V, LaurentPoly([1, 0, 3], -1)], 2).inverse()
 
 
 @given(integral_series())
@@ -350,22 +375,20 @@ def test_equality_and_hash_agree_across_rings(a):
 
 class TestRescaledProduct:
     @staticmethod
-    def by_definition(x, p, r):
-        """prod_{i<r} x(v^(p*i) t), one factor at a time over RatFunc."""
-        x = lift(x)
-        return reduce(mul, [x.scale_arg(p * i) for i in range(r)],
-                      TruncSeries([1], x.order))
+    def by_definition(X, p, r):
+        """prod_{i<r} x(v^(p*i) t), one factor at a time, at a point."""
+        one = PointSeries([1] + [0] * (len(X.values) - 1), X.r)
+        return reduce(mul, [X.scale_arg(p * i) for i in range(r)], one)
 
     @given(integral_series_any_order(), st.integers(-6, 6), st.integers(0, 9))
     def test_is_the_product_of_the_rescaled_copies(self, x, p, r):
-        want = self.by_definition(x, p, r)
         got = rescaled_product(x, p, r)
         assert got.is_integral()
-        assert got == want
-        assert got.to_json() == want.to_json()
-        lifted = rescaled_product(lift(x), p, r)
-        assert all(isinstance(c, RatFunc) for c in lifted.coeffs)
-        assert lifted == want
+        for X in at_points(x):
+            assert PointSeries.of(got, X.r) == self.by_definition(X, p, r)
+        if r >= 2:
+            with pytest.raises(TypeError):
+                rescaled_product(lift(x), p, r)
 
     @pytest.mark.parametrize("r", range(1, 18))
     def test_doubling_cost(self, monkeypatch, r):
@@ -377,14 +400,14 @@ class TestRescaledProduct:
             return product(a, b)
 
         monkeypatch.setattr(TruncSeries, "__mul__", counting)
-        x = TruncSeries.laurent([LaurentPoly.one(), V, VINV - 2], 2)
+        x = TruncSeries([1, V, VINV - 2], 2)
         rescaled_product(x, -2, r)
         assert len(calls) == r.bit_length() + bin(r).count("1") - 2
 
     @pytest.mark.parametrize("r", [-1, -4])
     def test_negative_count_refused(self, r):
         with pytest.raises(ValueError):
-            rescaled_product(TruncSeries.laurent([LaurentPoly.one()], 2), 1, r)
+            rescaled_product(TruncSeries([1], 2), 1, r)
 
 
 @st.composite
@@ -404,7 +427,7 @@ def mixed_series(draw, max_order=6):
         else:
             cs = [*cs, 1, 1]  # two adjacent nonzero terms
         coeffs.append(LaurentPoly(cs, draw(st.integers(-3, 3))))
-    return TruncSeries.laurent(coeffs, order)
+    return TruncSeries(coeffs, order)
 
 
 class TestOnlineRescaledProduct:
@@ -439,3 +462,10 @@ class TestOnlineRescaledProduct:
     def test_no_copies_refused(self, r):
         with pytest.raises(ValueError):
             OnlineRescaledProduct(-2, r)
+
+
+def test_point_reference_refuses_a_pole():
+    # the reference must not pass a value it cannot evaluate
+    assert at(RatFunc(V, V - 2), 3) == 3
+    with pytest.raises(ZeroDivisionError):
+        at(RatFunc(V, V - 3), 3)

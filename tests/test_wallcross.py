@@ -24,6 +24,8 @@ from kronmot.wallcross import (
     verify_dualities,
 )
 
+from pointeval import POINTS, PointSeries
+
 V = LaurentPoly.monomial(1)
 VINV = LaurentPoly.monomial(-1)
 
@@ -401,7 +403,10 @@ class TestSmallQuivers:
 class TestRaySeries:
     def test_constant_term(self):
         table = hn_extract(3, 8)
-        assert table.ray_series((1, 1), 4).coeffs[0] == RatFunc.one()
+        A = table.ray_series((1, 1), 4)
+        assert A.coeffs[0] == RatFunc.one()
+        # a record: the a_D have real denominators
+        assert all(type(c) is RatFunc for c in A.coeffs) and not A.coeffs[1].is_laurent()
 
     def test_first_coefficient_on_axis(self):
         table = hn_extract(3, 4)
@@ -444,16 +449,20 @@ class TestFramedQuotient:
     @pytest.mark.parametrize("m", range(1, 6))
     @pytest.mark.parametrize("ray", [(1, 1), (1, 2), (2, 1), (2, 3), (0, 1), (1, 0)])
     def test_integer_recurrence_matches_series_quotient(self, m, ray):
-        # reference: A(v^e0 t) * A(v^-e0 t)^(-1) over the RatFunc ray series;
-        # a truncated quotient is the quotient of the truncations
+        # reference: A(v^e0 t) * A(v^-e0 t)^(-1) at each reference point, each
+        # a_D evaluated as num(r) / den(r); a truncated quotient is the
+        # quotient of the truncations
         d0, e0 = ray
         table = MotiveTable.covering(m, [(5 * d0, 5 * e0)])
         A = table.ray_series(ray, 5)
-        reference = A.scale_arg(e0) * A.scale_arg(-e0).inverse()
-        for order in range(6):
-            F = table.framed_series(ray, order)
-            assert (F.order, F.coeffs) == (order, reference.coeffs[: order + 1]), order
-            assert all(c.is_laurent() for c in F.coeffs)
+        for r in POINTS:
+            a = PointSeries.of(A, r)
+            reference = a.scale_arg(e0) * a.scale_arg(-e0).inverse()
+            for order in range(6):
+                F = table.framed_series(ray, order)
+                assert F.order == order
+                assert PointSeries.of(F, r).values == reference.values[: order + 1], order
+                assert all(type(c) is RatFunc and c.is_laurent() for c in F.coeffs)
 
     def test_non_primitive_ray_rejected(self):
         with pytest.raises(NonCoprimeError):
