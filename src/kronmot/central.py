@@ -131,9 +131,11 @@ def solve_functional_eq(m: int, order: int) -> TruncSeries:
     over integer Laurent polynomials extends H by one coefficient per degree
     (``qseries.OnlineRescaledProduct``, O(log m * order^2) products) and
     reads F_n off one packed sum of 2n products and one exact division by
-    1 - q^n (``exactalg.qpoch_divexact``).  1/D solves the telescoped
-    equation for any E with E_0 = 1, so a remainder is an arithmetic fault
-    and raises ``ExactDivisionError``.  F is then checked, coefficient by
+    1 - q^n (``exactalg.qpoch_divexact``).  E is never formed: the sign and
+    the v-shift of E_k ride on the terms of that sum, beside the pushed
+    coefficient of H.  1/D solves the telescoped equation for any E with
+    E_0 = 1, so a remainder is an arithmetic fault and raises
+    ``ExactDivisionError``.  F is then checked, coefficient by
     coefficient, against the untelescoped right-hand side evaluated directly
     over integer series (``_functional_rhs``: offline doubling and one
     series inverse, no code shared with the pass).  A mismatch raises
@@ -142,13 +144,15 @@ def solve_functional_eq(m: int, order: int) -> TruncSeries:
     """
     _require_central_m(m)
     F = [Operand(LaurentPoly.one())]
-    E = [None]  # E[k] is E_k for k >= 1; E_0 = 1 enters no sum
+    pushed = [None]  # pushed[k] is the k-th push, k >= 1
     H = OnlineRescaledProduct(-2, m - 2)  # H(t) is this product at v^-2 t
     for n in range(1, order + 1):
-        # E_n = -v^(1-m) H_(n-1), and H_(n-1) is v^(2-2n) times the push
-        E.append(sum_of_products([(-1, 3 - m - 2 * n, (H.push(F[n - 1]),))]))
+        pushed.append(H.push(F[n - 1]))
+        # E_k = -v^(1-m) H_(k-1) and H_(k-1) is v^(2-2k) pushed[k], so each
+        # term of E_k carries the sign -1 and the shift 3 - m - 2k
         S = sum_of_products(
-            [(sign, shift, (F[n - k], E[k])) for k in range(1, n + 1)
+            [(-sign, shift + 3 - m - 2 * k, (F[n - k], pushed[k]))
+             for k in range(1, n + 1)
              for sign, shift in ((1, -2 * n), (-1, 2 * (m - 1) * k))])
         try:
             F.append(Operand(qpoch_divexact(S.poly, (n,))))

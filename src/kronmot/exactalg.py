@@ -22,20 +22,21 @@ polynomial, and every a_D a quotient of two of them.
   product.  Coefficient slots are rounded up to native 1, 2, 4 or 8 byte
   words, so packing and unpacking are C-level ``array``/``memoryview``
   conversions; slots wider than 8 bytes take an arbitrary-precision byte
-  path.  An integer ``*`` with a length-1 operand is a scalar multiply,
-  one with a short operand is schoolbook, and any other is a one-term
-  ``sum_of_products``.
+  path.  An integer ``*`` by an ``int`` or a length-1 operand is a scalar
+  multiply, and any other is a one-term ``sum_of_products``.
 - ``LaurentPoly.divexact`` is long division over the nonzero terms of
   the divisor; a remainder raises ``NonPolynomialError``.
 - Two-term division lives in ``_qpoch``.  Every product and exact
   quotient by q-Pochhammer binomials 1 - q^i, q = v^(-2), is
   ``qpoch_mul`` or ``qpoch_divexact``, and every c [a]_v / [d]_v is
-  ``quantum_ratio``, one of each.  All three are one pass over the
-  coefficient list, at stride 2 when it vanishes at its odd offsets: one
-  list subtraction per binomial, or one division by 1 - v^s, a running
-  sum along each residue class mod s, run as one strided
-  ``itertools.accumulate`` per class (``_divexact_binomial``), and no
-  intermediate ``LaurentPoly``.  A remainder raises ``NonPolynomialError``.
+  ``quantum_ratio``, one of each; a product by a quantum integer is
+  ``quantum_ratio`` with d = 1, and so is ``quantum_integer`` itself.
+  All three are one pass over the coefficient list, at stride 2 when it
+  vanishes at its odd offsets: one list subtraction per binomial, or one
+  division by 1 - v^s, a running sum along each residue class mod s, run
+  as one strided ``itertools.accumulate`` per class
+  (``_divexact_binomial``), and no intermediate ``LaurentPoly``.  A
+  remainder raises ``NonPolynomialError``.
 - ``RatFunc`` is a reduced quotient of integer Laurent polynomials.  One
   whose denominator is the constant 1 is already in canonical form, so
   constructing it skips the gcd.
@@ -69,10 +70,6 @@ _WORD_CODES = {array(tc).itemsize: tc for tc in "qlihb"}
 _WORD_SLOTS = {w: _word_slot(size, _WORD_CODES[size])
                for size in (8, 4, 2, 1) if size in _WORD_CODES
                for w in range(1, size + 1)}
-
-# integer operands shorter than this on either side multiply by schoolbook;
-# from this length on the one-term packed sum wins on motive products
-_KRONECKER_MIN_LEN = 9
 
 
 def _slot(w: int) -> tuple:
@@ -113,16 +110,6 @@ def _unpack(value: int, n: int, slot) -> list[int]:
         return memoryview(data).cast(code).tolist()
     return [int.from_bytes(data[i:i + size], _ORDER, signed=True)
             for i in range(0, n * size, size)]
-
-
-def _schoolbook(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    terms = [(j, y) for j, y in enumerate(b) if y]
-    for i, x in enumerate(a):
-        if x:
-            for j, y in terms:
-                out[i + j] += x * y
-    return out
 
 
 def _divexact_binomial(rem: list, s: int, qlen: int) -> list:
@@ -272,22 +259,20 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if type(other) is int:
-            if other == 0:
-                return LaurentPoly.zero()
-            return LaurentPoly([c * other for c in self.coeffs], self.min_exp)
-        if not isinstance(other, LaurentPoly):
+            other = LaurentPoly((other,))
+        elif not isinstance(other, LaurentPoly):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return LaurentPoly.zero()
         a, b = self.coeffs, other.coeffs
         if len(a) > len(b):
             a, b = b, a
-        if len(a) >= _KRONECKER_MIN_LEN:
+        if len(a) > 1:
             return sum_of_products([(1, 0, (Operand(self), Operand(other)))]).poly
-        # over the integers the product of the nonzero end coefficients is
+        # over the integers a nonzero scalar keeps the end coefficients
         # nonzero, so the product is canonical as it stands
-        coeffs = map(a[0].__mul__, b) if len(a) == 1 else _schoolbook(a, b)
-        return LaurentPoly._canonical(tuple(coeffs), self.min_exp + other.min_exp)
+        return LaurentPoly._canonical(tuple(map(a[0].__mul__, b)),
+                                      self.min_exp + other.min_exp)
 
     __rmul__ = __mul__
 
@@ -411,7 +396,8 @@ class Operand:
     operand that ``sum_of_products`` returns builds its ``LaurentPoly``
     only when ``poly`` is first read.  ``LaurentPoly`` is immutable, so a
     packing can never go stale.  Besides the solvers' packed sums,
-    ``LaurentPoly.__mul__`` wraps both factors of each long integer product.
+    ``LaurentPoly.__mul__`` wraps both factors of each integer product whose
+    operands both have two coefficients or more.
     """
 
     __slots__ = ("_poly", "coeffs", "lo", "norm", "even", "packed")
@@ -449,7 +435,8 @@ def sum_of_products(terms) -> Operand:
     the sum by a shift, and the sum is unpacked once.  The packed sum is
     also the packing of the result at that slot, so the returned operand
     starts out with it.  It is the package's one Kronecker kernel:
-    ``LaurentPoly.__mul__`` makes each long integer product a one-term sum.
+    ``LaurentPoly.__mul__`` makes each integer product that is not a scalar
+    multiply a one-term sum.
 
     Slot: every coefficient of the sum is bounded in absolute value by
     sum_terms prod_ops ||op||_1, so a slot of w bytes with that bound below
@@ -529,18 +516,6 @@ def sum_of_products(terms) -> Operand:
     return out
 
 
-def quantum_integer(n: int) -> LaurentPoly:
-    """[n]_v = v^(n-1) + v^(n-3) + ... + v^(1-n); [0]_v = 0."""
-    if n < 0:
-        raise ValueError("quantum_integer requires n >= 0")
-    if n == 0:
-        return LaurentPoly.zero()
-    coeffs = [0] * (2 * n - 1)
-    for i in range(n):
-        coeffs[2 * i] = 1
-    return LaurentPoly(coeffs, 1 - n)
-
-
 def _qpoch(p: LaurentPoly, muls, divs, shift: int = 0) -> LaurentPoly:
     """v^shift * p * prod_{i in muls} (1 - q^i) / prod_{i in divs} (1 - q^i),
     q = v^(-2), each i >= 1, in one pass over the coefficient list of p.
@@ -606,6 +581,16 @@ def quantum_ratio(c: LaurentPoly, a: int, d: int) -> LaurentPoly:
     remainder on division by [d]_v.
     """
     return _qpoch(c, (a,), (d,), a - d)
+
+
+def quantum_integer(n: int) -> LaurentPoly:
+    """[n]_v = v^(n-1) + v^(n-3) + ... + v^(1-n); [0]_v = 0.
+
+    For n >= 1 this is 1 * [n]_v / [1]_v (``quantum_ratio``).
+    """
+    if n < 0:
+        raise ValueError("quantum_integer requires n >= 0")
+    return quantum_ratio(_ONE, n, 1) if n else LaurentPoly.zero()
 
 
 # -- ordinary-polynomial gcd helpers (dense lists, low degree first) --------

@@ -10,13 +10,16 @@
   constant term 1, which needs no division; any other constant term raises
   ``NotInvertibleError``.  Each coefficient of a product or inverse is one
   packed sum of products (``exactalg.sum_of_products``) over coefficients
-  wrapped once as ``exactalg.Operand``.
+  wrapped once as ``exactalg.Operand``.  ``delta``, ``nabla`` and
+  ``delta_invert`` multiply or divide each coefficient by a quantum
+  integer in one q-Pochhammer pass (``exactalg.quantum_ratio``), linear in
+  the length of the coefficient.
 - Any ``RatFunc`` coefficient makes every coefficient a ``RatFunc``: an
   output record, the form the public solvers, ``ray_series`` and
-  ``from_json`` return.  Its linear operations work coefficient by
-  coefficient, and mixing it with an integral series in ``+`` or ``-``
-  gives a record; its products, its inverse and ``delta_invert`` raise
-  ``TypeError``.
+  ``from_json`` return.  Its ``+``, ``-``, scalar ``*``, ``scale_arg`` and
+  ``shift_t`` work coefficient by coefficient, and mixing it with an
+  integral series in ``+`` or ``-`` gives a record; its products, its
+  inverse, ``delta``, ``nabla`` and ``delta_invert`` raise ``TypeError``.
 
 Both are over the integers: a scalar is an ``int``, a ``LaurentPoly`` or a
 ``RatFunc``, and any other, a ``bool`` or a rational number included,
@@ -42,8 +45,7 @@ from __future__ import annotations
 from operator import add, neg
 
 from .errors import NonZeroConstantError, NotInvertibleError
-from .exactalg import (LaurentPoly, Operand, RatFunc, quantum_integer, quantum_ratio,
-                       sum_of_products)
+from .exactalg import LaurentPoly, Operand, RatFunc, quantum_ratio, sum_of_products
 
 _ZERO = LaurentPoly.zero()
 _ONE = LaurentPoly.one()
@@ -54,7 +56,7 @@ def _integral_only(*series):
     """Refuse a ``RatFunc`` record where the series ring is needed."""
     if not all(s.is_integral() for s in series):
         raise TypeError("a RatFunc series is an output record: it has no "
-                        "products, inverse or delta_invert")
+                        "products, inverse, delta, nabla or delta_invert")
 
 
 class TruncSeries:
@@ -175,17 +177,24 @@ class TruncSeries:
                            self.order)
 
     def delta(self) -> "TruncSeries":
-        """Coefficient of t^d multiplied by the quantum integer [d]_v."""
+        """Coefficient of t^d multiplied by the quantum integer [d]_v, for
+        an integral series: ``exactalg.quantum_ratio(c, d, 1)``, one pass
+        over the coefficient list, and zero at degree 0."""
+        _integral_only(self)
         return TruncSeries._make(
-            [c * quantum_integer(d) for d, c in enumerate(self.coeffs)], self.order
+            [_ZERO] + [quantum_ratio(c, d, 1) for d, c in enumerate(self.coeffs) if d],
+            self.order,
         )
 
     def nabla(self, k: int) -> "TruncSeries":
-        """Coefficient of t^d multiplied by [kd+1]_v, the motive of P^(kd)."""
+        """Coefficient of t^d multiplied by [kd+1]_v, the motive of P^(kd),
+        for an integral series: ``exactalg.quantum_ratio(c, k*d + 1, 1)``,
+        one pass over the coefficient list."""
         if k < 0:
             raise ValueError("nabla requires k >= 0")
+        _integral_only(self)
         return TruncSeries._make(
-            [c * quantum_integer(k * d + 1) for d, c in enumerate(self.coeffs)],
+            [quantum_ratio(c, k * d + 1, 1) for d, c in enumerate(self.coeffs)],
             self.order,
         )
 

@@ -50,7 +50,15 @@ def generate_paths(mprime: int, n: int,
             rec(used_n, used_e + 1)
             word.pop()
 
-    rec(0, 0)
+    try:
+        rec(0, 0)
+    except RecursionError:
+        # rec recurses (m'+1)*n deep; a count the cap admits at that depth
+        # could never be enumerated anyway
+        raise ResourceLimitError(
+            f"enumerating the ballot paths of m'={mprime}, n={n} recurses "
+            f"{total_n + total_e} deep, beyond the interpreter's recursion limit"
+        ) from None
     assert len(paths) == count
     return paths
 

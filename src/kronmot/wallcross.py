@@ -93,10 +93,11 @@ def _slope_cmp(a, b) -> int:
 slope_key = cmp_to_key(_slope_cmp)
 
 
-@lru_cache(maxsize=None)
-def _poch(n: int) -> LaurentPoly:
-    """(q;q)_n = prod_{i=1}^n (1 - v^(-2i)), the [G]_vir-style denominator."""
-    return qpoch_mul(LaurentPoly.one(), range(1, n + 1))
+@lru_cache(maxsize=256)
+def _denominator(d: int, e: int) -> LaurentPoly:
+    """(q;q)_d (q;q)_e, (q;q)_n = prod_{i=1}^n (1 - v^(-2i)), the
+    denominator of a_(d,e), in one ``exactalg.qpoch_mul`` pass."""
+    return qpoch_mul(LaurentPoly.one(), [*range(1, d + 1), *range(1, e + 1)])
 
 
 def _qbinom_rows(top: int) -> list[list[LaurentPoly]]:
@@ -116,7 +117,7 @@ def a_coeff(m: int, D) -> RatFunc:
     """Coefficient of x^D in A(x): v^(-<D,D>) / ((q;q)_d (q;q)_e)."""
     d, e = D
     num = LaurentPoly.monomial(-euler_form(m, D, D))
-    return RatFunc(num, _poch(d) * _poch(e))
+    return RatFunc(num, _denominator(d, e))
 
 
 def _check_vector(D) -> DimVector:
@@ -249,7 +250,7 @@ class MotiveTable:
         if m < 1:
             raise ValueError("need m >= 1")
         self.m = m
-        # numerator of a_D over _poch(d)*_poch(e)
+        # numerator of a_D over _denominator(d, e)
         self._anum: dict[DimVector, LaurentPoly] = _sweep(m, emax)
 
     # -- queries -----------------------------------------------------------
@@ -264,7 +265,7 @@ class MotiveTable:
     def a(self, D) -> RatFunc:
         """The reduced wall-crossing coefficient a_D."""
         D = _check_vector(D)
-        return RatFunc(self._numerator(D), _poch(D.d) * _poch(D.e))
+        return RatFunc(self._numerator(D), _denominator(D.d, D.e))
 
     def motive(self, D) -> LaurentPoly:
         """[K_{d,e}^(m)]_vir = (v - 1/v) * a_D, for coprime (d,e)."""
@@ -297,18 +298,13 @@ class MotiveTable:
         C = c_order and B_n = num_n * c_order / c_n, with a_{n*D0} = num_n /
         c_n and c_n = (q;q)_{n*d0} (q;q)_{n*e0}, so A = B / C coefficient by
         coefficient.  c_order / c_n is the product of the binomials 1 - q^i
-        for i in ``_exponents(D0, n, order)``, multiplied on by
-        ``exactalg.qpoch_mul`` as n runs down from ``order``.
+        for i in ``_exponents(D0, n, order)``, so each B_n is one
+        ``exactalg.qpoch_mul`` pass over num_n.
         """
         num = self._ray_numerators(D0, order)
-        B = [num[order]]
-        ratio = LaurentPoly.one()  # c_order / c_n
-        for n in range(order, 0, -1):
-            ratio = qpoch_mul(ratio, _exponents(D0, n - 1, n))
-            B.append(num[n - 1] * ratio)
+        B = [qpoch_mul(num[n], _exponents(D0, n, order)) for n in range(order + 1)]
         d0, e0 = D0
-        return (TruncSeries(B[::-1], order),
-                _poch(order * d0) * _poch(order * e0))
+        return TruncSeries(B, order), _denominator(order * d0, order * e0)
 
     def framed_series(self, D0, order: int) -> TruncSeries:
         """Framed motives along a ray, via the quotient formula.

@@ -62,6 +62,13 @@ class TestFramedRecursion:
             with pytest.raises(TypeError):
                 op()
 
+    def test_record_has_no_delta_or_nabla(self):
+        # delta and nabla act on integral series only, as products do
+        F = framed_recursion(3, 4)
+        for op in (F.delta, lambda: F.nabla(2)):
+            with pytest.raises(TypeError):
+                op()
+
     def test_exponent_span(self):
         # framed dimension (m-2)d^2 + d
         for m in (3, 4, 5):

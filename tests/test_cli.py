@@ -141,6 +141,17 @@ class TestTamari:
                   "--m-prime", "1", "--n", "4", "--method", "brute")
         assert res.exit_code == 4
 
+    def test_enumeration_beyond_the_recursion_limit_exits_4(self):
+        # the cap admits all C(1200, 600) / 601 paths, and enumerating them
+        # recurses 1200 deep, past the interpreter's recursion limit
+        assert sys.getrecursionlimit() < 1200
+        res = run("--no-cache", "--max-paths", "1" + "0" * 400, "tamari",
+                  "--m-prime", "1", "--n", "600", "--method", "brute")
+        assert res.exit_code == 4
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr
+        assert "m'=1, n=600" in res.stderr
+
     def test_negative_max_paths_rejected(self):
         res = run("--no-cache", "--max-paths", "-5", "tamari",
                   "--m-prime", "1", "--n", "3", "--check")

@@ -175,8 +175,8 @@ class TestConvInt:
     """Integer products through the public ``*`` against schoolbook.
 
     Every case also runs through ``sum_of_products`` as a one-term sum, so
-    operands shorter than ``_KRONECKER_MIN_LEN``, which ``*`` multiplies by
-    schoolbook, still reach the packed kernel.
+    a length-1 operand, which ``*`` applies as a scalar, still reaches the
+    packed kernel.
     """
 
     @pytest.mark.parametrize("a,b", [
@@ -208,9 +208,9 @@ class TestConvInt:
         rng = random.Random(n)
         a = [rng.choice(WIDE) * rng.choice((-1, 1)) for _ in range(n)]
         b = [rng.randint(-(2**65), 2**65) for _ in range(16)]
-        cut = exactalg._KRONECKER_MIN_LEN
-        # the shorter operand below, at and above the cut-off, and longer
-        for lb in (0, cut - 2, cut - 1, cut, len(b)):
+        # the second operand a scalar (length 1), short (8, 9 and 10) and
+        # longer than the first (17)
+        for lb in (0, 7, 8, 9, len(b)):
             check_product(a, b[:lb] + [1], -3, 5)
 
 
@@ -230,7 +230,7 @@ def assert_canonical_int(p):
 
 
 class TestWordSlotKernel:
-    """Stride-2 compaction, word-sized slots and the schoolbook cut-off of
+    """Stride-2 compaction, word-sized slots and the one product path of
     integer ``*``, against schoolbook."""
 
     # one product coefficient lands exactly on each side of the largest
@@ -315,8 +315,8 @@ class TestWordSlotKernel:
         check_product(spread(xs) + [0] * pad_a, spread(ys) + [0] * pad_b)
 
     def test_products_take_one_packed_sum(self, monkeypatch):
-        # a long integer product is one call to the one kernel; short and
-        # length-1 products never reach it
+        # a product whose operands both have two coefficients or more is one
+        # call to the one kernel; int and length-1 products never reach it
         calls = []
         kernel = exactalg.sum_of_products
 
@@ -325,13 +325,14 @@ class TestWordSlotKernel:
             return kernel(terms)
 
         monkeypatch.setattr(exactalg, "sum_of_products", counting)
-        cut = exactalg._KRONECKER_MIN_LEN
         for a, b, want in [
-            (list(range(1, cut + 1)), list(range(-1, -cut - 1, -1)), 1),
-            (spread([2] * cut), [1] * cut, 1),
-            ([7], [1] * (2 * cut), 0),
-            ([1] * (cut - 1), [1] * (2 * cut), 0),
-            ([1, 0, 1], [1] * cut, 0),
+            (list(range(1, 10)), list(range(-1, -10, -1)), 1),
+            (spread([2] * 9), [1] * 9, 1),
+            ([1] * 8, [1] * 18, 1),
+            ([1, 0, 1], [1] * 9, 1),
+            ([1, 1], [1, -1], 1),
+            ([7], [1] * 18, 0),
+            ([-2], [3], 0),
         ]:
             for p, q in [(poly(a, 1), poly(b, -2)), (poly(b, -2), poly(a, 1))]:
                 calls.clear()
@@ -341,6 +342,14 @@ class TestWordSlotKernel:
                     ((sign, shift, ops),) = calls[0]
                     assert (sign, shift, len(ops)) == (1, 0, 2)
                 assert got == poly(schoolbook(a, b), -1)
+        calls.clear()
+        p = poly([3, 0, -1, 2], -2)
+        for got, want in [(p * 5, poly([15, 0, -5, 10], -2)),
+                          (-4 * p, poly([-12, 0, 4, -8], -2)),
+                          (p * 0, LaurentPoly.zero()), (0 * p, LaurentPoly.zero())]:
+            assert_canonical_int(got)
+            assert (got.min_exp, got.coeffs) == (want.min_exp, want.coeffs)
+        assert calls == []
 
     @given(st.lists(st.integers(-(2**40), 2**40), max_size=12),
            st.lists(st.integers(-(2**40), 2**40), max_size=12),
@@ -701,6 +710,15 @@ class TestQuantumInteger:
     )
     def test_small_values(self, n, expected):
         assert quantum_integer(n) == expected
+
+    def test_written_form(self):
+        # ones at every second offset from v^(1-n) up to v^(n-1), written
+        # out term by term
+        for n in range(61):
+            coeffs = [0] * max(2 * n - 1, 0)
+            coeffs[::2] = [1] * n
+            got = quantum_integer(n)
+            assert (got.min_exp, got.coeffs) == ((1 - n) if n else 0, tuple(coeffs)), n
 
     @pytest.mark.parametrize("n", range(51))
     def test_defining_identity(self, n):

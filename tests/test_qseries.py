@@ -43,11 +43,6 @@ def records(draw, order=4):
     return lift(draw(integral_series(order)))
 
 
-def series(order=4):
-    """An integral series or a record: the linear operations take both."""
-    return st.one_of(integral_series(order), records(order))
-
-
 @st.composite
 def integral_series_any_order(draw, max_order=6):
     return draw(integral_series(order=draw(st.integers(0, max_order))))
@@ -125,25 +120,25 @@ def test_delta_and_nabla_small():
     assert TruncSeries(t.coeffs[:2], 1).nabla(2) == TruncSeries([0, quantum_integer(3)], 1)
 
 
-@given(series())
+@given(integral_series())
 def test_nabla0_is_identity(a):
     assert a.nabla(0) == a
 
 
-@given(series(), series())
+@given(integral_series(), integral_series())
 def test_operators_linear(a, b):
     assert (a + b).delta() == a.delta() + b.delta()
     assert (a + b).nabla(2) == a.nabla(2) + b.nabla(2)
 
 
 @settings(max_examples=25)
-@given(series(order=12))
+@given(integral_series(order=12))
 def test_delta_nabla_commute(a):
     for k in (1, 2, 3):
         assert a.delta().nabla(k) == a.nabla(k).delta()
 
 
-@given(series())
+@given(integral_series())
 def test_delta_matches_substitution_formula(a):
     # the two-substitutions-and-divide definition is the oracle
     diff = a.scale_arg(1) - a.scale_arg(-1)
@@ -151,13 +146,12 @@ def test_delta_matches_substitution_formula(a):
     assert a.delta() == diff * unit
 
 
-@given(records())
+@given(integral_series())
 def test_delta_specializes_to_derivative(a):
     # (1/t) * delta(a) at v=1 is the ordinary derivative of a at v=1
     da = a.delta()
     for d in range(1, a.order + 1):
-        coeff = da.coeffs[d].to_laurent().eval_at_one()
-        assert coeff == d * a.coeffs[d].to_laurent().eval_at_one()
+        assert da.coeffs[d].eval_at_one() == d * a.coeffs[d].eval_at_one()
 
 
 def test_delta_invert():

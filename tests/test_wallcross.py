@@ -13,7 +13,7 @@ from kronmot.errors import ExactDivisionError, InsufficientBoundError, NonCoprim
 from kronmot.exactalg import LaurentPoly, RatFunc, quantum_integer
 from kronmot.wallcross import (
     MotiveTable,
-    _poch,
+    _denominator,
     a_coeff,
     euler_form,
     framed_via_quotient,
@@ -75,7 +75,27 @@ class TestSlopeOrder:
                 assert (ka < kb, ka == kb, ka > kb) == (ra < rb, ra == rb, ra > rb), (a, b)
 
 
+def schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 class TestACoeff:
+    def test_denominator_is_the_binomial_product(self):
+        # (q;q)_d (q;q)_e, q = v^-2, multiplied out binomial by binomial:
+        # 1 - v^(-2i) has coefficients -1, 0, ..., 0, 1 from v^(-2i) up
+        for d in range(9):
+            for e in range(9):
+                coeffs, lo = [1], 0
+                for i in [*range(1, d + 1), *range(1, e + 1)]:
+                    coeffs = schoolbook(coeffs, [-1] + [0] * (2 * i - 1) + [1])
+                    lo -= 2 * i
+                got = _denominator(d, e)
+                assert (got.min_exp, got.coeffs) == (lo, tuple(coeffs)), (d, e)
+
     def test_origin(self):
         assert a_coeff(3, (0, 0)) == RatFunc.one()
 
@@ -241,7 +261,7 @@ class TestCovering:
 def _qbinom(n, k):
     """[n choose k] in q = v^(-2) as (q;q)_n / ((q;q)_k (q;q)_(n-k)), a
     formula independent of the Pascal rows the sweep builds."""
-    return _poch(n).divexact(_poch(k) * _poch(n - k))
+    return _denominator(n, 0).divexact(_denominator(k, n - k))
 
 
 def per_term_sweep(m, vectors):
