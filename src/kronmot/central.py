@@ -25,9 +25,11 @@ degree through ``qseries.OnlineRescaledProduct``, which builds it by
 doubling, each coefficient one packed sum of products
 (``exactalg.sum_of_products``) over operands wrapped once; both cost
 O(log m * order^2) Laurent-polynomial products in O(log m * order) packed
-sums.  The check forms its two products of rescaled copies by doubling
-(``qseries.rescaled_product``): O(log m) integer series products, each
-O(order^2) coefficient products as packed sums, and one series inverse.
+sums.  The check forms its two products of rescaled copies offline, by
+doubling over ``exactalg.Operand`` lists (``qseries.op_rescaled_product``):
+F is wrapped once, and each of the O(log m) products makes one packed sum
+per coefficient with the rescaling on the shifts of its terms; only the
+second product is lifted to a series, for its one ``TruncSeries.inverse``.
 
 The identity verifiers compare integral series only.  Each call builds one
 wall-crossing table (``MotiveTable.covering``), so one sweep, over the
@@ -52,7 +54,7 @@ from .errors import ExactDivisionError, NoConvergenceError, NonPolynomialError
 from .exactalg import (LaurentPoly, Operand, RatFunc, qpoch_divexact, quantum_ratio,
                        sum_of_products)
 from .qseries import (OnlineRescaledProduct, TruncSeries, delta_invert,
-                      rescaled_product)
+                      op_rescaled_product, rescaled_product)
 
 
 def _require_central_m(m: int):
@@ -107,15 +109,19 @@ def _functional_rhs(m: int, F: TruncSeries) -> TruncSeries:
     inner_i(t) = prod_{j=1}^{m-2} F(v^(2i-2j-2) t) is H(v^(2i-2) t) for
     H(t) = prod_{j=1}^{m-2} F(v^(-2j) t), so factor i is E(v^(2i-2) t) for
     E = 1 - v^(1-m) t H, and the product of the m inverses is the inverse
-    of prod_{i=0}^{m-1} E(v^(2i) t).  H and that product are each formed by
-    doubling (``qseries.rescaled_product``), in O(log m) series products,
-    and the whole side costs one series inverse.  F must be an integral
-    series; E has constant term 1, so H, E, the product, its inverse and
-    the result all stay integral.
+    of D = prod_{i=0}^{m-1} E(v^(2i) t).  The side runs over
+    ``exactalg.Operand`` lists: F is wrapped once, at v^-2 t; H and D are
+    each formed by offline doubling (``qseries.op_rescaled_product``), in
+    O(log m) products whose rescalings ride on the shifts of their packed
+    sums; E is wrapped once from H; and D, whose constant term is 1, is
+    lifted to a series for one ``TruncSeries.inverse``, with no division.
+    F must be an integral series, and the result is one.
     """
-    H = rescaled_product(F.scale_arg(-2), -2, m - 2)
-    E = 1 - H.shift_t(LaurentPoly.monomial(1 - m))
-    return rescaled_product(E, 2, m).inverse()
+    H = op_rescaled_product(
+        [Operand(c.v_shift(-2 * n)) for n, c in enumerate(F.coeffs)], -2, m - 2)
+    E = [Operand(LaurentPoly.one())] + [Operand(-h.poly.v_shift(1 - m)) for h in H[:-1]]
+    D = op_rescaled_product(E, 2, m)
+    return TruncSeries([op.poly for op in D], F.order).inverse()
 
 
 def solve_functional_eq(m: int, order: int) -> TruncSeries:
@@ -137,8 +143,9 @@ def solve_functional_eq(m: int, order: int) -> TruncSeries:
     E_0 = 1, so a remainder is an arithmetic fault and raises
     ``ExactDivisionError``.  F is then checked, coefficient by
     coefficient, against the untelescoped right-hand side evaluated directly
-    over integer series (``_functional_rhs``: offline doubling and one
-    series inverse, no code shared with the pass).  A mismatch raises
+    over operand lists (``_functional_rhs``: offline doubling and one
+    inverse, sharing only ``exactalg.sum_of_products`` and ``Operand`` with
+    the pass).  A mismatch raises
     ``NoConvergenceError`` naming the first failing degree; F is lifted to a
     ``RatFunc`` record once it passes.
     """

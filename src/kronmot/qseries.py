@@ -8,9 +8,11 @@
   ``shift_t``, ``delta``, ``nabla`` and ``delta_invert`` of integral series
   stay integral, and so does the inverse of an integral series with
   constant term 1, which needs no division; any other constant term raises
-  ``NotInvertibleError``.  Each coefficient of a product or inverse is one
-  packed sum of products (``exactalg.sum_of_products``) over coefficients
-  wrapped once as ``exactalg.Operand``.  ``delta``, ``nabla`` and
+  ``NotInvertibleError``.  Products and inverses run over lists of
+  ``exactalg.Operand``, each coefficient one packed sum of products
+  (``exactalg.sum_of_products``); the series methods wrap each coefficient
+  once at their edge and read each result's ``poly`` once.  ``delta``,
+  ``nabla`` and
   ``delta_invert`` multiply or divide each coefficient by a quantum
   integer in one q-Pochhammer pass (``exactalg.quantum_ratio``), linear in
   the length of the coefficient.
@@ -26,7 +28,9 @@ Both are over the integers: a scalar is an ``int``, a ``LaurentPoly`` or a
 raises ``TypeError``.
 
 ``rescaled_product(x, p, r)`` is the product of the r rescaled copies
-x(v^(p*i) t), i < r, formed by doubling in O(log r) series products.
+x(v^(p*i) t), i < r, formed by doubling in O(log r) products over the
+operands of x (``op_rescaled_product``), each rescaling carried by the
+shifts of a packed sum's terms, so no rescaled copy is built.
 ``OnlineRescaledProduct(p, r)`` is the same product built online, one
 coefficient of x at a time, for solvers that learn x as they go; it
 doubles too, over O(log r) nodes, each extended by one packed sum per
@@ -143,24 +147,22 @@ class TruncSeries:
             return NotImplemented
         _integral_only(self, other)
         n = min(self.order, other.order)
-        a = [Operand(c) for c in self.coeffs[: n + 1]]
-        b = [Operand(c) for c in other.coeffs[: n + 1]]
-        return TruncSeries._make([_dot(1, a[d::-1], b).poly for d in range(n + 1)], n)
+        return _lift(_op_product(_wrap(self, n), _wrap(other, n)))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "TruncSeries":
         """Multiplicative inverse of an integral series with constant term
-        1, by out[d+1] = -sum_j tail[d-j] out[j], with no division; any
-        other constant term raises ``NotInvertibleError``."""
+        1, by out[n] = -sum_{j<n} a[n-j] out[j], one packed sum each and no
+        division; any other constant term raises ``NotInvertibleError``."""
         _integral_only(self)
         if self.coeffs[0] != _ONE:
             raise NotInvertibleError("constant term is not 1")
-        tail = [Operand(c) for c in self.coeffs[1:]]
-        out = [Operand(_ONE)]
-        for d in range(self.order):
-            out.append(_dot(-1, tail[d::-1], out))
-        return TruncSeries._make([op.poly for op in out], self.order)
+        a = _wrap(self, self.order)
+        out = a[:1]
+        for n in range(1, len(a)):
+            out.append(sum_of_products([(-1, 0, (a[n - j], out[j])) for j in range(n)]))
+        return _lift(out)
 
     def scale_arg(self, p: int) -> "TruncSeries":
         """Substitute t -> v^p t."""
@@ -219,29 +221,58 @@ class TruncSeries:
         return f"TruncSeries(order={self.order}, coeffs={list(self.coeffs)!r})"
 
 
-def _dot(sign: int, a, b) -> Operand:
-    """sign * sum_j a[j] * b[j] over the shorter of two ``Operand`` lists,
-    as one packed sum (``exactalg.sum_of_products``)."""
-    return sum_of_products([(sign, 0, pair) for pair in zip(a, b)])
+def _wrap(x: TruncSeries, n: int) -> list[Operand]:
+    """The coefficients of x through t^n, each wrapped once."""
+    return [Operand(c) for c in x.coeffs[: n + 1]]
+
+
+def _lift(ops) -> TruncSeries:
+    """The integral series whose coefficients the operands hold."""
+    return TruncSeries._make([op.poly for op in ops], len(ops) - 1)
+
+
+def _op_product(a, b, c: int = 0) -> list[Operand]:
+    """a(t) * b(v^c t) over two ``Operand`` lists, truncated to the shorter.
+
+    The t^n coefficient, sum_j v^(c*j) a[n-j] b[j], is one packed sum
+    (``exactalg.sum_of_products``) whose terms carry the shifts c*j, so no
+    rescaled copy of b is formed.
+    """
+    return [sum_of_products([(1, c * j, (a[n - j], b[j])) for j in range(n + 1)])
+            for n in range(min(len(a), len(b)))]
+
+
+def op_rescaled_product(x, p: int, r: int) -> list[Operand]:
+    """prod_{i=0}^{r-1} x(v^(p*i) t) over an ``Operand`` list, r >= 1.
+
+    P_a = prod_{i<a} x(v^(p*i) t) is built by doubling on
+    P_(a+b)(t) = P_a(t) * P_b(v^(p*a) t), reading r from its top bit down:
+    floor(log2 r) + popcount(r) - 1 products (``_op_product``) instead of
+    r - 1, each rescaling carried by the shifts of its terms.  r < 1
+    raises ``ValueError``.
+    """
+    if r < 1:
+        raise ValueError("op_rescaled_product needs r >= 1")
+    out, a = x, 1
+    for bit in bin(r)[3:]:
+        out, a = _op_product(out, out, p * a), 2 * a
+        if bit == "1":
+            out, a = _op_product(out, x, p * a), a + 1
+    return out
 
 
 def rescaled_product(x: TruncSeries, p: int, r: int) -> TruncSeries:
     """prod_{i=0}^{r-1} x(v^(p*i) t) for an integral ``x``; 1 for r = 0.
 
-    P_a = prod_{i<a} x(v^(p*i) t) is built by doubling on
-    P_(a+b)(t) = P_a(t) * P_b(v^(p*a) t), reading r from its top bit down:
-    floor(log2 r) + popcount(r) - 1 series products instead of r - 1.
+    Each coefficient of x is wrapped once and the doubling runs over the
+    operands (``op_rescaled_product``).
     """
     if r < 0:
         raise ValueError("rescaled_product needs r >= 0")
     if r == 0:
         return TruncSeries([1], x.order)
-    out, a = x, 1
-    for bit in bin(r)[3:]:
-        out, a = out * out.scale_arg(p * a), 2 * a
-        if bit == "1":
-            out, a = out * x.scale_arg(p * a), a + 1
-    return out
+    _integral_only(x)
+    return _lift(op_rescaled_product(_wrap(x, x.order), p, r))
 
 
 class OnlineRescaledProduct:

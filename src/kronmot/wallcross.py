@@ -297,14 +297,18 @@ class MotiveTable:
 
         C = c_order and B_n = num_n * c_order / c_n, with a_{n*D0} = num_n /
         c_n and c_n = (q;q)_{n*d0} (q;q)_{n*e0}, so A = B / C coefficient by
-        coefficient.  c_order / c_n is the product of the binomials 1 - q^i
-        for i in ``_exponents(D0, n, order)``, so each B_n is one
-        ``exactalg.qpoch_mul`` pass over num_n.
+        coefficient.  The ratio c_order / c_n is carried down from n = order,
+        where it is 1: c_order / c_n is c_order / c_(n+1) times the binomials
+        1 - q^i for i in ``_exponents(D0, n, n+1)``, d0 + e0 passes
+        (``exactalg.qpoch_mul``), and B_n is one product num_n * ratio.  At
+        n = 0 the ratio is c_order itself.
         """
         num = self._ray_numerators(D0, order)
-        B = [qpoch_mul(num[n], _exponents(D0, n, order)) for n in range(order + 1)]
-        d0, e0 = D0
-        return TruncSeries(B, order), _denominator(order * d0, order * e0)
+        B, ratio = [num[order]], LaurentPoly.one()
+        for n in reversed(range(order)):
+            ratio = qpoch_mul(ratio, _exponents(D0, n, n + 1))
+            B.append(num[n] * ratio)
+        return TruncSeries(B[::-1], order), ratio
 
     def framed_series(self, D0, order: int) -> TruncSeries:
         """Framed motives along a ray, via the quotient formula.

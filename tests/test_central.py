@@ -310,25 +310,25 @@ class TestFunctionalRhs:
 
 
 def _doubling_products(r):
-    """Series products of ``rescaled_product`` with r factors."""
+    """Products (``qseries._op_product``) of a doubling with r factors."""
     return r.bit_length() + bin(r).count("1") - 2
 
 
 @pytest.mark.parametrize("m", range(3, 9))
 def test_functional_check_inverts_once_and_multiplies_by_doubling(monkeypatch, m):
     calls = {"inverse": 0, "mul": 0}
-    inverse, product = TruncSeries.inverse, TruncSeries.__mul__
+    inverse, product = TruncSeries.inverse, qseries._op_product
 
-    def counting_inverse(a):
+    def counting_inverse(self):
         calls["inverse"] += 1
-        return inverse(a)
+        return inverse(self)
 
-    def counting_mul(a, b):
+    def counting_mul(a, b, c=0):
         calls["mul"] += 1
-        return product(a, b)
+        return product(a, b, c)
 
     monkeypatch.setattr(TruncSeries, "inverse", counting_inverse)
-    monkeypatch.setattr(TruncSeries, "__mul__", counting_mul)
+    monkeypatch.setattr(qseries, "_op_product", counting_mul)
     solve_functional_eq(m, 6)
     assert calls == {"inverse": 1,
                      "mul": _doubling_products(m - 2) + _doubling_products(m)}
@@ -364,6 +364,22 @@ class TestSolveFailsLoudly:
         monkeypatch.setattr(central, "qpoch_divexact", with_remainder_at_degree_3)
         with pytest.raises(ExactDivisionError, match="m=4, n=3$"):
             solve_functional_eq(4, 5)
+
+    @pytest.mark.parametrize("m", [3, 4, 7])
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_wrong_coefficient_in_the_checks_h_fails_the_check(self, monkeypatch, m, k):
+        # H_k enters E = 1 - v^(1-m) t H at t^(k+1), and so the right-hand side
+        rescaled = central.op_rescaled_product
+
+        def wrong_h(x, p, r):
+            out = list(rescaled(x, p, r))
+            if p == -2:  # H; D doubles with p = 2
+                out[k] = exactalg.Operand(out[k].poly + LaurentPoly.one())
+            return out
+
+        monkeypatch.setattr(central, "op_rescaled_product", wrong_h)
+        with pytest.raises(NoConvergenceError, match=f"m={m}, degree {k + 1}$"):
+            solve_functional_eq(m, 5)
 
 
 class TestExtractG:

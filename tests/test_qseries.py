@@ -9,7 +9,7 @@ from kronmot import exactalg, qseries
 from kronmot.errors import NonPolynomialError, NonZeroConstantError, NotInvertibleError
 from kronmot.exactalg import LaurentPoly, Operand, RatFunc, quantum_integer
 from kronmot.qseries import (OnlineRescaledProduct, TruncSeries, delta_invert,
-                             rescaled_product)
+                             op_rescaled_product, rescaled_product)
 
 from pointeval import P, POINTS, PointSeries, at, qint
 
@@ -41,11 +41,6 @@ def integral_series(draw, order=4):
 def records(draw, order=4):
     """A RatFunc record with Laurent-valued coefficients."""
     return lift(draw(integral_series(order)))
-
-
-@st.composite
-def integral_series_any_order(draw, max_order=6):
-    return draw(integral_series(order=draw(st.integers(0, max_order))))
 
 
 def lift(a):
@@ -367,43 +362,6 @@ def test_equality_and_hash_agree_across_rings(a):
     assert len({a, b}) == 1
 
 
-class TestRescaledProduct:
-    @staticmethod
-    def by_definition(X, p, r):
-        """prod_{i<r} x(v^(p*i) t), one factor at a time, at a point."""
-        one = PointSeries([1] + [0] * (len(X.values) - 1), X.r)
-        return reduce(mul, [X.scale_arg(p * i) for i in range(r)], one)
-
-    @given(integral_series_any_order(), st.integers(-6, 6), st.integers(0, 9))
-    def test_is_the_product_of_the_rescaled_copies(self, x, p, r):
-        got = rescaled_product(x, p, r)
-        assert got.is_integral()
-        for X in at_points(x):
-            assert PointSeries.of(got, X.r) == self.by_definition(X, p, r)
-        if r >= 2:
-            with pytest.raises(TypeError):
-                rescaled_product(lift(x), p, r)
-
-    @pytest.mark.parametrize("r", range(1, 18))
-    def test_doubling_cost(self, monkeypatch, r):
-        calls = []
-        product = TruncSeries.__mul__
-
-        def counting(a, b):
-            calls.append(r)
-            return product(a, b)
-
-        monkeypatch.setattr(TruncSeries, "__mul__", counting)
-        x = TruncSeries([1, V, VINV - 2], 2)
-        rescaled_product(x, -2, r)
-        assert len(calls) == r.bit_length() + bin(r).count("1") - 2
-
-    @pytest.mark.parametrize("r", [-1, -4])
-    def test_negative_count_refused(self, r):
-        with pytest.raises(ValueError):
-            rescaled_product(TruncSeries([1], 2), 1, r)
-
-
 @st.composite
 def mixed_series(draw, max_order=6):
     """An integral series whose coefficients are zero, vanish at every odd
@@ -422,6 +380,76 @@ def mixed_series(draw, max_order=6):
             cs = [*cs, 1, 1]  # two adjacent nonzero terms
         coeffs.append(LaurentPoly(cs, draw(st.integers(-3, 3))))
     return TruncSeries(coeffs, order)
+
+
+class TestRescaledProduct:
+    @staticmethod
+    def by_definition(X, p, r):
+        """prod_{i<r} x(v^(p*i) t), one factor at a time, at a point."""
+        one = PointSeries([1] + [0] * (len(X.values) - 1), X.r)
+        return reduce(mul, [X.scale_arg(p * i) for i in range(r)], one)
+
+    # r up to 17 reaches every bit pattern of up to four bits plus 16 and 17
+    @given(mixed_series(), st.integers(-6, 6), st.integers(0, 17))
+    def test_is_the_product_of_the_rescaled_copies(self, x, p, r):
+        got = rescaled_product(x, p, r)
+        assert got.is_integral()
+        for X in at_points(x):
+            assert PointSeries.of(got, X.r) == self.by_definition(X, p, r)
+        if r >= 2:
+            with pytest.raises(TypeError):
+                rescaled_product(lift(x), p, r)
+
+    @pytest.mark.parametrize("r", range(1, 18))
+    def test_doubling_cost(self, monkeypatch, r):
+        calls = []
+        product = qseries._op_product
+
+        def counting(a, b, c=0):
+            calls.append(r)
+            return product(a, b, c)
+
+        monkeypatch.setattr(qseries, "_op_product", counting)
+        x = TruncSeries([1, V, VINV - 2], 2)
+        rescaled_product(x, -2, r)
+        assert len(calls) == r.bit_length() + bin(r).count("1") - 2
+
+    @pytest.mark.parametrize("r", [-1, -4])
+    def test_negative_count_refused(self, r):
+        with pytest.raises(ValueError):
+            rescaled_product(TruncSeries([1], 2), 1, r)
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_operand_form_needs_one_factor(self, r):
+        with pytest.raises(ValueError):
+            op_rescaled_product([Operand(LaurentPoly.one())], 1, r)
+
+
+def ops(x):
+    return [Operand(c) for c in x.coeffs]
+
+
+def polys_of(ops_):
+    return TruncSeries([op.poly for op in ops_], len(ops_) - 1)
+
+
+class TestOperandKernels:
+    """The packed sums under ``TruncSeries`` products and inverses, against
+    evaluation at points, over zero, stride-2 and stride-1 coefficients."""
+
+    @given(mixed_series(), mixed_series(), st.integers(-6, 6))
+    def test_product_rescales_its_second_factor(self, a, b, c):
+        got = polys_of(qseries._op_product(ops(a), ops(b), c))
+        assert got.order == min(a.order, b.order)
+        for A, B in zip(at_points(a), at_points(b)):
+            assert PointSeries.of(got, A.r) == A * B.scale_arg(c)
+
+    @given(mixed_series())
+    def test_inverse(self, x):
+        x = TruncSeries([1, *x.coeffs[1:]], x.order)
+        got = x.inverse()
+        for X in at_points(x):
+            assert PointSeries.of(got, X.r) == X.inverse()
 
 
 class TestOnlineRescaledProduct:
