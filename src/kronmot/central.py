@@ -63,7 +63,6 @@ def _require_central_m(m: int):
         raise ValueError("central-slope series need m >= 3")
 
 
-@lru_cache(maxsize=None)
 def _framed_motives(m: int, order: int) -> tuple[LaurentPoly, ...]:
     """m_0..m_order; m_d reads c_(d-1) off the online product
     prod_{i=1}^{m-1} F(v^(m-2i) t) (``qseries.OnlineRescaledProduct``)."""
@@ -84,6 +83,7 @@ def _framed_motives(m: int, order: int) -> tuple[LaurentPoly, ...]:
     return tuple(motives)
 
 
+@lru_cache(maxsize=256)
 def framed_recursion(m: int, order: int) -> TruncSeries:
     """F(t) from the coefficient recursion for m_d = [K_{d,d}^(m),fr]_vir.
 
@@ -97,8 +97,9 @@ def framed_recursion(m: int, order: int) -> TruncSeries:
     applied as v^(a-d) (1 - v^(-2a)) / (1 - v^(-2d)), a = (m-1)d+1
     (``exactalg.quantum_ratio``): one list subtraction and one two-term
     division over the coefficients at stride 2, where a product by [a]_v
-    and a division by [d]_v would cost O(d) per coefficient.  The motives
-    are cached per (m, order).  The series returned is a ``RatFunc`` record.
+    and a division by [d]_v would cost O(d) per coefficient.  The series
+    returned is a ``RatFunc`` record, immutable, so results are cached per
+    (m, order) and a repeat call returns the same record.
     """
     return TruncSeries(map(RatFunc, _framed_motives(m, order)), order)
 

@@ -62,16 +62,16 @@ def _emit(args, result, lines, csv_row=()):
             print(line)
 
 
-def _cached(args, params: dict, compute, canonical):
+def _cached(args, command: str, params: dict, compute, canonical):
     """The JSON payload of a result, from the cache when its entry is valid.
 
-    ``compute()`` returns the payload.  ``canonical(payload)`` rebuilds a
-    payload through the library's decoders and raises on a wrong shape.  A
-    cached payload that does not come back from it unchanged is discarded
-    and recomputed.
+    The entry is stored under ``command`` and ``params``.  ``compute()``
+    returns the payload.  ``canonical(payload)`` rebuilds a payload through
+    the library's decoders and raises on a wrong shape.  A cached payload
+    that does not come back from it unchanged is discarded and recomputed.
     """
     cache = Cache(args.cache_dir, enabled=not args.no_cache)
-    key = Cache.make_key(args.command, **params)
+    key = Cache.make_key(command, **params)
     payload = cache.get(key)
     if payload is not None:
         try:
@@ -85,10 +85,39 @@ def _cached(args, params: dict, compute, canonical):
     return payload
 
 
-def _cached_poly(args, params: dict, compute) -> LaurentPoly:
-    payload = _cached(args, params, lambda: compute().to_json(),
+def _cached_poly(args, command: str, params: dict, compute) -> LaurentPoly:
+    payload = _cached(args, command, params, lambda: compute().to_json(),
                       lambda p: LaurentPoly.from_json(p).to_json())
     return LaurentPoly.from_json(payload)
+
+
+def _framed_motive(args, m: int, d: int, method: str) -> LaurentPoly:
+    """[K_{d,d}^(m),fr] by one method, through its ``framed`` cache entry."""
+
+    def compute():
+        if method == "wallcross":
+            from .wallcross import framed_via_quotient
+
+            ts = framed_via_quotient(m, (1, 1), d)
+        else:
+            from .central import framed_recursion, solve_functional_eq
+
+            ts = (framed_recursion if method == "recursion"
+                  else solve_functional_eq)(m, d)
+        return ts.coeffs[d].to_laurent()
+
+    return _cached_poly(args, "framed", {"m": m, "d": d, "method": method}, compute)
+
+
+def _moduli_motive(args, m: int, d: int, e: int) -> LaurentPoly:
+    """[K_{d,e}^(m)], through its ``moduli`` cache entry."""
+
+    def compute():
+        from .wallcross import moduli_motive
+
+        return moduli_motive(m, d, e)
+
+    return _cached_poly(args, "moduli", {"m": m, "d": d, "e": e}, compute)
 
 
 def _hn_vectors(bound: int) -> list[tuple[int, int]]:
@@ -149,31 +178,11 @@ def framed(args):
     m, d, method = args.m, args.d, args.method
     if m < 3 or d < 0:
         raise ValueError("need m >= 3 and d >= 0")
-
-    def by(name):
-        if name == "recursion":
-            from .central import framed_recursion
-
-            ts = framed_recursion(m, d)
-        elif name == "funceq":
-            from .central import solve_functional_eq
-
-            ts = solve_functional_eq(m, d)
-        else:
-            from .wallcross import framed_via_quotient
-
-            ts = framed_via_quotient(m, (1, 1), d)
-        return ts.coeffs[d].to_laurent()
-
-    if method == "all":
-        values = {name: by(name) for name in ("recursion", "funceq", "wallcross")}
-        first = values["recursion"]
-        if any(v != first for v in values.values()):
-            raise KronmotError("methods disagree")
-        poly = first
-    else:
-        poly = _cached_poly(args, {"m": m, "d": d, "method": method},
-                            lambda: by(method))
+    methods = ("recursion", "funceq", "wallcross") if method == "all" else (method,)
+    motives = [_framed_motive(args, m, d, name) for name in methods]
+    poly = motives[0]
+    if any(p != poly for p in motives):
+        raise KronmotError("methods disagree")
     _emit(args, {"m": m, "d": d, "motive": poly.to_json()},
           _poly_lines(poly), [m, d, poly.min_exp, *_coeff_list(poly)])
 
@@ -187,13 +196,7 @@ def moduli(args):
         raise ValueError(
             f"({d},{e}) is not coprime; the motive is not determined by a_D. "
             "Use the `hn` subcommand for the raw wall-crossing table.")
-
-    def compute():
-        from .wallcross import moduli_motive
-
-        return moduli_motive(m, d, e)
-
-    poly = _cached_poly(args, {"m": m, "d": d, "e": e}, compute)
+    poly = _moduli_motive(args, m, d, e)
     _emit(args, {"m": m, "d": d, "e": e, "motive": poly.to_json()},
           _poly_lines(poly), [m, d, e, poly.min_exp, *_coeff_list(poly)])
 
@@ -214,7 +217,7 @@ def hn(args):
                            else table.motive((d, e)) if gcd(d, e) == 1 else None)
                 for d, e in _hn_vectors(bound)]
 
-    records = _cached(args, {"m": m, "bound": bound}, compute,
+    records = _cached(args, "hn", {"m": m, "bound": bound}, compute,
                       lambda p: _canonical_records(p, bound))
 
     def line(rec):
@@ -256,7 +259,8 @@ def series(args):
             ts = table.ray_series((1, k), order)
         return ts.to_json()
 
-    payload = _cached(args, {"which": which, "m": m, "k": k, "order": order},
+    payload = _cached(args, "series",
+                      {"which": which, "m": m, "k": k, "order": order},
                       compute, lambda p: _canonical_series(p, which, order))
 
     def line(dd, coeff):
@@ -275,19 +279,10 @@ def euler(args):
     from .eulerchar import chi_framed_closed, chi_from_motive, chi_moduli_closed
 
     m, d, kind = args.m, args.d, args.kind
-    if kind == "framed":
-        value = chi_framed_closed(m, d)
-    else:
-        value = chi_moduli_closed(m, d)
+    value = (chi_framed_closed if kind == "framed" else chi_moduli_closed)(m, d)
     if args.check:
-        if kind == "framed":
-            from .central import framed_recursion
-
-            motive = framed_recursion(m, d).coeffs[d].to_laurent()
-        else:
-            from .wallcross import moduli_motive
-
-            motive = moduli_motive(m, d, d - 1)
+        motive = (_framed_motive(args, m, d, "recursion") if kind == "framed"
+                  else _moduli_motive(args, m, d, d - 1))
         if chi_from_motive(motive) != value:
             print("closed form and motive sum disagree", file=sys.stderr)
             return EXIT_VERIFY_FAIL
@@ -300,15 +295,16 @@ def tamari(args):
     from .tamari import interval_count_bruteforce, interval_count_formula
 
     mprime, n = args.m_prime, args.n
+    cap = DEFAULT_MAX_PATHS if args.max_paths is None else args.max_paths
     if args.check:
-        brute = interval_count_bruteforce(mprime, n, args.max_paths)
+        brute = interval_count_bruteforce(mprime, n, cap)
         formula = interval_count_formula(mprime, n)
         if brute != formula:
             print("brute force and formula disagree", file=sys.stderr)
             return EXIT_VERIFY_FAIL
         value = formula
     elif args.method == "brute":
-        value = interval_count_bruteforce(mprime, n, args.max_paths)
+        value = interval_count_bruteforce(mprime, n, cap)
     else:
         value = interval_count_formula(mprime, n)
     _emit(args, {"m_prime": mprime, "n": n, "value": value},
@@ -417,9 +413,9 @@ def _parser() -> argparse.ArgumentParser:
                         help="Cache directory (or set KRONMOT_CACHE_DIR).")
     parser.add_argument("--no-cache", **_FLAG)
     parser.add_argument("--max-paths", type=_non_negative,
-                        default=DEFAULT_MAX_PATHS,
-                        help=f"Ballot-path enumeration cap "
-                             f"(default {DEFAULT_MAX_PATHS}).")
+                        help=f"Ballot-path enumeration cap of `tamari --method "
+                             f"brute` and `tamari --check` (default "
+                             f"{DEFAULT_MAX_PATHS}).")
     commands = parser.add_subparsers(dest="command", metavar="COMMAND",
                                      required=True)
     for run, options in _COMMANDS.items():
@@ -448,6 +444,11 @@ def main(argv: list[str] | None = None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
+        # the cap is read by the one command that enumerates ballot paths
+        if args.max_paths is not None and not (
+                args.command == "tamari" and (args.check or args.method == "brute")):
+            raise ValueError("--max-paths applies only to `tamari --method brute` "
+                             "and `tamari --check`")
         return args.run(args) or 0
     except (ValueError, KronmotError) as exc:
         print(exc, file=sys.stderr)

@@ -93,10 +93,10 @@ def _slope_cmp(a, b) -> int:
 slope_key = cmp_to_key(_slope_cmp)
 
 
-@lru_cache(maxsize=256)
 def _denominator(d: int, e: int) -> LaurentPoly:
     """(q;q)_d (q;q)_e, (q;q)_n = prod_{i=1}^n (1 - v^(-2i)), the
-    denominator of a_(d,e), in one ``exactalg.qpoch_mul`` pass."""
+    denominator of a_(d,e), in one ``exactalg.qpoch_mul`` pass.  Not cached:
+    a request reads each a_(d,e) once, so a cache per pair never hits."""
     return qpoch_mul(LaurentPoly.one(), [*range(1, d + 1), *range(1, e + 1)])
 
 

@@ -83,6 +83,23 @@ class TestFramedRecursion:
         with pytest.raises(ValueError):
             framed_recursion(2, 3)
 
+    def test_repeat_returns_the_same_record(self, monkeypatch):
+        calls = []
+
+        def counting(m, order):
+            calls.append((m, order))
+            return _framed_motives(m, order)
+
+        monkeypatch.setattr(central, "_framed_motives", counting)
+        framed_recursion.cache_clear()
+        first = framed_recursion(5, 4)
+        assert framed_recursion(5, 4) is first
+        assert calls == [(5, 4)]
+
+    def test_cache_holds_as_many_results_as_moduli_motive(self):
+        assert (framed_recursion.cache_info().maxsize
+                == wallcross.moduli_motive.cache_info().maxsize)
+
 
 def _compositions(total, parts):
     """All ordered tuples of `parts` nonnegative integers summing to total."""
@@ -179,7 +196,7 @@ class TestPackedRecursion:
 
         monkeypatch.setattr(exactalg, "_slot", recording_slot)
         # the uncached solver, so the sums run under the wrapped _slot
-        got = _framed_motives.__wrapped__(30, 10)
+        got = _framed_motives(30, 10)
         monkeypatch.undo()
         assert max(widths) > 8  # the arbitrary-precision byte path
         assert got == per_product_framed(30, 10)

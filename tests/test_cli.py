@@ -10,6 +10,7 @@ import kronmot
 from kronmot import central, eulerchar, tamari, wallcross
 from kronmot.cache import SCHEMA, Cache
 from kronmot.errors import ExactDivisionError, ResourceLimitError
+from kronmot.qseries import TruncSeries
 
 from cli_runner import invoke as run
 
@@ -36,6 +37,32 @@ class TestFramed:
         res = run("--no-cache", "framed", "--m", "4", "--d", "2",
                   "--method", "all")
         assert res.exit_code == 0
+
+    def test_all_exits_3_when_a_solver_disagrees(self, monkeypatch):
+        real = central.solve_functional_eq
+
+        def off_by_one(m, order):
+            return real(m, order) + TruncSeries([0] * order + [1], order)
+
+        monkeypatch.setattr(central, "solve_functional_eq", off_by_one)
+        res = run("--no-cache", "framed", "--m", "3", "--d", "2",
+                  "--method", "all")
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        assert "methods disagree" in res.stderr
+
+    def test_all_exits_3_when_a_cached_motive_disagrees(self, tmp_path):
+        args = ("--cache-dir", str(tmp_path), "framed", "--m", "3", "--d", "2",
+                "--method", "all")
+        assert run(*args).exit_code == 0
+        # well formed, so the entry is served, but the wrong motive
+        Cache(tmp_path).put(
+            Cache.make_key("framed", m=3, d=2, method="wallcross"),
+            {"min_exp": 0, "coeffs": ["7"]})
+        res = run(*args)
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        assert "methods disagree" in res.stderr
 
     def test_bad_m(self):
         res = run("--no-cache", "framed", "--m", "2", "--d", "1")
@@ -137,9 +164,11 @@ class TestTamari:
         assert res.output.strip() == "58"
 
     def test_resource_cap_exits_4(self):
-        res = run("--no-cache", "--max-paths", "3", "tamari",
-                  "--m-prime", "1", "--n", "4", "--method", "brute")
-        assert res.exit_code == 4
+        # the two requests that enumerate ballot paths read the cap
+        for enumerating in (("--method", "brute"), ("--check",)):
+            res = run("--no-cache", "--max-paths", "3", "tamari",
+                      "--m-prime", "1", "--n", "4", *enumerating)
+            assert res.exit_code == 4
 
     def test_enumeration_beyond_the_recursion_limit_exits_4(self):
         # the cap admits all C(1200, 600) / 601 paths, and enumerating them
@@ -151,6 +180,31 @@ class TestTamari:
         assert res.stdout == ""
         assert "Traceback" not in res.stderr
         assert "m'=1, n=600" in res.stderr
+
+    @pytest.mark.parametrize("args", [
+        ("framed", "--m", "3", "--d", "2"),
+        ("moduli", "--m", "3", "--d", "2", "--e", "1"),
+        ("euler", "--kind", "framed", "--m", "3", "--d", "2", "--check"),
+        ("tamari", "--m-prime", "1", "--n", "4"),
+        ("tamari", "--m-prime", "1", "--n", "4", "--method", "formula"),
+        ("selftest",),
+    ])
+    def test_max_paths_refused_where_nothing_enumerates(self, tmp_path,
+                                                        monkeypatch, args):
+        def no_compute(*args):
+            raise AssertionError("computed")
+
+        monkeypatch.setattr(central, "framed_recursion", no_compute)
+        monkeypatch.setattr(wallcross, "moduli_motive", no_compute)
+        monkeypatch.setattr(tamari, "interval_count_formula", no_compute)
+        monkeypatch.setattr("kronmot.selftest.run", no_compute)
+        # refused before the cache is read: a planted entry is not served
+        Cache(tmp_path).put(Cache.make_key("framed", m=3, d=2, method="recursion"),
+                            {"min_exp": 0, "coeffs": ["1"]})
+        res = run("--cache-dir", str(tmp_path), "--max-paths", "5", *args)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "--max-paths" in res.stderr
 
     def test_negative_max_paths_rejected(self):
         res = run("--no-cache", "--max-paths", "-5", "tamari",
@@ -533,6 +587,44 @@ class TestCache:
         res = run("moduli", "--m", "3", "--d", "2", "--e", "3")
         assert res.exit_code == 0
         assert list((tmp_path / ".cache" / "kronmot").glob("*.json"))
+
+    # each kind of euler --check, and the request that prints its motive
+    EULER_MOTIVES = [
+        ("framed", ("framed", "--m", "4", "--d", "3"),
+         ("framed", {"m": 4, "d": 3, "method": "recursion"})),
+        ("moduli", ("moduli", "--m", "4", "--d", "3", "--e", "2"),
+         ("moduli", {"m": 4, "d": 3, "e": 2})),
+    ]
+
+    @pytest.mark.parametrize("kind,shown,key", EULER_MOTIVES)
+    def test_euler_check_reads_the_motive_entry(self, tmp_path, monkeypatch,
+                                                kind, shown, key):
+        check = ("euler", "--kind", kind, "--m", "4", "--d", "3", "--check")
+        fresh = {fmt: run("--no-cache", "--format", fmt, *check)
+                 for fmt in ("plain", "json", "csv")}
+        assert run("--cache-dir", str(tmp_path), *shown).exit_code == 0
+
+        def no_compute(*args):
+            raise AssertionError("computed")
+
+        for name in ("framed_recursion", "solve_functional_eq"):
+            monkeypatch.setattr(central, name, no_compute)
+        for name in ("framed_via_quotient", "moduli_motive"):
+            monkeypatch.setattr(wallcross, name, no_compute)
+        for fmt, expected in fresh.items():
+            res = run("--cache-dir", str(tmp_path), "--format", fmt, *check)
+            assert expected.exit_code == 0
+            assert (res.exit_code, res.stdout) == (0, expected.stdout)
+
+    @pytest.mark.parametrize("kind,shown,key", EULER_MOTIVES)
+    def test_euler_check_stores_the_motive_entry(self, tmp_path, kind, shown, key):
+        res = run("--cache-dir", str(tmp_path), "euler", "--kind", kind,
+                  "--m", "4", "--d", "3", "--check")
+        assert res.exit_code == 0
+        command, params = key
+        printed = run("--no-cache", "--format", "json", *shown)
+        assert (Cache(tmp_path).get(Cache.make_key(command, **params))
+                == json.loads(printed.stdout)["result"]["motive"])
 
     def test_corrupt_cache_entry_ignored(self, tmp_path):
         args = ["--cache-dir", str(tmp_path),

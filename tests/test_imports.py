@@ -96,6 +96,27 @@ class TestCliFootprint:
         assert hit.isdisjoint(SOLVERS)
         assert "fractions" not in hit
 
+    @pytest.mark.parametrize("first,check", [
+        (("framed", "--m", "3", "--d", "3"),
+         ("euler", "--kind", "framed", "--m", "3", "--d", "3", "--check")),
+        (("moduli", "--m", "3", "--d", "3", "--e", "2"),
+         ("euler", "--kind", "moduli", "--m", "3", "--d", "3", "--check")),
+        (("framed", "--m", "3", "--d", "3", "--method", "all"),
+         ("framed", "--m", "3", "--d", "3", "--method", "all")),
+    ], ids=["euler-framed", "euler-moduli", "framed-all"])
+    def test_motive_cache_hit_loads_no_solver(self, tmp_path, first, check):
+        # euler --check and framed --method all read the motives that
+        # framed and moduli store
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        code, fresh_out, _ = _cli_modules(tmp_path, "--no-cache", *check)
+        assert code == 0
+        code, _, miss = _cli_modules(tmp_path, *cache, *first)
+        assert code == 0 and not miss.isdisjoint(SOLVERS)
+        code, hit_out, hit = _cli_modules(tmp_path, *cache, *check)
+        assert (code, hit_out) == (0, fresh_out)
+        assert "kronmot.cache" in hit
+        assert hit.isdisjoint(SOLVERS)
+
     @pytest.mark.parametrize("args", [
         ("framed", "--m", "3", "--d", "3"),
         ("framed", "--m", "3", "--d", "3", "--method", "funceq"),
