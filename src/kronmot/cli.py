@@ -2,10 +2,12 @@
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 internal inconsistency (methods disagree), 4 resource limit,
-130 interrupted (Ctrl-C).  ``main`` maps every error a command raises to 2,
-3 or 4, and an interrupt to 130, and returns the code, so ``main`` run in
-process exits as the console script does.  argparse's own usage errors
-exit 2, and ``--help`` exits 0, by raising ``SystemExit``.
+130 interrupted (Ctrl-C).  Commands print their results through ``_emit``
+and return nothing; ``main`` refuses a ``--format`` the command does not
+declare, maps every error a command raises to 1, 2, 3 or 4, and an
+interrupt to 130, and returns the code, so ``main`` run in process exits
+as the console script does.  argparse's own usage errors exit 2, and
+``--help`` exits 0, by raising ``SystemExit``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import sys
 from math import gcd
 
 from .cache import SCHEMA, Cache
-from .errors import DEFAULT_MAX_PATHS, KronmotError, ResourceLimitError
+from .errors import (DEFAULT_MAX_PATHS, KronmotError, ResourceLimitError,
+                     VerificationError)
 from .exactalg import LaurentPoly, RatFunc
 
 # Each solver is imported where a command runs it: inside the compute step
@@ -24,14 +27,10 @@ from .exactalg import LaurentPoly, RatFunc
 # inside its own command.  Submodules are imported by their own path:
 # ``from . import X`` would consult the package's ``__getattr__``.
 
-EXIT_VERIFY_FAIL = 1
-EXIT_BAD_INPUT = 2
-EXIT_INCONSISTENT = 3
-EXIT_RESOURCE = 4
-EXIT_INTERRUPTED = 130
-
-# the commands whose results have a one-line csv form
-CSV_COMMANDS = ("framed", "moduli", "euler", "tamari")
+# the exit code of an error a command raises: that of the first class in
+# this list that it is an instance of
+_EXIT_CODES = ((VerificationError, 1), (ValueError, 2),
+               (ResourceLimitError, 4), (KronmotError, 3))
 
 
 def _coeff_list(p: LaurentPoly) -> list[str]:
@@ -67,8 +66,9 @@ def _cached(args, command: str, params: dict, compute, canonical):
 
     The entry is stored under ``command`` and ``params``.  ``compute()``
     returns the payload.  ``canonical(payload)`` rebuilds a payload through
-    the library's decoders and raises on a wrong shape.  A cached payload
-    that does not come back from it unchanged is discarded and recomputed.
+    the library's decoders and raises on a wrong shape or a broken rule.
+    A cached payload that does not come back from it unchanged is discarded
+    and recomputed.
     """
     cache = Cache(args.cache_dir, enabled=not args.no_cache)
     key = Cache.make_key(command, **params)
@@ -78,7 +78,7 @@ def _cached(args, command: str, params: dict, compute, canonical):
             if (json.dumps(canonical(payload), sort_keys=True)
                     == json.dumps(payload, sort_keys=True)):
                 return payload
-        except (LookupError, TypeError, ValueError, ArithmeticError):
+        except (LookupError, TypeError, ValueError, ArithmeticError, KronmotError):
             pass
     payload = compute()
     cache.put(key, payload)
@@ -129,12 +129,13 @@ def _hn_vectors(bound: int) -> list[tuple[int, int]]:
 def _hn_record(d: int, e: int, a: RatFunc, motive) -> dict:
     """The ``hn`` record of (d, e): a_D, whose denominator divides
     (q;q)_d (q;q)_e and so has lowest coefficient 1, and the motive, or None
-    exactly where gcd(d, e) > 1."""
+    exactly where gcd(d, e) > 1.  A record that breaks either rule raises
+    ``KronmotError``: a cached one is discarded, a fresh one exits 3."""
     if a.den.coeffs[0] != 1:
-        raise ValueError(f"the denominator of a_({d},{e}) has lowest "
-                         "coefficient other than 1")
+        raise KronmotError(f"the denominator of a_({d},{e}) has lowest "
+                           "coefficient other than 1")
     if (motive is None) != (gcd(d, e) > 1):
-        raise ValueError(f"({d},{e}): the motive is null iff gcd(d, e) > 1")
+        raise KronmotError(f"({d},{e}): the motive is null iff gcd(d, e) > 1")
     return {"d": d, "e": e, "a": a.to_json(),
             "motive": None if motive is None else motive.to_json()}
 
@@ -166,23 +167,17 @@ def _canonical_series(payload, which: str, order: int) -> dict:
     return ts.to_json()
 
 
-def _reject_csv(args):
-    """Refuse --format csv for a command that has no csv form."""
-    if args.fmt == "csv":
-        raise ValueError(f"--format csv is not supported by `{args.command}`; "
-                         f"it is supported by: {', '.join(CSV_COMMANDS)}")
-
-
 def framed(args):
     """Virtual motive of the framed moduli space K_{d,d}^(m),fr."""
     m, d, method = args.m, args.d, args.method
     if m < 3 or d < 0:
         raise ValueError("need m >= 3 and d >= 0")
     methods = ("recursion", "funceq", "wallcross") if method == "all" else (method,)
-    motives = [_framed_motive(args, m, d, name) for name in methods]
-    poly = motives[0]
-    if any(p != poly for p in motives):
-        raise KronmotError("methods disagree")
+    motives = {name: _framed_motive(args, m, d, name) for name in methods}
+    poly = motives[methods[0]]
+    if differ := [name for name, p in motives.items() if p != poly]:
+        raise KronmotError(f"methods disagree with {methods[0]}: "
+                           + ", ".join(differ))
     _emit(args, {"m": m, "d": d, "motive": poly.to_json()},
           _poly_lines(poly), [m, d, poly.min_exp, *_coeff_list(poly)])
 
@@ -204,7 +199,6 @@ def moduli(args):
 def hn(args):
     """Raw wall-crossing coefficient table a_D for d+e <= bound."""
     m, bound = args.m, args.bound
-    _reject_csv(args)
     if m < 1 or bound < 0:
         raise ValueError("invalid parameters")
 
@@ -232,7 +226,6 @@ def hn(args):
 def series(args):
     """Truncated generating series F, G, or A^(k)."""
     which, m, order = args.which, args.m, args.order
-    _reject_csv(args)
     if order < 0:
         raise ValueError("order must be >= 0")
     if which != "A" and args.k is not None:
@@ -284,8 +277,7 @@ def euler(args):
         motive = (_framed_motive(args, m, d, "recursion") if kind == "framed"
                   else _moduli_motive(args, m, d, d - 1))
         if chi_from_motive(motive) != value:
-            print("closed form and motive sum disagree", file=sys.stderr)
-            return EXIT_VERIFY_FAIL
+            raise VerificationError("closed form and motive sum disagree")
     _emit(args, {"m": m, "d": d, "kind": kind, "value": value},
           [str(value)], [m, d, kind, value])
 
@@ -300,8 +292,7 @@ def tamari(args):
         brute = interval_count_bruteforce(mprime, n, cap)
         formula = interval_count_formula(mprime, n)
         if brute != formula:
-            print("brute force and formula disagree", file=sys.stderr)
-            return EXIT_VERIFY_FAIL
+            raise VerificationError("brute force and formula disagree")
         value = formula
     elif args.method == "brute":
         value = interval_count_bruteforce(mprime, n, cap)
@@ -324,9 +315,8 @@ _VERIFIERS = {
 
 
 def verify(args):
-    """Check a series identity exactly; exit 0 iff everything passes."""
+    """Check a series identity exactly; exit 0 iff every check passes."""
     identity, m, k, order = args.identity, args.m, args.k, args.order
-    _reject_csv(args)
     if order < 1:
         raise ValueError("order must be >= 1")
     needs_k = identity in ("corident", "newduality")
@@ -345,19 +335,25 @@ def verify(args):
         return f"{r['status'].upper()} {r['identity']} m={r['m']}{tail}"
 
     _emit(args, reports, map(line, reports))
-    if any(r["status"] != "pass" for r in reports):
-        return EXIT_VERIFY_FAIL
+    failed = sum(r["status"] != "pass" for r in reports)
+    if failed:
+        raise VerificationError(f"{failed} of {len(reports)} checks failed")
 
 
 def selftest(args):
     """Run the full acceptance suite (criteria 1-6)."""
-    if args.fmt != "plain":
-        raise ValueError(f"--format {args.fmt} is not supported by "
-                         "`selftest`; it prints a plain report only")
-    from .selftest import run
+    from .selftest import CRITERIA, run
 
-    if not run():
-        return EXIT_VERIFY_FAIL
+    failed = 0
+    # one criterion's lines as it finishes: the result on stdout, the time
+    # on stderr
+    for name, passed, error, seconds in run():
+        _emit(args, None, ([] if error is None else [f"ERROR {name}: {error}"])
+              + [f"{'PASS' if passed else 'FAIL'} {name}"])
+        print(f"{name}: {seconds:.1f}s", file=sys.stderr)
+        failed += not passed
+    if failed:
+        raise VerificationError(f"{failed} of {len(CRITERIA)} checks failed")
 
 
 def _non_empty(text: str) -> str:
@@ -377,29 +373,46 @@ def _non_negative(text: str) -> int:
 _INT = {"type": int, "required": True}
 _FLAG = {"action": "store_true"}
 
-# each command and its options, as (flag, keyword arguments of add_argument)
+# the --format values of a command with a one-line csv form, of one
+# without, and of a plain report
+_CSV = ("plain", "json", "csv")
+_NO_CSV = ("plain", "json")
+_PLAIN = ("plain",)
+
+# each command, its options, as (flag, keyword arguments of add_argument),
+# and the --format values it accepts
 _COMMANDS = {
-    framed: [("--m", _INT), ("--d", _INT),
-             ("--method", {"choices": ["recursion", "funceq", "wallcross", "all"],
-                           "default": "recursion"})],
-    moduli: [("--m", _INT), ("--d", _INT), ("--e", _INT)],
-    hn: [("--m", _INT), ("--bound", _INT)],
-    series: [("--which", {"choices": ["F", "G", "A"], "required": True}),
-             ("--m", _INT),
-             ("--k", {"type": int, "help": "Slope parameter for the A series "
-                                           "(ray (1,k)); default 1."}),
-             ("--order", _INT)],
-    euler: [("--m", _INT), ("--d", _INT),
-            ("--kind", {"choices": ["framed", "moduli"], "required": True}),
-            ("--check", {**_FLAG, "help": "Compare the closed form against "
-                                          "the motive sum."})],
-    tamari: [("--m-prime", _INT), ("--n", _INT),
-             ("--method", {"choices": ["brute", "formula"], "default": "formula"}),
-             ("--check", {**_FLAG, "help": "Run both methods and compare."})],
-    verify: [("--identity", {"choices": sorted(_VERIFIERS), "required": True}),
-             ("--m", _INT), ("--k", {"type": int}), ("--order", _INT)],
-    selftest: [],
+    framed: ([("--m", _INT), ("--d", _INT),
+              ("--method", {"choices": ["recursion", "funceq", "wallcross", "all"],
+                            "default": "recursion"})], _CSV),
+    moduli: ([("--m", _INT), ("--d", _INT), ("--e", _INT)], _CSV),
+    hn: ([("--m", _INT), ("--bound", _INT)], _NO_CSV),
+    series: ([("--which", {"choices": ["F", "G", "A"], "required": True}),
+              ("--m", _INT),
+              ("--k", {"type": int, "help": "Slope parameter for the A series "
+                                            "(ray (1,k)); default 1."}),
+              ("--order", _INT)], _NO_CSV),
+    euler: ([("--m", _INT), ("--d", _INT),
+             ("--kind", {"choices": ["framed", "moduli"], "required": True}),
+             ("--check", {**_FLAG, "help": "Compare the closed form against "
+                                           "the motive sum."})], _CSV),
+    tamari: ([("--m-prime", _INT), ("--n", _INT),
+              ("--method", {"choices": ["brute", "formula"], "default": "formula"}),
+              ("--check", {**_FLAG, "help": "Run both methods and compare."})],
+             _CSV),
+    verify: ([("--identity", {"choices": sorted(_VERIFIERS), "required": True}),
+              ("--m", _INT), ("--k", {"type": int}), ("--order", _INT)], _NO_CSV),
+    selftest: ([], _PLAIN),
 }
+
+
+def _format_refusal(args) -> str:
+    """Why the command does not print in the --format asked for."""
+    offer = ("it prints a plain report only" if _COMMANDS[args.run][1] == _PLAIN
+             else "it is supported by: " + ", ".join(
+                 run.__name__ for run, (_, forms) in _COMMANDS.items()
+                 if args.fmt in forms))
+    return f"--format {args.fmt} is not supported by `{args.command}`; {offer}"
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -418,7 +431,7 @@ def _parser() -> argparse.ArgumentParser:
                              f"{DEFAULT_MAX_PATHS}).")
     commands = parser.add_subparsers(dest="command", metavar="COMMAND",
                                      required=True)
-    for run, options in _COMMANDS.items():
+    for run, (options, _) in _COMMANDS.items():
         doc = run.__doc__.splitlines()[0]
         sub = commands.add_parser(run.__name__, allow_abbrev=False, help=doc,
                                   description=doc)
@@ -431,12 +444,15 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one ``kronmot`` request and return its exit code.
 
-    Every error a command raises ends in its exit code, with the message on
-    stderr: ``ValueError`` 2, ``ResourceLimitError`` 4, any other
-    ``KronmotError`` 3.  An interrupt (``KeyboardInterrupt``) ends in 130
-    with one line on stderr.  Exact results print in full: the
-    interpreter's cap on the digits of an int's decimal string is lifted
-    while the command runs, and restored on return.
+    Every error a command raises ends in its exit code (``_EXIT_CODES``),
+    with the message on stderr: ``VerificationError`` 1, ``ValueError`` 2,
+    ``ResourceLimitError`` 4, any other ``KronmotError`` 3.  An interrupt
+    (``KeyboardInterrupt``) ends in 130 with one line on stderr.  A command
+    prints only through ``_emit``, in a ``--format`` its entry in
+    ``_COMMANDS`` accepts; any other is refused here, with exit 2, before
+    the command runs.  Exact results print in full: the interpreter's cap
+    on the digits of an int's decimal string is lifted while the command
+    runs, and restored on return.
     """
     args = _parser().parse_args(argv)
     # sys.set_int_max_str_digits is new in 3.11 (and in 3.10.7 and later)
@@ -449,15 +465,16 @@ def main(argv: list[str] | None = None) -> int:
                 args.command == "tamari" and (args.check or args.method == "brute")):
             raise ValueError("--max-paths applies only to `tamari --method brute` "
                              "and `tamari --check`")
-        return args.run(args) or 0
+        if args.fmt not in _COMMANDS[args.run][1]:
+            raise ValueError(_format_refusal(args))
+        args.run(args)
+        return 0
     except (ValueError, KronmotError) as exc:
         print(exc, file=sys.stderr)
-        return (EXIT_BAD_INPUT if isinstance(exc, ValueError)
-                else EXIT_RESOURCE if isinstance(exc, ResourceLimitError)
-                else EXIT_INCONSISTENT)
+        return next(code for error, code in _EXIT_CODES if isinstance(exc, error))
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
-        return EXIT_INTERRUPTED
+        return 130
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

@@ -44,3 +44,8 @@ class InsufficientBoundError(KronmotError):
 
 class ResourceLimitError(KronmotError):
     """An enumeration would exceed the configured size cap."""
+
+
+class VerificationError(KronmotError):
+    """A check the request asked for found a failure: an identity, a
+    closed form or a count that does not hold."""

@@ -1,14 +1,14 @@
 """The acceptance suite, runnable from the CLI.
 
-Each criterion returns (name, passed); the CLI prints one line per
-criterion on stdout, the same on every run, and its wall time on stderr.
-The pytest suite runs the same checks with frozen oracle values; this
-module exists so `kronmot selftest` works without pytest.
+Each criterion returns whether it passed.  ``run`` returns the results and
+prints nothing; ``kronmot selftest`` prints one line per criterion on
+stdout, the same on every run, and its wall time on stderr.  The pytest
+suite runs the same checks with frozen oracle values; this module exists
+so `kronmot selftest` works without pytest.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from math import gcd
 
@@ -151,17 +151,14 @@ CRITERIA = [
 ]
 
 
-def run() -> bool:
-    all_ok = True
+def run():
+    """Run every criterion in turn, and yield ``(name, passed, error,
+    seconds)`` as each finishes: ``error`` is the exception it raised, a
+    failed criterion, or None, and ``seconds`` its wall time."""
     for name, fn in CRITERIA:
         start = time.monotonic()
         try:
-            ok = fn()
-        except Exception as exc:  # a raised error is a failed criterion
-            ok = False
-            print(f"ERROR {name}: {exc}")
-        elapsed = time.monotonic() - start
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
-        print(f"{name}: {elapsed:.1f}s", file=sys.stderr)
-        all_ok = all_ok and ok
-    return all_ok
+            passed, error = fn(), None
+        except Exception as exc:
+            passed, error = False, exc
+        yield name, passed, error, time.monotonic() - start

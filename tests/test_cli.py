@@ -50,6 +50,7 @@ class TestFramed:
         assert res.exit_code == 3
         assert res.stdout == ""
         assert "methods disagree" in res.stderr
+        assert res.stderr == "methods disagree with recursion: funceq\n"
 
     def test_all_exits_3_when_a_cached_motive_disagrees(self, tmp_path):
         args = ("--cache-dir", str(tmp_path), "framed", "--m", "3", "--d", "2",
@@ -63,6 +64,7 @@ class TestFramed:
         assert res.exit_code == 3
         assert res.stdout == ""
         assert "methods disagree" in res.stderr
+        assert "wallcross" in res.stderr and "funceq" not in res.stderr
 
     def test_bad_m(self):
         res = run("--no-cache", "framed", "--m", "2", "--d", "1")
@@ -100,6 +102,16 @@ class TestHn:
         payload = json.loads(res.output)
         vectors = {(r["d"], r["e"]) for r in payload["result"]}
         assert (1, 1) in vectors and (2, 0) in vectors
+
+    def test_inconsistent_fresh_record_exits_3(self, monkeypatch):
+        # a fresh table that breaks the record's rule is an internal fault,
+        # not invalid input; a cached one is discarded (TestCache)
+        monkeypatch.setattr(wallcross.MotiveTable, "motive",
+                            lambda self, vector: None)
+        res = run("--no-cache", "hn", "--m", "3", "--bound", "2")
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        assert res.stderr == "(0,1): the motive is null iff gcd(d, e) > 1\n"
 
 
 class TestSeries:
@@ -424,6 +436,54 @@ class TestExitCodes:
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             3, "", "planted failure\n")
 
+    @pytest.mark.parametrize("kind,closed", [
+        ("framed", "chi_framed_closed"), ("moduli", "chi_moduli_closed")])
+    def test_euler_check_failure_exits_1(self, monkeypatch, kind, closed):
+        real = getattr(eulerchar, closed)
+        monkeypatch.setattr(eulerchar, closed, lambda m, d: real(m, d) + 1)
+        res = run("--no-cache", "euler", "--kind", kind, "--m", "3", "--d", "3",
+                  "--check")
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr == "closed form and motive sum disagree\n"
+
+    def test_tamari_check_failure_exits_1(self, monkeypatch):
+        real = tamari.interval_count_formula
+        monkeypatch.setattr(tamari, "interval_count_formula",
+                            lambda mprime, n: real(mprime, n) + 1)
+        res = run("--no-cache", "tamari", "--m-prime", "1", "--n", "4",
+                  "--check")
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr == "brute force and formula disagree\n"
+
+    def test_verify_failure_exits_1(self, monkeypatch):
+        def failing(m, order):
+            return [{"identity": "funceq", "m": m, "k": None, "order": order,
+                     "status": "fail", "first_failure_degree": 1}]
+
+        monkeypatch.setattr(central, "verify_funceq", failing)
+        res = run("--no-cache", "verify", "--identity", "funceq", "--m", "3",
+                  "--order", "2")
+        assert res.exit_code == 1
+        assert res.stdout == "FAIL funceq m=3 order=2\n"
+        assert res.stderr == "1 of 1 checks failed\n"
+
+    def test_selftest_failure_exits_1(self, monkeypatch):
+        from kronmot import selftest
+
+        def raising():
+            raise ArithmeticError("planted failure")
+
+        monkeypatch.setattr(selftest, "CRITERIA", [
+            ("passing", lambda: True), ("failing", lambda: False),
+            ("raising", raising)])
+        res = run("selftest")
+        assert res.exit_code == 1
+        assert res.stdout == ("PASS passing\nFAIL failing\n"
+                              "ERROR raising: planted failure\nFAIL raising\n")
+        assert res.stderr.endswith("2 of 3 checks failed\n")
+
 
 @pytest.mark.parametrize("args", [
     ("series", "--which", "F", "--m", "3", "--order", "2"),
@@ -449,6 +509,23 @@ def test_selftest_refuses_other_formats(monkeypatch, fmt):
     assert res.exit_code == 2
     assert res.stdout == ""
     assert f"--format {fmt} is not supported by `selftest`" in res.stderr
+
+
+def test_selftest_run_returns_results_and_prints_nothing(monkeypatch, capsys):
+    from kronmot import selftest
+
+    error = ArithmeticError("planted failure")
+
+    def raising():
+        raise error
+
+    monkeypatch.setattr(selftest, "CRITERIA", [
+        ("passing", lambda: True), ("raising", raising)])
+    results = list(selftest.run())
+    assert [r[:3] for r in results] == [("passing", True, None),
+                                        ("raising", False, error)]
+    assert all(seconds >= 0 for *_, seconds in results)
+    assert capsys.readouterr() == ("", "")
 
 
 class TestCache:
