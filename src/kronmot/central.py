@@ -10,9 +10,9 @@ over integer Laurent polynomials:
 
 - ``framed_recursion``: m_d = [(m-1)d+1]_v / [d]_v times the t^(d-1)
   coefficient of prod_{i=1}^{m-1} F(v^(m-2i) t).  The prefactor takes its
-  binomial form (``exactalg.quantum_ratio``, where the package's
-  q-Pochhammer and quantum-integer arithmetic lives), one pass over the
-  coefficient list.
+  binomial form, one q-Pochhammer pass (``exactalg.qpoch``, where the
+  package's q-Pochhammer and quantum-integer arithmetic lives) over the
+  operand that the product's packed sum returned.
 - ``solve_functional_eq``: one online pass over the telescoped form of
   F * prod_{i=1}^m (1 - v^(2i-m-1) t prod_{j=1}^{m-2} F(v^(2i-2j-2) t)) = 1,
   then a check of F against the untelescoped right-hand side evaluated
@@ -25,11 +25,14 @@ degree through ``qseries.OnlineRescaledProduct``, which builds it by
 doubling, each coefficient one packed sum of products
 (``exactalg.sum_of_products``) over operands wrapped once; both cost
 O(log m * order^2) Laurent-polynomial products in O(log m * order) packed
-sums.  The check forms its two products of rescaled copies offline, by
-doubling over ``exactalg.Operand`` lists (``qseries.op_rescaled_product``):
-F is wrapped once, and each of the O(log m) products makes one packed sum
-per coefficient with the rescaling on the shifts of its terms; only the
-second product is lifted to a series, for its one ``TruncSeries.inverse``.
+sums.  Each new coefficient of F is one ``exactalg.qpoch`` pass on the
+operand of a packed sum, at the stride the operand holds, and is pushed
+again with no ``LaurentPoly`` built in between.  The check forms its two
+products of rescaled copies offline, by doubling over ``exactalg.Operand``
+lists (``qseries.op_rescaled_product``): F is wrapped once, and each of
+the O(log m) products makes one packed sum per coefficient with the
+rescaling on the shifts of its terms; only the second product is lifted
+to a series, for its one ``TruncSeries.inverse``.
 
 The identity verifiers compare integral series only.  Each call builds one
 wall-crossing table (``MotiveTable.covering``), so one sweep, over the
@@ -37,13 +40,13 @@ union of the vectors it reads, and reads every series off it: G^(k),+- by
 ``g_series``, and the A-series cleared of their denominators by
 ``MotiveTable.cleared_series``.  With ``k=None``, ``verify_corident`` and
 ``verify_newduality`` check every 1 <= k <= m-1 off that one table.
-``framed_recursion``, ``solve_functional_eq`` and
-``MotiveTable.framed_series`` return F as a ``RatFunc`` record, which has
-no products (``qseries``); the verifiers and ``extract_G`` convert it once
-to an integral series, and G is integral.  The coefficients of F are
-Laurent-valued, an integer numerator over the denominator 1, so a
+``framed_recursion`` and ``solve_functional_eq`` return F as a ``RatFunc``
+record, which has no products (``qseries``); the verifiers and
+``extract_G`` convert it once to an integral series.  The coefficients of
+F are Laurent-valued, an integer numerator over the denominator 1, so a
 coefficient that is not (a quotient such as 1/2 included) makes the
-conversion raise ``NonPolynomialError``.
+conversion raise ``NonPolynomialError``.  G, and the F that
+``MotiveTable.framed_series`` returns, are integral.
 """
 
 from __future__ import annotations
@@ -51,8 +54,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import ExactDivisionError, NoConvergenceError, NonPolynomialError
-from .exactalg import (LaurentPoly, Operand, RatFunc, qpoch_divexact, quantum_ratio,
-                       sum_of_products)
+from .exactalg import LaurentPoly, Operand, RatFunc, qpoch, sum_of_products
 from .qseries import (OnlineRescaledProduct, TruncSeries, delta_invert,
                       op_rescaled_product, rescaled_product)
 
@@ -67,20 +69,21 @@ def _framed_motives(m: int, order: int) -> tuple[LaurentPoly, ...]:
     """m_0..m_order; m_d reads c_(d-1) off the online product
     prod_{i=1}^{m-1} F(v^(m-2i) t) (``qseries.OnlineRescaledProduct``)."""
     _require_central_m(m)
-    motives = [LaurentPoly.one()]
-    ops = [Operand(motives[0])]  # ops[j] wraps motives[j]
+    ops = [Operand(LaurentPoly.one())]  # ops[j] holds m_j
     # prod_{i<m-1} F(v^(-2i) t), read at v^(m-2) t
     product = OnlineRescaledProduct(-2, m - 1)
     for d in range(1, order + 1):
-        c = product.push(ops[d - 1]).poly.v_shift((m - 2) * (d - 1))
+        # [a]_v / [d]_v = v^(a-d) (1 - q^a) / (1 - q^d), and the read-off
+        # shift v^((m-2)(d-1)) joins the prefactor's
+        a = (m - 1) * d + 1
         try:
-            motives.append(quantum_ratio(c, (m - 1) * d + 1, d))
+            ops.append(qpoch(product.push(ops[d - 1]), (a,), (d,),
+                             a - d + (m - 2) * (d - 1)))
         except NonPolynomialError as exc:
             raise ExactDivisionError(
                 f"prefactor division failed at m={m}, d={d}"
             ) from exc
-        ops.append(Operand(motives[d]))
-    return tuple(motives)
+    return tuple(op.poly for op in ops)
 
 
 @lru_cache(maxsize=256)
@@ -94,12 +97,15 @@ def framed_recursion(m: int, order: int) -> TruncSeries:
     floor(log2(m-1)) + popcount(m-1) - 1 packed sums per degree, and
     O(log m * order^2) products of integer Laurent polynomials instead of a
     sum over all C(d+m-3, m-2) compositions of d-1.  The prefactor is
-    applied as v^(a-d) (1 - v^(-2a)) / (1 - v^(-2d)), a = (m-1)d+1
-    (``exactalg.quantum_ratio``): one list subtraction and one two-term
-    division over the coefficients at stride 2, where a product by [a]_v
-    and a division by [d]_v would cost O(d) per coefficient.  The series
-    returned is a ``RatFunc`` record, immutable, so results are cached per
-    (m, order) and a repeat call returns the same record.
+    applied as v^(a-d) (1 - v^(-2a)) / (1 - v^(-2d)), a = (m-1)d+1, with
+    the read-off shift v^((m-2)(d-1)) joined to v^(a-d): one q-Pochhammer
+    pass (``exactalg.qpoch``) on the operand the product returned, one list
+    subtraction and one two-term division over its coefficients at stride
+    2, where a product by [a]_v and a division by [d]_v would cost O(d) per
+    coefficient.  The operands are read as ``LaurentPoly``s once, at the
+    end.  The series returned is a ``RatFunc`` record, immutable, so
+    results are cached per (m, order) and a repeat call returns the same
+    record.
     """
     return TruncSeries(map(RatFunc, _framed_motives(m, order)), order)
 
@@ -137,10 +143,10 @@ def solve_functional_eq(m: int, order: int) -> TruncSeries:
     E_n = -v^(1-m) H_(n-1) needs F below degree n only, so one online pass
     over integer Laurent polynomials extends H by one coefficient per degree
     (``qseries.OnlineRescaledProduct``, O(log m * order^2) products) and
-    reads F_n off one packed sum of 2n products and one exact division by
-    1 - q^n (``exactalg.qpoch_divexact``).  E is never formed: the sign and
-    the v-shift of E_k ride on the terms of that sum, beside the pushed
-    coefficient of H.  1/D solves the telescoped equation for any E with
+    reads F_n off one packed sum of 2n products, divided exactly by
+    1 - q^n in place (``exactalg.qpoch`` on the sum's operand).  E is never
+    formed: the sign and the v-shift of E_k ride on the terms of that sum,
+    beside the pushed coefficient of H.  1/D solves the telescoped equation for any E with
     E_0 = 1, so a remainder is an arithmetic fault and raises
     ``ExactDivisionError``.  F is then checked, coefficient by
     coefficient, against the untelescoped right-hand side evaluated directly
@@ -163,7 +169,7 @@ def solve_functional_eq(m: int, order: int) -> TruncSeries:
              for k in range(1, n + 1)
              for sign, shift in ((1, -2 * n), (-1, 2 * (m - 1) * k))])
         try:
-            F.append(Operand(qpoch_divexact(S.poly, (n,))))
+            F.append(qpoch(S, (), (n,)))
         except NonPolynomialError as exc:
             raise ExactDivisionError(
                 f"functional-equation division failed at m={m}, n={n}"
@@ -211,8 +217,7 @@ def g_series(table, k: int, sign: int, order: int) -> TruncSeries:
 
 def _integral(F: TruncSeries) -> TruncSeries:
     """F as an integral series; F may be a record with Laurent-valued
-    coefficients, such as F from ``framed_recursion`` or
-    ``MotiveTable.framed_series``."""
+    coefficients, such as F from ``framed_recursion``."""
     if F.is_integral():
         return F
     return TruncSeries([c.to_laurent() for c in F.coeffs], F.order)
@@ -316,10 +321,9 @@ def verify_corident(m: int, k, order: int) -> list[dict]:
         B_mk, C_mk = table.cleared_series((1, m - k), order)
         # independent F^(1) exists via the recursion; other k use the quotient
         if k == 1 and m >= 3:
-            F_k = framed_recursion(m, order)
+            F_k = _integral(framed_recursion(m, order))
         else:
             F_k = table.framed_series((1, k), order)
-        F_k = _integral(F_k)
         g_minus = g_series(table, k, -1, order)
         g_plus_mk = g_series(table, m - k, 1, order)
         reports += [

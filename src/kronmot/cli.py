@@ -85,10 +85,28 @@ def _cached(args, command: str, params: dict, compute, canonical):
     return payload
 
 
-def _cached_poly(args, command: str, params: dict, compute) -> LaurentPoly:
-    payload = _cached(args, command, params, lambda: compute().to_json(),
-                      lambda p: LaurentPoly.from_json(p).to_json())
-    return LaurentPoly.from_json(payload)
+def _certified(args, command: str, params: dict, method: str,
+               compute) -> LaurentPoly:
+    """A motive through its ``command`` cache entry, certified.
+
+    ``params`` holds m, d and, for ``moduli``, e; a ``framed`` motive is
+    central, e = d.  Every motive passes ``eulerchar.certify``: a cached
+    one that fails is discarded and recomputed, and a fresh one that fails
+    raises ``KronmotError`` (exit 3) naming ``method`` and the property.
+    """
+    from .eulerchar import certify
+
+    def checked(motive, blame=""):
+        try:
+            certify(command, params["m"], params["d"], params.get("e", params["d"]),
+                    motive)
+        except KronmotError as exc:
+            raise KronmotError(blame + str(exc)) from None
+        return motive.to_json()
+
+    return LaurentPoly.from_json(_cached(
+        args, command, params, lambda: checked(compute(), f"{method}: "),
+        lambda payload: checked(LaurentPoly.from_json(payload))))
 
 
 def _framed_motive(args, m: int, d: int, method: str) -> LaurentPoly:
@@ -98,15 +116,14 @@ def _framed_motive(args, m: int, d: int, method: str) -> LaurentPoly:
         if method == "wallcross":
             from .wallcross import framed_via_quotient
 
-            ts = framed_via_quotient(m, (1, 1), d)
-        else:
-            from .central import framed_recursion, solve_functional_eq
+            return framed_via_quotient(m, (1, 1), d).coeffs[d]
+        from .central import framed_recursion, solve_functional_eq
 
-            ts = (framed_recursion if method == "recursion"
-                  else solve_functional_eq)(m, d)
-        return ts.coeffs[d].to_laurent()
+        solve = framed_recursion if method == "recursion" else solve_functional_eq
+        return solve(m, d).coeffs[d].to_laurent()
 
-    return _cached_poly(args, "framed", {"m": m, "d": d, "method": method}, compute)
+    return _certified(args, "framed", {"m": m, "d": d, "method": method}, method,
+                      compute)
 
 
 def _moduli_motive(args, m: int, d: int, e: int) -> LaurentPoly:
@@ -117,7 +134,8 @@ def _moduli_motive(args, m: int, d: int, e: int) -> LaurentPoly:
 
         return moduli_motive(m, d, e)
 
-    return _cached_poly(args, "moduli", {"m": m, "d": d, "e": e}, compute)
+    return _certified(args, "moduli", {"m": m, "d": d, "e": e}, "wallcross",
+                      compute)
 
 
 def _hn_vectors(bound: int) -> list[tuple[int, int]]:

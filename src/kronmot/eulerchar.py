@@ -1,11 +1,14 @@
 """Euler characteristics: specialization at v=1 and the closed binomial
-forms obtained by Lagrange inversion from the v=1 functional equation."""
+forms obtained by Lagrange inversion from the v=1 functional equation; and
+``certify``, the checks every motive of a smooth projective moduli space
+passes at no extra computation.  The module loads no solver, so the CLI
+certifies a cached motive without importing one."""
 
 from __future__ import annotations
 
 from math import comb, gcd
 
-from .errors import NonIntegerError
+from .errors import KronmotError, NonIntegerError
 from .exactalg import LaurentPoly
 
 
@@ -54,3 +57,33 @@ def chi_framed_closed(m: int, d: int) -> int:
         raise ValueError("need m >= 3 and d >= 0")
     den = m + (m - 1) ** 2 * d
     return _quotient(m * comb(den, d), den, "chi_framed_closed")
+
+
+def certify(kind: str, m: int, d: int, e: int, motive: LaurentPoly) -> None:
+    """Check the motive of K_{d,e}^(m) (``kind`` "moduli", d and e coprime)
+    or of its framed form K_{d,e}^(m),fr (``kind`` "framed", framed at the
+    sink) against the geometry; raise ``KronmotError`` naming the first
+    property that fails.
+
+    Both spaces are smooth and projective of dimension
+    dim = 1 - <D,D> (moduli) or e - <D,D> (framed), <D,D> = d^2 + e^2 - mde,
+    and empty when dim < 0.  So a nonempty one's motive spans v^-dim to
+    v^dim exactly, is palindromic (Poincare duality), vanishes at odd
+    offsets and has nonnegative coefficients (Betti numbers); an empty
+    one's is 0.
+    """
+    dim = (e if kind == "framed" else 1) - (d * d + e * e - m * d * e)
+    coeffs = motive.coeffs
+    if not coeffs and dim < 0:
+        return
+    span = (motive.min_exp, motive.max_exp)
+    failed = ("is 0 on a nonempty space" if not coeffs
+              else "is nonzero on an empty space" if dim < 0
+              else f"spans v^{span[0]}..v^{span[1]}, not v^{-dim}..v^{dim}"
+              if span != (-dim, dim)
+              else "is not palindromic" if not motive.is_palindromic()
+              else "is nonzero at an odd offset" if any(coeffs[1::2])
+              else "has a negative coefficient" if min(coeffs) < 0 else None)
+    if failed:
+        raise KronmotError(f"the {kind} motive of (m, d, e) = ({m}, {d}, {e}) "
+                           + failed)

@@ -26,17 +26,19 @@ polynomial, and every a_D a quotient of two of them.
   multiply, and any other is a one-term ``sum_of_products``.
 - ``LaurentPoly.divexact`` is long division over the nonzero terms of
   the divisor; a remainder raises ``NonPolynomialError``.
-- Two-term division lives in ``_qpoch``.  Every product and exact
-  quotient by q-Pochhammer binomials 1 - q^i, q = v^(-2), is
-  ``qpoch_mul`` or ``qpoch_divexact``, and every c [a]_v / [d]_v is
-  ``quantum_ratio``, one of each; a product by a quantum integer is
-  ``quantum_ratio`` with d = 1, and so is ``quantum_integer`` itself.
-  All three are one pass over the coefficient list, at stride 2 when it
-  vanishes at its odd offsets: one list subtraction per binomial, or one
-  division by 1 - v^s, a running sum along each residue class mod s, run
-  as one strided ``itertools.accumulate`` per class
-  (``_divexact_binomial``), and no intermediate ``LaurentPoly``.  A
-  remainder raises ``NonPolynomialError``.
+- Two-term division lives in ``qpoch``, the kernel-level partner of
+  ``sum_of_products``: it takes an ``Operand`` and returns one.  Every
+  product and exact quotient by q-Pochhammer binomials 1 - q^i,
+  q = v^(-2), is one ``qpoch`` pass; ``qpoch_mul``, ``qpoch_divexact`` and
+  ``quantum_ratio`` (every c [a]_v / [d]_v, one binomial of each kind) are
+  its ``LaurentPoly`` forms, and a product by a quantum integer is
+  ``quantum_ratio`` with d = 1, and so is ``quantum_integer`` itself.  The
+  pass reads the stride the operand already holds: one list subtraction
+  per binomial, or one division by 1 - v^s, a running sum along each
+  residue class mod s, run as one strided ``itertools.accumulate`` per
+  class (``_divexact_binomial``), and no intermediate ``LaurentPoly``.  A
+  remainder raises ``NonPolynomialError``.  ``Operand`` is the one place
+  that decides which offsets are packed.
 - ``RatFunc`` is a reduced quotient of integer Laurent polynomials.  One
   whose denominator is the constant 1 is already in canonical form, so
   constructing it skips the gcd.
@@ -392,12 +394,14 @@ class Operand:
     offset are computed once; its packing is computed once per slot and
     stride and kept for the life of the operand.  ``coeffs`` holds the
     coefficients at the operand's own stride: every second one from the
-    lowest when it vanishes at its odd offsets, else all of them.  An
-    operand that ``sum_of_products`` returns builds its ``LaurentPoly``
-    only when ``poly`` is first read.  ``LaurentPoly`` is immutable, so a
-    packing can never go stale.  Besides the solvers' packed sums,
-    ``LaurentPoly.__mul__`` wraps both factors of each integer product whose
-    operands both have two coefficients or more.
+    lowest when it vanishes at its odd offsets, else all of them.  This
+    class alone decides that stride: ``sum_of_products`` and ``qpoch``
+    build their results through ``_of``, and such an operand builds its
+    ``LaurentPoly`` only when ``poly`` is first read.  ``LaurentPoly`` is
+    immutable, so a packing can never go stale.  Besides the solvers'
+    packed sums, ``LaurentPoly.__mul__`` wraps both factors of each integer
+    product whose operands both have two coefficients or more, and the
+    ``LaurentPoly`` forms of ``qpoch`` wrap their argument.
     """
 
     __slots__ = ("_poly", "coeffs", "lo", "norm", "even", "packed")
@@ -411,6 +415,23 @@ class Operand:
         self.coeffs = coeffs[::2] if self.even else coeffs
         # slot size (stride 2) or minus slot size (stride 1) -> packing
         self.packed = {}
+
+    @classmethod
+    def _of(cls, coeffs: list, lo: int, stride: int, packed: dict) -> "Operand":
+        """The operand of a computed result: ``coeffs`` are its coefficients
+        at ``stride`` from v^lo up, the ends nonzero, and ``packed`` its
+        packings.  A stride-1 list that vanishes at its odd offsets is
+        compacted here, so this and the constructor are the only places that
+        decide a stride; the ``LaurentPoly`` is built when ``poly`` is read.
+        """
+        out = object.__new__(cls)
+        out._poly = None
+        out.lo = lo
+        out.norm = sum(map(abs, coeffs))
+        out.even = even = stride == 2 or not any(coeffs[1::2])
+        out.coeffs = coeffs[::2] if even and stride == 1 else coeffs
+        out.packed = packed
+        return out
 
     @property
     def poly(self) -> LaurentPoly:
@@ -500,51 +521,41 @@ def sum_of_products(terms) -> Operand:
     first = ((total & -total).bit_length() - 1) // bits
     if first:
         total >>= bits * first
-    coeffs = _unpack(total, abs(total).bit_length() // bits + 1, slot)
-    out = object.__new__(Operand)
-    out._poly = None
-    out.lo = lo + stride * first
-    out.norm = sum(map(abs, coeffs))
-    if not even:
-        even = not any(coeffs[1::2])
-        if even:
-            coeffs = coeffs[::2]
-    out.coeffs = coeffs
-    out.even = even
     # the shifted sum is the packing of the result at this slot
-    out.packed = {key: total}
-    return out
+    return Operand._of(_unpack(total, abs(total).bit_length() // bits + 1, slot),
+                       lo + stride * first, stride, {key: total})
 
 
-def _qpoch(p: LaurentPoly, muls, divs, shift: int = 0) -> LaurentPoly:
-    """v^shift * p * prod_{i in muls} (1 - q^i) / prod_{i in divs} (1 - q^i),
-    q = v^(-2), each i >= 1, in one pass over the coefficient list of p.
+def qpoch(op: Operand, muls, divs, shift: int = 0) -> Operand:
+    """v^shift * op * prod_{i in muls} (1 - q^i) / prod_{i in divs} (1 - q^i),
+    q = v^(-2), each i >= 1, in one pass over the coefficients ``op``
+    holds: the kernel-level partner of :func:`sum_of_products`.
 
-    Each factor is 1 - q^i = -v^(-2i) (1 - v^(2i)).  The list is taken at
-    stride 2 when p vanishes at its odd offsets, as every motive does, so
-    1 - v^(2i) steps i entries, and at stride 1 (2i entries) otherwise.  A
-    product by 1 - v^(2i) is one list subtraction, and a quotient one
+    Each factor is 1 - q^i = -v^(-2i) (1 - v^(2i)).  The pass runs at the
+    operand's own stride, so 1 - v^(2i) steps i entries of an operand that
+    vanishes at its odd offsets, as every motive does, and 2i otherwise.
+    A product by 1 - v^(2i) is one list subtraction, and a quotient one
     ``_divexact_binomial`` at that step (a divisor of an exact quotient
     divides exactly), so a remainder raises ``NonPolynomialError``.  Both
     keep the end coefficients nonzero.  The signs and powers of v are
-    applied once, where the list is spread back.
+    applied once, and the result is built as ``sum_of_products`` builds
+    its own (``Operand._of``), so its ``LaurentPoly`` is built only when
+    it is read.
     """
-    if not p.coeffs:
-        return p
-    stride = 1 if any(p.coeffs[1::2]) else 2
-    xs = list(p.coeffs[::stride])
-    lo = p.min_exp + shift
+    if min((*muls, *divs), default=1) < 1:
+        raise ValueError("q-Pochhammer exponents must be >= 1")
+    if not op.coeffs:
+        return op
+    stride = 2 if op.even else 1
+    xs = list(op.coeffs)
+    lo = op.lo + shift
     sign = 1
     for i in muls:
-        if i < 1:
-            raise ValueError("q-Pochhammer exponents must be >= 1")
         step = 2 * i // stride
         out = xs + [0] * step
         out[step:] = map(sub, out[step:], xs)
         xs, lo, sign = out, lo - 2 * i, -sign
     for i in divs:
-        if i < 1:
-            raise ValueError("q-Pochhammer exponents must be >= 1")
         step = 2 * i // stride
         if len(xs) <= step:
             raise NonPolynomialError("degree of divisor exceeds dividend")
@@ -552,35 +563,31 @@ def _qpoch(p: LaurentPoly, muls, divs, shift: int = 0) -> LaurentPoly:
         lo, sign = lo + 2 * i, -sign
     if sign < 0:
         xs = list(map(neg, xs))
-    if stride == 2:
-        spread = [0] * (2 * len(xs) - 1)
-        spread[::2] = xs
-        xs = spread
-    return LaurentPoly._canonical(tuple(xs), lo)
+    return Operand._of(xs, lo, stride, {})
 
 
 def qpoch_mul(p: LaurentPoly, exps) -> LaurentPoly:
     """p * prod_{i in exps} (1 - q^i), q = v^(-2), each i >= 1: one list
-    subtraction per factor (``_qpoch``)."""
-    return _qpoch(p, exps, ())
+    subtraction per factor (``qpoch``)."""
+    return qpoch(Operand(p), exps, ()).poly
 
 
 def qpoch_divexact(p: LaurentPoly, exps) -> LaurentPoly:
     """The exact quotient p / prod_{i in exps} (1 - q^i), q = v^(-2), each
-    i >= 1: one two-term division per factor (``_qpoch``), so a remainder
+    i >= 1: one two-term division per factor (``qpoch``), so a remainder
     raises ``NonPolynomialError``."""
-    return _qpoch(p, (), exps)
+    return qpoch(Operand(p), (), exps).poly
 
 
 def quantum_ratio(c: LaurentPoly, a: int, d: int) -> LaurentPoly:
     """c * [a]_v / [d]_v for a, d >= 1, as an exact Laurent polynomial.
 
     [a]_v / [d]_v = v^(a-d) (1 - q^a) / (1 - q^d), so this is one list
-    subtraction and one two-term division (``_qpoch``), linear in the length
+    subtraction and one two-term division (``qpoch``), linear in the length
     of c, and raises ``NonPolynomialError`` exactly when c * [a]_v leaves a
     remainder on division by [d]_v.
     """
-    return _qpoch(c, (a,), (d,), a - d)
+    return qpoch(Operand(c), (a,), (d,), a - d).poly
 
 
 def quantum_integer(n: int) -> LaurentPoly:

@@ -108,36 +108,17 @@ def criterion_5() -> bool:
 
 
 def criterion_6() -> bool:
-    """Structural invariants of every computed motive."""
-    ok = True
+    """Structural invariants of every computed motive: each passes
+    ``eulerchar.certify``, which raises on the first that fails."""
     table = wallcross.hn_extract(3, 9)
     for d in range(10):
         for e in range(10 - d):
-            if (d, e) == (0, 0) or gcd(d, e) != 1:
-                continue
-            p = table.motive((d, e))
-            dim = 1 - wallcross.euler_form(3, (d, e), (d, e))
-            ok = ok and _motive_shape_ok(p, dim)
+            if (d, e) != (0, 0) and gcd(d, e) == 1:
+                eulerchar.certify("moduli", 3, d, e, table.motive((d, e)))
     for m in (3, 4, 5):
         F = central.framed_recursion(m, 6)
         for d in range(7):
-            p = F.coeffs[d].to_laurent()
-            dim = (m - 2) * d * d + d
-            ok = ok and _motive_shape_ok(p, dim)
-    return ok
-
-
-def _motive_shape_ok(p, dim: int) -> bool:
-    if p.is_zero():
-        return True
-    if not p.is_palindromic():
-        return False
-    if p.min_exp != -dim or p.max_exp != dim:
-        return False
-    if any(not isinstance(c, int) or c < 0 for c in p.coeffs[::2]):
-        return False
-    if any(c != 0 for c in p.coeffs[1::2]):
-        return False
+            eulerchar.certify("framed", m, d, d, F.coeffs[d].to_laurent())
     return True
 
 

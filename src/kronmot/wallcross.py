@@ -47,7 +47,8 @@ it is in use, so a numerator, an a_k or a q-binomial is packed at most
 once per slot width, and an updated P[D] starts out with the packing its
 own sum produced.  The framed motives of ``MotiveTable.framed_series``
 solve an equation of the same shape over the same Pascal rows of Gaussian
-binomials (``_qbinom_rows``), one packed sum per degree.
+binomials (``_qbinom_rows``), one packed sum and one q-Pochhammer pass
+(``exactalg.qpoch``) per degree, and come back as an integral series.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from math import gcd
 
 from .errors import (ExactDivisionError, InsufficientBoundError, NonCoprimeError,
                      NonPolynomialError)
-from .exactalg import (LaurentPoly, Operand, RatFunc, qpoch_divexact, qpoch_mul,
+from .exactalg import (LaurentPoly, Operand, RatFunc, qpoch, qpoch_divexact, qpoch_mul,
                        sum_of_products)
 from .qseries import TruncSeries
 
@@ -111,13 +112,6 @@ def _qbinom_rows(top: int) -> list[list[LaurentPoly]]:
         rows.append([one] + [row[k - 1] + row[k].v_shift(-2 * k) for k in range(1, n)]
                     + [one])
     return rows
-
-
-def a_coeff(m: int, D) -> RatFunc:
-    """Coefficient of x^D in A(x): v^(-<D,D>) / ((q;q)_d (q;q)_e)."""
-    d, e = D
-    num = LaurentPoly.monomial(-euler_form(m, D, D))
-    return RatFunc(num, _denominator(d, e))
 
 
 def _check_vector(D) -> DimVector:
@@ -327,14 +321,14 @@ class MotiveTable:
         the shape of the sweep's update.  So each cleared c_n F_n is one
         packed sum (``exactalg.sum_of_products``) over integer Laurent
         polynomials wrapped once, and F_n is c_n F_n divided exactly by the
-        binomials 1 - q^i of c_n (``exactalg.qpoch_divexact``).  F is
-        returned as a ``RatFunc`` record.
+        binomials 1 - q^i of c_n, in place (``exactalg.qpoch`` on the sum's
+        operand).  F is returned as an integral series.
         """
         num = [Operand(p) for p in self._ray_numerators(D0, order)]
         d0, e0 = D0
         qbin = _qbinom_rows(order * max(d0, e0))
         cleared = [num[0]]  # cleared[n] wraps c_n F_n
-        F = [LaurentPoly.one()]
+        F = [num[0]]
         for n in range(1, order + 1):
             qd, qe = qbin[n * d0], qbin[n * e0]
             cleared.append(sum_of_products(
@@ -343,11 +337,11 @@ class MotiveTable:
                                   Operand(qe[k * e0])))
                    for k in range(1, n + 1)]))
             try:
-                F.append(qpoch_divexact(cleared[n].poly, _exponents(D0, 0, n)))
+                F.append(qpoch(cleared[n], (), _exponents(D0, 0, n)))
             except NonPolynomialError as exc:
                 raise ExactDivisionError(
                     f"quotient division failed at m={self.m}, n={n}") from exc
-        return TruncSeries(map(RatFunc, F), order)
+        return TruncSeries([op.poly for op in F], order)
 
 
 def hn_extract(m: int, bound: int) -> MotiveTable:

@@ -49,11 +49,15 @@ class TestFramedRecursion:
             assert step2(F.coeffs[d].to_laurent()) == expected
 
     def test_coefficients_are_laurent(self):
-        # each solver returns a RatFunc record of Laurent-valued coefficients
-        for F in (framed_recursion(4, 5), solve_functional_eq(4, 5),
-                  framed_via_quotient(4, (1, 1), 5)):
+        # the two central solvers return a RatFunc record of Laurent-valued
+        # coefficients, and the quotient method an integral series
+        for F in (framed_recursion(4, 5), solve_functional_eq(4, 5)):
             assert not F.is_integral()
             assert all(type(c) is RatFunc and c.is_laurent() for c in F.coeffs)
+        F = framed_via_quotient(4, (1, 1), 5)
+        assert F.is_integral()
+        assert all(type(c) is LaurentPoly for c in F.coeffs)
+        assert F == framed_recursion(4, 5)
 
     def test_record_has_no_products_inverse_or_delta_invert(self):
         F = framed_recursion(3, 4)
@@ -371,14 +375,16 @@ class TestSolveFailsLoudly:
         assert res.stderr == "functional-equation check failed at m=4, degree 3\n"
 
     def test_remainder_in_the_division_raises(self, monkeypatch):
-        divexact = central.qpoch_divexact
+        # the pass divides its packed sum by 1 - q^n in place
+        qpoch = central.qpoch
 
-        def with_remainder_at_degree_3(p, exps):
-            if tuple(exps) == (3,):
-                p = p + LaurentPoly.monomial(p.max_exp + 2)
-            return divexact(p, exps)
+        def with_remainder_at_degree_3(op, muls, divs, shift=0):
+            if (tuple(muls), tuple(divs)) == ((), (3,)):
+                p = op.poly
+                op = exactalg.Operand(p + LaurentPoly.monomial(p.max_exp + 2))
+            return qpoch(op, muls, divs, shift)
 
-        monkeypatch.setattr(central, "qpoch_divexact", with_remainder_at_degree_3)
+        monkeypatch.setattr(central, "qpoch", with_remainder_at_degree_3)
         with pytest.raises(ExactDivisionError, match="m=4, n=3$"):
             solve_functional_eq(4, 5)
 

@@ -10,6 +10,7 @@ import kronmot
 from kronmot import central, eulerchar, tamari, wallcross
 from kronmot.cache import SCHEMA, Cache
 from kronmot.errors import ExactDivisionError, ResourceLimitError
+from kronmot.exactalg import LaurentPoly
 from kronmot.qseries import TruncSeries
 
 from cli_runner import invoke as run
@@ -56,10 +57,12 @@ class TestFramed:
         args = ("--cache-dir", str(tmp_path), "framed", "--m", "3", "--d", "2",
                 "--method", "all")
         assert run(*args).exit_code == 0
-        # well formed, so the entry is served, but the wrong motive
+        # the true motive with its middle coefficient 3 raised to 5: it
+        # passes every certificate, so the entry is served, but it is wrong
         Cache(tmp_path).put(
             Cache.make_key("framed", m=3, d=2, method="wallcross"),
-            {"min_exp": 0, "coeffs": ["7"]})
+            {"min_exp": -6, "coeffs": ["1", "0", "2", "0", "3", "0", "5", "0", "3",
+                                       "0", "2", "0", "1"]})
         res = run(*args)
         assert res.exit_code == 3
         assert res.stdout == ""
@@ -702,6 +705,57 @@ class TestCache:
         printed = run("--no-cache", "--format", "json", *shown)
         assert (Cache(tmp_path).get(Cache.make_key(command, **params))
                 == json.loads(printed.stdout)["result"]["motive"])
+
+    # well formed, but no motive of K_{2,2}^(3),fr: it does not span v^-6..v^6
+    UNCERTIFIED = {"min_exp": 0, "coeffs": ["7"]}
+
+    @pytest.mark.parametrize("method", ["wallcross", "all"])
+    def test_uncertified_framed_entry_replaced(self, tmp_path, method):
+        args = ("framed", "--m", "3", "--d", "2", "--method", method)
+        key = Cache.make_key("framed", m=3, d=2, method="wallcross")
+        assert run("--cache-dir", str(tmp_path), *args).exit_code == 0
+        good = Cache(tmp_path).get(key)
+        for fmt in ("plain", "json"):
+            Cache(tmp_path).put(key, self.UNCERTIFIED)
+            planted = run("--cache-dir", str(tmp_path), "--format", fmt, *args)
+            fresh = run("--no-cache", "--format", fmt, *args)
+            assert planted.exit_code == fresh.exit_code == 0
+            assert planted.stdout == fresh.stdout
+            # the entry was discarded and the recomputed one stored
+            assert Cache(tmp_path).get(key) == good
+
+    def test_moduli_entry_of_wrong_span_replaced(self, tmp_path):
+        args = ("moduli", "--m", "3", "--d", "3", "--e", "2")
+        key = Cache.make_key("moduli", m=3, d=3, e=2)
+        assert run("--cache-dir", str(tmp_path), *args).exit_code == 0
+        good = Cache(tmp_path).get(key)
+        # the true motive times v^2: palindromic no longer, and off its span
+        Cache(tmp_path).put(key, LaurentPoly.from_json(good).v_shift(2).to_json())
+        planted = run("--cache-dir", str(tmp_path), *args)
+        fresh = run("--no-cache", *args)
+        assert (planted.exit_code, planted.stdout) == (0, fresh.stdout)
+        assert Cache(tmp_path).get(key) == good
+
+    @pytest.mark.parametrize("args,module,name,wrong,message", [
+        (("framed", "--m", "3", "--d", "2", "--method", "wallcross"),
+         wallcross, "framed_via_quotient",
+         lambda m, D0, order: TruncSeries([1, 1, LaurentPoly([7])], order),
+         "wallcross: the framed motive of (m, d, e) = (3, 2, 2) spans v^0..v^0, "
+         "not v^-6..v^6"),
+        # K_{2,1}^(3) is the projective plane, of motive v^-2 + 1 + v^2
+        (("moduli", "--m", "3", "--d", "2", "--e", "1"),
+         wallcross, "moduli_motive",
+         lambda m, d, e: LaurentPoly([1, 0, -1, 0, 1], -2),
+         "wallcross: the moduli motive of (m, d, e) = (3, 2, 1) has a negative "
+         "coefficient"),
+    ], ids=["framed", "moduli"])
+    def test_uncertified_fresh_motive_exits_3(self, tmp_path, monkeypatch, args,
+                                              module, name, wrong, message):
+        monkeypatch.setattr(module, name, wrong)
+        res = run("--cache-dir", str(tmp_path), *args)
+        assert (res.exit_code, res.stdout, res.stderr) == (3, "", message + "\n")
+        # and nothing was stored
+        assert not list(tmp_path.iterdir())
 
     def test_corrupt_cache_entry_ignored(self, tmp_path):
         args = ["--cache-dir", str(tmp_path),

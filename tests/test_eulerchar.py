@@ -1,19 +1,20 @@
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
 from kronmot.central import extract_G, framed_recursion
-from kronmot.errors import NonIntegerError
+from kronmot.errors import KronmotError, NonIntegerError
 from kronmot.eulerchar import (
     _quotient,
+    certify,
     chi_framed_closed,
     chi_framed_pow_closed,
     chi_from_motive,
     chi_moduli_closed,
 )
 from kronmot.exactalg import LaurentPoly
-from kronmot.wallcross import moduli_motive
+from kronmot.wallcross import hn_extract, moduli_motive
 
 
 def test_chi_from_motive():
@@ -121,3 +122,52 @@ def test_specialized_functional_equation(m):
     for _ in range(m):
         rhs = mul(rhs, inv)
     assert rhs == fbar
+
+
+class TestCertify:
+    def test_every_nonempty_coprime_moduli_motive(self):
+        # d + e <= 14 at m = 1..5: 143 nonempty spaces, and every empty one
+        # has dim = 1 - <D,D> < 0
+        nonempty = 0
+        for m in range(1, 6):
+            table = hn_extract(m, 14)
+            for d, e in ((d, s - d) for s in range(1, 15) for d in range(s + 1)):
+                if gcd(d, e) == 1:
+                    motive = table.motive((d, e))
+                    certify("moduli", m, d, e, motive)
+                    nonempty += not motive.is_zero()
+        assert nonempty == 143
+
+    def test_every_framed_central_motive(self):
+        # 64 motives, m = 3..10 and d = 1..8, of dimension (m-2)d^2 + d
+        for m in range(3, 11):
+            F = framed_recursion(m, 8)
+            for d in range(1, 9):
+                motive = F.coeffs[d].to_laurent()
+                assert motive.max_exp == (m - 2) * d * d + d
+                certify("framed", m, d, d, motive)
+
+    # the framed motive of (3, 2, 2), v^-6 (1 + 2q + 3q^2 + 3q^3 + 3q^4 +
+    # 2q^5 + q^6), q = v^-2, and dim 6
+    FRAMED_3_2 = [1, 0, 2, 0, 3, 0, 3, 0, 3, 0, 2, 0, 1]
+
+    @pytest.mark.parametrize("coeffs,min_exp,failure", [
+        ([7], 0, "spans v^0..v^0, not v^-6..v^6"),
+        (FRAMED_3_2, -4, "spans v^-4..v^8, not v^-6..v^6"),
+        (FRAMED_3_2[:-2] + [0, 2], -6, "is not palindromic"),
+        ([1, 1, 2, 0, 3, 0, 3, 0, 3, 0, 2, 1, 1], -6, "is nonzero at an odd offset"),
+        ([1, 0, 2, 0, 3, 0, -3, 0, 3, 0, 2, 0, 1], -6, "has a negative coefficient"),
+        ([], 0, "is 0 on a nonempty space"),
+    ])
+    def test_each_property_named(self, coeffs, min_exp, failure):
+        certify("framed", 3, 2, 2, LaurentPoly(self.FRAMED_3_2, -6))
+        with pytest.raises(KronmotError) as info:
+            certify("framed", 3, 2, 2, LaurentPoly(coeffs, min_exp))
+        assert str(info.value) == f"the framed motive of (m, d, e) = (3, 2, 2) {failure}"
+
+    def test_empty_space(self):
+        # dim K_{4,1}^(3) = 1 - <D,D> = -4: the space is empty, its motive 0
+        assert moduli_motive(3, 4, 1).is_zero()
+        certify("moduli", 3, 4, 1, LaurentPoly.zero())
+        with pytest.raises(KronmotError, match="nonzero on an empty space$"):
+            certify("moduli", 3, 4, 1, LaurentPoly.one())

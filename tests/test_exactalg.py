@@ -12,6 +12,7 @@ from kronmot.exactalg import (
     RatFunc,
     _pack,
     _slot,
+    qpoch,
     qpoch_divexact,
     qpoch_mul,
     quantum_integer,
@@ -813,6 +814,72 @@ class TestQPochhammer:
         for f in (qpoch_mul, qpoch_divexact):
             with pytest.raises(ValueError):
                 f(LaurentPoly([1, 0, 1]), exps)
+
+
+def times_binomials(p, exps):
+    """p * prod (1 - q^i), q = v^-2, by schoolbook: 1 - v^(-2i) has
+    coefficients -1, 0, ..., 0, 1 from v^(-2i) up."""
+    if not p.coeffs:
+        return p
+    coeffs, lo = list(p.coeffs), p.min_exp
+    for i in exps:
+        coeffs = schoolbook(coeffs, [-1] + [0] * (2 * i - 1) + [1])
+        lo -= 2 * i
+    return LaurentPoly(coeffs, lo)
+
+
+@st.composite
+def qpoch_operands(draw):
+    """(an operand, the polynomial it holds): wrapped by ``Operand(p)``, or
+    straight out of ``sum_of_products``, its ``poly`` not yet built.  Both
+    kinds come at stride 1 and at stride 2."""
+    if draw(st.booleans()):
+        p = draw(int_polys())
+        return Operand(p), p
+    terms = draw(product_sums())
+    op = sum_of_products([(sign, shift, [Operand(p) for p in polys])
+                          for sign, shift, polys in terms])
+    return op, shifted_sum(terms)
+
+
+class TestQPochhammerOnOperands:
+    """``qpoch`` against products by 1 - q^i and long division, on the
+    coefficients an operand holds."""
+
+    @given(qpoch_operands(), exponent_lists, exponent_lists, st.integers(-6, 6),
+           st.booleans())
+    def test_is_the_product_and_the_long_division(self, operand, muls, divs, shift,
+                                                  exact):
+        op, p = operand
+        assert op._poly is None or op._poly is p or not op.coeffs
+        if exact:  # multiplied by every divisor first, so the quotient exists
+            muls = muls + divs
+        want = _outcome(lambda: times_binomials(p, muls).divexact(
+            times_binomials(LaurentPoly.one(), divs)).v_shift(shift))
+        got = _outcome(lambda: qpoch(op, muls, divs, shift))
+        if exact:
+            assert got is not NonPolynomialError
+        if want is NonPolynomialError:
+            assert got is NonPolynomialError
+            return
+        assert_canonical_int(got.poly)
+        assert got.poly == want
+        # the stride, coefficients and norm are those Operand decides for
+        # the result, and no packing is made
+        fresh = Operand(want)
+        assert (got.lo, got.even, list(got.coeffs), got.norm) == (
+            fresh.lo, fresh.even, list(fresh.coeffs), fresh.norm)
+        assert got.packed == {} or not want.coeffs
+
+    @given(int_polys(), st.lists(st.integers(1, 6), min_size=1, max_size=4),
+           st.integers(-30, 30))
+    def test_remainder_raises(self, p, exps, j):
+        # a monomial vanishes at no root of unity, so 1 - q^i never divides
+        # it; the dividend is a packed sum, at stride 2 or 1 as p and j are
+        op = sum_of_products([(1, 0, (Operand(times_binomials(p, exps)),)),
+                              (1, j, (Operand(LaurentPoly.one()),))])
+        with pytest.raises(NonPolynomialError):
+            qpoch(op, (), exps)
 
 
 @st.composite

@@ -14,7 +14,6 @@ from kronmot.exactalg import LaurentPoly, RatFunc, quantum_integer
 from kronmot.wallcross import (
     MotiveTable,
     _denominator,
-    a_coeff,
     euler_form,
     framed_via_quotient,
     hn_extract,
@@ -96,30 +95,30 @@ class TestACoeff:
                 got = _denominator(d, e)
                 assert (got.min_exp, got.coeffs) == (lo, tuple(coeffs)), (d, e)
 
-    def test_origin(self):
-        assert a_coeff(3, (0, 0)) == RatFunc.one()
 
-    def test_single_vertex(self):
-        expected = RatFunc.one() / RatFunc.of(V - VINV)
-        assert a_coeff(3, (1, 0)) == expected
-
-    def test_one_one(self):
-        den = (LaurentPoly.one() - LaurentPoly.monomial(-2)) ** 2
-        assert a_coeff(3, (1, 1)) == RatFunc(V, den)
+# coefficients of x^D in A(x), v^(-<D,D>) / ((q;q)_d (q;q)_e) with q = v^-2,
+# written out at m = 3: (q;q)_1 = 1 - q, (q;q)_2 = 1 - q - q^2 + q^3 and
+# (q;q)_3 = 1 - q - q^2 + q^4 + q^5 - q^6
+A_10 = RatFunc(LaurentPoly.monomial(-1), LaurentPoly([-1, 0, 1], -2))
+A_02 = RatFunc(LaurentPoly.monomial(-4), LaurentPoly([1, 0, -1, 0, -1, 0, 1], -6))
+A_30 = RatFunc(LaurentPoly.monomial(-9),
+               LaurentPoly([-1, 0, 1, 0, 1, 0, 0, 0, -1, 0, -1, 0, 1], -12))
 
 
 class TestHNExtract:
     def test_lowest_coefficients(self):
         table = hn_extract(3, 5)
-        assert table.a((1, 0)) == a_coeff(3, (1, 0))
-        assert table.a((0, 2)) == a_coeff(3, (0, 2))
+        assert A_10 == RatFunc.one() / RatFunc.of(V - VINV)
+        assert table.a((1, 0)) == A_10
+        assert table.a((0, 2)) == A_02
         assert table.a((0, 0)) == RatFunc.one()
 
     def test_single_ray_vectors_equal_a_coeff(self):
-        # no two-part strictly-ascending decomposition exists on a pure ray
+        # no two-part strictly-ascending decomposition exists on a pure ray,
+        # so a_D there is the coefficient of x^D in A(x)
         table = hn_extract(3, 4)
-        assert table.a((3, 0)) == a_coeff(3, (3, 0))
-        assert table.a((0, 3)) == a_coeff(3, (0, 3))
+        assert table.a((3, 0)) == A_30
+        assert table.a((0, 3)) == A_30
 
     def test_against_paper_tables(self):
         table = hn_extract(3, 5)
@@ -430,7 +429,7 @@ class TestRaySeries:
 
     def test_first_coefficient_on_axis(self):
         table = hn_extract(3, 4)
-        assert table.ray_series((1, 0), 4).coeffs[1] == a_coeff(3, (1, 0))
+        assert table.ray_series((1, 0), 4).coeffs[1] == A_10
 
     def test_slope_reflection_identity(self):
         # A^(1) = A^(2) at m=3
@@ -461,10 +460,12 @@ class TestRaySeries:
 
 class TestFramedQuotient:
     def test_framed_tables(self):
+        # an integral series: its coefficients are LaurentPolys
         F = framed_via_quotient(3, (1, 1), 2)
-        assert F.coeffs[0] == RatFunc.one()
-        assert step2(F.coeffs[1].to_laurent()) == [1, 1, 1]
-        assert step2(F.coeffs[2].to_laurent()) == [1, 2, 3, 3, 3, 2, 1]
+        assert F.is_integral()
+        assert F.coeffs[0] == LaurentPoly.one()
+        assert step2(F.coeffs[1]) == [1, 1, 1]
+        assert step2(F.coeffs[2]) == [1, 2, 3, 3, 3, 2, 1]
 
     @pytest.mark.parametrize("m", range(1, 6))
     @pytest.mark.parametrize("ray", [(1, 1), (1, 2), (2, 1), (2, 3), (0, 1), (1, 0)])
@@ -482,7 +483,8 @@ class TestFramedQuotient:
                 F = table.framed_series(ray, order)
                 assert F.order == order
                 assert PointSeries.of(F, r).values == reference.values[: order + 1], order
-                assert all(type(c) is RatFunc and c.is_laurent() for c in F.coeffs)
+                assert F.is_integral()
+                assert all(type(c) is LaurentPoly for c in F.coeffs)
 
     def test_non_primitive_ray_rejected(self):
         with pytest.raises(NonCoprimeError):
