@@ -144,44 +144,59 @@ def _hn_vectors(bound: int) -> list[tuple[int, int]]:
     return [(d, s - d) for s in range(bound + 1) for d in range(s + 1)]
 
 
-def _hn_record(d: int, e: int, a: RatFunc, motive) -> dict:
+def _hn_record(m: int, d: int, e: int, a: RatFunc, motive) -> dict:
     """The ``hn`` record of (d, e): a_D, whose denominator divides
     (q;q)_d (q;q)_e and so has lowest coefficient 1, and the motive, or None
-    exactly where gcd(d, e) > 1.  A record that breaks either rule raises
-    ``KronmotError``: a cached one is discarded, a fresh one exits 3."""
+    exactly where gcd(d, e) > 1, which passes ``eulerchar.certify`` unless
+    (d, e) = (0, 0).  A record that breaks a rule raises ``KronmotError``:
+    a cached one is discarded, a fresh one exits 3."""
+    from .eulerchar import certify
+
     if a.den.coeffs[0] != 1:
         raise KronmotError(f"the denominator of a_({d},{e}) has lowest "
                            "coefficient other than 1")
     if (motive is None) != (gcd(d, e) > 1):
         raise KronmotError(f"({d},{e}): the motive is null iff gcd(d, e) > 1")
+    if motive is not None and (d or e):
+        certify("moduli", m, d, e, motive)
     return {"d": d, "e": e, "a": a.to_json(),
             "motive": None if motive is None else motive.to_json()}
 
 
-def _canonical_records(records, bound: int) -> list[dict]:
+def _canonical_records(records, m: int, bound: int) -> list[dict]:
     """Re-encode cached ``hn`` records for d+e <= bound (``_hn_record``)."""
     vectors = _hn_vectors(bound)
     if len(records) != len(vectors):
         raise ValueError("wrong number of records")
-    return [_hn_record(d, e, RatFunc.from_json(rec["a"]),
+    return [_hn_record(m, d, e, RatFunc.from_json(rec["a"]),
                        None if rec["motive"] is None
                        else LaurentPoly.from_json(rec["motive"]))
             for (d, e), rec in zip(vectors, records)]
 
 
-def _canonical_series(payload, which: str, order: int) -> dict:
+def _canonical_series(payload, which: str, m: int, order: int) -> dict:
     """Re-encode a ``TruncSeries.to_json`` payload of the given order.
 
     Each coefficient of A^(k) is a quotient whose denominator has lowest
-    coefficient 1, and each of F and G a Laurent polynomial."""
+    coefficient 1, and each of F and G a Laurent polynomial that passes
+    ``eulerchar.certify``: F_d is the framed motive of (d, d), G_d for
+    d >= 1 the moduli motive of (d, d-1), and G_0 is 1."""
     if payload["order"] != order:
         raise ValueError("series of the wrong order")
+    from .eulerchar import certify
     from .qseries import TruncSeries
 
     ts = TruncSeries.from_json(payload)
     if not all(c.den.coeffs[0] == 1 and (which == "A" or c.is_laurent())
                for c in ts.coeffs):
         raise ValueError(f"a coefficient of {which} has the wrong form")
+    if which == "G" and ts.coeffs[0] != 1:
+        raise ValueError("G_0 is not 1")
+    for d, c in enumerate(ts.coeffs):
+        if which == "F":
+            certify("framed", m, d, d, c.num)
+        elif which == "G" and d:
+            certify("moduli", m, d, d - 1, c.num)
     return ts.to_json()
 
 
@@ -224,13 +239,13 @@ def hn(args):
         from .wallcross import hn_extract
 
         table = hn_extract(m, bound)
-        return [_hn_record(d, e, table.a((d, e)),
+        return [_hn_record(m, d, e, table.a((d, e)),
                            LaurentPoly.one() if d == e == 0
                            else table.motive((d, e)) if gcd(d, e) == 1 else None)
                 for d, e in _hn_vectors(bound)]
 
     records = _cached(args, "hn", {"m": m, "bound": bound}, compute,
-                      lambda p: _canonical_records(p, bound))
+                      lambda p: _canonical_records(p, m, bound))
 
     def line(rec):
         motive = rec["motive"]
@@ -272,7 +287,7 @@ def series(args):
 
     payload = _cached(args, "series",
                       {"which": which, "m": m, "k": k, "order": order},
-                      compute, lambda p: _canonical_series(p, which, order))
+                      compute, lambda p: _canonical_series(p, which, m, order))
 
     def line(dd, coeff):
         num = ",".join(_coeff_list(LaurentPoly.from_json(coeff["num"])))

@@ -29,16 +29,16 @@ polynomial, and every a_D a quotient of two of them.
 - Two-term division lives in ``qpoch``, the kernel-level partner of
   ``sum_of_products``: it takes an ``Operand`` and returns one.  Every
   product and exact quotient by q-Pochhammer binomials 1 - q^i,
-  q = v^(-2), is one ``qpoch`` pass; ``qpoch_mul``, ``qpoch_divexact`` and
-  ``quantum_ratio`` (every c [a]_v / [d]_v, one binomial of each kind) are
-  its ``LaurentPoly`` forms, and a product by a quantum integer is
-  ``quantum_ratio`` with d = 1, and so is ``quantum_integer`` itself.  The
-  pass reads the stride the operand already holds: one list subtraction
-  per binomial, or one division by 1 - v^s, a running sum along each
-  residue class mod s, run as one strided ``itertools.accumulate`` per
-  class (``_divexact_binomial``), and no intermediate ``LaurentPoly``.  A
-  remainder raises ``NonPolynomialError``.  ``Operand`` is the one place
-  that decides which offsets are packed.
+  q = v^(-2), is one ``qpoch`` pass, run by its callers on the operands
+  they hold; ``quantum_ratio`` (every c [a]_v / [d]_v, one binomial of
+  each kind) is its one ``LaurentPoly`` form, and a product by a quantum
+  integer is ``quantum_ratio`` with d = 1, and so is ``quantum_integer``
+  itself.  The pass reads the stride the operand already holds: one list
+  subtraction per binomial, or one division by 1 - v^s, a running sum
+  along each residue class mod s, run as one strided
+  ``itertools.accumulate`` per class (``_divexact_binomial``), and no
+  intermediate ``LaurentPoly``.  A remainder raises ``NonPolynomialError``.
+  ``Operand`` is the one place that decides which offsets are packed.
 - ``RatFunc`` is a reduced quotient of integer Laurent polynomials.  One
   whose denominator is the constant 1 is already in canonical form, so
   constructing it skips the gcd.
@@ -383,7 +383,6 @@ class LaurentPoly:
         return "LaurentPoly(" + " + ".join(terms) + ")"
 
 
-_ZERO = LaurentPoly(())
 _ONE = LaurentPoly((1,))
 
 
@@ -394,44 +393,43 @@ class Operand:
     offset are computed once; its packing is computed once per slot and
     stride and kept for the life of the operand.  ``coeffs`` holds the
     coefficients at the operand's own stride: every second one from the
-    lowest when it vanishes at its odd offsets, else all of them.  This
-    class alone decides that stride: ``sum_of_products`` and ``qpoch``
-    build their results through ``_of``, and such an operand builds its
-    ``LaurentPoly`` only when ``poly`` is first read.  ``LaurentPoly`` is
-    immutable, so a packing can never go stale.  Besides the solvers'
-    packed sums, ``LaurentPoly.__mul__`` wraps both factors of each integer
-    product whose operands both have two coefficients or more, and the
-    ``LaurentPoly`` forms of ``qpoch`` wrap their argument.
+    lowest when it vanishes at its odd offsets, else all of them.  One
+    method, ``_hold``, decides that stride, for the constructor and for
+    ``_of``, through which ``sum_of_products`` and ``qpoch`` build their
+    results; such an operand builds its ``LaurentPoly`` only when ``poly``
+    is first read.  ``LaurentPoly`` is immutable, so a packing can never go
+    stale.  The solvers and the wall-crossing table keep the operands their
+    packed sums return; besides those, ``LaurentPoly.__mul__`` wraps both
+    factors of each integer product whose operands both have two
+    coefficients or more, and ``quantum_ratio`` wraps its argument.
     """
 
     __slots__ = ("_poly", "coeffs", "lo", "norm", "even", "packed")
 
     def __init__(self, poly: LaurentPoly):
-        coeffs = poly.coeffs
         self._poly = poly
-        self.lo = poly.min_exp
-        self.norm = sum(map(abs, coeffs))
-        self.even = not any(coeffs[1::2])
-        self.coeffs = coeffs[::2] if self.even else coeffs
-        # slot size (stride 2) or minus slot size (stride 1) -> packing
-        self.packed = {}
+        self._hold(poly.coeffs, poly.min_exp, 1, {})
 
     @classmethod
     def _of(cls, coeffs: list, lo: int, stride: int, packed: dict) -> "Operand":
         """The operand of a computed result: ``coeffs`` are its coefficients
         at ``stride`` from v^lo up, the ends nonzero, and ``packed`` its
-        packings.  A stride-1 list that vanishes at its odd offsets is
-        compacted here, so this and the constructor are the only places that
-        decide a stride; the ``LaurentPoly`` is built when ``poly`` is read.
-        """
+        packings; the ``LaurentPoly`` is built when ``poly`` is read."""
         out = object.__new__(cls)
         out._poly = None
-        out.lo = lo
-        out.norm = sum(map(abs, coeffs))
-        out.even = even = stride == 2 or not any(coeffs[1::2])
-        out.coeffs = coeffs[::2] if even and stride == 1 else coeffs
-        out.packed = packed
+        out._hold(coeffs, lo, stride, packed)
         return out
+
+    def _hold(self, coeffs, lo: int, stride: int, packed: dict):
+        """Hold ``coeffs`` (at ``stride`` from v^lo up) at the operand's own
+        stride: a stride-1 list that vanishes at its odd offsets is
+        compacted to every second entry.  The one place a stride is decided."""
+        self.lo = lo
+        self.norm = sum(map(abs, coeffs))
+        self.even = even = stride == 2 or not any(coeffs[1::2])
+        self.coeffs = coeffs[::2] if even and stride == 1 else coeffs
+        # slot size (stride 2) or minus slot size (stride 1) -> packing
+        self.packed = packed
 
     @property
     def poly(self) -> LaurentPoly:
@@ -496,7 +494,7 @@ def sum_of_products(terms) -> Operand:
                 lo = start0 = start
             spans.append((start, sign, ops))
     if not spans:
-        return Operand(_ZERO)
+        return Operand._of([], 0, 2, {})
     if mixed & 1:
         even = False
     stride = 2 if even else 1
@@ -517,7 +515,7 @@ def sum_of_products(terms) -> Operand:
         prod <<= bits * ((start - lo) // stride)
         total = total + prod if sign > 0 else total - prod
     if not total:
-        return Operand(_ZERO)
+        return Operand._of([], 0, 2, {})
     first = ((total & -total).bit_length() - 1) // bits
     if first:
         total >>= bits * first
@@ -564,19 +562,6 @@ def qpoch(op: Operand, muls, divs, shift: int = 0) -> Operand:
     if sign < 0:
         xs = list(map(neg, xs))
     return Operand._of(xs, lo, stride, {})
-
-
-def qpoch_mul(p: LaurentPoly, exps) -> LaurentPoly:
-    """p * prod_{i in exps} (1 - q^i), q = v^(-2), each i >= 1: one list
-    subtraction per factor (``qpoch``)."""
-    return qpoch(Operand(p), exps, ()).poly
-
-
-def qpoch_divexact(p: LaurentPoly, exps) -> LaurentPoly:
-    """The exact quotient p / prod_{i in exps} (1 - q^i), q = v^(-2), each
-    i >= 1: one two-term division per factor (``qpoch``), so a remainder
-    raises ``NonPolynomialError``."""
-    return qpoch(Operand(p), (), exps).poly
 
 
 def quantum_ratio(c: LaurentPoly, a: int, d: int) -> LaurentPoly:

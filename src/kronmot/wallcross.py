@@ -45,10 +45,15 @@ norms prove wide enough, the products are summed as big integers and the
 result is unpacked once.  Each operand keeps its packings for as long as
 it is in use, so a numerator, an a_k or a q-binomial is packed at most
 once per slot width, and an updated P[D] starts out with the packing its
-own sum produced.  The framed motives of ``MotiveTable.framed_series``
-solve an equation of the same shape over the same Pascal rows of Gaussian
-binomials (``_qbinom_rows``), one packed sum and one q-Pochhammer pass
-(``exactalg.qpoch``) per degree, and come back as an integral series.
+own sum produced.  The table keeps the operand the sweep left as each
+numerator, and its readers run on those operands: a motive is one
+q-Pochhammer pass (``exactalg.qpoch``), ``cleared_series`` and
+``framed_series`` feed them to packed sums and q-Pochhammer passes as they
+are, and an entry builds its ``LaurentPoly`` only when one is returned.
+The framed motives of ``MotiveTable.framed_series`` solve an equation of
+the same shape over the same Pascal rows of Gaussian binomials, wrapped
+once (``_qbinom_rows``), one packed sum and one q-Pochhammer pass per
+degree, and come back as an integral series.
 """
 
 from __future__ import annotations
@@ -60,8 +65,7 @@ from math import gcd
 
 from .errors import (ExactDivisionError, InsufficientBoundError, NonCoprimeError,
                      NonPolynomialError)
-from .exactalg import (LaurentPoly, Operand, RatFunc, qpoch, qpoch_divexact, qpoch_mul,
-                       sum_of_products)
+from .exactalg import LaurentPoly, Operand, RatFunc, qpoch, sum_of_products
 from .qseries import TruncSeries
 
 
@@ -94,24 +98,29 @@ def _slope_cmp(a, b) -> int:
 slope_key = cmp_to_key(_slope_cmp)
 
 
+# the constant 1 as an operand; ``qpoch`` never packs it
+_ONE = Operand(LaurentPoly.one())
+
+
 def _denominator(d: int, e: int) -> LaurentPoly:
     """(q;q)_d (q;q)_e, (q;q)_n = prod_{i=1}^n (1 - v^(-2i)), the
-    denominator of a_(d,e), in one ``exactalg.qpoch_mul`` pass.  Not cached:
+    denominator of a_(d,e), in one ``exactalg.qpoch`` pass.  Not cached:
     a request reads each a_(d,e) once, so a cache per pair never hits."""
-    return qpoch_mul(LaurentPoly.one(), [*range(1, d + 1), *range(1, e + 1)])
+    return qpoch(_ONE, [*range(1, d + 1), *range(1, e + 1)], ()).poly
 
 
-def _qbinom_rows(top: int) -> list[list[LaurentPoly]]:
-    """Gaussian binomials in q = v^(-2): row n holds [n choose k] for
-    k = 0..n, n = 0..top, each row built from the one before by the Pascal
-    recursion [n, k] = [n-1, k-1] + q^k [n-1, k]."""
+def _qbinom_rows(top: int) -> list[list[Operand]]:
+    """Gaussian binomials in q = v^(-2), each wrapped once as an
+    ``Operand``: row n holds [n choose k] for k = 0..n, n = 0..top, each
+    row built from the one before by the Pascal recursion
+    [n, k] = [n-1, k-1] + q^k [n-1, k]."""
     one = LaurentPoly.one()
     rows = [[one]]
     for n in range(1, top + 1):
         row = rows[-1]
         rows.append([one] + [row[k - 1] + row[k].v_shift(-2 * k) for k in range(1, n)]
                     + [one])
-    return rows
+    return [[Operand(c) for c in row] for row in rows]
 
 
 def _check_vector(D) -> DimVector:
@@ -132,18 +141,21 @@ def _staircase(vectors) -> list[int]:
     return list(accumulate(reversed(reach), max))[::-1]
 
 
-def _sweep(m: int, emax) -> dict[DimVector, LaurentPoly]:
+def _sweep(m: int, emax) -> dict[DimVector, Operand]:
     """Numerators of a_D over (q;q)_d (q;q)_e for every D in the staircase
-    ``emax``: row d holds e = 0..emax[d], and emax does not increase with d.
+    ``emax``, as the operands the packed sums returned: row d holds
+    e = 0..emax[d], and emax does not increase with d.
 
     A staircase is down-closed (with D it holds every D' <= D, compared
     component by component); the factorisation then truncates to it
     exactly, as the module docstring explains.  The final residue check
     covers the whole set.
 
-    P[d][e] is the numerator at (d, e), held as an ``exactalg.Operand``,
-    and each update is one ``sum_of_products``; a new operand replaces
-    P[d][e], so no packing outlives the value it was made from.  The ray
+    P[d][e] is the numerator at (d, e), held as an ``exactalg.Operand``
+    that starts as v^(-<D,D>), and each update is one ``sum_of_products``;
+    a new operand replaces P[d][e], so no packing outlives the value it was
+    made from.  When the sweep reaches the ray of D, P[D] is a_D's
+    numerator and is kept as it is; no ``LaurentPoly`` is built.  The ray
     of D0 = (d0, e0) visits d >= d0, then e0 <= e <= emax[d] in increasing
     order, so P[D - k*D0] is updated before D.  Its twist is
     sym_form(m, k*D0, D - k*D0) = k * c with c = m(d*e0 - d0*e), one
@@ -151,13 +163,13 @@ def _sweep(m: int, emax) -> dict[DimVector, LaurentPoly]:
     slope, where the earlier rays have already left P zero, so those D are
     skipped.
     """
-    P = [[Operand(LaurentPoly.monomial(-euler_form(m, (d, e), (d, e))))
+    # v^(-<D,D>), built as qpoch builds its results: its LaurentPoly only
+    # when read
+    P = [[qpoch(_ONE, (), (), -euler_form(m, (d, e), (d, e)))
           for e in range(top + 1)] for d, top in enumerate(emax)]
-    # qbin[n][j]: [n choose j] in q, wrapped once, for every n a q-binomial
-    # is taken of
-    qbin = [[Operand(c) for c in row]
-            for row in _qbinom_rows(max(len(emax) - 1, emax[0]))]
-    anum = {DimVector(0, 0): LaurentPoly.one()}
+    # qbin[n][j]: [n choose j] in q, for every n a q-binomial is taken of
+    qbin = _qbinom_rows(max(len(emax) - 1, emax[0]))
+    anum = {DimVector(0, 0): P[0][0]}
     rays = sorted(((d, e) for d, top in enumerate(emax)
                    for e in range(top + 1) if gcd(d, e) == 1), key=slope_key)
     for d0, e0 in rays:
@@ -166,7 +178,7 @@ def _sweep(m: int, emax) -> dict[DimVector, LaurentPoly]:
         k, kd, ke = 1, d0, e0
         while kd < len(emax) and ke <= emax[kd]:
             an = P[kd][ke]
-            anum[DimVector(kd, ke)] = an.poly
+            anum[DimVector(kd, ke)] = an
             if an.norm:
                 ray.append((k, kd, ke, an))
             k, kd, ke = k + 1, kd + d0, ke + e0
@@ -208,16 +220,16 @@ def _exponents(D0, k: int, n: int) -> list[int]:
     return [*range(k * d0 + 1, n * d0 + 1), *range(k * e0 + 1, n * e0 + 1)]
 
 
-def _motive(D: DimVector, anum: LaurentPoly) -> LaurentPoly:
+def _motive(D: DimVector, anum: Operand) -> LaurentPoly:
     """[K_D]_vir = (v - 1/v) * a_D from the numerator of a_D, D coprime.
 
     a_D = anum / ((q;q)_d (q;q)_e) and v - 1/v = v (1 - q), while
     (q;q)_n = (1 - q)(1 - q^2)...(1 - q^n).  So [K_D]_vir is v * anum
     divided by the binomials 1 - q^i of (q;q)_d and (q;q)_e, one factor
-    1 - q dropped (``exactalg.qpoch_divexact``).
+    1 - q dropped: one ``exactalg.qpoch`` pass on the sweep's operand.
     """
     d, e = sorted(D)
-    return qpoch_divexact(anum.v_shift(1), [*range(2, e + 1), *range(1, d + 1)])
+    return qpoch(anum, (), [*range(2, e + 1), *range(1, d + 1)], 1).poly
 
 
 class MotiveTable:
@@ -244,12 +256,12 @@ class MotiveTable:
         if m < 1:
             raise ValueError("need m >= 1")
         self.m = m
-        # numerator of a_D over _denominator(d, e)
-        self._anum: dict[DimVector, LaurentPoly] = _sweep(m, emax)
+        # numerator of a_D over _denominator(d, e), as the sweep's operand
+        self._anum: dict[DimVector, Operand] = _sweep(m, emax)
 
     # -- queries -----------------------------------------------------------
 
-    def _numerator(self, D: DimVector) -> LaurentPoly:
+    def _numerator(self, D: DimVector) -> Operand:
         try:
             return self._anum[D]
         except KeyError:
@@ -259,7 +271,7 @@ class MotiveTable:
     def a(self, D) -> RatFunc:
         """The reduced wall-crossing coefficient a_D."""
         D = _check_vector(D)
-        return RatFunc(self._numerator(D), _denominator(D.d, D.e))
+        return RatFunc(self._numerator(D).poly, _denominator(D.d, D.e))
 
     def motive(self, D) -> LaurentPoly:
         """[K_{d,e}^(m)]_vir = (v - 1/v) * a_D, for coprime (d,e)."""
@@ -271,13 +283,11 @@ class MotiveTable:
     def ray_series(self, D0, order: int) -> TruncSeries:
         """Series along a primitive ray: coefficient of t^n is a_{n*D0}."""
         d0, e0 = D0
-        if gcd(d0, e0) != 1:
-            raise NonCoprimeError(f"ray {tuple(D0)} is not primitive")
         return TruncSeries(
-            [self.a((k * d0, k * e0)) for k in range(order + 1)], order
-        )
+            [RatFunc(num.poly, _denominator(k * d0, k * e0))
+             for k, num in enumerate(self._ray_numerators(D0, order))], order)
 
-    def _ray_numerators(self, D0, order: int) -> list[LaurentPoly]:
+    def _ray_numerators(self, D0, order: int) -> list[Operand]:
         """num_k, the numerator of a_{k*D0} over c_k, for k = 0..order."""
         d0, e0 = D0
         if gcd(d0, e0) != 1:
@@ -293,16 +303,16 @@ class MotiveTable:
         c_n and c_n = (q;q)_{n*d0} (q;q)_{n*e0}, so A = B / C coefficient by
         coefficient.  The ratio c_order / c_n is carried down from n = order,
         where it is 1: c_order / c_n is c_order / c_(n+1) times the binomials
-        1 - q^i for i in ``_exponents(D0, n, n+1)``, d0 + e0 passes
-        (``exactalg.qpoch_mul``), and B_n is one product num_n * ratio.  At
-        n = 0 the ratio is c_order itself.
+        1 - q^i for i in ``_exponents(D0, n, n+1)``, one ``exactalg.qpoch``
+        pass, and B_n is one packed product of the sweep's operand num_n and
+        the ratio's.  At n = 0 the ratio is c_order itself.
         """
         num = self._ray_numerators(D0, order)
-        B, ratio = [num[order]], LaurentPoly.one()
+        B, ratio = [num[order].poly], _ONE
         for n in reversed(range(order)):
-            ratio = qpoch_mul(ratio, _exponents(D0, n, n + 1))
-            B.append(num[n] * ratio)
-        return TruncSeries(B[::-1], order), ratio
+            ratio = qpoch(ratio, _exponents(D0, n, n + 1), ())
+            B.append(sum_of_products([(1, 0, (num[n], ratio))]).poly)
+        return TruncSeries(B[::-1], order), ratio.poly
 
     def framed_series(self, D0, order: int) -> TruncSeries:
         """Framed motives along a ray, via the quotient formula.
@@ -319,22 +329,23 @@ class MotiveTable:
                           v^(-k*e0) num_k [n*d0, k*d0]_q [n*e0, k*e0]_q,
 
         the shape of the sweep's update.  So each cleared c_n F_n is one
-        packed sum (``exactalg.sum_of_products``) over integer Laurent
-        polynomials wrapped once, and F_n is c_n F_n divided exactly by the
+        packed sum (``exactalg.sum_of_products``) over the sweep's operands
+        num_k, the earlier sums and the binomial rows of ``_qbinom_rows``,
+        each wrapped once (on the central ray the two binomials of a term
+        are one operand), and F_n is c_n F_n divided exactly by the
         binomials 1 - q^i of c_n, in place (``exactalg.qpoch`` on the sum's
         operand).  F is returned as an integral series.
         """
-        num = [Operand(p) for p in self._ray_numerators(D0, order)]
+        num = self._ray_numerators(D0, order)
         d0, e0 = D0
         qbin = _qbinom_rows(order * max(d0, e0))
-        cleared = [num[0]]  # cleared[n] wraps c_n F_n
+        cleared = [num[0]]  # cleared[n] holds c_n F_n
         F = [num[0]]
         for n in range(1, order + 1):
             qd, qe = qbin[n * d0], qbin[n * e0]
             cleared.append(sum_of_products(
                 [(1, n * e0, (num[n],))]
-                + [(-1, -k * e0, (cleared[n - k], num[k], Operand(qd[k * d0]),
-                                  Operand(qe[k * e0])))
+                + [(-1, -k * e0, (cleared[n - k], num[k], qd[k * d0], qe[k * e0]))
                    for k in range(1, n + 1)]))
             try:
                 F.append(qpoch(cleared[n], (), _exponents(D0, 0, n)))

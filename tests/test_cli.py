@@ -116,6 +116,20 @@ class TestHn:
         assert res.stdout == ""
         assert res.stderr == "(0,1): the motive is null iff gcd(d, e) > 1\n"
 
+    def test_uncertified_fresh_motive_exits_3(self, tmp_path, monkeypatch):
+        # K_{1,2}^(3) is the projective plane, of motive v^-2 + 1 + v^2
+        class Wrong(wallcross.MotiveTable):
+            def motive(self, D):
+                return LaurentPoly([7]) if tuple(D) == (1, 2) else super().motive(D)
+
+        monkeypatch.setattr(wallcross, "hn_extract", Wrong)
+        res = run("--cache-dir", str(tmp_path), "hn", "--m", "3", "--bound", "3")
+        assert (res.exit_code, res.stdout, res.stderr) == (
+            3, "", "the moduli motive of (m, d, e) = (3, 1, 2) spans v^0..v^0, "
+            "not v^-2..v^2\n")
+        # and nothing was stored
+        assert not list(tmp_path.iterdir())
+
 
 class TestSeries:
     def test_f_plain(self):
@@ -619,6 +633,19 @@ class TestCache:
         ("series", {"which": "A", "m": 3, "k": 1, "order": 2},
          ("series", "--which", "A", "--m", "3", "--order", "2"),
          {("coeffs", 1, "den", "coeffs"): ["2"]}),
+        # well formed, but no motive: F_2 of m = 3 spans v^-6..v^6, G_2 is
+        # the motive of K_{2,1}^(3) = P^2, G_0 is 1, and record 7 is the
+        # motive of K_{1,2}^(3) = P^2
+        ("series", {"which": "F", "m": 3, "k": 1, "order": 2},
+         ("series", "--which", "F", "--m", "3", "--order", "2"),
+         {("coeffs", 2, "num"): {"min_exp": 0, "coeffs": ["7"]}}),
+        ("series", {"which": "G", "m": 3, "k": 1, "order": 3},
+         ("series", "--which", "G", "--m", "3", "--order", "3"),
+         {("coeffs", 2, "num"): {"min_exp": 0, "coeffs": ["7"]}}),
+        ("series", {"which": "G", "m": 3, "k": 1, "order": 3},
+         ("series", "--which", "G", "--m", "3", "--order", "3"),
+         {("coeffs", 0, "num", "coeffs"): ["7"]}),
+        (*HN, {(7, "motive"): {"min_exp": 0, "coeffs": ["7"]}}),
     ])
     def test_non_integer_entry_discarded(self, tmp_path, command,
                                          params, args, edits):

@@ -13,8 +13,6 @@ from kronmot.exactalg import (
     _pack,
     _slot,
     qpoch,
-    qpoch_divexact,
-    qpoch_mul,
     quantum_integer,
     quantum_ratio,
     sum_of_products,
@@ -743,14 +741,6 @@ def int_polys(draw):
 exponent_lists = st.lists(st.integers(1, 6), max_size=4)
 
 
-def binomial_product(exps):
-    """prod (1 - q^i), q = v^-2, each binomial built and multiplied by ``*``."""
-    out = LaurentPoly.one()
-    for i in exps:
-        out = out * (LaurentPoly.one() - LaurentPoly.monomial(-2 * i))
-    return out
-
-
 def _outcome(f):
     try:
         return f()
@@ -759,35 +749,6 @@ def _outcome(f):
 
 
 class TestQPochhammer:
-    @given(int_polys(), exponent_lists)
-    def test_qpoch_mul_is_the_product(self, p, exps):
-        got = qpoch_mul(p, exps)
-        assert got == p * binomial_product(exps)
-        assert_canonical_int(got)
-
-    @given(int_polys(), exponent_lists)
-    def test_qpoch_divexact_undoes_qpoch_mul(self, p, exps):
-        got = qpoch_divexact(qpoch_mul(p, exps), exps)
-        assert got == p
-        assert_canonical_int(got)
-
-    @given(int_polys(), exponent_lists, st.booleans())
-    def test_qpoch_divexact_is_the_long_division(self, p, exps, multiple):
-        if multiple:
-            p = p * binomial_product(exps)
-        want = _outcome(lambda: p.divexact(binomial_product(exps)))
-        got = _outcome(lambda: qpoch_divexact(p, exps))
-        assert got == want
-        if got is not NonPolynomialError:
-            assert_canonical_int(got)
-
-    @given(int_polys(), st.lists(st.integers(1, 6), min_size=1, max_size=4),
-           st.integers(-30, 30))
-    def test_qpoch_divexact_refuses_a_non_multiple(self, p, exps, j):
-        # a monomial vanishes at no root of unity, so 1 - q^i never divides it
-        with pytest.raises(NonPolynomialError):
-            qpoch_divexact(qpoch_mul(p, exps) + LaurentPoly.monomial(j), exps)
-
     @given(int_polys(), st.sampled_from(["a<d", "a=d", "a>d"]), st.integers(1, 8),
            st.integers(1, 8), st.integers(0, 10))
     def test_quantum_ratio_is_product_then_division(self, c, relation, low, gap, k):
@@ -807,13 +768,14 @@ class TestQPochhammer:
         assert _outcome(lambda: (c * quantum_integer(1)).divexact(quantum_integer(12))) \
             is NonPolynomialError
         assert _outcome(lambda: quantum_ratio(c, 1, 12)) is NonPolynomialError
-        assert _outcome(lambda: qpoch_divexact(c, [12])) is NonPolynomialError
+        assert _outcome(lambda: qpoch(Operand(c), (), [12])) is NonPolynomialError
 
     @pytest.mark.parametrize("exps", [[0], [-3]])
     def test_exponents_below_one_refused(self, exps):
-        for f in (qpoch_mul, qpoch_divexact):
+        op = Operand(LaurentPoly([1, 0, 1]))
+        for muls, divs in ((exps, ()), ((), exps)):
             with pytest.raises(ValueError):
-                f(LaurentPoly([1, 0, 1]), exps)
+                qpoch(op, muls, divs)
 
 
 def times_binomials(p, exps):

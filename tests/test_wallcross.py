@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from kronmot import wallcross
 from kronmot.errors import ExactDivisionError, InsufficientBoundError, NonCoprimeError
-from kronmot.exactalg import LaurentPoly, RatFunc, quantum_integer
+from kronmot.exactalg import LaurentPoly, Operand, RatFunc, quantum_integer
 from kronmot.wallcross import (
     MotiveTable,
     _denominator,
@@ -322,6 +322,12 @@ def down_closure(vectors):
 ORACLE_BOUND = 12
 
 
+def swept(m, emax):
+    """``wallcross._sweep`` over the staircase ``emax``, each numerator read
+    off the operand the sweep keeps."""
+    return {D: op.poly for D, op in wallcross._sweep(m, emax).items()}
+
+
 class TestSweepOracle:
     """The packed-sum sweep against the per-term reference.
 
@@ -336,13 +342,13 @@ class TestSweepOracle:
         triangle = [(d, ORACLE_BOUND - d) for d in range(ORACLE_BOUND + 1)]
         want = per_term_sweep(m, down_closure(triangle))
         # the staircase MotiveTable(m, bound) sweeps
-        assert wallcross._sweep(m, range(ORACLE_BOUND, -1, -1)) == want
+        assert swept(m, range(ORACLE_BOUND, -1, -1)) == want
         sets = [[(d, e)] for d in range(ORACLE_BOUND + 1)
                 for e in range(ORACLE_BOUND + 1 - d)]
         sets += [[(d, b - d) for d in range(b + 1)] for b in range(ORACLE_BOUND + 1)]
         for vectors in sets:
             closure = down_closure(vectors)
-            got = wallcross._sweep(m, wallcross._staircase(vectors))
+            got = swept(m, wallcross._staircase(vectors))
             assert sorted(got) == closure
             for D in closure:
                 assert got[D] == want[D], (m, vectors, D)
@@ -359,7 +365,7 @@ class TestSweepOracle:
                min_size=1, max_size=2))
     def test_staircases_match_per_term_sweep(self, m, axis, others):
         closure = down_closure([axis] + others)
-        got = wallcross._sweep(m, wallcross._staircase([axis] + others))
+        got = swept(m, wallcross._staircase([axis] + others))
         assert got == per_term_sweep(m, closure)
         assert sorted(got) == closure
 
@@ -384,8 +390,46 @@ class TestSweepOracle:
     def test_wide_slots_match_per_term_sweep(self):
         # some sums of this box need 8 byte slots; the sets with d+e <= 12
         # and m <= 5 above need at most 4
-        got = wallcross._sweep(8, wallcross._staircase([(10, 11)]))
+        got = swept(8, wallcross._staircase([(10, 11)]))
         assert got == per_term_sweep(8, down_closure([(10, 11)]))
+
+
+class TestTableKeepsOperands:
+    """The table keeps the operands the sweep returned, and its readers run
+    on them without wrapping anything again."""
+
+    @pytest.fixture
+    def wraps(self, monkeypatch):
+        """The polynomials ``Operand(...)`` wraps while the test runs."""
+        made = []
+        init = Operand.__init__
+
+        def counting(op, poly):
+            made.append(poly)
+            init(op, poly)
+
+        monkeypatch.setattr(Operand, "__init__", counting)
+        return made
+
+    def test_entries_build_their_polynomial_only_when_read(self):
+        table = MotiveTable.covering(3, [(7, 9)])
+        table.motive((7, 9))
+        table.a((2, 3))
+        built = {D for D, op in table._anum.items() if op._poly is not None}
+        assert built - {(7, 9)} == {(2, 3)}
+
+    @pytest.mark.parametrize("ray,order", [((1, 1), 12), ((1, 2), 5), ((2, 1), 4)])
+    def test_readers_wrap_nothing_but_the_binomial_rows(self, wraps, ray, order):
+        table = MotiveTable.covering(4, [(order * ray[0], order * ray[1])])
+        wraps.clear()
+        wallcross._qbinom_rows(order * max(ray))
+        rows = len(wraps)
+        table.framed_series(ray, order)
+        assert len(wraps) == 2 * rows
+        wraps.clear()
+        table.cleared_series(ray, order)
+        table.motive(ray)
+        assert wraps == []
 
 
 class TestSmallQuivers:
@@ -495,7 +539,7 @@ class TestFramedQuotient:
         # adding 1 to num_n adds v^n - v^-n = v^n (1 - q^n) to c_n F_n, which
         # (1 - q)^2 does not divide, while c_n = (q;q)_n^2 has that factor
         table = MotiveTable.covering(3, [(3, 3)])
-        table._anum[(n, n)] += LaurentPoly.one()
+        table._anum[(n, n)] = Operand(table._anum[(n, n)].poly + LaurentPoly.one())
         with pytest.raises(ExactDivisionError, match=f"n={n}$"):
             table.framed_series((1, 1), 3)
 
