@@ -8,6 +8,11 @@ declare, maps every error a command raises to 1, 2, 3 or 4, and an
 interrupt to 130, and returns the code, so ``main`` run in process exits
 as the console script does.  argparse's own usage errors exit 2, and
 ``--help`` exits 0, by raising ``SystemExit``.
+
+The four cached commands, ``framed``, ``moduli``, ``hn`` and ``series``,
+get every result through ``_cached``, which runs the command's one check
+on fresh and cached results alike; a fresh result that fails it exits 3
+naming its method.
 """
 
 from __future__ import annotations
@@ -61,52 +66,48 @@ def _emit(args, result, lines, csv_row=()):
             print(line)
 
 
-def _cached(args, command: str, params: dict, compute, canonical):
-    """The JSON payload of a result, from the cache when its entry is valid.
+def _cached(args, command: str, params: dict, method: str, compute, decode,
+            check):
+    """One cache entry's life cycle: a result and its JSON payload, from the
+    cache when the entry is valid, else computed and stored.
 
     The entry is stored under ``command`` and ``params``.  ``compute()``
-    returns the payload.  ``canonical(payload)`` rebuilds a payload through
-    the library's decoders and raises on a wrong shape or a broken rule.
-    A cached payload that does not come back from it unchanged is discarded
-    and recomputed.
+    returns a fresh result, and ``decode(payload)`` rebuilds one through the
+    library's decoders.  ``check(result)`` is the command's one rule set,
+    run on fresh and cached results alike: it returns the result's payload
+    or raises ``KronmotError``.  A cached payload that fails ``decode`` or
+    ``check``, or does not re-encode to itself, is discarded and recomputed.
+    A fresh result that fails ``check`` raises ``KronmotError`` (exit 3)
+    naming ``method``, and is not stored; an error ``compute()`` raises
+    passes unchanged.  The result is decoded at most once: on a hit.
     """
     cache = Cache(args.cache_dir, enabled=not args.no_cache)
     key = Cache.make_key(command, **params)
     payload = cache.get(key)
     if payload is not None:
         try:
-            if (json.dumps(canonical(payload), sort_keys=True)
+            result = decode(payload)
+            if (json.dumps(check(result), sort_keys=True)
                     == json.dumps(payload, sort_keys=True)):
-                return payload
+                return result, payload
         except (LookupError, TypeError, ValueError, ArithmeticError, KronmotError):
             pass
-    payload = compute()
+    result = compute()
+    try:
+        payload = check(result)
+    except KronmotError as exc:
+        raise KronmotError(f"{method}: {exc}") from None
     cache.put(key, payload)
-    return payload
+    return result, payload
 
 
-def _certified(args, command: str, params: dict, method: str,
-               compute) -> LaurentPoly:
-    """A motive through its ``command`` cache entry, certified.
-
-    ``params`` holds m, d and, for ``moduli``, e; a ``framed`` motive is
-    central, e = d.  Every motive passes ``eulerchar.certify``: a cached
-    one that fails is discarded and recomputed, and a fresh one that fails
-    raises ``KronmotError`` (exit 3) naming ``method`` and the property.
-    """
+def _motive(kind: str, m: int, d: int, e: int, motive: LaurentPoly) -> dict:
+    """The check of a ``framed`` (e = d) or ``moduli`` motive:
+    ``eulerchar.certify``."""
     from .eulerchar import certify
 
-    def checked(motive, blame=""):
-        try:
-            certify(command, params["m"], params["d"], params.get("e", params["d"]),
-                    motive)
-        except KronmotError as exc:
-            raise KronmotError(blame + str(exc)) from None
-        return motive.to_json()
-
-    return LaurentPoly.from_json(_cached(
-        args, command, params, lambda: checked(compute(), f"{method}: "),
-        lambda payload: checked(LaurentPoly.from_json(payload))))
+    certify(kind, m, d, e, motive)
+    return motive.to_json()
 
 
 def _framed_motive(args, m: int, d: int, method: str) -> LaurentPoly:
@@ -122,8 +123,9 @@ def _framed_motive(args, m: int, d: int, method: str) -> LaurentPoly:
         solve = framed_recursion if method == "recursion" else solve_functional_eq
         return solve(m, d).coeffs[d].to_laurent()
 
-    return _certified(args, "framed", {"m": m, "d": d, "method": method}, method,
-                      compute)
+    return _cached(args, "framed", {"m": m, "d": d, "method": method}, method,
+                   compute, LaurentPoly.from_json,
+                   lambda motive: _motive("framed", m, d, d, motive))[0]
 
 
 def _moduli_motive(args, m: int, d: int, e: int) -> LaurentPoly:
@@ -134,8 +136,9 @@ def _moduli_motive(args, m: int, d: int, e: int) -> LaurentPoly:
 
         return moduli_motive(m, d, e)
 
-    return _certified(args, "moduli", {"m": m, "d": d, "e": e}, "wallcross",
-                      compute)
+    return _cached(args, "moduli", {"m": m, "d": d, "e": e}, "wallcross",
+                   compute, LaurentPoly.from_json,
+                   lambda motive: _motive("moduli", m, d, e, motive))[0]
 
 
 def _hn_vectors(bound: int) -> list[tuple[int, int]]:
@@ -144,55 +147,49 @@ def _hn_vectors(bound: int) -> list[tuple[int, int]]:
     return [(d, s - d) for s in range(bound + 1) for d in range(s + 1)]
 
 
-def _hn_record(m: int, d: int, e: int, a: RatFunc, motive) -> dict:
-    """The ``hn`` record of (d, e): a_D, whose denominator divides
-    (q;q)_d (q;q)_e and so has lowest coefficient 1, and the motive, or None
-    exactly where gcd(d, e) > 1, which passes ``eulerchar.certify`` unless
-    (d, e) = (0, 0).  A record that breaks a rule raises ``KronmotError``:
-    a cached one is discarded, a fresh one exits 3."""
+def _hn_records(records, m: int, bound: int) -> list[dict]:
+    """The check of the ``hn`` records: one (a_D, motive) pair for each
+    (d, e) of ``_hn_vectors(bound)``.  a_D's denominator divides
+    (q;q)_d (q;q)_e and so has lowest coefficient 1, and the motive is None
+    exactly where gcd(d, e) > 1, and passes ``eulerchar.certify`` unless
+    (d, e) = (0, 0)."""
     from .eulerchar import certify
 
-    if a.den.coeffs[0] != 1:
-        raise KronmotError(f"the denominator of a_({d},{e}) has lowest "
-                           "coefficient other than 1")
-    if (motive is None) != (gcd(d, e) > 1):
-        raise KronmotError(f"({d},{e}): the motive is null iff gcd(d, e) > 1")
-    if motive is not None and (d or e):
-        certify("moduli", m, d, e, motive)
-    return {"d": d, "e": e, "a": a.to_json(),
-            "motive": None if motive is None else motive.to_json()}
-
-
-def _canonical_records(records, m: int, bound: int) -> list[dict]:
-    """Re-encode cached ``hn`` records for d+e <= bound (``_hn_record``)."""
     vectors = _hn_vectors(bound)
     if len(records) != len(vectors):
-        raise ValueError("wrong number of records")
-    return [_hn_record(m, d, e, RatFunc.from_json(rec["a"]),
-                       None if rec["motive"] is None
-                       else LaurentPoly.from_json(rec["motive"]))
-            for (d, e), rec in zip(vectors, records)]
+        raise KronmotError(f"{len(records)} records, not {len(vectors)}")
+    payload = []
+    for (d, e), (a, motive) in zip(vectors, records):
+        if a.den.coeffs[0] != 1:
+            raise KronmotError(f"the denominator of a_({d},{e}) has lowest "
+                               "coefficient other than 1")
+        if (motive is None) != (gcd(d, e) > 1):
+            raise KronmotError(f"({d},{e}): the motive is null iff gcd(d, e) > 1")
+        if motive is not None and (d or e):
+            certify("moduli", m, d, e, motive)
+        payload.append({"d": d, "e": e, "a": a.to_json(),
+                        "motive": None if motive is None else motive.to_json()})
+    return payload
 
 
-def _canonical_series(payload, which: str, m: int, order: int) -> dict:
-    """Re-encode a ``TruncSeries.to_json`` payload of the given order.
+def _series_payload(ts, which: str, m: int, order: int) -> dict:
+    """The check of a series of the given order.
 
     Each coefficient of A^(k) is a quotient whose denominator has lowest
     coefficient 1, and each of F and G a Laurent polynomial that passes
     ``eulerchar.certify``: F_d is the framed motive of (d, d), G_d for
     d >= 1 the moduli motive of (d, d-1), and G_0 is 1."""
-    if payload["order"] != order:
-        raise ValueError("series of the wrong order")
     from .eulerchar import certify
-    from .qseries import TruncSeries
 
-    ts = TruncSeries.from_json(payload)
+    if ts.order != order:
+        raise KronmotError(f"a series of order {ts.order}, not {order}")
+    coeffs = [RatFunc.of(c) for c in ts.coeffs]
     if not all(c.den.coeffs[0] == 1 and (which == "A" or c.is_laurent())
-               for c in ts.coeffs):
-        raise ValueError(f"a coefficient of {which} has the wrong form")
-    if which == "G" and ts.coeffs[0] != 1:
-        raise ValueError("G_0 is not 1")
-    for d, c in enumerate(ts.coeffs):
+               for c in coeffs):
+        raise KronmotError(f"a coefficient of {which} has the wrong form")
+    if which == "G" and coeffs[0] != 1:
+        raise KronmotError("G_0 is not 1")
+    for d, c in enumerate(coeffs):
         if which == "F":
             certify("framed", m, d, d, c.num)
         elif which == "G" and d:
@@ -239,21 +236,21 @@ def hn(args):
         from .wallcross import hn_extract
 
         table = hn_extract(m, bound)
-        return [_hn_record(m, d, e, table.a((d, e)),
-                           LaurentPoly.one() if d == e == 0
-                           else table.motive((d, e)) if gcd(d, e) == 1 else None)
+        return [(table.a((d, e)), LaurentPoly.one() if d == e == 0
+                 else table.motive((d, e)) if gcd(d, e) == 1 else None)
                 for d, e in _hn_vectors(bound)]
 
-    records = _cached(args, "hn", {"m": m, "bound": bound}, compute,
-                      lambda p: _canonical_records(p, m, bound))
+    def decode(payload):
+        return [(RatFunc.from_json(rec["a"]), None if rec["motive"] is None
+                 else LaurentPoly.from_json(rec["motive"])) for rec in payload]
 
-    def line(rec):
-        motive = rec["motive"]
-        desc = (",".join(_coeff_list(LaurentPoly.from_json(motive)))
-                if motive is not None else "-")
-        return f"({rec['d']},{rec['e']}) motive: {desc}"
-
-    _emit(args, records, map(line, records))
+    records, payload = _cached(args, "hn", {"m": m, "bound": bound}, "wallcross",
+                               compute, decode,
+                               lambda rs: _hn_records(rs, m, bound))
+    _emit(args, payload, (
+        f"({d},{e}) motive: "
+        + ("-" if motive is None else ",".join(_coeff_list(motive)))
+        for (d, e), (_, motive) in zip(_hn_vectors(bound), records)))
 
 
 def series(args):
@@ -276,28 +273,26 @@ def series(args):
             from .central import extract_G, framed_recursion
 
             ts = framed_recursion(m, order)
-            if which == "G":
-                ts = extract_G(m, ts)
-        else:
-            from .wallcross import MotiveTable
+            return extract_G(m, ts) if which == "G" else ts
+        from .wallcross import MotiveTable
 
-            table = MotiveTable.covering(m, [(order, order * k)])
-            ts = table.ray_series((1, k), order)
-        return ts.to_json()
+        return MotiveTable.covering(m, [(order, order * k)]).ray_series((1, k), order)
 
-    payload = _cached(args, "series",
-                      {"which": which, "m": m, "k": k, "order": order},
-                      compute, lambda p: _canonical_series(p, which, m, order))
+    from .qseries import TruncSeries
+
+    ts, payload = _cached(args, "series",
+                          {"which": which, "m": m, "k": k, "order": order},
+                          "wallcross" if which == "A" else "recursion",
+                          compute, TruncSeries.from_json,
+                          lambda got: _series_payload(got, which, m, order))
 
     def line(dd, coeff):
-        num = ",".join(_coeff_list(LaurentPoly.from_json(coeff["num"])))
-        den = LaurentPoly.from_json(coeff["den"])
-        if den == LaurentPoly.one():
+        num = ",".join(_coeff_list(coeff.num))
+        if coeff.is_laurent():
             return f"t^{dd}: {num}"
-        return f"t^{dd}: ({num}) / ({','.join(_coeff_list(den))})"
+        return f"t^{dd}: ({num}) / ({','.join(_coeff_list(coeff.den))})"
 
-    _emit(args, payload,
-          (line(dd, coeff) for dd, coeff in enumerate(payload["coeffs"])))
+    _emit(args, payload, (line(dd, RatFunc.of(c)) for dd, c in enumerate(ts.coeffs)))
 
 
 def euler(args):

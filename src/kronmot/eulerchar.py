@@ -69,8 +69,8 @@ def certify(kind: str, m: int, d: int, e: int, motive: LaurentPoly) -> None:
     dim = 1 - <D,D> (moduli) or e - <D,D> (framed), <D,D> = d^2 + e^2 - mde,
     and empty when dim < 0.  So a nonempty one's motive spans v^-dim to
     v^dim exactly, is palindromic (Poincare duality), vanishes at odd
-    offsets and has nonnegative coefficients (Betti numbers); an empty
-    one's is 0.
+    offsets and has nonnegative coefficients (Betti numbers), the lowest
+    of them b_0 = 1, as the space is connected; an empty one's is 0.
     """
     dim = (e if kind == "framed" else 1) - (d * d + e * e - m * d * e)
     coeffs = motive.coeffs
@@ -83,7 +83,8 @@ def certify(kind: str, m: int, d: int, e: int, motive: LaurentPoly) -> None:
               if span != (-dim, dim)
               else "is not palindromic" if not motive.is_palindromic()
               else "is nonzero at an odd offset" if any(coeffs[1::2])
-              else "has a negative coefficient" if min(coeffs) < 0 else None)
+              else "has a negative coefficient" if min(coeffs) < 0
+              else f"has b_0 = {coeffs[0]}, not 1" if coeffs[0] != 1 else None)
     if failed:
         raise KronmotError(f"the {kind} motive of (m, d, e) = ({m}, {d}, {e}) "
                            + failed)

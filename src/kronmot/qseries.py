@@ -172,11 +172,10 @@ class TruncSeries:
             [c.v_shift(p * d) for d, c in enumerate(self.coeffs)], self.order
         )
 
-    def shift_t(self, scalar=1) -> "TruncSeries":
-        """Multiply by scalar * t, truncating at the same order."""
-        # the shifted-in zero's product checks the scalar even at order 0
-        return TruncSeries([x * scalar for x in (_ZERO, *self.coeffs[: self.order])],
-                           self.order)
+    def shift_t(self) -> "TruncSeries":
+        """Multiply by t, truncating at the same order."""
+        zero = _ZERO if self.is_integral() else RatFunc.zero()
+        return TruncSeries._make((zero, *self.coeffs[: self.order]), self.order)
 
     def delta(self) -> "TruncSeries":
         """Coefficient of t^d multiplied by the quantum integer [d]_v, for

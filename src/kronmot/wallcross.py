@@ -109,18 +109,18 @@ def _denominator(d: int, e: int) -> LaurentPoly:
     return qpoch(_ONE, [*range(1, d + 1), *range(1, e + 1)], ()).poly
 
 
-def _qbinom_rows(top: int) -> list[list[Operand]]:
-    """Gaussian binomials in q = v^(-2), each wrapped once as an
-    ``Operand``: row n holds [n choose k] for k = 0..n, n = 0..top, each
-    row built from the one before by the Pascal recursion
-    [n, k] = [n-1, k-1] + q^k [n-1, k]."""
+def _qbinom_rows(top: int) -> list[list[LaurentPoly]]:
+    """Gaussian binomials in q = v^(-2): row n holds [n choose k] for
+    k = 0..n, n = 0..top, each row built from the one before by the Pascal
+    recursion [n, k] = [n-1, k-1] + q^k [n-1, k].  Each reader wraps the
+    rows it reads as ``Operand``s."""
     one = LaurentPoly.one()
     rows = [[one]]
     for n in range(1, top + 1):
         row = rows[-1]
         rows.append([one] + [row[k - 1] + row[k].v_shift(-2 * k) for k in range(1, n)]
                     + [one])
-    return [[Operand(c) for c in row] for row in rows]
+    return rows
 
 
 def _check_vector(D) -> DimVector:
@@ -168,7 +168,8 @@ def _sweep(m: int, emax) -> dict[DimVector, Operand]:
     P = [[qpoch(_ONE, (), (), -euler_form(m, (d, e), (d, e)))
           for e in range(top + 1)] for d, top in enumerate(emax)]
     # qbin[n][j]: [n choose j] in q, for every n a q-binomial is taken of
-    qbin = _qbinom_rows(max(len(emax) - 1, emax[0]))
+    qbin = [[Operand(c) for c in row]
+            for row in _qbinom_rows(max(len(emax) - 1, emax[0]))]
     anum = {DimVector(0, 0): P[0][0]}
     rays = sorted(((d, e) for d, top in enumerate(emax)
                    for e in range(top + 1) if gcd(d, e) == 1), key=slope_key)
@@ -330,15 +331,18 @@ class MotiveTable:
 
         the shape of the sweep's update.  So each cleared c_n F_n is one
         packed sum (``exactalg.sum_of_products``) over the sweep's operands
-        num_k, the earlier sums and the binomial rows of ``_qbinom_rows``,
-        each wrapped once (on the central ray the two binomials of a term
-        are one operand), and F_n is c_n F_n divided exactly by the
+        num_k, the earlier sums and the rows of ``_qbinom_rows`` the sums
+        read, each wrapped once (on the central ray the two binomials of a
+        term are one operand), and F_n is c_n F_n divided exactly by the
         binomials 1 - q^i of c_n, in place (``exactalg.qpoch`` on the sum's
         operand).  F is returned as an integral series.
         """
         num = self._ray_numerators(D0, order)
         d0, e0 = D0
-        qbin = _qbinom_rows(order * max(d0, e0))
+        rows = _qbinom_rows(order * max(d0, e0))
+        # the rows n*d0 and n*e0 the sums read, each wrapped once
+        qbin = {i: [Operand(c) for c in rows[i]]
+                for i in {n * x for n in range(1, order + 1) for x in (d0, e0)}}
         cleared = [num[0]]  # cleared[n] holds c_n F_n
         F = [num[0]]
         for n in range(1, order + 1):

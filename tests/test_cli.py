@@ -10,7 +10,7 @@ import kronmot
 from kronmot import central, eulerchar, tamari, wallcross
 from kronmot.cache import SCHEMA, Cache
 from kronmot.errors import ExactDivisionError, ResourceLimitError
-from kronmot.exactalg import LaurentPoly
+from kronmot.exactalg import LaurentPoly, RatFunc
 from kronmot.qseries import TruncSeries
 
 from cli_runner import invoke as run
@@ -114,7 +114,8 @@ class TestHn:
         res = run("--no-cache", "hn", "--m", "3", "--bound", "2")
         assert res.exit_code == 3
         assert res.stdout == ""
-        assert res.stderr == "(0,1): the motive is null iff gcd(d, e) > 1\n"
+        assert res.stderr == ("wallcross: (0,1): the motive is null iff "
+                              "gcd(d, e) > 1\n")
 
     def test_uncertified_fresh_motive_exits_3(self, tmp_path, monkeypatch):
         # K_{1,2}^(3) is the projective plane, of motive v^-2 + 1 + v^2
@@ -125,8 +126,8 @@ class TestHn:
         monkeypatch.setattr(wallcross, "hn_extract", Wrong)
         res = run("--cache-dir", str(tmp_path), "hn", "--m", "3", "--bound", "3")
         assert (res.exit_code, res.stdout, res.stderr) == (
-            3, "", "the moduli motive of (m, d, e) = (3, 1, 2) spans v^0..v^0, "
-            "not v^-2..v^2\n")
+            3, "", "wallcross: the moduli motive of (m, d, e) = (3, 1, 2) spans "
+            "v^0..v^0, not v^-2..v^2\n")
         # and nothing was stored
         assert not list(tmp_path.iterdir())
 
@@ -161,6 +162,41 @@ class TestSeries:
         res = run("--no-cache", "series", "--which", "A", "--m", "3",
                   "--k", "5", "--order", "2")
         assert res.exit_code == 2
+
+    @staticmethod
+    def with_coeff(series, d, c):
+        """``series`` with its t^d coefficient replaced by c."""
+        coeffs = list(series.coeffs)
+        coeffs[d] = c
+        return TruncSeries(coeffs, series.order)
+
+    # a solver of each series patched to break its rule: F_2 of m = 3 spans
+    # v^-6..v^6, G_2 is the motive of K_{2,1}^(3) = P^2, and no coefficient
+    # of A has a denominator whose lowest coefficient is not 1
+    @pytest.mark.parametrize("which,module,name,wrong,message", [
+        ("F", central, "framed_recursion",
+         lambda real, m, order: TestSeries.with_coeff(
+             real(m, order), 2, RatFunc(LaurentPoly([7]))),
+         "recursion: the framed motive of (m, d, e) = (3, 2, 2) spans "
+         "v^0..v^0, not v^-6..v^6"),
+        ("G", central, "extract_G",
+         lambda real, m, F: TestSeries.with_coeff(real(m, F), 2, LaurentPoly([7])),
+         "recursion: the moduli motive of (m, d, e) = (3, 2, 1) spans "
+         "v^0..v^0, not v^-2..v^2"),
+        ("A", wallcross.MotiveTable, "ray_series",
+         lambda real, table, D0, order: TestSeries.with_coeff(
+             real(table, D0, order), 1, RatFunc(LaurentPoly.one(), LaurentPoly([2]))),
+         "wallcross: a coefficient of A has the wrong form"),
+    ], ids=["F", "G", "A"])
+    def test_unchecked_fresh_series_exits_3(self, tmp_path, monkeypatch, which,
+                                            module, name, wrong, message):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: wrong(real, *args))
+        res = run("--cache-dir", str(tmp_path), "series", "--which", which,
+                  "--m", "3", "--order", "2")
+        assert (res.exit_code, res.stdout, res.stderr) == (3, "", message + "\n")
+        # and nothing was stored
+        assert not list(tmp_path.iterdir())
 
 
 class TestEuler:
@@ -429,6 +465,28 @@ class TestExitCodes:
         assert res.exit_code == code
         assert res.stdout == ""
         assert res.stderr == "planted failure\n"
+
+    @pytest.mark.parametrize("module,name,args", [
+        (central, "framed_recursion", ("framed", "--m", "3", "--d", "2")),
+        (wallcross, "moduli_motive", ("moduli", "--m", "3", "--d", "2", "--e", "1")),
+        (wallcross, "hn_extract", ("hn", "--m", "3", "--bound", "2")),
+        (central, "framed_recursion", ("series", "--which", "F", "--m", "3",
+                                       "--order", "2")),
+        (central, "extract_G", ("series", "--which", "G", "--m", "3",
+                                "--order", "2")),
+        (wallcross.MotiveTable, "ray_series", ("series", "--which", "A",
+                                               "--m", "3", "--order", "2")),
+    ], ids=["framed", "moduli", "hn", "F", "G", "A"])
+    def test_solver_error_keeps_its_message(self, tmp_path, monkeypatch,
+                                            module, name, args):
+        # only a broken rule of the result is prefixed with the method
+        def failing(*args):
+            raise ExactDivisionError("x")
+
+        monkeypatch.setattr(module, name, failing)
+        res = run("--cache-dir", str(tmp_path), *args)
+        assert (res.exit_code, res.stdout, res.stderr) == (3, "", "x\n")
+        assert not list(tmp_path.iterdir())
 
     def test_interrupt_exits_130_without_traceback(self, monkeypatch):
         def interrupted(*args):
@@ -775,7 +833,13 @@ class TestCache:
          lambda m, d, e: LaurentPoly([1, 0, -1, 0, 1], -2),
          "wallcross: the moduli motive of (m, d, e) = (3, 2, 1) has a negative "
          "coefficient"),
-    ], ids=["framed", "moduli"])
+        # twice that motive: every other property holds of a multiple
+        (("moduli", "--m", "3", "--d", "2", "--e", "1"),
+         wallcross, "moduli_motive",
+         lambda m, d, e: LaurentPoly([2, 0, 2, 0, 2], -2),
+         "wallcross: the moduli motive of (m, d, e) = (3, 2, 1) has b_0 = 2, "
+         "not 1"),
+    ], ids=["framed", "moduli", "moduli-doubled"])
     def test_uncertified_fresh_motive_exits_3(self, tmp_path, monkeypatch, args,
                                               module, name, wrong, message):
         monkeypatch.setattr(module, name, wrong)
@@ -783,6 +847,61 @@ class TestCache:
         assert (res.exit_code, res.stdout, res.stderr) == (3, "", message + "\n")
         # and nothing was stored
         assert not list(tmp_path.iterdir())
+
+    def test_doubled_moduli_entry_replaced(self, tmp_path):
+        args = ("moduli", "--m", "3", "--d", "2", "--e", "1")
+        key = Cache.make_key("moduli", m=3, d=2, e=1)
+        assert run("--cache-dir", str(tmp_path), *args).exit_code == 0
+        good = Cache(tmp_path).get(key)
+        # 2 (v^-2 + 1 + v^2): palindromic, even and nonnegative on its span,
+        # but b_0 = 2
+        Cache(tmp_path).put(key, (LaurentPoly.from_json(good) * 2).to_json())
+        planted = run("--cache-dir", str(tmp_path), *args)
+        fresh = run("--no-cache", *args)
+        assert (planted.exit_code, planted.stdout) == (0, fresh.stdout)
+        assert Cache(tmp_path).get(key) == good
+
+    # one request of each cached command, and of each series
+    CACHED = [
+        ("framed", "--m", "3", "--d", "3", "--method", "all"),
+        ("moduli", "--m", "3", "--d", "3", "--e", "2"),
+        ("hn", "--m", "3", "--bound", "3"),
+        ("series", "--which", "F", "--m", "3", "--order", "3"),
+        ("series", "--which", "G", "--m", "3", "--order", "3"),
+        ("series", "--which", "A", "--m", "4", "--k", "3", "--order", "3"),
+    ]
+
+    @pytest.mark.parametrize("args", CACHED, ids=lambda args: " ".join(args[:3]))
+    def test_fresh_results_are_not_decoded(self, monkeypatch, args):
+        unpatched = {fmt: run("--no-cache", "--format", fmt, *args)
+                     for fmt in ("plain", "json")}
+
+        def no_decode(obj):
+            raise AssertionError("decoded")
+
+        for cls in (LaurentPoly, RatFunc, TruncSeries):
+            monkeypatch.setattr(cls, "from_json", no_decode)
+        for fmt, expected in unpatched.items():
+            res = run("--no-cache", "--format", fmt, *args)
+            assert expected.exit_code == 0
+            assert (res.exit_code, res.stdout) == (0, expected.stdout)
+
+    @pytest.mark.parametrize("args", CACHED, ids=lambda args: " ".join(args[:3]))
+    def test_a_hit_decodes_each_polynomial_once(self, tmp_path, monkeypatch, args):
+        assert run("--cache-dir", str(tmp_path), *args).exit_code == 0
+        # the polynomials the entries hold: each a dict with a min_exp
+        def polys(x):
+            if isinstance(x, dict):
+                return ("min_exp" in x) + sum(map(polys, x.values()))
+            return sum(map(polys, x)) if isinstance(x, list) else 0
+
+        stored = sum(polys(json.loads(f.read_text())) for f in tmp_path.iterdir())
+        decoded = []
+        real = LaurentPoly.from_json.__func__
+        monkeypatch.setattr(LaurentPoly, "from_json", classmethod(
+            lambda cls, obj: decoded.append(obj) or real(cls, obj)))
+        assert run("--cache-dir", str(tmp_path), *args).exit_code == 0
+        assert len(decoded) == stored
 
     def test_corrupt_cache_entry_ignored(self, tmp_path):
         args = ["--cache-dir", str(tmp_path),

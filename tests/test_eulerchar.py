@@ -158,6 +158,8 @@ class TestCertify:
         ([1, 1, 2, 0, 3, 0, 3, 0, 3, 0, 2, 1, 1], -6, "is nonzero at an odd offset"),
         ([1, 0, 2, 0, 3, 0, -3, 0, 3, 0, 2, 0, 1], -6, "has a negative coefficient"),
         ([], 0, "is 0 on a nonempty space"),
+        # twice the motive passes every other check
+        ([2 * c for c in FRAMED_3_2], -6, "has b_0 = 2, not 1"),
     ])
     def test_each_property_named(self, coeffs, min_exp, failure):
         certify("framed", 3, 2, 2, LaurentPoly(self.FRAMED_3_2, -6))

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -418,14 +419,18 @@ class TestTableKeepsOperands:
         built = {D for D, op in table._anum.items() if op._poly is not None}
         assert built - {(7, 9)} == {(2, 3)}
 
-    @pytest.mark.parametrize("ray,order", [((1, 1), 12), ((1, 2), 5), ((2, 1), 4)])
+    @pytest.mark.parametrize("ray,order", [((1, 1), 12), ((1, 2), 5), ((2, 1), 4),
+                                           ((1, 3), 5), ((0, 1), 3)])
     def test_readers_wrap_nothing_but_the_binomial_rows(self, wraps, ray, order):
         table = MotiveTable.covering(4, [(order * ray[0], order * ray[1])])
         wraps.clear()
-        wallcross._qbinom_rows(order * max(ray))
-        rows = len(wraps)
+        rows = wallcross._qbinom_rows(order * max(ray))
+        assert wraps == []
         table.framed_series(ray, order)
-        assert len(wraps) == 2 * rows
+        # rows n*d0 and n*e0 for n = 1..order, each wrapped once: on the
+        # central ray they are one row
+        read = {n * x for n in range(1, order + 1) for x in ray}
+        assert Counter(wraps) == Counter(c for i in read for c in rows[i])
         wraps.clear()
         table.cleared_series(ray, order)
         table.motive(ray)
