@@ -20,12 +20,22 @@ over integer Laurent polynomials:
   factors has constant term 1, so its one inverse needs no division, and F
   is lifted to a ``RatFunc`` record only once it has passed.
 
-Each solver extends one product of rescaled copies of F one coefficient per
-degree through ``qseries.OnlineRescaledProduct``, which builds it by
-doubling, each coefficient one packed sum of products
-(``exactalg.sum_of_products``) over operands wrapped once; both cost
-O(log m * order^2) Laurent-polynomial products in O(log m * order) packed
-sums.  Each new coefficient of F is one ``exactalg.qpoch`` pass on the
+Each solver extends one product of rescaled copies of F by one coefficient
+per degree, in packed sums of products (``exactalg.sum_of_products``) over
+operands wrapped once, and each by its own algorithm:
+
+- the recursion's product of m - 1 copies,
+  ``qseries.OnlineQDifferenceProduct``, reads each coefficient off the
+  product's q-difference equation: one packed sum of n products and one
+  exact division at t^n, so O(order^2) Laurent-polynomial products in
+  order - 1 packed sums whatever m is.  At m = 3 its two copies are one
+  doubling node (``qseries.OnlineRescaledProduct``), which shares each
+  pair of its square and costs about half as much as the equation;
+- the solve's product H of m - 2 copies is built by doubling
+  (``qseries.OnlineRescaledProduct``): O(log m * order^2) products in
+  O(log m * order) packed sums.
+
+Each new coefficient of F is one ``exactalg.qpoch`` pass on the
 operand of a packed sum, at the stride the operand holds, and is pushed
 again with no ``LaurentPoly`` built in between.  The check forms its two
 products of rescaled copies offline, by doubling over ``exactalg.Operand``
@@ -55,8 +65,9 @@ from functools import lru_cache
 
 from .errors import ExactDivisionError, NoConvergenceError, NonPolynomialError
 from .exactalg import LaurentPoly, Operand, RatFunc, qpoch, sum_of_products
-from .qseries import (OnlineRescaledProduct, TruncSeries, delta_invert,
-                      op_rescaled_product, rescaled_product)
+from .qseries import (OnlineQDifferenceProduct, OnlineRescaledProduct,
+                      TruncSeries, delta_invert, op_rescaled_product,
+                      rescaled_product)
 
 
 def _require_central_m(m: int):
@@ -67,11 +78,16 @@ def _require_central_m(m: int):
 
 def _framed_motives(m: int, order: int) -> tuple[LaurentPoly, ...]:
     """m_0..m_order; m_d reads c_(d-1) off the online product
-    prod_{i=1}^{m-1} F(v^(m-2i) t) (``qseries.OnlineRescaledProduct``)."""
+    prod_{i=1}^{m-1} F(v^(m-2i) t): by its q-difference equation
+    (``qseries.OnlineQDifferenceProduct``) for m >= 4, one packed sum per
+    degree above 0, and as one doubling node
+    (``qseries.OnlineRescaledProduct``) for m = 3."""
     _require_central_m(m)
     ops = [Operand(LaurentPoly.one())]  # ops[j] holds m_j
-    # prod_{i<m-1} F(v^(-2i) t), read at v^(m-2) t
-    product = OnlineRescaledProduct(-2, m - 1)
+    # prod_{i<m-1} F(v^(-2i) t), read at v^(m-2) t; two copies are one
+    # doubling node, cheaper than the q-difference equation's sum
+    online = OnlineRescaledProduct if m == 3 else OnlineQDifferenceProduct
+    product = online(-2, m - 1)
     for d in range(1, order + 1):
         # [a]_v / [d]_v = v^(a-d) (1 - q^a) / (1 - q^d), and the read-off
         # shift v^((m-2)(d-1)) joins the prefactor's
@@ -93,19 +109,25 @@ def framed_recursion(m: int, order: int) -> TruncSeries:
     m_0 = 1 and m_d = [(m-1)d+1]_v / [d]_v * c_(d-1), where c_(d-1) is the
     t^(d-1) coefficient of prod_{i=1}^{m-1} F(v^(m-2i) t).  That coefficient
     needs m_0..m_(d-1) only, so the product is extended by one coefficient
-    per degree, by doubling (``qseries.OnlineRescaledProduct``):
-    floor(log2(m-1)) + popcount(m-1) - 1 packed sums per degree, and
-    O(log m * order^2) products of integer Laurent polynomials instead of a
-    sum over all C(d+m-3, m-2) compositions of d-1.  The prefactor is
-    applied as v^(a-d) (1 - v^(-2a)) / (1 - v^(-2d)), a = (m-1)d+1, with
-    the read-off shift v^((m-2)(d-1)) joined to v^(a-d): one q-Pochhammer
-    pass (``exactalg.qpoch``) on the operand the product returned, one list
-    subtraction and one two-term division over its coefficients at stride
-    2, where a product by [a]_v and a division by [d]_v would cost O(d) per
-    coefficient.  The operands are read as ``LaurentPoly``s once, at the
-    end.  The series returned is a ``RatFunc`` record, immutable, so
-    results are cached per (m, order) and a repeat call returns the same
-    record.
+    per degree, instead of a sum over all C(d+m-3, m-2) compositions of
+    d-1.  For m >= 4 it is read off the product's q-difference equation
+    (``qseries.OnlineQDifferenceProduct``): c_0 = 1, and each c_n with
+    n >= 1 is one packed sum of n products of integer Laurent polynomials
+    and one exact division by 1 - q^n, so order - 1 packed sums and
+    O(order^2) products whatever m is.  For m = 3 the product of two
+    copies is one doubling node (``qseries.OnlineRescaledProduct``), one
+    packed sum per degree whose symmetric pairs share a product,
+    floor(n/2) + 1 of them at t^n: about half the equation's cost there.
+
+    The prefactor is applied as v^(a-d) (1 - v^(-2a)) / (1 - v^(-2d)),
+    a = (m-1)d+1, with the read-off shift v^((m-2)(d-1)) joined to
+    v^(a-d): one q-Pochhammer pass (``exactalg.qpoch``) on the operand the
+    product returned, one list subtraction and one two-term division over
+    its coefficients at stride 2, where a product by [a]_v and a division
+    by [d]_v would cost O(d) per coefficient.  The operands are read as
+    ``LaurentPoly``s once, at the end.  The series returned is a
+    ``RatFunc`` record, immutable, so results are cached per (m, order) and
+    a repeat call returns the same record.
     """
     return TruncSeries(map(RatFunc, _framed_motives(m, order)), order)
 
@@ -143,7 +165,8 @@ def solve_functional_eq(m: int, order: int) -> TruncSeries:
     E_n = -v^(1-m) H_(n-1) needs F below degree n only, so one online pass
     over integer Laurent polynomials extends H by one coefficient per degree
     (``qseries.OnlineRescaledProduct``, O(log m * order^2) products) and
-    reads F_n off one packed sum of 2n products, divided exactly by
+    reads F_n off one packed sum of 2n terms, the two terms of each k on
+    one shared product, divided exactly by
     1 - q^n in place (``exactalg.qpoch`` on the sum's operand).  E is never
     formed: the sign and the v-shift of E_k ride on the terms of that sum,
     beside the pushed coefficient of H.  1/D solves the telescoped equation for any E with
@@ -163,11 +186,13 @@ def solve_functional_eq(m: int, order: int) -> TruncSeries:
     for n in range(1, order + 1):
         pushed.append(H.push(F[n - 1]))
         # E_k = -v^(1-m) H_(k-1) and H_(k-1) is v^(2-2k) pushed[k], so each
-        # term of E_k carries the sign -1 and the shift 3 - m - 2k
-        S = sum_of_products(
-            [(-sign, shift + 3 - m - 2 * k, (F[n - k], pushed[k]))
-             for k in range(1, n + 1)
-             for sign, shift in ((1, -2 * n), (-1, 2 * (m - 1) * k))])
+        # term of E_k carries the sign -1 and the shift 3 - m - 2k; the two
+        # terms of each k share one tuple, so the kernel multiplies it once
+        terms = []
+        for k in range(1, n + 1):
+            ops, shift = (F[n - k], pushed[k]), 3 - m - 2 * k
+            terms += [(-1, shift - 2 * n, ops), (1, shift + 2 * (m - 1) * k, ops)]
+        S = sum_of_products(terms)
         try:
             F.append(qpoch(S, (), (n,)))
         except NonPolynomialError as exc:

@@ -152,7 +152,7 @@ def _hn_records(records, m: int, bound: int) -> list[dict]:
     (d, e) of ``_hn_vectors(bound)``.  a_D's denominator divides
     (q;q)_d (q;q)_e and so has lowest coefficient 1, and the motive is None
     exactly where gcd(d, e) > 1, and passes ``eulerchar.certify`` unless
-    (d, e) = (0, 0)."""
+    (d, e) = (0, 0), where a_D and the motive are both 1."""
     from .eulerchar import certify
 
     vectors = _hn_vectors(bound)
@@ -165,7 +165,10 @@ def _hn_records(records, m: int, bound: int) -> list[dict]:
                                "coefficient other than 1")
         if (motive is None) != (gcd(d, e) > 1):
             raise KronmotError(f"({d},{e}): the motive is null iff gcd(d, e) > 1")
-        if motive is not None and (d or e):
+        if not (d or e):
+            if (a, motive) != (1, 1):
+                raise KronmotError("(0,0): a_D and the motive are not both 1")
+        elif motive is not None:
             certify("moduli", m, d, e, motive)
         payload.append({"d": d, "e": e, "a": a.to_json(),
                         "motive": None if motive is None else motive.to_json()})

@@ -13,7 +13,8 @@ polynomial, and every a_D a quotient of two of them.
   ``sum_of_products``: a sum of products of integer polynomials, each
   product shifted by a power of v, is one signed Kronecker evaluation.
   Each ``Operand`` is packed once per slot width and keeps its packings,
-  the big-integer products are summed, and the sum is unpacked once.
+  the big-integer products are summed, and the sum is unpacked once;
+  consecutive terms that hold one ``ops`` object share one product.
   The bit lengths of the sum give its lowest and highest nonzero slots,
   so only those are unpacked, and the ``LaurentPoly`` of a sum is built
   only when it is read.  Every motive is a polynomial in q = v^(-2), so
@@ -453,7 +454,10 @@ def sum_of_products(terms) -> Operand:
     and slot), each product is a big-integer product moved to its place in
     the sum by a shift, and the sum is unpacked once.  The packed sum is
     also the packing of the result at that slot, so the returned operand
-    starts out with it.  It is the package's one Kronecker kernel:
+    starts out with it.  Consecutive terms that hold the same ``ops``
+    object share one big-integer product, shifted once per term, so a
+    caller whose sum repeats an operand pair passes one tuple for it.  It
+    is the package's one Kronecker kernel:
     ``LaurentPoly.__mul__`` makes each integer product that is not a scalar
     multiply a one-term sum.
 
@@ -503,17 +507,19 @@ def sum_of_products(terms) -> Operand:
     key = size if even else -size
     bits = 8 * size
     total = 0
+    last = None
     for start, sign, ops in spans:
-        prod = 1
-        for op in ops:
-            packed = op.packed.get(key)
-            if packed is None:
-                # at stride 1, an even operand packs its spread coefficients
-                packed = op.packed[key] = _pack(
-                    op.coeffs if even or not op.even else op.poly.coeffs, slot)
-            prod *= packed
-        prod <<= bits * ((start - lo) // stride)
-        total = total + prod if sign > 0 else total - prod
+        if ops is not last:
+            last, prod = ops, 1
+            for op in ops:
+                packed = op.packed.get(key)
+                if packed is None:
+                    # at stride 1, an even operand packs its spread coefficients
+                    packed = op.packed[key] = _pack(
+                        op.coeffs if even or not op.even else op.poly.coeffs, slot)
+                prod *= packed
+        moved = prod << bits * ((start - lo) // stride)
+        total = total + moved if sign > 0 else total - moved
     if not total:
         return Operand._of([], 0, 2, {})
     first = ((total & -total).bit_length() - 1) // bits

@@ -30,13 +30,24 @@ raises ``TypeError``.
 ``rescaled_product(x, p, r)`` is the product of the r rescaled copies
 x(v^(p*i) t), i < r, formed by doubling in O(log r) products over the
 operands of x (``op_rescaled_product``), each rescaling carried by the
-shifts of a packed sum's terms, so no rescaled copy is built.
-``OnlineRescaledProduct(p, r)`` is the same product built online, one
-coefficient of x at a time, for solvers that learn x as they go; it
-doubles too, over O(log r) nodes, each extended by one packed sum per
-coefficient.  The central-slope products of rescaled copies of F and of
-one factor series are each one of these two at v^s t: a caller puts the
-factor v^(s*n) on the t^n coefficient.
+shifts of a packed sum's terms, so no rescaled copy is built.  The same
+product is built online, one coefficient of x at a time, for solvers that
+learn x as they go, in two ways:
+
+- ``OnlineRescaledProduct(p, r)`` doubles too, over
+  floor(log2 r) + popcount(r) - 1 nodes, each extended by one packed sum
+  per coefficient;
+- ``OnlineQDifferenceProduct(p, r)``, for even p != 0 and x_0 = 1, reads
+  each coefficient off the product's q-difference equation
+  P(v^p t) x(t) = P(t) x(v^(p*r) t): one packed sum of n products and
+  one exact division by a q-Pochhammer binomial at t^n, whatever r is.
+
+A product of one operand list by itself, as each doubling step is, passes
+its pairs j and n-j as one shared tuple, which ``exactalg.sum_of_products``
+multiplies once, so its t^n coefficient costs floor(n/2) + 1 big-integer
+products.  The central-slope products of rescaled copies of F and of one
+factor series are each one of these at v^s t: a caller puts the factor
+v^(s*n) on the t^n coefficient.
 
 A record and an integral series compare equal and hash alike coefficient
 by coefficient, so a series equals its lift.  Carries the argument
@@ -49,7 +60,8 @@ from __future__ import annotations
 from operator import add, neg
 
 from .errors import NonZeroConstantError, NotInvertibleError
-from .exactalg import LaurentPoly, Operand, RatFunc, quantum_ratio, sum_of_products
+from .exactalg import (LaurentPoly, Operand, RatFunc, qpoch, quantum_ratio,
+                       sum_of_products)
 
 _ZERO = LaurentPoly.zero()
 _ONE = LaurentPoly.one()
@@ -230,14 +242,33 @@ def _lift(ops) -> TruncSeries:
     return TruncSeries._make([op.poly for op in ops], len(ops) - 1)
 
 
+def _product_terms(a, b, c: int, n: int) -> list:
+    """The terms of sum_j v^(c*j) a[n-j] b[j], the t^n coefficient of
+    a(t) * b(v^c t), for ``exactalg.sum_of_products``.
+
+    When a is b, the pairs j and n-j multiply the same two operands, so
+    they are emitted next to each other with one shared tuple, which the
+    kernel multiplies once: floor(n/2) + 1 products instead of n + 1.
+    """
+    if a is not b:
+        return [(1, c * j, (a[n - j], b[j])) for j in range(n + 1)]
+    terms = []
+    for j in range(n // 2 + 1):
+        ops = (a[n - j], a[j])
+        terms.append((1, c * j, ops))
+        if 2 * j != n:
+            terms.append((1, c * (n - j), ops))
+    return terms
+
+
 def _op_product(a, b, c: int = 0) -> list[Operand]:
     """a(t) * b(v^c t) over two ``Operand`` lists, truncated to the shorter.
 
-    The t^n coefficient, sum_j v^(c*j) a[n-j] b[j], is one packed sum
-    (``exactalg.sum_of_products``) whose terms carry the shifts c*j, so no
-    rescaled copy of b is formed.
+    The t^n coefficient is one packed sum (``exactalg.sum_of_products``)
+    whose terms carry the shifts c*j (``_product_terms``), so no rescaled
+    copy of b is formed.
     """
-    return [sum_of_products([(1, c * j, (a[n - j], b[j])) for j in range(n + 1)])
+    return [sum_of_products(_product_terms(a, b, c, n))
             for n in range(min(len(a), len(b)))]
 
 
@@ -317,9 +348,66 @@ class OnlineRescaledProduct:
         n = len(self._base)
         self._base.append(x)
         for node, first, second, c in self._nodes:
-            node.append(sum_of_products(
-                [(1, c * j, (first[n - j], second[j])) for j in range(n + 1)]))
+            node.append(sum_of_products(_product_terms(first, second, c, n)))
         return self._last[n]
+
+
+class OnlineQDifferenceProduct:
+    """prod_{i=0}^{r-1} x(v^(p*i) t), r >= 1, extended one coefficient of
+    x at a time by its q-difference equation: the product
+    ``OnlineRescaledProduct(p, r)`` builds, for even p != 0 and x_0 = 1, in
+    one packed sum per push whatever r is.
+
+    P(t) = prod_{i<r} x(v^(p*i) t) satisfies P(v^p t) x(t) = P(t)
+    x(v^(p*r) t), whose t^n coefficient, with x_0 = 1, is
+
+        P_n (1 - v^(p*n)) = sum_{k<n} P_k x_(n-k) (v^(p*k) - v^(p*r*(n-k))).
+
+    ``push(x_n)`` takes the next coefficient of x as an ``exactalg.Operand``
+    and returns P_n as one.  P_0 is x_0; for n >= 1 the right-hand side is
+    one packed sum of 2n terms (``exactalg.sum_of_products``), the two
+    terms of each k sharing one operand tuple and so one big-integer
+    product, and P_n is that sum divided exactly by 1 - q^(|p|n/2),
+    q = v^-2, in one pass (``exactalg.qpoch``).  For p > 0,
+    1 - v^(p*n) = -v^(p*n) (1 - q^(p*n/2)): the sign rides on the terms and
+    the shift on the pass.  An odd p has no such divisor and p = 0 none at
+    all, so either raises ``ValueError``, as do r < 1 and, at the first
+    push, x_0 != 1.
+
+    Doubling makes floor(log2 r) + popcount(r) - 1 sums per push, one per
+    node: a squaring node's n + 1 terms share floor(n/2) + 1 products
+    (``_product_terms``), a node that extends by x has n + 1.  At r = 2 the
+    one node squares x, about half this sum's products and no division, so
+    it is the cheaper; from r = 3 on doubling makes two sums or more.
+    """
+
+    __slots__ = ("_p", "_pr", "_x", "_out")
+
+    def __init__(self, p: int, r: int):
+        if r < 1:
+            raise ValueError("OnlineQDifferenceProduct needs r >= 1")
+        if p == 0 or p % 2:
+            raise ValueError("OnlineQDifferenceProduct needs an even p != 0")
+        self._p, self._pr = p, p * r
+        self._x, self._out = [], []  # x_0..x_n and P_0..P_n
+
+    def push(self, x: Operand) -> Operand:
+        xs, out = self._x, self._out
+        n = len(xs)
+        if not n and x.poly != _ONE:
+            raise ValueError("OnlineQDifferenceProduct needs x_0 = 1")
+        xs.append(x)
+        if not n:
+            out.append(x)
+            return x
+        p, pr = self._p, self._pr
+        sign, shift = (1, 0) if p < 0 else (-1, -p * n)
+        terms = []
+        for k in range(n):
+            ops = (out[k], xs[n - k])
+            terms += [(sign, p * k, ops), (-sign, pr * (n - k), ops)]
+        out.append(qpoch(sum_of_products(terms), (), (abs(p) // 2 * n,), shift))
+        return out[n]
 
 
 def delta_invert(b: TruncSeries) -> TruncSeries:

@@ -205,6 +205,22 @@ class TestPackedRecursion:
         assert max(widths) > 8  # the arbitrary-precision byte path
         assert got == per_product_framed(30, 10)
 
+    # m = 3 reads one doubling node, one sum per degree; from m = 4 on, the
+    # q-difference equation makes one sum per degree of the product but its
+    # first, whose coefficient is m_0 = 1
+    @pytest.mark.parametrize("m,sums", [(3, 8), (4, 7), (5, 7), (9, 7), (17, 7), (40, 7)])
+    def test_product_sums_per_degree(self, monkeypatch, m, sums):
+        calls = []
+        packed_sum = qseries.sum_of_products
+
+        def counting(terms):
+            calls.append(len(terms))
+            return packed_sum(terms)
+
+        monkeypatch.setattr(qseries, "sum_of_products", counting)
+        _framed_motives(m, 8)
+        assert len(calls) == sums
+
     # coefficients of 77 to 92 bits, so the later packed sums take the
     # arbitrary-precision byte path
     @pytest.mark.parametrize("m,order", [(40, 8), (30, 10), (3, 30)])

@@ -704,6 +704,11 @@ class TestCache:
          ("series", "--which", "G", "--m", "3", "--order", "3"),
          {("coeffs", 0, "num", "coeffs"): ["7"]}),
         (*HN, {(7, "motive"): {"min_exp": 0, "coeffs": ["7"]}}),
+        # record 0 is (0,0), whose a_D and motive are both 1
+        ("hn", {"m": 3, "bound": 2}, ("hn", "--m", "3", "--bound", "2"),
+         {(0, "motive"): {"min_exp": 0, "coeffs": ["7"]}}),
+        ("hn", {"m": 3, "bound": 2}, ("hn", "--m", "3", "--bound", "2"),
+         {(0, "a", "num", "coeffs"): ["7"]}),
     ])
     def test_non_integer_entry_discarded(self, tmp_path, command,
                                          params, args, edits):

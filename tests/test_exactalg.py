@@ -454,12 +454,43 @@ def product_sums(draw):
     return terms
 
 
+@st.composite
+def sums_with_repeats(draw):
+    """A ``product_sums`` sum in which some terms repeat the operand list of
+    an earlier term, the one just before it or any other, each repeat with
+    its own sign and a shift of the same parity."""
+    terms = []
+    for term in draw(product_sums()):
+        terms.append(term)
+        for _ in range(draw(st.integers(0, 2))):
+            _, shift, polys = draw(st.sampled_from(terms))
+            terms.append((draw(st.sampled_from([1, -1])),
+                          shift + 2 * draw(st.integers(-3, 3)), polys))
+    return terms
+
+
 class TestSumOfProducts:
     """The signed Kronecker sum against schoolbook products plus shifts."""
 
     @given(product_sums())
     def test_matches_schoolbook(self, terms):
         check_sum(terms)
+
+    @given(sums_with_repeats())
+    def test_shared_operand_tuples(self, terms):
+        # consecutive terms holding one tuple share its product; the same sum
+        # with a copied list per term multiplies every term afresh
+        ops = {}
+        tuples = {}
+        for _, _, polys in terms:
+            tuples[id(polys)] = tuple(ops.setdefault(id(p), Operand(p)) for p in polys)
+        shared = sum_of_products([(sign, shift, tuples[id(polys)])
+                                  for sign, shift, polys in terms])
+        copied = sum_of_products([(sign, shift, list(tuples[id(polys)]))
+                                  for sign, shift, polys in terms])
+        want = shifted_sum(terms)
+        assert shared.poly == copied.poly == want
+        assert shared.packed == copied.packed
 
     # one sum coefficient lands exactly on each side of the largest magnitude
     # a 1, 2, 4 and 8 byte slot holds, and above 8 bytes; monomial operands

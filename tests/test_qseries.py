@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from kronmot import exactalg, qseries
 from kronmot.errors import NonPolynomialError, NonZeroConstantError, NotInvertibleError
 from kronmot.exactalg import LaurentPoly, Operand, RatFunc, quantum_integer
-from kronmot.qseries import (OnlineRescaledProduct, TruncSeries, delta_invert,
-                             op_rescaled_product, rescaled_product)
+from kronmot.qseries import (OnlineQDifferenceProduct, OnlineRescaledProduct,
+                             TruncSeries, delta_invert, op_rescaled_product,
+                             rescaled_product)
 
 from pointeval import P, POINTS, PointSeries, at, qint
 
@@ -483,6 +484,81 @@ class TestOnlineRescaledProduct:
     def test_no_copies_refused(self, r):
         with pytest.raises(ValueError):
             OnlineRescaledProduct(-2, r)
+
+
+def recording_sums(monkeypatch):
+    """Wrap ``qseries.sum_of_products``; each call appends (terms, runs),
+    runs being the number of maximal runs of consecutive terms that hold
+    one ``ops`` object, which the kernel multiplies once each."""
+    calls = []
+    packed_sum = qseries.sum_of_products
+
+    def recording(terms):
+        runs = sum(i == 0 or ops is not terms[i - 1][2]
+                   for i, (_, _, ops) in enumerate(terms))
+        assert runs == len({id(ops) for _, _, ops in terms})
+        calls.append((len(terms), runs))
+        return packed_sum(terms)
+
+    monkeypatch.setattr(qseries, "sum_of_products", recording)
+    return calls
+
+
+class TestSharedPairs:
+    def test_doubling_node_multiplies_each_pair_once(self, monkeypatch):
+        calls = recording_sums(monkeypatch)
+        product = OnlineRescaledProduct(-2, 2)  # one doubling node, a square
+        for n in range(9):
+            product.push(Operand(LaurentPoly([1, 0, n + 2], -1)))
+        assert calls == [(n + 1, n // 2 + 1) for n in range(9)]
+
+    def test_square_shares_its_pairs_and_a_product_does_not(self, monkeypatch):
+        a = [Operand(LaurentPoly([1, n, 2], n)) for n in range(7)]
+        b = [Operand(LaurentPoly([n, 1], -n)) for n in range(7)]
+        calls = recording_sums(monkeypatch)
+        qseries._op_product(a, a, -4)
+        assert calls == [(n + 1, n // 2 + 1) for n in range(7)]
+        del calls[:]
+        qseries._op_product(a, b, -4)
+        assert calls == [(n + 1, n + 1) for n in range(7)]
+
+
+class TestOnlineQDifferenceProduct:
+    @given(mixed_series())
+    def test_each_push_reads_the_offline_product(self, x):
+        x = integral_unit(x.coeffs, x.order)
+        for p in (-4, -2, 2, 4):
+            for r in range(1, 18):
+                want = rescaled_product(x, p, r)
+                product = OnlineQDifferenceProduct(p, r)
+                for n, c in enumerate(x.coeffs):
+                    assert product.push(Operand(c)).poly == want.coeffs[n], (p, r, n)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 16, 17])
+    def test_one_packed_sum_per_push(self, r, monkeypatch):
+        calls = recording_sums(monkeypatch)
+        product = OnlineQDifferenceProduct(-2, r)
+        for n in range(6):
+            product.push(Operand(LaurentPoly([1, 0, n + 1], -1) if n else LaurentPoly.one()))
+        # nothing at n = 0, then 2n terms, the two of each k on one product
+        assert calls == [(2 * n, n) for n in range(1, 6)]
+
+    @pytest.mark.parametrize("p", [0, 1, -1, 3, -5])
+    def test_odd_or_zero_p_refused(self, p):
+        with pytest.raises(ValueError):
+            OnlineQDifferenceProduct(p, 3)
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_no_copies_refused(self, r):
+        with pytest.raises(ValueError):
+            OnlineQDifferenceProduct(-2, r)
+
+    @pytest.mark.parametrize("x0", [LaurentPoly.zero(), LaurentPoly((2,)), -LaurentPoly.one(),
+                                    V, LaurentPoly([1, 0, 1], -2)])
+    def test_constant_term_other_than_one_refused(self, x0):
+        product = OnlineQDifferenceProduct(-2, 3)
+        with pytest.raises(ValueError):
+            product.push(Operand(x0))
 
 
 def test_point_reference_refuses_a_pole():
